@@ -128,8 +128,9 @@ def elementary(alpha) -> RationalAllPass:
     _check_off_circle(alpha, DEFAULTS.circle)
     if alpha.imag == 0.0:
         a = alpha.real
-        # trim keeps the degree tight when alpha is zero (numerator 1/z case)
-        num = PolyMatrix(np.array([[[1.0]], [[-a]]])).trim()
+        # alpha = 0 is the 1/z factor; any other alpha, however small, keeps
+        # the -alpha z term so the numerator matches the denominator z - alpha
+        num = PolyMatrix([[[1.0]], [[-a]]] if a != 0.0 else [[[1.0]]])
         den = ScalarPoly([-a, 1.0])
     else:
         num = CPolyMatrix(np.array([[[1.0]], [[-np.conj(alpha)]]]))

@@ -83,13 +83,10 @@ class MirrorReport:
 
 def _spectral_deviation(p_new, p_old, n_samples: int = 64) -> float:
     zs = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
-    dev = 0.0
-    scale = 0.0
-    for z in zs:
-        s_old = spectral_eval(p_old, z)
-        s_new = spectral_eval(p_new, z)
-        dev = max(dev, float(np.linalg.norm(s_new - s_old)))
-        scale = max(scale, float(np.linalg.norm(s_old)))
+    s_old = spectral_eval(p_old, zs)
+    s_new = spectral_eval(p_new, zs)
+    dev = float(np.max(np.linalg.norm(s_new - s_old, axis=(1, 2))))
+    scale = float(np.max(np.linalg.norm(s_old, axis=(1, 2))))
     return dev / max(scale, np.finfo(float).tiny)
 
 

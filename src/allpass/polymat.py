@@ -157,14 +157,25 @@ def spectral_eval(p, z):
     """Evaluate ``p(z) p(1/conj(z))^H``; on ``|z| = 1`` this is ``p(z) p(z)^H``.
 
     This product is what stays invariant when roots are mirrored across the
-    unit circle.
+    unit circle.  ``z`` may be a scalar or an array of points: the result is
+    a complex array of shape ``z.shape + (n, n)``, so a scalar gives one
+    ``(n, n)`` matrix (``(1, 1)`` for a :class:`ScalarPoly`).  All points
+    are evaluated together.
+
+    Raises
+    ------
+    ValueError
+        If any point is zero.
     """
-    zz = complex(z)
-    if zz == 0:
+    zs = np.asarray(z, dtype=np.complex128)
+    if np.any(zs == 0):
         raise ValueError("spectral evaluation needs z != 0")
-    left = np.atleast_2d(eval_poly(p, zz))
-    right = np.atleast_2d(eval_poly(p, 1.0 / np.conj(zz)))
-    return left @ np.conj(right).T
+    coeffs = p.coeffs if p.coeffs.ndim == 3 else p.coeffs[:, None, None]
+    flat = zs.reshape(-1)
+    left = _eval_many(coeffs, flat)
+    right = _eval_many(coeffs, 1.0 / np.conj(flat))
+    out = left @ np.conj(right).transpose(0, 2, 1)
+    return out.reshape(zs.shape + out.shape[1:])
 
 
 def _wrap_matrix(coeffs: np.ndarray):
@@ -177,12 +188,7 @@ def mul(p, q):
     """Convolution product of two matrix polynomials of equal dimension."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    dtype = np.result_type(p.coeffs.dtype, q.coeffs.dtype)
-    out = np.zeros((p.degree + q.degree + 1, p.dim, p.dim), dtype=dtype)
-    for i in range(p.degree + 1):
-        for j in range(q.degree + 1):
-            out[i + j] += p.coeffs[i] @ q.coeffs[j]
-    return _wrap_matrix(out)
+    return _wrap_matrix(_conv_coeffs(p.coeffs, q.coeffs))
 
 
 def mul_scalar(p, s: ScalarPoly):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from allpass import (
@@ -90,6 +90,7 @@ def test_squared_is_allpass_both_sides():
     st.floats(min_value=0.0, max_value=0.9),
     st.floats(min_value=0.0, max_value=2 * np.pi),
 )
+@example(re=1e-12, im=0.0, theta=0.0)
 def test_scalar_factor_unit_modulus_property(re, im, theta):
     alpha = complex(re, im)
     assume(abs(alpha) < 0.95)

@@ -14,6 +14,7 @@ from allpass import (
     spectral_eval,
 )
 from allpass.errors import OnUnitCircle, SelectionNotClosed
+from allpass.mirror import _spectral_deviation
 from allpass.roots import RootRecord
 from conftest import polymatrix_with_inside_pair
 
@@ -95,6 +96,36 @@ def test_method_agreement(worked_pair):
             assert len(ri) == len(rj)
             for a, b in zip(ri, rj):
                 assert abs(a.alpha - b.alpha) < 1e-7
+
+
+def _spectral_deviation_pointwise(p_new, p_old, n_samples=64):
+    """Reference: one Horner evaluation per polynomial, point and side."""
+    dev = 0.0
+    scale = 0.0
+    for z in np.exp(2j * np.pi * np.arange(n_samples) / n_samples):
+        w = 1 / np.conj(z)
+        s_old = p_old(z) @ p_old(w).conj().T
+        s_new = p_new(z) @ p_new(w).conj().T
+        dev = max(dev, float(np.linalg.norm(s_new - s_old)))
+        scale = max(scale, float(np.linalg.norm(s_old)))
+    return dev / scale
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_spectral_deviation_matches_pointwise_reference(method):
+    rng = np.random.default_rng(77)
+    for dim, degree in [(2, 2), (3, 2), (4, 3)]:
+        p, records, pairs = polymatrix_with_inside_pair(rng, dim, degree)
+        inside = [r for r in records if r.location == "inside"]
+        for rec in [pairs[0]] + [r for r in inside if r.kind == "real"][:1]:
+            q, rep = mirror_once(p, rec, method=method)
+            ref = _spectral_deviation_pointwise(q, p)
+            assert abs(_spectral_deviation(q, p) - ref) <= 1e-15
+            assert abs(rep.spectral_dev - ref) <= 1e-15
+            # a visibly wrong step, so the normalisation is checked too
+            noisy = PolyMatrix(q.coeffs + 1e-3 * rng.standard_normal(q.coeffs.shape))
+            ref = _spectral_deviation_pointwise(noisy, p)
+            assert abs(_spectral_deviation(noisy, p) - ref) <= 1e-15
 
 
 def test_mirror_set_empty_selection(worked_pair):

@@ -205,6 +205,64 @@ def test_spectral_eval_psd_on_circle():
         assert np.min(np.linalg.eigvalsh(f)) > -1e-10 * scale
 
 
+def _spectral_points(rng):
+    """Points on the unit circle plus a few inside and outside it."""
+    angles = 2 * np.pi * rng.random(8)
+    return np.concatenate([
+        np.exp(1j * angles),
+        0.6 * np.exp(1j * angles[:3]),
+        1.7 * np.exp(1j * angles[3:6]),
+        [-2.0, 0.5],
+    ])
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "1x1"])
+def test_spectral_eval_batch_matches_pointwise(kind):
+    rng = np.random.default_rng(41)
+    if kind == "real":
+        p = PolyMatrix(rng.standard_normal((4, 3, 3)))
+    elif kind == "complex":
+        p = CPolyMatrix(
+            rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        )
+    else:
+        p = PolyMatrix(rng.standard_normal((3, 1, 1)))
+    zs = _spectral_points(rng)
+    batch = spectral_eval(p, zs)
+    assert batch.shape == (zs.size, p.dim, p.dim)
+    for k, z in enumerate(zs):
+        one = spectral_eval(p, z)
+        horner = p(z) @ p(1 / np.conj(z)).conj().T
+        scale = np.linalg.norm(one)
+        assert np.linalg.norm(batch[k] - one) <= 1e-13 * scale
+        assert np.linalg.norm(batch[k] - horner) <= 1e-12 * scale
+
+
+def test_spectral_eval_shapes():
+    rng = np.random.default_rng(42)
+    p = PolyMatrix(rng.standard_normal((3, 2, 2)))
+    zs = _spectral_points(rng)[:12]
+    assert spectral_eval(p, 0.5j).shape == (2, 2)
+    assert spectral_eval(p, np.complex128(0.5j)).shape == (2, 2)
+    assert spectral_eval(p, zs).shape == (12, 2, 2)
+    grid = spectral_eval(p, zs.reshape(3, 4))
+    assert grid.shape == (3, 4, 2, 2)
+    np.testing.assert_array_equal(grid.reshape(12, 2, 2), spectral_eval(p, zs))
+    assert spectral_eval(ScalarPoly([1.0, -0.5]), np.ones(5)).shape == (5, 1, 1)
+
+
+def test_spectral_eval_rejects_zero_anywhere():
+    p = PolyMatrix(np.random.default_rng(43).standard_normal((2, 2, 2)))
+    zs = np.exp(2j * np.pi * np.arange(8) / 8)
+    with pytest.raises(ValueError):
+        spectral_eval(p, 0.0)
+    for shape in [(8,), (2, 4)]:
+        bad = zs.copy()
+        bad[5] = 0.0
+        with pytest.raises(ValueError):
+            spectral_eval(p, bad.reshape(shape))
+
+
 def test_deconvolve_roundtrip():
     rng = np.random.default_rng(23)
     p = PolyMatrix(rng.standard_normal((3, 2, 2)))
