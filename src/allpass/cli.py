@@ -50,8 +50,6 @@ class Config:
 
     method: str = "polynomial"
     tol: float = 1e-8
-    n_samples: int = 64
-    seed: int | None = None
 
 
 def _positive_float(text: str) -> float:
@@ -152,7 +150,6 @@ def cmd_mirror(args: argparse.Namespace) -> int:
     cfg = Config(
         method=args.method,
         tol=_resolve_tol(args.tol, default=1e-8),
-        seed=args.seed,
     )
     p = _load_poly(args.input)
 
@@ -227,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_roots = sub.add_parser("roots", help="list determinantal roots")
     p_roots.add_argument("input", help="polynomial matrix JSON file")
     p_roots.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    p_roots.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
     p_roots.set_defaults(func=cmd_roots)
 
     p_mirror = sub.add_parser("mirror", help="relocate roots outside the circle")
@@ -249,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mirror.add_argument("--out", default=None,
                           help="write the transformed matrix here and the "
                           "reports next to it as <stem>.report.json")
-    p_mirror.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
     p_mirror.set_defaults(func=cmd_mirror)
 
     p_verify = sub.add_parser("verify", help="check a stored factor")
@@ -259,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=_positive_float, default=None,
                           help="residual threshold (default 1e-9)")
     p_verify.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    p_verify.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -54,10 +54,15 @@ class MirrorReport:
     """Residual bookkeeping for one mirroring step.
 
     mirrored_roots
-        The root values moved in this step (both members for a pair).
+        The root values moved in this step (both members for a pair): the
+        Newton-polished ``alpha`` of the step's plan, within roundoff of the
+        record that was selected.
     residual_deconv
         Largest remainder left by dividing out the factor denominator,
-        relative to the largest dividend coefficient.
+        relative to the largest dividend coefficient.  The division runs
+        from the high-degree end for a root inside the circle and from the
+        low-degree end for one outside, so the recurrence never amplifies
+        rounding by ``|alpha|``.
     max_imag
         Imaginary residue of the factor's numerator before projection to
         real coefficients (zero for the real-arithmetic constructions).
@@ -164,7 +169,13 @@ def mirror_once(
     rest = pq[:, :, k:]
 
     raw = _conv_coeffs(block, V.num.coeffs)
-    quot, resid_abs = _divide_coeffs(raw, V.den.coeffs)
+    if abs(plan.alpha) > 1.0:
+        # the denominator's roots lie outside the circle: divide from the low
+        # end, where each step scales rounding by 1/|alpha| instead of |alpha|
+        quot, resid_abs = _divide_coeffs(raw[::-1], V.den.coeffs[::-1])
+        quot = quot[::-1]
+    else:
+        quot, resid_abs = _divide_coeffs(raw, V.den.coeffs)
     resid = resid_abs / max(1.0, float(np.max(np.abs(raw))))
     if resid > 1e-6:
         raise DeconvolutionResidueTooLarge(
@@ -238,38 +249,31 @@ def mirror_all_inside(
     method: str = "polynomial",
     tol=DEFAULTS,
 ):
-    """Mirror until no determinantal root remains inside the unit circle.
+    """Mirror every determinantal root inside the unit circle.
 
-    Roots are re-detected after every step (multiplicities fall away one
-    copy at a time) and the smallest ``|alpha|`` goes first.
+    The roots are detected once, on the input, and the inside records go
+    through :func:`mirror_set` (ascending ``|alpha|``, one copy per step).
+    A step moves only its own root, so the other records stay valid; each
+    is polished against the current polynomial by :func:`classify` before
+    its own step.
 
     Raises
     ------
     OnUnitCircle
-        If a root sits on the circle, where no mirror exists.
+        If a root sits on the circle, where no mirror exists; checked
+        before any step runs.
     """
-    current = p
-    reports = []
-    max_steps = current.dim * max(current.degree, 1) + 4
-    for _ in range(max_steps):
-        records = det_roots(
-            current, tol_imag=tol.imag, cluster_rtol=tol.cluster, tol_circle=tol.circle
-        )
-        for rec in records:
-            if rec.location == LOCATION_ON_CIRCLE:
-                raise OnUnitCircle(
-                    f"root {rec.alpha} lies on the unit circle; "
-                    "mirroring cannot move it"
-                )
-        inside = [r for r in records if r.location == LOCATION_INSIDE]
-        if not inside:
-            return current, reports
-        single = dataclasses.replace(inside[0], multiplicity=1)
-        current, rep = mirror_once(current, single, method=method, tol=tol)
-        reports.append(rep)
-    raise RuntimeError(
-        "mirroring did not terminate; root detection is likely unstable here"
+    records = det_roots(
+        p, tol_imag=tol.imag, cluster_rtol=tol.cluster, tol_circle=tol.circle
     )
+    for rec in records:
+        if rec.location == LOCATION_ON_CIRCLE:
+            raise OnUnitCircle(
+                f"root {rec.alpha} lies on the unit circle; "
+                "mirroring cannot move it"
+            )
+    inside = [r for r in records if r.location == LOCATION_INSIDE]
+    return mirror_set(p, inside, method=method, tol=tol)
 
 
 def enumerate_selections(records):

@@ -69,11 +69,14 @@ class RootRecord:
 class MirrorPlan:
     """Everything one mirroring step needs about a single root.
 
-    ``case`` selects the factor type.  ``v`` is the unit kernel vector of
-    ``p(alpha)``; ``Q`` is a real orthogonal matrix whose leading columns
-    carry the kernel directions.  In the generic case the first two columns
-    of ``Q`` equal the Q1 of the QR factorisation ``(Re v, Im v) = Q1 R``, and
-    ``w = R (1, i)'`` expresses ``v`` in the Q1 coordinates: ``Q1 w = v``.
+    ``case`` selects the factor type.  ``alpha`` is the record's root after
+    one Newton polish against ``p`` (see :func:`classify`), so it can differ
+    from the record's value in the last digits.  ``v`` is the unit kernel
+    vector of ``p(alpha)``; ``Q`` is a real orthogonal matrix whose leading
+    columns carry the kernel directions.  In the generic case the first two
+    columns of ``Q`` equal the Q1 of the QR factorisation
+    ``(Re v, Im v) = Q1 R``, and ``w = R (1, i)'`` expresses ``v`` in the Q1
+    coordinates: ``Q1 w = v``.
     """
 
     case: str
@@ -139,6 +142,26 @@ def det_roots(
     return records
 
 
+def _anchored_kernel(M: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """Kernel direction of ``M`` from its right singular vectors ``vh``.
+
+    The last right singular vector, with a deterministic phase: the
+    largest-modulus entry (lowest index on ties) is made real and positive.
+    The zero matrix maps to the first basis vector.
+    """
+    if float(np.max(np.abs(M))) == 0.0:
+        e1 = np.zeros(M.shape[0], dtype=M.dtype)
+        e1[0] = 1.0
+        return e1
+    v = np.conj(vh[-1])
+    idx = int(np.argmax(np.abs(v)))
+    phase = v[idx] / abs(v[idx])
+    v = v * np.conj(phase)
+    # pin the anchor entry exactly onto the real axis
+    v[idx] = abs(v[idx])
+    return v
+
+
 def kernel_vector(M: np.ndarray) -> np.ndarray:
     """Unit right-kernel direction of a (nearly) rank-deficient matrix.
 
@@ -149,19 +172,8 @@ def kernel_vector(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"need a square matrix, got shape {M.shape}")
-    n = M.shape[0]
-    if float(np.max(np.abs(M))) == 0.0:
-        e1 = np.zeros(n, dtype=M.dtype)
-        e1[0] = 1.0
-        return e1
     _, _, vh = np.linalg.svd(M)
-    v = np.conj(vh[-1])
-    idx = int(np.argmax(np.abs(v)))
-    phase = v[idx] / abs(v[idx])
-    v = v * np.conj(phase)
-    # pin the anchor entry exactly onto the real axis
-    v[idx] = abs(v[idx])
-    return v
+    return _anchored_kernel(M, vh)
 
 
 def orthogonal_completion(V1: np.ndarray) -> np.ndarray:
@@ -189,6 +201,38 @@ def orthogonal_completion(V1: np.ndarray) -> np.ndarray:
     return Q
 
 
+def _newton_polish(p, kind: str, alpha: complex, svd):
+    """One Newton step on ``det p`` from ``alpha``, kept only if it helps.
+
+    With the smallest singular triplet ``p(alpha) v = sigma u``, the scalar
+    ``u^H p(z) v`` equals ``sigma`` at ``alpha`` and has derivative
+    ``u^H p'(alpha) v`` there, so the step is
+    ``alpha - sigma / (u^H p'(alpha) v)`` (Tisseur, LAA 2000).  A real root
+    stays real and a pair member must stay in the upper half plane.
+
+    Returns the polished ``(alpha, M, svd)`` if the step lowers
+    ``sigma_min``, else ``None``.
+    """
+    if p.degree == 0:
+        return None
+    U, s, vh = svd
+    k = np.arange(1, p.degree + 1)[:, None, None]
+    dp = eval_poly(type(p)(p.coeffs[1:] * k), alpha)
+    denom = complex(np.conj(U[:, -1]) @ dp @ np.conj(vh[-1]))
+    if denom == 0:
+        return None
+    step = alpha - s[-1] / denom
+    if kind == KIND_REAL:
+        step = complex(step.real)
+    elif step.imag <= 0:
+        return None
+    M = np.atleast_2d(eval_poly(p, step))
+    polished = np.linalg.svd(M)
+    if polished[1][-1] < s[-1]:
+        return step, M, polished
+    return None
+
+
 def classify(
     p,
     record: RootRecord,
@@ -204,8 +248,9 @@ def classify(
     record : RootRecord
         The root to plan for; must not sit on the unit circle.
     tol_kernel : float
-        ``sigma_min(p(alpha)) < tol_kernel * ||p||`` is required for alpha
-        to be accepted as a root.
+        ``sigma_min(p(alpha)) <= tol_kernel * ||p|| * max(1, |alpha|)^q``
+        (``q`` the degree of ``p``, the natural size of an evaluation at
+        ``alpha``) is required for alpha to be accepted as a root.
     tol_degenerate : float
         Relative bound on the second singular value of ``(Re v, Im v)``
         below which the pair counts as degenerate (kernel direction is a
@@ -214,6 +259,11 @@ def classify(
     Returns
     -------
     MirrorPlan
+        After the root test, the record's ``alpha`` takes one Newton step
+        through the smallest singular triplet of ``p(alpha)``; the step is
+        kept when it lowers ``sigma_min`` and keeps a real root real and a
+        pair member in the upper half plane.  The plan's ``alpha`` and
+        kernel come from the point kept.
 
     Raises
     ------
@@ -228,15 +278,19 @@ def classify(
         )
     alpha = record.alpha
     M = np.atleast_2d(eval_poly(p, alpha))
-    svals = np.linalg.svd(M, compute_uv=False)
-    norm = p.norm()
-    if svals[-1] > tol_kernel * max(norm, np.finfo(float).tiny):
+    svd = np.linalg.svd(M)
+    smin = svd[1][-1]
+    bound = tol_kernel * max(p.norm(), np.finfo(float).tiny)
+    bound *= max(1.0, abs(alpha)) ** p.degree
+    if smin > bound:
         raise NotARoot(
-            f"sigma_min(p({alpha})) = {svals[-1]:.3e} exceeds "
-            f"{tol_kernel:.1e} * ||p|| = {tol_kernel * norm:.3e}"
+            f"sigma_min(p({alpha})) = {smin:.3e} exceeds "
+            f"{tol_kernel:.1e} * ||p|| * max(1, |alpha|)^{p.degree} = {bound:.3e}"
         )
-    v = kernel_vector(M)
-    n = p.dim
+    polished = _newton_polish(p, record.kind, alpha, svd)
+    if polished is not None:
+        alpha, M, svd = polished
+    v = _anchored_kernel(M, svd[2])
 
     if record.kind == KIND_REAL:
         vr = np.real(v)

@@ -135,7 +135,8 @@ def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     ------
     ResonantEigenvalues
         If some product of eigenvalues ``lambda_i * lambda_j`` of A is within
-        1e-10 of 1, where the equation is singular.
+        1e-10 of 1, where the equation is singular, or if the vectorized
+        system turns out singular anyway.
 
     Notes
     -----
@@ -176,7 +177,15 @@ def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     mapped = basis - np.einsum("pi,kpq,qj->kij", A, basis, A)
     rows = np.array([[mapped[k, i, j] for k in range(K)] for (i, j) in idx])
     rhs = np.array([Q[i, j] for (i, j) in idx])
-    sol = np.linalg.solve(rows, rhs)
+    try:
+        sol = np.linalg.solve(rows, rhs)
+    except np.linalg.LinAlgError as err:
+        # eigenvalues of a defective A carry errors far above 1e-10, so a
+        # product can equal 1 exactly although the test above let it pass
+        raise ResonantEigenvalues(
+            f"the vectorized Stein system is singular (condition number "
+            f"{np.linalg.cond(rows):.3e}); some eigenvalue product of A is 1"
+        ) from err
     X = np.zeros((m, m))
     for k, (i, j) in enumerate(idx):
         X[i, j] = sol[k]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import allpass.mirror
 from allpass import (
     METHODS,
     PolyMatrix,
@@ -262,6 +263,95 @@ def test_mirror_all_inside_rejects_circle_root():
     p = PolyMatrix(np.array([1.0, -2 * np.cos(t), 1.0]).reshape(3, 1, 1))
     with pytest.raises(OnUnitCircle):
         mirror_all_inside(p)
+
+
+def _counting(monkeypatch, name):
+    """Wrap ``allpass.mirror.<name>`` so the test can count its calls."""
+    original = getattr(allpass.mirror, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(allpass.mirror, name, wrapper)
+    return calls
+
+
+def test_mirror_all_inside_detects_once(monkeypatch):
+    rng = np.random.default_rng(911)
+    many = PolyMatrix(rng.standard_normal((11, 3, 3)))
+    todo = sum(r.multiplicity for r in det_roots(many) if r.location == "inside")
+    assert todo >= 6
+    none = PolyMatrix(np.stack([np.eye(2), np.diag([-0.5, -0.25])]))
+    for p, steps in [(many, todo), (none, 0)]:
+        detect = _counting(monkeypatch, "det_roots")
+        _, reports = mirror_all_inside(p, method="consecutive")
+        assert len(detect) == 1
+        assert len(reports) == steps
+
+
+def test_mirror_all_inside_double_root_drains(scalar_halfpair):
+    sq = np.convolve(scalar_halfpair.coeffs[:, 0, 0], scalar_halfpair.coeffs[:, 0, 0])
+    p = PolyMatrix(sq.reshape(-1, 1, 1))
+    assert det_roots(p)[0].multiplicity == 2
+    q, reports = mirror_all_inside(p)
+    assert len(reports) == 2
+    assert not [r for r in det_roots(q) if r.location == "inside"]
+    assert spectral_gap(p, q) < 1e-10
+
+
+def test_mirror_all_inside_circle_root_raises_before_any_step(monkeypatch):
+    # roots 0.5 (inside, first by modulus) and e^{+-0.73i} on the circle
+    t = 0.73
+    c = np.convolve([-0.5, 1.0], [1.0, -2 * np.cos(t), 1.0])
+    p = PolyMatrix(c.reshape(-1, 1, 1))
+    steps = _counting(monkeypatch, "mirror_once")
+    with pytest.raises(OnUnitCircle):
+        mirror_all_inside(p)
+    assert steps == []
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_mirror_all_inside_high_degree_drain_accuracy(method):
+    # the degree-10 3x3 drain above; roots detected once on the input and
+    # polished against each intermediate polynomial stay at roundoff
+    rng = np.random.default_rng(911)
+    p = PolyMatrix(rng.standard_normal((11, 3, 3)))
+    q, reports = mirror_all_inside(p, method=method)
+    assert max(r.new_root_residual for r in reports) <= 1e-13
+    assert spectral_gap(p, q) <= 1e-12
+
+
+def _far_root_poly(seed, n_small, shrink):
+    """2x4 Gaussian draw whose leading matrix loses ``n_small`` singular
+    values by ``shrink``, pushing roots far outside the circle."""
+    c = np.random.default_rng(seed).standard_normal((5, 2, 2))
+    U, s, Vt = np.linalg.svd(c[-1])
+    s[-n_small:] *= shrink
+    c[-1] = U @ np.diag(s) @ Vt
+    return PolyMatrix(c)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "seed,n_small,shrink,kind", [(6, 1, 1e-3, "real"), (9, 2, 1e-2, "complex_pair")]
+)
+def test_mirror_set_far_outside_root(seed, n_small, shrink, kind, method):
+    # a correct root at |alpha| > 200: sigma_min(p(alpha)) is far above
+    # 1e-6 * ||p|| only because p(alpha) itself is of size |alpha|^4 ||p||
+    p = _far_root_poly(seed, n_small, shrink)
+    rec = [r for r in det_roots(p) if abs(r.alpha) > 200][-1]
+    assert rec.kind == kind
+    sigma = np.linalg.svd(p(rec.alpha), compute_uv=False)[-1]
+    assert sigma > 1e-6 * p.norm()
+    q, reports = mirror_set(p, [rec], method=method)
+    assert len(reports) == 1
+    assert reports[0].new_root_residual < 1e-12
+    assert spectral_gap(p, q) < 1e-12
+    after = [r.alpha for r in det_roots(q)]
+    assert any(abs(a - 1 / np.conj(rec.alpha)) < 1e-9 for a in after)
+    assert not any(abs(a - rec.alpha) < 1e-6 * abs(rec.alpha) for a in after)
 
 
 def test_mirror_once_rejects_circle_record(worked_pair):

@@ -212,6 +212,42 @@ def test_classify_rejects_non_root(worked_pair):
         classify(worked_pair, fake)
 
 
+def _sigma_min(p, z):
+    return np.linalg.svd(p(z), compute_uv=False)[-1]
+
+
+def test_classify_polish_never_worse_and_keeps_kind():
+    rng = np.random.default_rng(61)
+    for dim, degree in [(2, 2), (3, 2), (4, 3), (3, 6)]:
+        p = PolyMatrix(rng.standard_normal((degree + 1, dim, dim)))
+        for rec in det_roots(p):
+            if rec.location == "on_circle":
+                continue
+            # the detected value, and one knocked off by 1e-9 relative
+            nudge = 1e-9 * abs(rec.alpha) * (1.0 if rec.kind == "real" else 1j)
+            for alpha in (rec.alpha, rec.alpha + nudge):
+                start = RootRecord(alpha, 1, rec.kind, rec.location)
+                plan = classify(p, start)
+                assert _sigma_min(p, plan.alpha) <= _sigma_min(p, alpha)
+                if rec.kind == "real":
+                    assert plan.alpha.imag == 0.0
+                else:
+                    assert plan.alpha.imag > 0.0
+                assert abs(plan.alpha - rec.alpha) < 1e-6 * max(1.0, abs(rec.alpha))
+            # the knocked-off start must actually move back towards the root
+            assert _sigma_min(p, plan.alpha) < 1e-3 * _sigma_min(p, alpha)
+
+
+def test_classify_tests_the_record_not_the_polished_root(worked_pair):
+    # one Newton step from 1e-3 off the pair lands close to it, but the
+    # record itself is no root and must still be refused
+    near = RootRecord(
+        alpha=0.5 + 0.501j, multiplicity=1, kind="complex_pair", location="inside"
+    )
+    with pytest.raises(NotARoot):
+        classify(worked_pair, near)
+
+
 def test_classify_rejects_circle_root():
     t = 0.73
     p = PolyMatrix(np.array([1.0, -2 * np.cos(t), 1.0]).reshape(3, 1, 1))

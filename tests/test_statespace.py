@@ -166,6 +166,17 @@ def test_solve_stein_rejects_resonance():
         solve_stein(np.diag([2.0, 0.5]), np.eye(2))
 
 
+def test_solve_stein_singular_system_is_typed():
+    # S J S^-1 for the Jordan block J of eigenvalue 1 and S = [[1, 0], [1e4, 1]]:
+    # integer entries, so the vectorized system is exactly singular, while the
+    # computed eigenvalues 1 +- 3.6e-5i pass the 1e-10 resonance test
+    A = np.array([[-9999.0, 1.0], [-1e8, 10001.0]])
+    lam = np.linalg.eigvals(A)
+    assert np.all(np.abs(lam[:, None] * lam[None, :] - 1.0) >= 1e-10)
+    with pytest.raises(ResonantEigenvalues, match="condition number"):
+        solve_stein(A, np.eye(2))
+
+
 def test_solve_stein_rejects_asymmetric_q():
     with pytest.raises(ValueError):
         solve_stein(0.5 * np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
