@@ -17,7 +17,7 @@ state-space normalizations even coincide exactly.
 import numpy as np
 
 from allpass import (
-    b2_consecutive_from_w,
+    b2_consecutive,
     b2_polynomial,
     build_b2,
     verify_allpass,
@@ -29,7 +29,7 @@ w = w / np.linalg.norm(w)
 print(f"pair {alpha} / {np.conj(alpha)}, kernel direction {np.round(w, 4)}")
 
 factors = {
-    "consecutive": b2_consecutive_from_w(alpha, w),
+    "consecutive": b2_consecutive(alpha, w),
     "polynomial": b2_polynomial(alpha, w),
     "statespace": build_b2(alpha, w)[1],
 }

@@ -9,6 +9,11 @@ kernel direction take its squared real-coefficient form; generic pairs take a
 with constant unitaries (``b2_consecutive``), from a polynomial identity in a
 companion-like matrix A (``b2_polynomial``), or in state space
 (:func:`allpass.statespace.build_b2`).
+
+Every construction has the shape ``(alpha, [w,] tol=DEFAULTS)``: the pair
+member ``alpha`` in the upper half plane, the kernel direction ``w`` the
+2x2 factors anchor to, and a :class:`~allpass.config.Tolerances`.  Their
+input is validated once, by :func:`allpass.roots.check_pair`.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import CholeskyNotPD, DegenerateW, OnUnitCircle
+from .errors import CholeskyNotPD
 from .polymat import (
     CPolyMatrix,
     PolyMatrix,
@@ -29,6 +34,7 @@ from .polymat import (
     mul,
     to_real,
 )
+from .roots import _positive_qr, check_off_circle, check_pair
 from .statespace import solve_stein
 
 __all__ = [
@@ -99,33 +105,26 @@ class RationalAllPass:
 
 @dataclasses.dataclass(frozen=True)
 class VerifyReport:
-    """Residuals of the defining all-pass identity on circle samples."""
+    """Residuals of the defining all-pass identity on circle samples.
+
+    ``ok`` is ``max_residual <= tol`` for the ``tol`` the report was made
+    with.
+    """
 
     max_residual: float
     max_imag: float
     det_modulus_dev: float
     n_samples: int
-
-    @property
-    def ok(self) -> bool:
-        return self.max_residual < DEFAULTS.allpass
+    ok: bool
 
 
-def _check_off_circle(alpha: complex, tol_circle: float):
-    if abs(abs(alpha) - 1.0) <= tol_circle:
-        raise OnUnitCircle(
-            f"|alpha| = {abs(alpha):.12g} lies on the unit circle"
-        )
-
-
-def elementary(alpha) -> RationalAllPass:
+def elementary(alpha, tol=DEFAULTS) -> RationalAllPass:
     """Scalar factor ``(1 - conj(alpha) z) / (z - alpha)``.
 
     Real for real ``alpha``; the complex variant only appears as an internal
     building block.
     """
-    alpha = complex(alpha)
-    _check_off_circle(alpha, DEFAULTS.circle)
+    alpha = check_off_circle(alpha, tol)
     if alpha.imag == 0.0:
         a = alpha.real
         # alpha = 0 is the 1/z factor; any other alpha, however small, keeps
@@ -138,63 +137,51 @@ def elementary(alpha) -> RationalAllPass:
     return RationalAllPass(num=num, den=den, alpha=alpha, method="elementary")
 
 
-def squared(alpha) -> RationalAllPass:
+def _pair_denominator(alpha: complex) -> ScalarPoly:
+    """The monic ``(z - alpha)(z - conj alpha)`` every pair factor divides by."""
+    return ScalarPoly([abs(alpha) ** 2, -2.0 * alpha.real, 1.0])
+
+
+def squared(alpha, tol=DEFAULTS) -> RationalAllPass:
     """Real scalar factor mirroring a conjugate pair with real kernel.
 
     The product of the two elementary factors for ``alpha`` and
     ``conj(alpha)``: numerator ``1 - 2 Re(alpha) z + |alpha|^2 z^2`` over the
     monic ``(z - alpha)(z - conj alpha)``.
     """
-    alpha = complex(alpha)
-    if alpha.imag <= 0:
-        raise ValueError(
-            f"alpha must lie in the open upper half-plane, got {alpha}; "
-            "real roots take the elementary factor"
-        )
-    _check_off_circle(alpha, DEFAULTS.circle)
-    ar, m2 = alpha.real, abs(alpha) ** 2
-    num = PolyMatrix(np.array([[[1.0]], [[-2.0 * ar]], [[m2]]]))
-    den = ScalarPoly([m2, -2.0 * ar, 1.0])
+    alpha, _ = check_pair(alpha, tol=tol)
+    den = _pair_denominator(alpha)
+    # the numerator z^2 den(1/z) is the denominator with its coefficients reversed
+    num = PolyMatrix(den.coeffs[::-1].reshape(3, 1, 1))
     return RationalAllPass(num=num, den=den, alpha=alpha, method="squared")
 
 
-def _pair_denominator(alpha: complex) -> ScalarPoly:
-    return ScalarPoly([abs(alpha) ** 2, -2.0 * alpha.real, 1.0])
-
-
-def _validate_pair(alpha) -> complex:
-    alpha = complex(alpha)
-    if alpha.imag <= 0:
-        raise ValueError(
-            f"alpha must lie in the open upper half-plane, got {alpha}"
-        )
-    _check_off_circle(alpha, DEFAULTS.circle)
-    return alpha
-
-
-def b2_consecutive(
-    alpha,
-    R: np.ndarray,
-    tol_real: float = DEFAULTS.real,
-) -> RationalAllPass:
+def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     """2x2 factor as a product of elementary steps and constant unitaries.
 
     Parameters
     ----------
     alpha : complex
         Upper-half-plane member of the root pair.
-    R : (2, 2) array
-        Upper-triangular factor from the kernel QR, positive diagonal,
-        ``a^2 + b^2 + c^2 = 1`` for ``(a, b, c) = (R00, R01, R11)``.  The
-        anchoring direction is ``w = R (1, i)'``.
+    w : (2,) complex array
+        Kernel direction; the numerator's column space at ``alpha`` is
+        spanned by it.
+    tol : Tolerances
+        ``circle`` and ``degenerate`` for :func:`~allpass.roots.check_pair`,
+        ``real`` for the projection to real coefficients.
 
     Notes
     -----
-    The factor is assembled as ``V_beta diag(B_+, 1) V_gamma diag(B_-, 1)
-    V_delta`` with ``B_+-`` the elementary factors of the pair.  ``V_beta``
-    aligns the column space at ``alpha`` with ``w``; ``V_gamma`` is derived
-    from the conjugate spanning condition at ``conj(alpha)`` (first column
-    proportional to ``diag(B(conj alpha; alpha)^-1, 1) V_beta^H conj(w)``,
+    The QR split ``(Re w, Im w) = |w| Q1 R`` (positive diagonal) gives
+    ``a^2 + b^2 + c^2 = 1`` for ``(a, b, c) = (R00, R01, R11)``, and the
+    product below is anchored to ``R (1, i)'``; ``Q1`` is embedded into the
+    numerator so that the column space at ``alpha`` is spanned by ``w``.
+    The factor is assembled as ``Q1 V_beta diag(B_+, 1) V_gamma
+    diag(B_-, 1) V_delta`` with ``B_+-`` the elementary factors of the pair.
+    ``V_beta`` aligns the column space at ``alpha`` with ``R (1, i)'``;
+    ``V_gamma`` is derived from the conjugate spanning condition at
+    ``conj(alpha)`` (first column proportional to
+    ``diag(B(conj alpha; alpha)^-1, 1) V_beta^H conj(R (1, i)')``,
     phase-fixed so its second entry is real nonnegative); ``V_delta``
     normalizes the product to the identity at ``z = 1``.  Those two
     conditions pin the factor to a real-coefficient representative, so the
@@ -203,29 +190,15 @@ def b2_consecutive(
 
     Raises
     ------
-    DegenerateW
-        If ``c < 1e-6``: the pair is (near) degenerate and belongs to the
-        squared scalar factor.
+    ValueError, OnUnitCircle, DegenerateW
+        From :func:`~allpass.roots.check_pair`.
     ImaginaryResidueTooLarge
-        If the assembled product fails to be real to ``tol_real``.
+        If the assembled product fails to be real to ``tol.real``.
     """
-    alpha = _validate_pair(alpha)
-    R = np.asarray(R, dtype=np.float64)
-    if R.shape != (2, 2):
-        raise ValueError(f"R must be 2x2, got {R.shape}")
-    if abs(R[1, 0]) > 1e-12:
-        raise ValueError("R must be upper triangular")
+    alpha, w = check_pair(alpha, w, tol)
+    Q1, R = _positive_qr(np.column_stack([w.real, w.imag]))
+    R = R / float(np.linalg.norm(w))
     a, b, c = R[0, 0], R[0, 1], R[1, 1]
-    if a <= 0 or c < 0:
-        raise ValueError("R must have a positive diagonal")
-    nrm = a * a + b * b + c * c
-    if abs(nrm - 1.0) > 1e-6:
-        raise ValueError(f"R must come from a unit kernel vector, |R|^2 = {nrm}")
-    if c < 1e-6:
-        raise DegenerateW(
-            f"R[1,1] = {c:.3e} is numerically zero: w = R(1,i)' and its "
-            "conjugate are dependent; use the squared scalar factor"
-        )
 
     ap, am = alpha, np.conj(alpha)
 
@@ -257,64 +230,32 @@ def b2_consecutive(
     )
     V_delta = W1.conj().T
 
-    lift_plus = CPolyMatrix(
-        np.array(
-            [[[1.0, 0.0], [0.0, -ap]], [[-am, 0.0], [0.0, 1.0]]],
-            dtype=complex,
+    def lift(al):
+        # diag(B(z; al), 1) times the denominator: diag(1 - conj(al) z, z - al)
+        return CPolyMatrix(
+            np.array([[[1.0, 0.0], [0.0, -al]], [[-np.conj(al), 0.0], [0.0, 1.0]]])
         )
-    )
-    lift_minus = CPolyMatrix(
-        np.array(
-            [[[1.0, 0.0], [0.0, -am]], [[-ap, 0.0], [0.0, 1.0]]],
-            dtype=complex,
-        )
-    )
-    prod = mul(constant(V_beta), lift_plus)
+
+    prod = mul(constant(V_beta), lift(ap))
     prod = mul(prod, constant(V_gamma))
-    prod = mul(prod, lift_minus)
+    prod = mul(prod, lift(am))
     prod = mul(prod, constant(V_delta))
-    max_imag_pre = prod.max_imag()
-    num = to_real(prod, tol_real)
     return RationalAllPass(
-        num=num,
+        num=PolyMatrix(Q1 @ to_real(prod, tol.real).coeffs),
         den=_pair_denominator(alpha),
         alpha=alpha,
         method="consecutive",
-        w=R @ np.array([1.0, 1.0j]),
-        max_imag_pre=max_imag_pre,
-    )
-
-
-def b2_consecutive_from_w(alpha, w, tol_real: float = DEFAULTS.real) -> RationalAllPass:
-    """Consecutive-product factor anchored directly to a kernel direction.
-
-    Runs the QR split ``(Re w, Im w) = Q1 R`` and embeds ``Q1`` into the
-    numerator, so the column space at ``alpha`` is spanned by ``w`` itself
-    rather than by ``R (1, i)'``.  This is the shape the comparison against
-    the other two constructions needs.
-    """
-    w = np.asarray(w, dtype=np.complex128).reshape(2)
-    Q1, R = np.linalg.qr(np.column_stack([w.real, w.imag]))
-    for i in range(2):
-        if R[i, i] < 0:
-            R[i, :] = -R[i, :]
-            Q1[:, i] = -Q1[:, i]
-    nw = float(np.linalg.norm(w))
-    if nw == 0.0:
-        raise ValueError("w must be nonzero")
-    V = b2_consecutive(alpha, R / nw, tol_real=tol_real)
-    num = to_real(mul(constant(Q1), V.num), tol_real)
-    return RationalAllPass(
-        num=num,
-        den=V.den,
-        alpha=V.alpha,
-        method="consecutive",
         w=w.copy(),
-        max_imag_pre=V.max_imag_pre,
+        max_imag_pre=prod.max_imag(),
     )
 
 
-def allpass_from_A(A: np.ndarray, direction: str):
+# kept as an alias because the acceptance tests and the benchmark call the
+# w-anchored construction by this name
+b2_consecutive_from_w = b2_consecutive
+
+
+def allpass_from_A(A: np.ndarray, direction: str, tol=DEFAULTS):
     """Solve the all-pass polynomial identity for a given companion matrix.
 
     For ``V(z) = (I - Az)^-1 (I - Bz) T^-1`` to be all-pass, the Gram matrix
@@ -327,7 +268,11 @@ def allpass_from_A(A: np.ndarray, direction: str):
     A : (2, 2) array, nonsingular.
     direction : {"eigs_inside", "eigs_outside"}
         Declared location of A's spectrum relative to the unit circle;
-        validated strictly.
+        validated strictly.  The roots the factor mirrors are the
+        reciprocals of A's eigenvalues, and each must lie off the circle by
+        more than ``tol.circle``: ``|lambda| (1 + tol.circle) < 1`` inside,
+        ``|lambda| (1 - tol.circle) > 1`` outside.
+    tol : Tolerances
 
     Returns
     -------
@@ -343,28 +288,26 @@ def allpass_from_A(A: np.ndarray, direction: str):
     A = np.asarray(A, dtype=np.float64)
     if A.shape != (2, 2):
         raise ValueError(f"A must be 2x2, got {A.shape}")
-    moduli = np.abs(np.linalg.eigvals(A))
-    if direction == "eigs_inside":
-        if not np.all(moduli < 1.0 - DEFAULTS.circle):
-            raise ValueError(
-                f"direction eigs_inside but |eigs| = {sorted(moduli)}"
-            )
-        Gamma0 = solve_stein(A, np.eye(2))
-        B = np.linalg.solve(Gamma0, np.linalg.solve(A.T, Gamma0))
-        TtT = B.T @ Gamma0 @ B - Gamma0
-    elif direction == "eigs_outside":
-        if not np.all(moduli > 1.0 + DEFAULTS.circle):
-            raise ValueError(
-                f"direction eigs_outside but |eigs| = {sorted(moduli)}"
-            )
-        M = np.linalg.inv(A)
-        Gamma0 = solve_stein(M, M.T @ M)
-        B = np.linalg.solve(Gamma0, np.linalg.solve(A.T, Gamma0))
-        TtT = Gamma0 - B.T @ Gamma0 @ B
-    else:
+    if direction not in ("eigs_inside", "eigs_outside"):
         raise ValueError(
             f"direction must be 'eigs_inside' or 'eigs_outside', got {direction!r}"
         )
+    inside = direction == "eigs_inside"
+    moduli = np.abs(np.linalg.eigvals(A))
+    if not np.all(
+        moduli * (1.0 + tol.circle) < 1.0 if inside
+        else moduli * (1.0 - tol.circle) > 1.0
+    ):
+        raise ValueError(f"direction {direction} but |eigs| = {sorted(moduli)}")
+    if inside:
+        Gamma0 = solve_stein(A, np.eye(2))
+    else:
+        M = np.linalg.inv(A)
+        Gamma0 = solve_stein(M, M.T @ M)
+    B = np.linalg.solve(Gamma0, np.linalg.solve(A.T, Gamma0))
+    TtT = B.T @ Gamma0 @ B - Gamma0
+    if not inside:
+        TtT = -TtT
     try:
         L = np.linalg.cholesky(TtT)
     except np.linalg.LinAlgError:
@@ -384,11 +327,7 @@ def allpass_from_A(A: np.ndarray, direction: str):
     return B, T, Gamma0
 
 
-def b2_polynomial(
-    alpha,
-    w,
-    tol_degenerate: float = DEFAULTS.degenerate,
-) -> RationalAllPass:
+def b2_polynomial(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     """2x2 factor from the polynomial identity, real arithmetic throughout.
 
     ``A`` realizes multiplication by ``1/alpha`` on the real coordinates of
@@ -397,22 +336,16 @@ def b2_polynomial(
     is ``|alpha|^2 adj(I - Az) (I - Bz) T^-1`` over the monic pair
     denominator; its column space at ``alpha`` is spanned by ``w`` because
     the adjugate of the singular ``I - A alpha`` has rank one with columns
-    in the eigenvector direction.
+    in the eigenvector direction.  The input is validated by
+    :func:`~allpass.roots.check_pair`.
     """
-    alpha = _validate_pair(alpha)
-    w = np.asarray(w, dtype=np.complex128).reshape(2)
+    alpha, w = check_pair(alpha, w, tol)
     Wm = np.column_stack([w.real, w.imag])
-    sv = np.linalg.svd(Wm, compute_uv=False)
-    if sv[1] <= tol_degenerate * sv[0]:
-        raise DegenerateW(
-            "w and conj(w) are numerically dependent "
-            f"(sigma2/sigma1 = {sv[1] / sv[0]:.3e}); use the squared scalar factor"
-        )
     lam = 1.0 / alpha
     rot = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
     A = Wm @ rot @ np.linalg.inv(Wm)
     direction = "eigs_outside" if abs(alpha) < 1.0 else "eigs_inside"
-    B, T, _ = allpass_from_A(A, direction)
+    B, T, _ = allpass_from_A(A, direction, tol)
     Tinv = np.linalg.inv(T)
     At = A - np.trace(A) * np.eye(2)
     scale = abs(alpha) ** 2
@@ -427,12 +360,15 @@ def b2_polynomial(
     )
 
 
-def verify_allpass(V: RationalAllPass, n_samples: int = 32) -> VerifyReport:
+def verify_allpass(
+    V: RationalAllPass, n_samples: int = 32, tol: float = DEFAULTS.allpass
+) -> VerifyReport:
     """Check the defining identity on equispaced unit-circle samples.
 
     Reports the worst Frobenius deviation of ``V(z) V(z)^H`` from the
-    identity, the worst deviation of ``|det V(z)|`` from 1, and the
-    coefficient imaginary residue (zero for real factors).
+    identity, the worst deviation of ``|det V(z)|`` from 1, the coefficient
+    imaginary residue (zero for real factors), and whether the worst
+    deviation is at most ``tol``.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -453,4 +389,5 @@ def verify_allpass(V: RationalAllPass, n_samples: int = 32) -> VerifyReport:
         max_imag=max_imag,
         det_modulus_dev=det_dev,
         n_samples=n_samples,
+        ok=bool(worst <= tol),
     )

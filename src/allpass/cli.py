@@ -14,12 +14,12 @@ circle, 5 a residual exceeded its threshold (outputs are still written).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 from . import __version__, jsonio
+from .config import DEFAULTS
 from .errors import (
     AllPassError,
     DeconvolutionResidueTooLarge,
@@ -37,19 +37,7 @@ EXIT_SINGULAR = 3
 EXIT_ON_CIRCLE = 4
 EXIT_BREACH = 5
 
-# Relocation accuracy is structural, not tunable: the new root must be an
-# actual determinantal root of the output.
-RELOCATION_TOL = 1e-6
-
 _ENV_TOL = "BLASCHKE_TOL"
-
-
-@dataclasses.dataclass
-class Config:
-    """Resolved settings shared by the subcommands."""
-
-    method: str = "polynomial"
-    tol: float = 1e-8
 
 
 def _positive_float(text: str) -> float:
@@ -147,18 +135,15 @@ def _parse_selection(text: str, n_records: int) -> list[int]:
 
 
 def cmd_mirror(args: argparse.Namespace) -> int:
-    cfg = Config(
-        method=args.method,
-        tol=_resolve_tol(args.tol, default=1e-8),
-    )
+    tol = _resolve_tol(args.tol, default=DEFAULTS.residual)
     p = _load_poly(args.input)
 
     if args.select == "all-inside":
-        p_out, reports = mirror_all_inside(p, method=cfg.method)
+        p_out, reports = mirror_all_inside(p, method=args.method)
     else:
         records = det_roots(p)
         chosen = [records[k] for k in _parse_selection(args.select, len(records))]
-        p_out, reports = mirror_set(p, chosen, method=cfg.method)
+        p_out, reports = mirror_set(p, chosen, method=args.method)
 
     payload = {
         "p_tilde": jsonio.poly_to_json(p_out),
@@ -171,11 +156,13 @@ def cmd_mirror(args: argparse.Namespace) -> int:
         stem, _ = os.path.splitext(args.out)
         _emit(payload["reports"], stem + ".report.json")
 
+    # the relocated root must be a root of the output by the same normalized
+    # sigma_min test classify accepts roots with
     breach = any(
-        r.residual_deconv > cfg.tol
-        or r.max_imag > cfg.tol
-        or r.spectral_dev > cfg.tol
-        or r.new_root_residual > RELOCATION_TOL
+        r.residual_deconv > tol
+        or r.max_imag > tol
+        or r.spectral_dev > tol
+        or r.new_root_residual > DEFAULTS.kernel
         for r in reports
     )
     if breach:
@@ -187,23 +174,23 @@ def cmd_mirror(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .blaschke import verify_allpass
 
-    tol = _resolve_tol(args.tol, default=1e-9)
+    tol = _resolve_tol(args.tol, default=DEFAULTS.allpass)
     obj = _load_json(args.input)
     try:
         V = jsonio.allpass_from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{args.input}: not a rational factor: {exc}")
 
-    rep = verify_allpass(V, n_samples=args.samples)
+    rep = verify_allpass(V, n_samples=args.samples, tol=tol)
     payload = {
         "max_residual": rep.max_residual,
         "max_imag": rep.max_imag,
         "det_modulus_dev": rep.det_modulus_dev,
         "n_samples": rep.n_samples,
-        "ok": bool(rep.max_residual <= tol),
+        "ok": rep.ok,
     }
     _emit(payload, args.out)
-    if rep.max_residual > tol:
+    if not rep.ok:
         print(
             f"verify: residual {rep.max_residual:.3e} exceeds {tol:.3e}",
             file=sys.stderr,
@@ -241,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "the roots command (default: all-inside)",
     )
     p_mirror.add_argument("--tol", type=_positive_float, default=None,
-                          help="residual threshold (default 1e-8)")
+                          help=f"residual threshold (default {DEFAULTS.residual:g})")
     p_mirror.add_argument("--out", default=None,
                           help="write the transformed matrix here and the "
                           "reports next to it as <stem>.report.json")
@@ -252,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=_samples, default=64,
                           help="circle sample count, at least 8 (default 64)")
     p_verify.add_argument("--tol", type=_positive_float, default=None,
-                          help="residual threshold (default 1e-9)")
+                          help=f"residual threshold (default {DEFAULTS.allpass:g})")
     p_verify.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_verify.set_defaults(func=cmd_verify)
 

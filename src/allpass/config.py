@@ -1,8 +1,8 @@
 """Default numerical tolerances, collected in one frozen dataclass.
 
-Every threshold has a single owner here; functions take individual overrides
-but fall back to these values so the whole pipeline can be retuned in one
-place.
+Every threshold has a single owner here; functions take a ``Tolerances``
+object (``DEFAULTS`` unless the caller passes another) so the whole pipeline
+can be retuned in one place.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class Tolerances:
     kernel
         Relative bound on sigma_min(p(alpha)) for alpha to count as a root.
     residual
-        Generic relative bound on residues that should vanish (deconvolution
-        remainders, spectral deviation).
+        Default threshold of the ``mirror`` command on each step's reported
+        deconvolution remainder, imaginary residue and spectral deviation.
     allpass
         Bound on ||V V^H - I|| on the circle for a factor to verify.
     """

@@ -44,8 +44,17 @@ class DegenerateW(AllPassError):
     """w and its conjugate are (numerically) linearly dependent.
 
     The pair must be handled by the squared scalar factor instead of a
-    full 2x2 construction.
+    full 2x2 construction.  Carries ``sigma2/sigma1`` of ``[Re w, Im w]`` in
+    ``ratio`` and the bound it failed in ``tol``.
     """
+
+    def __init__(self, ratio, tol):
+        self.ratio = float(ratio)
+        self.tol = float(tol)
+        super().__init__(
+            "w and conj(w) are numerically dependent (sigma2/sigma1 = "
+            f"{self.ratio:.3e} <= {self.tol:.1e}); use the squared scalar factor"
+        )
 
 
 class ResonantEigenvalues(AllPassError):

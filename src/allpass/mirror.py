@@ -126,6 +126,8 @@ def mirror_once(
     method : {"consecutive", "polynomial", "statespace"}
         Construction used for a generic complex pair; real and degenerate
         roots always take the scalar factors.
+    tol : Tolerances
+        Passed to :func:`classify` and to every factor construction.
 
     Returns
     -------
@@ -140,26 +142,23 @@ def mirror_once(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    plan = classify(p, record, tol_kernel=tol.kernel, tol_degenerate=tol.degenerate)
+    plan = classify(p, record, tol)
 
     if plan.case == CASE_REAL:
-        V = elementary(plan.alpha.real)
+        V = elementary(plan.alpha.real, tol)
         mirrored = [plan.alpha]
         targets = [1.0 / plan.alpha.real]
-    elif plan.case == CASE_DEGENERATE:
-        V = squared(plan.alpha)
-        mirrored = [plan.alpha, np.conj(plan.alpha)]
-        targets = [1.0 / plan.alpha]
     else:
-        if method == "consecutive":
-            V = b2_consecutive(plan.alpha, plan.R, tol_real=tol.real)
+        # the constructions stay module globals looked up per call (no
+        # dispatch table), so a wrapper set on this module sees every call
+        if plan.case == CASE_DEGENERATE:
+            V = squared(plan.alpha, tol)
+        elif method == "consecutive":
+            V = b2_consecutive(plan.alpha, plan.w, tol)
         elif method == "polynomial":
-            V = b2_polynomial(plan.alpha, plan.w, tol_degenerate=tol.degenerate)
+            V = b2_polynomial(plan.alpha, plan.w, tol)
         else:
-            _, V = build_b2(
-                plan.alpha, plan.w,
-                tol_degenerate=tol.degenerate, tol_circle=tol.circle,
-            )
+            _, V = build_b2(plan.alpha, plan.w, tol)
         mirrored = [plan.alpha, np.conj(plan.alpha)]
         targets = [1.0 / plan.alpha]
 
@@ -263,9 +262,7 @@ def mirror_all_inside(
         If a root sits on the circle, where no mirror exists; checked
         before any step runs.
     """
-    records = det_roots(
-        p, tol_imag=tol.imag, cluster_rtol=tol.cluster, tol_circle=tol.circle
-    )
+    records = det_roots(p, tol)
     for rec in records:
         if rec.location == LOCATION_ON_CIRCLE:
             raise OnUnitCircle(

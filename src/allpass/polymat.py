@@ -193,12 +193,8 @@ def mul(p, q):
 
 def mul_scalar(p, s: ScalarPoly):
     """Multiply a matrix polynomial by a scalar polynomial."""
-    dtype = np.result_type(p.coeffs.dtype, s.coeffs.dtype)
-    out = np.zeros((p.degree + s.degree + 1, p.dim, p.dim), dtype=dtype)
-    for i in range(p.degree + 1):
-        for j in range(s.degree + 1):
-            out[i + j] += p.coeffs[i] * s.coeffs[j]
-    return _wrap_matrix(out)
+    scaled_eye = s.coeffs[:, None, None] * np.eye(p.dim)
+    return _wrap_matrix(_conv_coeffs(p.coeffs, scaled_eye))
 
 
 def trim(p, rtol: float = DEFAULTS.trim):
@@ -234,22 +230,9 @@ def det_poly(p) -> ScalarPoly:
     return ScalarPoly(coeff).trim()
 
 
-def _cluster_1d(values, rtol):
-    """Greedy clustering of sorted real values; returns (mean, count) pairs."""
-    clusters = []
-    for v in sorted(values):
-        if clusters:
-            mean, members = clusters[-1]
-            if abs(v - mean) <= rtol * max(1.0, abs(v)):
-                members.append(v)
-                clusters[-1] = (float(np.mean(members)), members)
-                continue
-        clusters.append((float(v), [v]))
-    return [(mean, len(members)) for mean, members in clusters]
-
-
-def _cluster_complex(values, rtol):
-    """Greedy clustering of complex values; returns (mean, count) pairs."""
+def _cluster(values, rtol):
+    """Greedy clustering of real or complex values, swept in ``(Re, Im)``
+    order; returns ``(complex mean, count)`` pairs."""
     clusters = []
     for v in sorted(values, key=lambda c: (c.real, c.imag)):
         if clusters:
@@ -302,7 +285,7 @@ def poly_roots(
 
     if np.iscomplexobj(s.coeffs):
         out = []
-        for mean, count in _cluster_complex(list(raw), cluster_rtol):
+        for mean, count in _cluster(list(raw), cluster_rtol):
             out.extend([mean] * count)
         return out
 
@@ -340,9 +323,9 @@ def poly_roots(
             kept_pairs.append(mu)
 
     out = []
-    for mean, count in _cluster_1d(reals, cluster_rtol):
-        out.extend([complex(mean, 0.0)] * count)
-    for mean, count in _cluster_complex(kept_pairs, cluster_rtol):
+    for mean, count in _cluster(reals, cluster_rtol):
+        out.extend([mean] * count)
+    for mean, count in _cluster(kept_pairs, cluster_rtol):
         out.extend([mean, np.conj(mean)] * count)
     return out
 

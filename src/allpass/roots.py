@@ -3,7 +3,8 @@
 ``det_roots`` finds where ``det p(z)`` vanishes and folds conjugate pairs
 into single records; ``classify`` turns one record into everything the factor
 constructions need: the kernel direction, its orthogonal completion, and the
-generic/degenerate/real case split.
+generic/degenerate/real case split.  ``check_pair`` is the one validation of
+a factor construction's input, with the same circle band and degeneracy test.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import NotARoot, OnUnitCircle, SingularPolynomialMatrix
+from .errors import DegenerateW, NotARoot, OnUnitCircle, SingularPolynomialMatrix
 from .polymat import det_poly, eval_poly, poly_roots
 
 __all__ = [
@@ -23,6 +24,8 @@ __all__ = [
     "det_roots",
     "kernel_vector",
     "classify",
+    "check_off_circle",
+    "check_pair",
     "orthogonal_completion",
 ]
 
@@ -76,14 +79,13 @@ class MirrorPlan:
     columns carry the kernel directions.  In the generic case the first two
     columns of ``Q`` equal the Q1 of the QR factorisation
     ``(Re v, Im v) = Q1 R``, and ``w = R (1, i)'`` expresses ``v`` in the Q1
-    coordinates: ``Q1 w = v``.
+    coordinates: ``Q1 w = v`` (so ``R`` is ``[Re w, Im w]``).
     """
 
     case: str
     alpha: complex
     v: np.ndarray
     Q: np.ndarray
-    R: Optional[np.ndarray] = None
     w: Optional[np.ndarray] = None
 
 
@@ -94,17 +96,14 @@ def _locate(alpha: complex, tol_circle: float) -> str:
     return LOCATION_INSIDE if r < 1.0 else LOCATION_OUTSIDE
 
 
-def det_roots(
-    p,
-    tol_imag: float = DEFAULTS.imag,
-    cluster_rtol: float = DEFAULTS.cluster,
-    tol_circle: float = DEFAULTS.circle,
-):
+def det_roots(p, tol=DEFAULTS):
     """Detect the roots of ``det p(z)`` and return them as records.
 
     Conjugate pairs collapse to one record with ``Im(alpha) > 0``.  Records
     are sorted by ``(|alpha|, Re, Im)`` so that indices into the list are
-    stable; the CLI's ``--select`` indices refer to this order.
+    stable; the CLI's ``--select`` indices refer to this order.  ``tol``
+    supplies the imaginary snap (``imag``), the cluster radius (``cluster``)
+    and the circle band (``circle``).
 
     Raises
     ------
@@ -119,7 +118,7 @@ def det_roots(
         )
     if d.degree == 0:
         return []
-    values = poly_roots(d, tol_imag=tol_imag, cluster_rtol=cluster_rtol)
+    values = poly_roots(d, tol_imag=tol.imag, cluster_rtol=tol.cluster)
 
     counts: dict[complex, int] = {}
     for z in values:
@@ -135,11 +134,69 @@ def det_roots(
                 alpha=z,
                 multiplicity=count,
                 kind=kind,
-                location=_locate(z, tol_circle),
+                location=_locate(z, tol.circle),
             )
         )
     records.sort(key=lambda r: (abs(r.alpha), r.alpha.real, r.alpha.imag))
     return records
+
+
+def check_off_circle(alpha, tol=DEFAULTS) -> complex:
+    """Return ``alpha`` as a complex number, or raise :class:`OnUnitCircle`
+    if it lies within ``tol.circle`` of the unit circle (the band
+    :func:`det_roots` uses)."""
+    alpha = complex(alpha)
+    if _locate(alpha, tol.circle) == LOCATION_ON_CIRCLE:
+        raise OnUnitCircle(
+            f"|alpha| = {abs(alpha):.12g} lies on the unit circle"
+        )
+    return alpha
+
+
+def _w_ratio(v: np.ndarray) -> float:
+    """``sigma2/sigma1`` of ``[Re v, Im v]``.
+
+    Zero when ``v`` is a complex multiple of a real vector, which is always
+    the case for a single entry and for ``v = 0``.
+    """
+    s = np.linalg.svd(np.column_stack([v.real, v.imag]), compute_uv=False)
+    if s.shape[0] < 2 or s[0] == 0.0:
+        return 0.0
+    return float(s[1] / s[0])
+
+
+def check_pair(alpha, w=None, tol=DEFAULTS):
+    """Validate the input of a pair factor construction.
+
+    ``alpha`` must lie in the open upper half plane (else ``ValueError``)
+    and off the circle by more than ``tol.circle`` (else
+    :class:`OnUnitCircle`).  A kernel direction ``w`` must pass the test
+    :func:`classify` uses to call a pair generic, ``sigma2/sigma1`` of
+    ``[Re w, Im w]`` above ``tol.degenerate``; else :class:`DegenerateW`
+    carries the ratio.  Returns ``alpha`` as a complex number and ``w`` as
+    a ``(2,)`` complex array (``None`` when no ``w`` is given).
+    """
+    alpha = complex(alpha)
+    if alpha.imag <= 0:
+        raise ValueError(
+            f"alpha must lie in the open upper half-plane, got {alpha}; "
+            "real roots take the elementary factor"
+        )
+    check_off_circle(alpha, tol)
+    if w is None:
+        return alpha, None
+    w = np.asarray(w, dtype=np.complex128).reshape(2)
+    ratio = _w_ratio(w)
+    if ratio <= tol.degenerate:
+        raise DegenerateW(ratio, tol.degenerate)
+    return alpha, w
+
+
+def _positive_qr(B: np.ndarray):
+    """QR factorisation ``B = Q1 R`` with the diagonal of ``R`` nonnegative."""
+    Q1, R = np.linalg.qr(B)
+    signs = np.where(np.diag(R) < 0, -1.0, 1.0)
+    return Q1 * signs, R * signs[:, None]
 
 
 def _anchored_kernel(M: np.ndarray, vh: np.ndarray) -> np.ndarray:
@@ -192,11 +249,7 @@ def orthogonal_completion(V1: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"columns are not orthonormal (deviation {gram_err:.3e})"
         )
-    M = np.hstack([V1, np.eye(n)])
-    Q, R = np.linalg.qr(M, mode="complete")
-    signs = np.sign(np.diag(R[:n, :n]))
-    signs[signs == 0] = 1.0
-    Q = Q * signs[None, :]
+    Q, _ = _positive_qr(np.hstack([V1, np.eye(n)]))
     Q[:, :k] = V1
     return Q
 
@@ -233,12 +286,7 @@ def _newton_polish(p, kind: str, alpha: complex, svd):
     return None
 
 
-def classify(
-    p,
-    record: RootRecord,
-    tol_kernel: float = DEFAULTS.kernel,
-    tol_degenerate: float = DEFAULTS.degenerate,
-) -> MirrorPlan:
+def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     """Build the mirror plan for one root record.
 
     Parameters
@@ -247,13 +295,12 @@ def classify(
         Real matrix polynomial with ``det p(alpha) = 0``.
     record : RootRecord
         The root to plan for; must not sit on the unit circle.
-    tol_kernel : float
-        ``sigma_min(p(alpha)) <= tol_kernel * ||p|| * max(1, |alpha|)^q``
+    tol : Tolerances
+        ``sigma_min(p(alpha)) <= tol.kernel * ||p|| * max(1, |alpha|)^q``
         (``q`` the degree of ``p``, the natural size of an evaluation at
-        ``alpha``) is required for alpha to be accepted as a root.
-    tol_degenerate : float
-        Relative bound on the second singular value of ``(Re v, Im v)``
-        below which the pair counts as degenerate (kernel direction is a
+        ``alpha``) is required for alpha to be accepted as a root.  A pair
+        whose ``sigma2/sigma1`` of ``(Re v, Im v)`` is at most
+        ``tol.degenerate`` counts as degenerate (kernel direction is a
         complex multiple of a real vector).
 
     Returns
@@ -280,12 +327,12 @@ def classify(
     M = np.atleast_2d(eval_poly(p, alpha))
     svd = np.linalg.svd(M)
     smin = svd[1][-1]
-    bound = tol_kernel * max(p.norm(), np.finfo(float).tiny)
+    bound = tol.kernel * max(p.norm(), np.finfo(float).tiny)
     bound *= max(1.0, abs(alpha)) ** p.degree
     if smin > bound:
         raise NotARoot(
             f"sigma_min(p({alpha})) = {smin:.3e} exceeds "
-            f"{tol_kernel:.1e} * ||p|| * max(1, |alpha|)^{p.degree} = {bound:.3e}"
+            f"{tol.kernel:.1e} * ||p|| * max(1, |alpha|)^{p.degree} = {bound:.3e}"
         )
     polished = _newton_polish(p, record.kind, alpha, svd)
     if polished is not None:
@@ -299,9 +346,7 @@ def classify(
         return MirrorPlan(case=CASE_REAL, alpha=alpha, v=vr.astype(complex), Q=Q)
 
     B = np.column_stack([v.real, v.imag])
-    s = np.linalg.svd(B, compute_uv=False)
-    # a 1-dimensional kernel can only be a complex multiple of a real vector
-    if s.shape[0] < 2 or s[1] <= tol_degenerate * s[0]:
+    if _w_ratio(v) <= tol.degenerate:
         # kernel direction is e^{i phi} times a real vector: re-phase onto it
         U, _, _ = np.linalg.svd(B)
         u = U[:, 0]
@@ -319,11 +364,7 @@ def classify(
             case=CASE_DEGENERATE, alpha=alpha, v=v_aligned, Q=Q
         )
 
-    Q1, R = np.linalg.qr(B)
-    for i in range(2):
-        if R[i, i] < 0:
-            R[i, :] = -R[i, :]
-            Q1[:, i] = -Q1[:, i]
+    Q1, R = _positive_qr(B)
     w = R @ np.array([1.0, 1.0j])
     Q = orthogonal_completion(Q1)
-    return MirrorPlan(case=CASE_GENERIC, alpha=alpha, v=v, Q=Q, R=R, w=w)
+    return MirrorPlan(case=CASE_GENERIC, alpha=alpha, v=v, Q=Q, w=w)

@@ -14,8 +14,9 @@ import dataclasses
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import DegenerateW, GramNotPD, OnUnitCircle, ResonantEigenvalues
-from .polymat import PolyMatrix, ScalarPoly
+from .errors import GramNotPD, ResonantEigenvalues
+from .polymat import PolyMatrix
+from .roots import check_pair
 
 __all__ = [
     "StateSpace",
@@ -218,12 +219,7 @@ def structural_blocks(ss: StateSpace, X: np.ndarray) -> dict:
     }
 
 
-def build_b2(
-    alpha,
-    w,
-    tol_degenerate: float = DEFAULTS.degenerate,
-    tol_circle: float = DEFAULTS.circle,
-):
+def build_b2(alpha, w, tol=DEFAULTS):
     """All-pass factor for a conjugate root pair, built in state space.
 
     Parameters
@@ -233,6 +229,8 @@ def build_b2(
     w : (2,) complex array
         Kernel direction in Q1 coordinates; the numerator's column space at
         ``alpha`` is spanned by it.
+    tol : Tolerances
+        ``circle`` and ``degenerate`` for :func:`~allpass.roots.check_pair`.
 
     Returns
     -------
@@ -242,29 +240,19 @@ def build_b2(
 
     Raises
     ------
-    OnUnitCircle, DegenerateW, ResonantEigenvalues
+    ValueError, OnUnitCircle, DegenerateW
+        From :func:`~allpass.roots.check_pair`.
+    ResonantEigenvalues
     GramNotPD
         If neither sign of the Gram matrix yields a feedthrough satisfying
         the defining identity.
     numpy.linalg.LinAlgError
         If the Stein solution is numerically singular (condition > 1e12).
     """
-    from .blaschke import RationalAllPass  # circular at import time only
+    # circular at import time only
+    from .blaschke import RationalAllPass, _pair_denominator
 
-    alpha = complex(alpha)
-    if alpha.imag <= 0:
-        raise ValueError(f"alpha must lie in the open upper half-plane, got {alpha}")
-    if abs(abs(alpha) - 1.0) <= tol_circle:
-        raise OnUnitCircle(f"|alpha| = {abs(alpha)} is on the unit circle")
-    w = np.asarray(w, dtype=np.complex128).reshape(2)
-    Wm = np.column_stack([w.real, w.imag])
-    sv = np.linalg.svd(Wm, compute_uv=False)
-    if sv[1] <= tol_degenerate * sv[0]:
-        raise DegenerateW(
-            "w and conj(w) are numerically dependent "
-            f"(sigma2/sigma1 = {sv[1] / sv[0]:.3e}); use the squared scalar factor"
-        )
-
+    alpha, w = check_pair(alpha, w, tol)
     lam = 1.0 / alpha
     A = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
     C = np.column_stack([w.imag, -w.real]) / np.linalg.norm(w)
@@ -309,11 +297,9 @@ def build_b2(
     c0 = ss.D
     c1 = ss.C @ ss.B - tr * ss.D
     c2 = ss.C @ (A - tr * np.eye(2)) @ ss.B + det * ss.D
-    num = PolyMatrix(scale * np.stack([c0, c1, c2]))
-    den = ScalarPoly([scale, -2.0 * alpha.real, 1.0])
     rat = RationalAllPass(
-        num=num,
-        den=den,
+        num=PolyMatrix(scale * np.stack([c0, c1, c2])),
+        den=_pair_denominator(alpha),
         alpha=alpha,
         method="statespace",
         w=w.copy(),

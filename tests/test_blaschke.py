@@ -6,18 +6,28 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from allpass import (
+    DEFAULTS,
     RationalAllPass,
+    Tolerances,
     UnitaryParam,
     allpass_from_A,
     b2_consecutive,
     b2_consecutive_from_w,
     b2_polynomial,
+    build_b2,
     elementary,
     squared,
     verify_allpass,
 )
 from allpass.errors import DegenerateW, OnUnitCircle
 from conftest import rand_alpha, rand_w
+
+PAIR_CONSTRUCTIONS = {
+    "consecutive": b2_consecutive,
+    "polynomial": b2_polynomial,
+    "statespace": lambda alpha, w, tol=DEFAULTS: build_b2(alpha, w, tol)[1],
+}
+W_GENERIC = np.array([1.0, 1.0j]) / np.sqrt(2)
 
 
 def circle_samples(n):
@@ -111,8 +121,9 @@ def test_unitary_param_matrix():
 
 def test_consecutive_worked_fixture():
     alpha = 0.5 + 0.5j
-    R = np.eye(2) / np.sqrt(2)
-    V = b2_consecutive(alpha, R)
+    # [Re w, Im w] is already the positive-diagonal R = I/sqrt(2), so Q1 = I
+    w = np.array([1.0, 1.0j]) / np.sqrt(2)
+    V = b2_consecutive(alpha, w)
     assert isinstance(V, RationalAllPass)
     assert V.method == "consecutive"
     rep = verify_allpass(V)
@@ -121,18 +132,23 @@ def test_consecutive_worked_fixture():
     np.testing.assert_allclose(V(1.0), np.eye(2), atol=1e-12)
 
 
-def test_consecutive_r_validation():
+def test_consecutive_w_validation():
     alpha = 0.5 + 0.5j
     with pytest.raises(ValueError):
-        b2_consecutive(alpha, np.array([[0.6, 0.0], [0.1, 0.6]]))  # not upper
-    with pytest.raises(ValueError):
-        b2_consecutive(alpha, np.array([[-0.6, 0.1], [0.0, 0.6]]))  # diag sign
-    with pytest.raises(ValueError):
-        b2_consecutive(alpha, np.eye(2))  # norm not 1
-    bad = np.array([[1.0, 0.0], [0.0, 1e-9]])
+        b2_consecutive(alpha, np.array([1.0, 1.0j, 0.0]))  # not a 2-vector
+    with pytest.raises(DegenerateW):
+        b2_consecutive(alpha, np.zeros(2, dtype=complex))
+    bad = np.array([1.0, 1e-9j])
     bad /= np.linalg.norm(bad)
     with pytest.raises(DegenerateW):
         b2_consecutive(alpha, bad)
+    # the scale of w does not matter; its sign flips Q1 and so the factor
+    w = np.array([0.6 - 0.3j, -0.2 + 0.7j])
+    ref = b2_consecutive(alpha, w / np.linalg.norm(w))
+    for other, sign in [(3.0 * w, 1.0), (-w, -1.0)]:
+        V = b2_consecutive(alpha, other)
+        np.testing.assert_allclose(V.num.coeffs, sign * ref.num.coeffs, atol=1e-13)
+        assert verify_allpass(V).max_residual < 1e-12
 
 
 def test_consecutive_realness_residue_small():
@@ -320,3 +336,64 @@ def test_rational_allpass_rejects_circle_pole():
     V = b2_polynomial(0.5 + 0.5j, np.array([1.0, 1.0j]) / np.sqrt(2))
     with pytest.raises(ZeroDivisionError):
         V(0.5 + 0.5j)
+
+
+@pytest.mark.parametrize("method", sorted(PAIR_CONSTRUCTIONS))
+@pytest.mark.parametrize(
+    "alpha, w, tol, error",
+    [
+        (0.5 - 0.5j, W_GENERIC, DEFAULTS, ValueError),
+        (0.93j, W_GENERIC, Tolerances(circle=0.2), OnUnitCircle),
+        (1.15 + 0.3j, W_GENERIC, Tolerances(circle=0.2), OnUnitCircle),
+        (0.5 + 0.5j, np.array([1.0, 1e-3j]), Tolerances(degenerate=1e-3), DegenerateW),
+        (0.5 + 0.5j, np.array([1.0, 1e-9j]), DEFAULTS, DegenerateW),
+        (0.5 + 0.5j, np.zeros(2, dtype=complex), DEFAULTS, DegenerateW),
+    ],
+    ids=["lower-half", "circle-inside", "circle-outside", "ratio-at-tol",
+         "ratio-below-tol", "zero-w"],
+)
+def test_pair_constructions_reject_alike(method, alpha, w, tol, error):
+    with pytest.raises(error):
+        PAIR_CONSTRUCTIONS[method](alpha, w, tol)
+
+
+@pytest.mark.parametrize("method", sorted(PAIR_CONSTRUCTIONS))
+def test_pair_constructions_accept_alike(method):
+    # just outside a wide circle band on either side, and just above a
+    # raised degeneracy bound: every construction builds an all-pass factor
+    tol = Tolerances(circle=0.2, degenerate=1e-3)
+    make = PAIR_CONSTRUCTIONS[method]
+    for alpha in [0.79 * np.exp(0.9j), 1.21 * np.exp(2.2j)]:
+        V = make(alpha, np.array([1.0, 1.1e-3j]), tol)
+        assert verify_allpass(V).max_residual < 1e-9
+
+
+def test_degenerate_w_carries_ratio():
+    with pytest.raises(DegenerateW) as exc:
+        b2_consecutive(0.5 + 0.5j, np.array([1.0, 2e-4j]), Tolerances(degenerate=1e-3))
+    assert exc.value.ratio == pytest.approx(2e-4, rel=1e-12)
+    assert exc.value.tol == 1e-3
+
+
+@pytest.mark.parametrize("ratio", [1e-7, 3e-8])
+def test_consecutive_builds_where_classify_calls_generic(ratio):
+    # classify calls a pair generic above DEFAULTS.degenerate = 1e-8; the
+    # consecutive construction must build there too
+    rng = np.random.default_rng(97)
+    for k in range(10):
+        side = "inside" if k % 2 else "outside"
+        t1, t2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
+        rot1 = np.array([[np.cos(t1), -np.sin(t1)], [np.sin(t1), np.cos(t1)]])
+        rot2 = np.array([[np.cos(t2), -np.sin(t2)], [np.sin(t2), np.cos(t2)]])
+        W = rot1 @ np.diag([1.0, ratio]) @ rot2
+        w = (W[:, 0] + 1j * W[:, 1]) / np.linalg.norm(W)
+        V = b2_consecutive(rand_alpha(rng, side), w)
+        assert verify_allpass(V).max_residual <= 1e-12
+
+
+def test_verify_allpass_ok_honours_tol():
+    V = b2_polynomial(0.5 + 0.5j, W_GENERIC)
+    worst = verify_allpass(V).max_residual
+    assert worst > 0.0
+    assert verify_allpass(V, tol=worst).ok
+    assert not verify_allpass(V, tol=0.5 * worst).ok

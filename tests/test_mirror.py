@@ -7,6 +7,7 @@ import allpass.mirror
 from allpass import (
     METHODS,
     PolyMatrix,
+    Tolerances,
     det_roots,
     enumerate_selections,
     mirror_all_inside,
@@ -388,3 +389,29 @@ def test_enumerate_selections_count(m_r, m_c):
     # subsets are distinct
     keys = {tuple(id(r) for r in s) for s in sels}
     assert len(keys) == len(sels)
+
+
+def _rotation_pair_poly(radius, theta):
+    """``z I - M`` with ``M`` a rotation-scaling: a generic pair at
+    ``radius * e^{+-i theta}`` with kernel ``(1, -+i)/sqrt(2)``."""
+    c, s = np.cos(theta), np.sin(theta)
+    M = radius * np.array([[c, -s], [s, c]])
+    return PolyMatrix(np.stack([-M, np.eye(2)]))
+
+
+def test_mirror_set_custom_circle_band_same_for_every_method():
+    # det_roots with the default band places the pair inside; every factor
+    # construction then applies the caller's wider band and refuses it
+    p = _rotation_pair_poly(0.93, 1.1)
+    rec = det_roots(p)[0]
+    assert rec.location == "inside" and rec.kind == "complex_pair"
+    tol = Tolerances(circle=0.2)
+    for method in METHODS:
+        with pytest.raises(OnUnitCircle):
+            mirror_set(p, [rec], method=method, tol=tol)
+    # with the same band, detection itself places the pair on the circle
+    assert det_roots(p, tol)[0].location == "on_circle"
+    # a band that leaves the pair clear lets every method mirror it
+    for method in METHODS:
+        q, reps = mirror_set(p, [rec], method=method, tol=Tolerances(circle=0.05))
+        assert len(reps) == 1 and reps[0].spectral_dev < 1e-12
