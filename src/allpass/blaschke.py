@@ -29,6 +29,7 @@ from .polymat import (
     CPolyMatrix,
     PolyMatrix,
     ScalarPoly,
+    _on_circle,
     constant,
     eval_poly,
     mul,
@@ -93,14 +94,21 @@ class RationalAllPass:
         return self.num.dim
 
     def __call__(self, z) -> np.ndarray:
-        d = eval_poly(self.den, z)
+        num = np.atleast_2d(eval_poly(self.num, z))
+        return self._quotient(z, num, eval_poly(self.den, z))
+
+    def _quotient(self, z, num, den) -> np.ndarray:
+        """``num / den`` from their values at the points ``z``; raises
+        ``ZeroDivisionError`` at the first point where ``den`` vanishes."""
+        z, den = np.asarray(z), np.asarray(den)
         # relative check: at the pole itself rounding leaves a residue of
         # order eps * scale, which is still a vanishing denominator
         scale = float(np.max(np.abs(self.den.coeffs)))
-        scale *= max(1.0, abs(z)) ** self.den.degree
-        if abs(d) <= 1e-12 * max(scale, 1e-300):
-            raise ZeroDivisionError(f"denominator vanishes at z = {z}")
-        return np.atleast_2d(eval_poly(self.num, z)) / d
+        scale = scale * np.maximum(1.0, np.abs(z)) ** self.den.degree
+        vanishes = np.abs(den) <= 1e-12 * np.maximum(scale, 1e-300)
+        if np.any(vanishes):
+            raise ZeroDivisionError(f"denominator vanishes at z = {z[vanishes][0]}")
+        return num / den[..., None, None]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -363,23 +371,23 @@ def b2_polynomial(alpha, w, tol=DEFAULTS) -> RationalAllPass:
 def verify_allpass(
     V: RationalAllPass, n_samples: int = 32, tol: float = DEFAULTS.allpass
 ) -> VerifyReport:
-    """Check the defining identity on equispaced unit-circle samples.
+    """Check the defining identity at the ``n_samples``-th roots of unity.
 
-    Reports the worst Frobenius deviation of ``V(z) V(z)^H`` from the
-    identity, the worst deviation of ``|det V(z)|`` from 1, the coefficient
-    imaginary residue (zero for real factors), and whether the worst
-    deviation is at most ``tol``.
+    ``num`` and ``den`` are each evaluated once on that grid.  Reports the
+    worst Frobenius deviation of ``V(z) V(z)^H`` from the identity, the worst
+    deviation of ``|det V(z)|`` from 1, the coefficient imaginary residue
+    (zero for real factors), and whether the worst deviation is at most
+    ``tol``.  A denominator that vanishes on the grid raises
+    ``ZeroDivisionError``, as ``V(z)`` does.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    n = V.dim
-    worst = 0.0
-    det_dev = 0.0
-    for k in range(n_samples):
-        z = np.exp(2j * np.pi * k / n_samples)
-        M = V(z)
-        worst = max(worst, float(np.linalg.norm(M @ M.conj().T - np.eye(n))))
-        det_dev = max(det_dev, abs(abs(np.linalg.det(M)) - 1.0))
+    zs, num = _on_circle(V.num, n_samples)
+    _, den = _on_circle(V.den, n_samples)
+    M = V._quotient(zs, num, den[:, 0, 0])
+    gram = M @ np.conj(M).transpose(0, 2, 1) - np.eye(V.dim)
+    worst = float(np.max(np.linalg.norm(gram, axis=(1, 2))))
+    det_dev = float(np.max(np.abs(np.abs(np.linalg.det(M)) - 1.0)))
     if isinstance(V.num, CPolyMatrix):
         max_imag = V.num.max_imag()
     else:

@@ -20,6 +20,7 @@ __all__ = [
     "constant",
     "eval_poly",
     "spectral_eval",
+    "circle_spectrum",
     "mul",
     "mul_scalar",
     "det_poly",
@@ -149,8 +150,9 @@ def eval_poly(p, z):
 def _eval_many(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Evaluate a coefficient tensor at many points at once."""
     zs = np.asarray(zs, dtype=np.complex128)
-    powers = zs[:, None] ** np.arange(coeffs.shape[0])[None, :]
-    return np.tensordot(powers, coeffs, axes=(1, 0))
+    m = coeffs.shape[0]
+    powers = zs[:, None] ** np.arange(m)[None, :]
+    return (powers @ coeffs.reshape(m, -1)).reshape(zs.shape + coeffs.shape[1:])
 
 
 def spectral_eval(p, z):
@@ -176,6 +178,26 @@ def spectral_eval(p, z):
     right = _eval_many(coeffs, 1.0 / np.conj(flat))
     out = left @ np.conj(right).transpose(0, 2, 1)
     return out.reshape(zs.shape + out.shape[1:])
+
+
+def _on_circle(p, n_samples: int):
+    """The ``n_samples``-th roots of unity and ``p`` at them, shape
+    ``(n_samples, n, n)`` (``n = 1`` for a :class:`ScalarPoly`)."""
+    zs = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
+    coeffs = p.coeffs if p.coeffs.ndim == 3 else p.coeffs[:, None, None]
+    return zs, _eval_many(coeffs, zs)
+
+
+def circle_spectrum(p, n_samples: int = 64) -> np.ndarray:
+    """Boundary spectrum ``p(z) p(z)^H`` at ``z_k = exp(2 pi i k / n_samples)``.
+
+    On the unit circle ``1/conj(z) = z``, so this is :func:`spectral_eval` on
+    the grid of roots of unity from one evaluation of ``p`` instead of two.
+    Any degree is exact.  Returns a complex array of shape
+    ``(n_samples, n, n)``.
+    """
+    _, P = _on_circle(p, n_samples)
+    return P @ np.conj(P).transpose(0, 2, 1)
 
 
 def _wrap_matrix(coeffs: np.ndarray):
@@ -335,9 +357,10 @@ def _conv_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     la, lb = a.shape[0], b.shape[0]
     dtype = np.result_type(a.dtype, b.dtype)
     out = np.zeros((la + lb - 1, a.shape[1], b.shape[2]), dtype=dtype)
-    for i in range(la):
-        for j in range(lb):
-            out[i + j] += a[i] @ b[j]
+    # one batched product per coefficient of b; descending j adds the terms
+    # of each out[m] in the same order as a loop over i then j would
+    for j in range(lb - 1, -1, -1):
+        out[j : j + la] += a @ b[j]
     return out
 
 

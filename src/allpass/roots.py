@@ -24,6 +24,7 @@ __all__ = [
     "det_roots",
     "kernel_vector",
     "classify",
+    "check_real",
     "check_off_circle",
     "check_pair",
     "orthogonal_completion",
@@ -107,9 +108,12 @@ def det_roots(p, tol=DEFAULTS):
 
     Raises
     ------
+    ValueError
+        If a coefficient of ``p`` is not real (see :func:`check_real`).
     SingularPolynomialMatrix
         If ``det p(z)`` is identically zero (below noise at every degree).
     """
+    check_real(p)
     d = det_poly(p)
     scale = max(1.0, p.norm()) ** p.dim
     if float(np.max(np.abs(d.coeffs))) <= 1e-10 * scale:
@@ -139,6 +143,23 @@ def det_roots(p, tol=DEFAULTS):
         )
     records.sort(key=lambda r: (abs(r.alpha), r.alpha.real, r.alpha.imag))
     return records
+
+
+def check_real(p) -> None:
+    """Raise ``ValueError`` if a coefficient of ``p`` has a nonzero imaginary
+    part; the message carries the largest imaginary magnitude.
+
+    Roots of a real polynomial come in conjugate pairs, which is what lets
+    :func:`det_roots` keep only the upper member of each and the factors
+    stay real; complex coefficients break both.
+    """
+    if np.iscomplexobj(p.coeffs):
+        worst = float(np.max(np.abs(p.coeffs.imag)))
+        if worst > 0.0:
+            raise ValueError(
+                f"coefficients must be real; the largest imaginary part "
+                f"has magnitude {worst:.3e}"
+            )
 
 
 def check_off_circle(alpha, tol=DEFAULTS) -> complex:
@@ -314,11 +335,14 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
 
     Raises
     ------
+    ValueError
+        If a coefficient of ``p`` is not real (see :func:`check_real`).
     OnUnitCircle
         If the record's location is on the circle.
     NotARoot
         If ``p(alpha)`` is far from singular.
     """
+    check_real(p)
     if record.location == LOCATION_ON_CIRCLE:
         raise OnUnitCircle(
             f"root {record.alpha} lies on the unit circle; mirroring is undefined"
@@ -364,7 +388,8 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
             case=CASE_DEGENERATE, alpha=alpha, v=v_aligned, Q=Q
         )
 
-    Q1, R = _positive_qr(B)
-    w = R @ np.array([1.0, 1.0j])
-    Q = orthogonal_completion(Q1)
+    # one QR of [B | I]: its leading columns are the Q1 of B = Q1 R and the
+    # rest complete them to an orthogonal Q
+    Q, R = _positive_qr(np.hstack([B, np.eye(B.shape[0])]))
+    w = R[:2, :2] @ np.array([1.0, 1.0j])
     return MirrorPlan(case=CASE_GENERIC, alpha=alpha, v=v, Q=Q, w=w)

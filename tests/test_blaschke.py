@@ -1,5 +1,7 @@
 """All-pass factor constructions and their defining identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 from allpass import (
     DEFAULTS,
+    PolyMatrix,
     RationalAllPass,
+    ScalarPoly,
     Tolerances,
     UnitaryParam,
     allpass_from_A,
@@ -330,6 +334,51 @@ def test_verify_allpass_identity_factor():
     assert rep.max_imag == 0.0
     assert rep.det_modulus_dev < 1e-15
     assert rep.ok
+
+
+def _verify_pointwise(V, n_samples):
+    """Reference: the identity checked one sample at a time through V(z)."""
+    worst = det_dev = 0.0
+    for z in circle_samples(n_samples):
+        M = V(z)
+        worst = max(worst, float(np.linalg.norm(M @ M.conj().T - np.eye(V.dim))))
+        det_dev = max(det_dev, abs(abs(np.linalg.det(M)) - 1.0))
+    return worst, det_dev
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 7, 32, 64])
+def test_verify_allpass_matches_pointwise_reference(n_samples):
+    w = np.array([0.8, 0.3 + 0.5j])
+    factors = [make(0.3 + 0.6j, w) for make in PAIR_CONSTRUCTIONS.values()]
+    factors += [make(2.0 + 1.5j, w) for make in PAIR_CONSTRUCTIONS.values()]
+    factors += [elementary(-0.4), squared(0.2 + 0.7j), elementary(0.3 - 0.4j)]
+    # corrupted copies, one of them complex so the residual is not symmetric
+    # under z -> conj(z)
+    for V in (factors[1], factors[-1]):
+        bad = V.num.coeffs.copy()
+        bad[1, 0, -1] += 0.05
+        factors.append(dataclasses.replace(V, num=type(V.num)(bad)))
+    for V in factors:
+        worst, det_dev = _verify_pointwise(V, n_samples)
+        rep = verify_allpass(V, n_samples=n_samples)
+        assert rep.n_samples == n_samples
+        assert abs(rep.max_residual - worst) <= 1e-13
+        assert abs(rep.det_modulus_dev - det_dev) <= 1e-13
+
+
+def test_verify_allpass_rejects_pole_on_grid():
+    # den = z + 1 vanishes at -1, which is on the grid for even sample counts
+    V = RationalAllPass(
+        num=PolyMatrix(np.array([[[1.0]], [[1.0]]])),
+        den=ScalarPoly([1.0, 1.0]),
+        alpha=-1.0 + 0j,
+        method="elementary",
+    )
+    with pytest.raises(ZeroDivisionError):
+        verify_allpass(V, n_samples=8)
+    with pytest.raises(ZeroDivisionError):
+        V(-1.0)
+    assert verify_allpass(V, n_samples=7).max_residual < 1e-14
 
 
 def test_rational_allpass_rejects_circle_pole():

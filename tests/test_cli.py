@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from allpass import PolyMatrix, b2_polynomial, jsonio
+from allpass import CPolyMatrix, PolyMatrix, b2_polynomial, jsonio
 from allpass.cli import main
 
 
@@ -103,6 +103,19 @@ def test_verify_non_finite_factor_is_usage_error(capsys, tmp_path, factor_file):
     code, _, err = run(capsys, "verify", str(bad))
     assert code == 2
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("command", ["roots", "mirror"])
+def test_complex_coefficients_are_usage_error(capsys, tmp_path, command):
+    rng = np.random.default_rng(1)
+    c = rng.standard_normal((3, 2, 2)) + 0.3j * rng.standard_normal((3, 2, 2))
+    path = tmp_path / "complex.json"
+    path.write_text(jsonio.dumps(jsonio.poly_to_json(CPolyMatrix(c))))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"{np.max(np.abs(c.imag)):.3e}" in err
 
 
 def test_singular_matrix_exit_code(capsys, tmp_path):

@@ -8,6 +8,7 @@ from allpass import (
     METHODS,
     PolyMatrix,
     Tolerances,
+    circle_spectrum,
     det_roots,
     enumerate_selections,
     mirror_all_inside,
@@ -122,12 +123,58 @@ def test_spectral_deviation_matches_pointwise_reference(method):
         for rec in [pairs[0]] + [r for r in inside if r.kind == "real"][:1]:
             q, rep = mirror_once(p, rec, method=method)
             ref = _spectral_deviation_pointwise(q, p)
-            assert abs(_spectral_deviation(q, p) - ref) <= 1e-15
+            dev = _spectral_deviation(circle_spectrum(q), circle_spectrum(p))
+            assert abs(dev - ref) <= 1e-15
             assert abs(rep.spectral_dev - ref) <= 1e-15
             # a visibly wrong step, so the normalisation is checked too
             noisy = PolyMatrix(q.coeffs + 1e-3 * rng.standard_normal(q.coeffs.shape))
             ref = _spectral_deviation_pointwise(noisy, p)
-            assert abs(_spectral_deviation(noisy, p) - ref) <= 1e-15
+            dev = _spectral_deviation(circle_spectrum(noisy), circle_spectrum(p))
+            assert abs(dev - ref) <= 1e-15
+
+
+def _count_calls(monkeypatch, name):
+    """Replace ``allpass.mirror.<name>`` by a wrapper; returns the list of
+    first arguments it was called with."""
+    calls = []
+    original = getattr(allpass.mirror, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(allpass.mirror, name, counted)
+    return calls
+
+
+def test_mirror_chain_evaluates_each_polynomial_once(monkeypatch):
+    # a k-step chain holds k + 1 polynomials: the input and each step's output
+    p = PolyMatrix(np.random.default_rng(3).standard_normal((4, 3, 3)))
+    inside = [r for r in det_roots(p) if r.location == "inside"]
+    steps = sum(r.multiplicity for r in inside)
+    assert steps >= 3
+    kernel = _count_calls(monkeypatch, "circle_spectrum")
+    inputs = _count_calls(monkeypatch, "mirror_once")
+    q, reports = mirror_set(p, inside, method="consecutive")
+    assert len(inputs) == len(reports) == steps
+    assert len(kernel) == steps + 1
+    # the spectrum a step reads from its input is that input's own
+    for step_in, step_out, rep in zip(inputs, inputs[1:] + [q], reports):
+        fresh = _spectral_deviation(
+            circle_spectrum(step_out), circle_spectrum(step_in)
+        )
+        assert rep.spectral_dev == fresh
+
+
+def test_mirror_all_inside_stores_nothing_on_its_input(monkeypatch):
+    p = PolyMatrix(np.random.default_rng(3).standard_normal((4, 3, 3)))
+    kernel = _count_calls(monkeypatch, "circle_spectrum")
+    q1, reps1 = mirror_all_inside(p)
+    first = len(kernel)
+    q2, reps2 = mirror_all_inside(p)
+    assert first == len(reps1) + 1
+    assert len(kernel) == 2 * first
+    np.testing.assert_array_equal(q1.coeffs, q2.coeffs)
 
 
 def test_mirror_set_empty_selection(worked_pair):

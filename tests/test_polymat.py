@@ -9,6 +9,7 @@ from allpass import (
     CPolyMatrix,
     PolyMatrix,
     ScalarPoly,
+    circle_spectrum,
     constant,
     deconvolve,
     det_poly,
@@ -21,6 +22,7 @@ from allpass import (
     trim,
 )
 from allpass.errors import ImaginaryResidueTooLarge, SingularPolynomialMatrix
+from allpass.polymat import _conv_coeffs
 
 
 def test_eval_monomial():
@@ -236,6 +238,45 @@ def test_spectral_eval_batch_matches_pointwise(kind):
         scale = np.linalg.norm(one)
         assert np.linalg.norm(batch[k] - one) <= 1e-13 * scale
         assert np.linalg.norm(batch[k] - horner) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "kind, shape",
+    [("real", (5, 3, 3)), ("1x1", (4, 1, 1)), ("degree>=64", (70, 2, 2))],
+)
+def test_circle_spectrum_matches_spectral_eval(kind, shape):
+    rng = np.random.default_rng(44)
+    p = PolyMatrix(rng.standard_normal(shape))
+    zs = np.exp(2j * np.pi * np.arange(64) / 64)
+    ref = spectral_eval(p, zs)
+    got = circle_spectrum(p)
+    assert got.shape == (64,) + shape[1:]
+    scale = np.max(np.linalg.norm(ref, axis=(1, 2)))
+    assert np.max(np.linalg.norm(got - ref, axis=(1, 2))) <= 1e-13 * scale
+    # other grid sizes too, and a ScalarPoly counts as 1x1
+    five = np.exp(2j * np.pi * np.arange(5) / 5)
+    np.testing.assert_allclose(
+        circle_spectrum(p, 5), spectral_eval(p, five), rtol=0, atol=1e-13 * scale
+    )
+    c = p.coeffs[:, 0, 0]
+    np.testing.assert_array_equal(
+        circle_spectrum(ScalarPoly(c)), circle_spectrum(PolyMatrix(c[:, None, None]))
+    )
+
+
+def test_conv_coeffs_matches_double_loop():
+    # the reference adds a[i] @ b[j] into out[i + j], i outer, j inner; the
+    # batched version must give the same bits
+    rng = np.random.default_rng(45)
+    for la, lb, n, k in [(1, 1, 1, 1), (5, 3, 4, 2), (7, 2, 6, 1), (2, 6, 3, 3)]:
+        a = rng.standard_normal((la, n, n))[:, :, :k]
+        b = rng.standard_normal((lb, k, k)) + 1j * rng.standard_normal((lb, k, k))
+        for rhs in (b.real.copy(), b):
+            ref = np.zeros((la + lb - 1, n, k), dtype=rhs.dtype)
+            for i in range(la):
+                for j in range(lb):
+                    ref[i + j] += a[i] @ rhs[j]
+            np.testing.assert_array_equal(_conv_coeffs(a, rhs), ref)
 
 
 def test_spectral_eval_shapes():

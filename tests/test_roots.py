@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+import allpass.roots
 from allpass import (
+    CPolyMatrix,
     PolyMatrix,
     classify,
     det_roots,
     kernel_vector,
+    mirror_all_inside,
+    mirror_once,
     orthogonal_completion,
 )
 from allpass.errors import NotARoot, OnUnitCircle, SingularPolynomialMatrix
@@ -176,6 +180,54 @@ def test_generic_plan_reconstruction_identity():
         sq = plan.w.real[0] ** 2 + plan.w.imag[0] ** 2 + plan.w.imag[1] ** 2
         assert sq == pytest.approx(1.0, abs=1e-12)
     assert hits >= 5
+
+
+def test_generic_plan_takes_one_qr(monkeypatch):
+    # Q1, R and the completion of Q all come from the QR of [Re v, Im v | I]
+    calls = []
+    original = allpass.roots._positive_qr
+
+    def counted(B):
+        calls.append(B.shape)
+        return original(B)
+
+    monkeypatch.setattr(allpass.roots, "_positive_qr", counted)
+    rng = np.random.default_rng(48)
+    for dim in (2, 3, 5):
+        while True:
+            p, records, pairs = polymatrix_with_inside_pair(rng, dim, 2)
+            calls.clear()
+            plan = classify(p, pairs[0])
+            if plan.case == CASE_GENERIC:
+                break
+        assert calls == [(dim, dim + 2)]
+        Q = plan.Q
+        np.testing.assert_allclose(Q.T @ Q, np.eye(dim), atol=1e-14)
+        np.testing.assert_allclose(Q[:, :2] @ plan.w, plan.v, atol=1e-14)
+        assert plan.w.real[1] == 0.0
+
+
+def test_complex_coefficients_are_refused():
+    # det_roots kept only the roots with Im >= 0, which for complex
+    # coefficients drops roots that have no conjugate partner: on this input
+    # mirror_all_inside returned after 0 steps with a root still inside
+    rng = np.random.default_rng(1)
+    c = rng.standard_normal((3, 2, 2)) + 0.3j * rng.standard_normal((3, 2, 2))
+    p = CPolyMatrix(c)
+    worst = f"{np.max(np.abs(c.imag)):.3e}"
+    rec = RootRecord(
+        alpha=0.5 + 0.5j, multiplicity=1, kind="complex_pair", location="inside"
+    )
+    for call in (
+        lambda: det_roots(p),
+        lambda: classify(p, rec),
+        lambda: mirror_once(p, rec),
+        lambda: mirror_all_inside(p),
+    ):
+        with pytest.raises(ValueError, match=worst):
+            call()
+    # complex storage with zero imaginary parts is a real polynomial
+    assert len(det_roots(CPolyMatrix(c.real))) == len(det_roots(PolyMatrix(c.real)))
 
 
 def test_classify_real_root():
