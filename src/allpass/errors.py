@@ -66,7 +66,8 @@ class CholeskyNotPD(AllPassError):
 
 
 class GramNotPD(AllPassError):
-    """The state-space Gram matrix admits no sign that makes D'GD = I solvable."""
+    """The state-space Gram matrix G is not positive definite, or the factor
+    built from its Cholesky (D'GD = I) fails the structural certification."""
 
 
 class SelectionNotClosed(AllPassError):

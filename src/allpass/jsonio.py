@@ -65,18 +65,10 @@ def _entry_from_json(x):
 
 def poly_to_json(p) -> dict:
     """``{"dim": n, "degree": q, "coeffs": [M_0, ..., M_q]}``."""
-    cplx = isinstance(p, CPolyMatrix)
-    coeffs = [
-        [
-            [
-                [float(v.real), float(v.imag)] if cplx else float(v)
-                for v in row
-            ]
-            for row in mat
-        ]
-        for mat in p.coeffs
-    ]
-    return {"dim": p.dim, "degree": p.degree, "coeffs": coeffs}
+    coeffs = p.coeffs
+    if isinstance(p, CPolyMatrix):
+        coeffs = np.stack([coeffs.real, coeffs.imag], -1)
+    return {"dim": p.dim, "degree": p.degree, "coeffs": coeffs.tolist()}
 
 
 def poly_from_json(obj: dict):
@@ -162,12 +154,7 @@ def allpass_from_json(obj: dict) -> RationalAllPass:
 
 
 def ss_to_json(ss: StateSpace) -> dict:
-    return {
-        "A": [[float(v) for v in row] for row in ss.A],
-        "B": [[float(v) for v in row] for row in ss.B],
-        "C": [[float(v) for v in row] for row in ss.C],
-        "D": [[float(v) for v in row] for row in ss.D],
-    }
+    return {name: getattr(ss, name).tolist() for name in ("A", "B", "C", "D")}
 
 
 def ss_from_json(obj: dict) -> StateSpace:

@@ -65,8 +65,9 @@ class MirrorReport:
         Largest remainder left by dividing out the factor denominator,
         relative to the largest dividend coefficient.  The division runs
         from the high-degree end for a root inside the circle and from the
-        low-degree end for one outside, so the recurrence never amplifies
-        rounding by ``|alpha|``.
+        low-degree end for one outside (see
+        :func:`~allpass.polymat.deconvolve`), so the recurrence never
+        amplifies rounding by ``|alpha|``.
     max_imag
         Imaginary residue of the factor's numerator before projection to
         real coefficients (zero for the real-arithmetic constructions).
@@ -97,15 +98,11 @@ def _spectral_deviation(s_new, s_old) -> float:
     return dev / max(scale, np.finfo(float).tiny)
 
 
-def _relocation_residual(p_new, targets) -> float:
-    worst = 0.0
-    scale = p_new.norm()
-    for beta in targets:
-        M = np.atleast_2d(np.asarray(p_new(beta)))
-        sig = np.linalg.svd(M, compute_uv=False)
-        denom = max(scale * max(1.0, abs(beta)) ** p_new.degree, np.finfo(float).tiny)
-        worst = max(worst, float(sig[-1]) / denom)
-    return worst
+def _relocation_residual(p_new, beta) -> float:
+    M = np.atleast_2d(np.asarray(p_new(beta)))
+    sig = np.linalg.svd(M, compute_uv=False)
+    scale = p_new.norm() * max(1.0, abs(beta)) ** p_new.degree
+    return float(sig[-1]) / max(scale, np.finfo(float).tiny)
 
 
 def mirror_once(
@@ -151,7 +148,7 @@ def mirror_once(
     if plan.case == CASE_REAL:
         V = elementary(plan.alpha.real, tol)
         mirrored = [plan.alpha]
-        targets = [1.0 / plan.alpha.real]
+        beta = 1.0 / plan.alpha.real
     else:
         # the constructions stay module globals looked up per call (no
         # dispatch table), so a wrapper set on this module sees every call
@@ -164,7 +161,7 @@ def mirror_once(
         else:
             _, V = build_b2(plan.alpha, plan.w, tol)
         mirrored = [plan.alpha, np.conj(plan.alpha)]
-        targets = [1.0 / plan.alpha]
+        beta = 1.0 / plan.alpha
 
     k = V.dim
     pq = np.matmul(p.coeffs, plan.Q)
@@ -172,13 +169,7 @@ def mirror_once(
     rest = pq[:, :, k:]
 
     raw = _conv_coeffs(block, V.num.coeffs)
-    if abs(plan.alpha) > 1.0:
-        # the denominator's roots lie outside the circle: divide from the low
-        # end, where each step scales rounding by 1/|alpha| instead of |alpha|
-        quot, resid_abs = _divide_coeffs(raw[::-1], V.den.coeffs[::-1])
-        quot = quot[::-1]
-    else:
-        quot, resid_abs = _divide_coeffs(raw, V.den.coeffs)
+    quot, resid_abs = _divide_coeffs(raw, V.den.coeffs)
     resid = resid_abs / max(1.0, float(np.max(np.abs(raw))))
     if resid > 1e-6:
         raise DeconvolutionResidueTooLarge(
@@ -202,7 +193,7 @@ def mirror_once(
         residual_deconv=resid,
         max_imag=V.max_imag_pre,
         spectral_dev=_spectral_deviation(p_new._boundary_spectrum, s_in),
-        new_root_residual=_relocation_residual(p_new, targets),
+        new_root_residual=_relocation_residual(p_new, beta),
         degree_in=p.degree,
         degree_out=p_new.degree,
     )

@@ -63,9 +63,6 @@ class _PolyBase:
         """Frobenius norm of the stacked coefficient tensor."""
         return float(np.linalg.norm(self.coeffs.ravel()))
 
-    def trim(self, rtol: float = DEFAULTS.trim):
-        return trim(self, rtol)
-
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, degree={self.degree})"
 
@@ -74,10 +71,6 @@ class PolyMatrix(_PolyBase):
     """Square matrix polynomial with real coefficients."""
 
     _dtype = np.float64
-
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        return cls(np.eye(n)[None, :, :])
 
 
 class CPolyMatrix(_PolyBase):
@@ -287,11 +280,12 @@ def poly_roots(
     -------
     list of complex
         All roots with multiplicity.  For real coefficients the list is
-        exactly closed under conjugation: companion-matrix output is snapped,
-        conjugate-paired and symmetrised before clustering, and a pair whose
-        mean lands within the cluster radius of the real axis collapses to a
-        double real root (a double real root splits into a tight conjugate
-        pair under the companion eigensolver).
+        exactly closed under conjugation: companion-matrix roots within
+        ``tol_imag`` of the real axis snap to it, each conjugate pair is
+        represented by its upper member before clustering, and a pair within
+        the cluster radius of the real axis collapses to a double real root
+        (a double real root splits into a tight conjugate pair under the
+        companion eigensolver).
 
     Raises
     ------
@@ -311,30 +305,10 @@ def poly_roots(
             out.extend([mean] * count)
         return out
 
-    reals = []
-    upper = []
-    lower = []
-    for r in raw:
-        if abs(r.imag) <= tol_imag:
-            reals.append(float(r.real))
-        elif r.imag > 0:
-            upper.append(complex(r))
-        else:
-            lower.append(complex(r))
-
-    # pair each upper root with the nearest conjugate below the axis
-    pairs = []
-    lower_left = list(lower)
-    for u in sorted(upper, key=lambda c: (c.real, c.imag)):
-        if not lower_left:
-            reals.append(float(u.real))
-            continue
-        dist = [abs(np.conj(u) - l) for l in lower_left]
-        j = int(np.argmin(dist))
-        mate = lower_left.pop(j)
-        pairs.append(0.5 * (u + np.conj(mate)))
-    for l in lower_left:
-        reals.append(float(l.real))
+    # LAPACK's real eigensolver returns every non-real root next to its
+    # exact conjugate, so the upper members stand for the pairs
+    reals = [float(r.real) for r in raw if abs(r.imag) <= tol_imag]
+    pairs = [complex(r) for r in raw if r.imag > tol_imag]
 
     # a pair straddling the axis within cluster radius is a split double real
     kept_pairs = []
@@ -369,7 +343,14 @@ def _divide_coeffs(num: np.ndarray, den: np.ndarray):
 
     Returns ``(quotient, residual)`` with ``quotient * den + remainder ==
     num`` to roundoff; the residual is the largest remainder magnitude.
+    The division runs from the low-degree end when ``|den[0]| > |den[-1]|``
+    (for a linear or conjugate-pair divisor: its roots lie outside the unit
+    circle), so each step scales rounding by ``1/|root|`` instead of
+    ``|root|``; the remainder then sits in the top coefficients.
     """
+    if abs(den[0]) > abs(den[-1]):
+        quot, residual = _divide_coeffs(num[::-1], den[::-1])
+        return quot[::-1], residual
     dq = den.shape[0] - 1
     lead = den[-1]
     dhat = den / lead
@@ -405,6 +386,10 @@ def deconvolve(p, d: ScalarPoly, rtol: float = DEFAULTS.trim):
         Quotient with ``degree = q - degree(d)`` and the largest remainder
         magnitude.  ``quotient * d + remainder == p`` holds to roundoff; when
         every entry of ``p`` is divisible by ``d`` the residual is noise.
+        The division runs from the high-degree end, leaving the remainder
+        in the lowest ``degree(d)`` coefficients, unless ``|d_0| > |d_lead|``
+        (for a linear or pair divisor: roots outside the unit circle); then
+        it runs from the low-degree end and the remainder sits in the top.
     """
     dt = d.trim()
     dq = dt.degree

@@ -136,13 +136,14 @@ def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     ------
     ResonantEigenvalues
         If some product of eigenvalues ``lambda_i * lambda_j`` of A is within
-        1e-10 of 1, where the equation is singular, or if the vectorized
-        system turns out singular anyway.
+        1e-10 of 1, where the equation is singular, or if the Kronecker
+        system turns out singular anyway; the message then carries its
+        condition number.
 
     Notes
     -----
-    The symmetric unknown is vectorized into its m(m+1)/2 upper-triangle
-    entries and the resulting dense linear system is solved directly; no
+    The equation is solved in Kronecker form, ``(I - kron(A', A')) vec X =
+    vec Q``, as one dense linear system, and the solution is symmetrized; no
     series summation is involved, so convergence does not depend on the
     spectral radius of A.
     """
@@ -168,30 +169,17 @@ def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
             "is within 1e-10 of 1; the Stein equation is singular"
         )
 
-    idx = [(i, j) for i in range(m) for j in range(i, m)]
-    K = len(idx)
-    basis = np.zeros((K, m, m))
-    for k, (i, j) in enumerate(idx):
-        basis[k, i, j] = 1.0
-        basis[k, j, i] = 1.0
-    # rows of the dense system: (X - A'XA) restricted to the upper triangle
-    mapped = basis - np.einsum("pi,kpq,qj->kij", A, basis, A)
-    rows = np.array([[mapped[k, i, j] for k in range(K)] for (i, j) in idx])
-    rhs = np.array([Q[i, j] for (i, j) in idx])
+    K = np.eye(m * m) - np.kron(A.T, A.T)
     try:
-        sol = np.linalg.solve(rows, rhs)
+        X = np.linalg.solve(K, Q.reshape(-1)).reshape(m, m)
     except np.linalg.LinAlgError as err:
         # eigenvalues of a defective A carry errors far above 1e-10, so a
         # product can equal 1 exactly although the test above let it pass
         raise ResonantEigenvalues(
-            f"the vectorized Stein system is singular (condition number "
-            f"{np.linalg.cond(rows):.3e}); some eigenvalue product of A is 1"
+            f"the Kronecker Stein system is singular (condition number "
+            f"{np.linalg.cond(K):.3e}); some eigenvalue product of A is 1"
         ) from err
-    X = np.zeros((m, m))
-    for k, (i, j) in enumerate(idx):
-        X[i, j] = sol[k]
-        X[j, i] = sol[k]
-    return X
+    return 0.5 * (X + X.T)
 
 
 def structural_blocks(ss: StateSpace, X: np.ndarray) -> dict:
@@ -244,8 +232,9 @@ def build_b2(alpha, w, tol=DEFAULTS):
         From :func:`~allpass.roots.check_pair`.
     ResonantEigenvalues
     GramNotPD
-        If neither sign of the Gram matrix yields a feedthrough satisfying
-        the defining identity.
+        If the Gram matrix fails its Cholesky, or the feedthrough built from
+        it fails the structural certification (worst block residual above
+        1e-6, carried in the message).
     numpy.linalg.LinAlgError
         If the Stein solution is numerically singular (condition > 1e12).
     """
@@ -266,29 +255,23 @@ def build_b2(alpha, w, tol=DEFAULTS):
     Xinv = np.linalg.inv(X)
     G = np.eye(2) + C @ Ainv @ Xinv @ Ainv.T @ C.T
 
-    def _assemble(gram, sign_note):
-        L = np.linalg.cholesky(gram)
-        D = np.linalg.inv(L).T
-        B = -Xinv @ Ainv.T @ C.T @ D
-        ss = StateSpace(A, B, C, D)
-        blocks = structural_blocks(ss, X)
-        worst = max(blocks.values())
-        if worst > 1e-6:
-            raise GramNotPD(
-                f"structural certification failed with {sign_note} Gram "
-                f"(worst block residual {worst:.3e}: {blocks})"
-            )
-        return ss
-
+    # G is positive definite in exact arithmetic on both sides of the
+    # circle: X >= 0 gives G >= I for |alpha| > 1, and for |alpha| < 1,
+    # Y = -X > 0 gives G = (I + C Y^-1 C')^-1
     try:
-        ss = _assemble(G, "positive")
+        L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        try:
-            ss = _assemble(-G, "negated")
-        except np.linalg.LinAlgError:
-            raise GramNotPD(
-                "Gram matrix is indefinite; no sign admits a Cholesky factor"
-            ) from None
+        raise GramNotPD("Gram matrix is not positive definite") from None
+    D = np.linalg.inv(L).T
+    B = -Xinv @ Ainv.T @ C.T @ D
+    ss = StateSpace(A, B, C, D)
+    blocks = structural_blocks(ss, X)
+    worst = max(blocks.values())
+    if worst > 1e-6:
+        raise GramNotPD(
+            f"structural certification failed (worst block residual "
+            f"{worst:.3e}: {blocks})"
+        )
 
     # rational form over the monic denominator (z - alpha)(z - conj alpha)
     tr = 2.0 * lam.real

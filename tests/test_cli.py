@@ -136,6 +136,21 @@ def test_circle_root_exit_code(capsys, tmp_path):
     assert code == 4
 
 
+def test_mirror_domain_error_exit_code(capsys, tmp_path):
+    # z I - A with the pair 1e-3 exp(+-i theta); the state-space factor for
+    # this kernel fails its structural certificate (GramNotPD)
+    rng = np.random.default_rng(0)
+    lam = 1e-3 * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
+    S = rng.standard_normal((2, 2))
+    A = S @ np.array([[lam.real, lam.imag], [-lam.imag, lam.real]]) @ np.linalg.inv(S)
+    path = tmp_path / "small_pair.json"
+    path.write_text(jsonio.dumps(jsonio.poly_to_json(PolyMatrix(np.stack([-A, np.eye(2)])))))
+    code, out, err = run(capsys, "mirror", str(path), "--method", "statespace")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: structural certification failed")
+
+
 def test_mirror_stdout_payload(capsys, poly_file):
     code, out, _ = run(capsys, "mirror", poly_file, "--method", "consecutive")
     assert code == 0

@@ -137,3 +137,27 @@ def test_awkward_floats_survive():
     assert np.array_equal(t.coeffs, s.coeffs)
     # sign of zero preserved
     assert np.signbit(t.coeffs[1])
+
+
+def _elementwise_poly(p):
+    # the entry-by-entry encoding the array form must reproduce byte for byte
+    cplx = isinstance(p, CPolyMatrix)
+    coeffs = [
+        [[[float(v.real), float(v.imag)] if cplx else float(v) for v in row] for row in mat]
+        for mat in p.coeffs
+    ]
+    return {"dim": p.dim, "degree": p.degree, "coeffs": coeffs}
+
+
+def test_array_encoding_matches_elementwise_bytes():
+    rng = np.random.default_rng(7)
+    awkward = np.array([5e-324, -0.0, 0.1 + 0.2, 1.0 / 3.0])
+    real = rng.standard_normal((3, 2, 2))
+    real[0] = awkward.reshape(2, 2)
+    cplx = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    cplx[1] = awkward.reshape(2, 2) - 1j * awkward[::-1].reshape(2, 2)
+    for p in (PolyMatrix(real), CPolyMatrix(cplx)):
+        assert jsonio.dumps(jsonio.poly_to_json(p)) == jsonio.dumps(_elementwise_poly(p))
+    ss, _ = build_b2(0.3 + 0.6j, rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    old = {name: [[float(v) for v in row] for row in getattr(ss, name)] for name in "ABCD"}
+    assert jsonio.dumps(jsonio.ss_to_json(ss)) == jsonio.dumps(old)

@@ -317,8 +317,21 @@ def test_deconvolve_reports_nonzero_residual():
     p = PolyMatrix(np.array([1.0, 1.0, 1.0]).reshape(3, 1, 1))
     d = ScalarPoly(np.array([-2.0, 1.0]))
     _, resid = deconvolve(p, d)
-    # remainder of (z^2 + z + 1)/(z - 2) is 7
-    assert resid == pytest.approx(7.0)
+    # |d_0| > |d_1|, so the division runs from the low end:
+    # z^2 + z + 1 = (-1/2 - 3z/4)(z - 2) + 7z^2/4
+    assert resid == pytest.approx(1.75)
+
+
+@pytest.mark.parametrize("a", [0.5, 50.0, 500.0])
+def test_deconvolve_exact_for_roots_on_either_side(a):
+    # dividing (z - a) from the high end would scale rounding by |a| per
+    # coefficient; the low end keeps a root outside the circle exact too
+    p = PolyMatrix(np.random.default_rng(0).standard_normal((4, 2, 2)))
+    d = ScalarPoly(np.array([-a, 1.0]))
+    prod = mul_scalar(p, d)
+    q, resid = deconvolve(prod, d)
+    assert resid <= 1e-15 * np.max(np.abs(prod.coeffs))
+    np.testing.assert_allclose(q.coeffs, p.coeffs, rtol=0, atol=1e-14)
 
 
 def test_deconvolve_exact_matrix_quotient():

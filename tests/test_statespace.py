@@ -14,7 +14,7 @@ from allpass import (
     structural_blocks,
     verify_allpass,
 )
-from allpass.errors import DegenerateW, OnUnitCircle, ResonantEigenvalues
+from allpass.errors import DegenerateW, GramNotPD, OnUnitCircle, ResonantEigenvalues
 from conftest import rand_alpha, rand_w
 
 
@@ -245,6 +245,21 @@ def test_build_b2_rejects_circle_alpha():
 def test_build_b2_rejects_lower_half_alpha():
     with pytest.raises(ValueError):
         build_b2(0.5 - 0.5j, np.array([1.0, 1.0j]) / np.sqrt(2))
+
+
+@pytest.mark.parametrize(
+    "seed, reason", [(0, "worst block residual"), (196, "not positive definite")]
+)
+def test_build_b2_small_alpha_failures_are_typed(seed, reason):
+    # at |alpha| = 1e-3 the factor loses about |alpha|^-2: for about one w in
+    # twelve the structural certificate fails (seed 0), and rounding can give
+    # the Gram matrix, positive definite in exact arithmetic, an eigenvalue
+    # of -2e-11 against 0.26 (seed 196)
+    rng = np.random.default_rng(seed)
+    alpha = 1e-3 * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
+    w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    with pytest.raises(GramNotPD, match=reason):
+        build_b2(alpha, w)
 
 
 def test_structural_blocks_vanish_after_transform():
