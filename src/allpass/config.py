@@ -19,7 +19,8 @@ class Tolerances:
     cluster
         Relative radius for merging nearby roots into one multiple root.
     trim
-        Relative floor under which trailing coefficients count as zero.
+        Relative floor under which trailing coefficients count as zero, and
+        under which a shifted companion's eigenvalue is an infinite root.
     real
         Bound on imaginary residue allowed when projecting complex
         coefficients to real ones.
@@ -29,7 +30,8 @@ class Tolerances:
     circle
         Half-width of the exclusion band around the unit circle.
     kernel
-        Relative bound on sigma_min(p(alpha)) for alpha to count as a root.
+        Relative bound on sigma_min(p(alpha)) for alpha to count as a root;
+        p(s) failing it at every trial shift s makes p singular.
     residual
         Default threshold of the ``mirror`` command on each step's reported
         deconvolution remainder, imaginary residue and spectral deviation.

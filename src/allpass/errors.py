@@ -29,7 +29,16 @@ class ImaginaryResidueTooLarge(AllPassError):
 
 
 class SingularPolynomialMatrix(AllPassError):
-    """det p(z) vanishes identically; there is no root set to work with."""
+    """det p(z) vanishes identically: ``p(s)`` fails the root test at every
+    trial shift ``s``.  Carries the best ``sigma_min(p(s)) / (||p|| max(1,
+    |s|)^q)`` in ``ratio`` and the bound it failed in ``tol``."""
+
+    def __init__(self, ratio, tol):
+        self.ratio, self.tol = float(ratio), float(tol)
+        super().__init__(
+            "det p(z) vanishes identically: max over trial shifts s of sigma_min"
+            f"(p(s)) / (||p|| max(1, |s|)^q) = {self.ratio:.3e} <= {self.tol:.1e}"
+        )
 
 
 class NotARoot(AllPassError):

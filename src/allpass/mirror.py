@@ -164,7 +164,8 @@ def mirror_once(
         beta = 1.0 / plan.alpha
 
     k = V.dim
-    pq = np.matmul(p.coeffs, plan.Q)
+    # classify checked that p is real, even in complex storage
+    pq = np.matmul(p.coeffs.real, plan.Q)
     block = pq[:, :, :k]
     rest = pq[:, :, k:]
 

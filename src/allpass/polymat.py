@@ -8,10 +8,12 @@ arrays are marked read-only), so they can be shared freely.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import ImaginaryResidueTooLarge
+from .errors import ImaginaryResidueTooLarge, SingularPolynomialMatrix
 
 __all__ = [
     "PolyMatrix",
@@ -227,18 +229,12 @@ def trim(p, rtol: float = DEFAULTS.trim):
 def det_poly(p) -> ScalarPoly:
     """Determinant of a matrix polynomial as a scalar polynomial.
 
-    ``det p(z)`` has degree at most ``n*q``, so it is recovered exactly from
-    ``n*q + 1`` samples.  The samples sit on the circle of radius 1.5 (off the
-    unit circle, where later steps will place roots) and the coefficients come
-    from one FFT, rescaled by the radius powers.
+    ``det p`` at ``n*q + 1`` points on the circle of radius 1.5, interpolated
+    by one FFT.  Root detection does not use it; it is a reference for tests.
     """
-    n, q = p.dim, p.degree
-    m = n * q + 1
-    radius = 1.5
-    zs = radius * np.exp(2j * np.pi * np.arange(m) / m)
-    values = np.linalg.det(_eval_many(p.coeffs, zs))
-    coeff = np.fft.fft(values) / m
-    coeff = coeff / radius ** np.arange(m)
+    m = p.dim * p.degree + 1
+    zs = 1.5 * np.exp(2j * np.pi * np.arange(m) / m)
+    coeff = np.fft.fft(np.linalg.det(_eval_many(p.coeffs, zs))) / m / 1.5 ** np.arange(m)
     if np.isrealobj(p.coeffs):
         # conjugate-symmetric samples: the imaginary part is FFT noise
         coeff = coeff.real
@@ -247,7 +243,7 @@ def det_poly(p) -> ScalarPoly:
 
 def _cluster(values, rtol):
     """Greedy clustering of real or complex values, swept in ``(Re, Im)``
-    order; returns ``(complex mean, count)`` pairs."""
+    order; returns every value replaced by its cluster's complex mean."""
     clusters = []
     for v in sorted(values, key=lambda c: (c.real, c.imag)):
         if clusters:
@@ -257,72 +253,89 @@ def _cluster(values, rtol):
                 clusters[-1] = (complex(np.mean(members)), members)
                 continue
         clusters.append((complex(v), [v]))
-    return [(mean, len(members)) for mean, members in clusters]
+    return [mean for mean, members in clusters for _ in members]
 
 
-def poly_roots(
-    s: ScalarPoly,
-    tol_imag: float = DEFAULTS.imag,
-    cluster_rtol: float = DEFAULTS.cluster,
-):
-    """Roots of a scalar polynomial, with closure and multiplicity handling.
+# trial shifts s, real so that a real p keeps a real companion and irregular
+# to avoid hand-made roots; s = 0 (the reversed polynomial) needs no Taylor
+# shift, so the others serve only when C_q and C_0 both fail the root test
+_SHIFTS = np.array([0.0, 0.3719, -0.5413, 0.7906, -0.2187])
 
-    Parameters
-    ----------
-    s : ScalarPoly
-        Polynomial of degree >= 1 after trimming trailing noise.
-    tol_imag : float
-        Absolute bound under which an imaginary part snaps to zero.
-    cluster_rtol : float
-        Relative radius merging nearby roots into one multiple root.
 
-    Returns
-    -------
-    list of complex
-        All roots with multiplicity.  For real coefficients the list is
-        exactly closed under conjugation: companion-matrix roots within
-        ``tol_imag`` of the real axis snap to it, each conjugate pair is
-        represented by its upper member before clustering, and a pair within
-        the cluster radius of the real axis collapses to a double real root
-        (a double real root splits into a tight conjugate pair under the
-        companion eigensolver).
+def _scaled_size(p, z) -> float:
+    """``||p|| max(1, |z|)^q``, the size of ``p(z)`` in the root test
+    ``sigma_min(p(z)) <= tol.kernel * _scaled_size(p, z)``."""
+    return max(p.norm(), np.finfo(float).tiny) * max(1.0, abs(z)) ** p.degree
+
+
+def _finite_roots(p, tol):
+    """Finite roots of ``det p`` with multiplicity, from one monic block
+    companion led by whichever of ``C_q`` (ratio ``sigma_min / ||p||``) and
+    ``C_0`` is farther from the root test, or of ``C_q`` and every ``p(s)``
+    when both fail it.  ``p(s)`` leads the companion of ``mu^q p(s + 1/mu)``:
+    ``z = s + 1/mu``, and ``mu`` at most ``tol.trim`` times its largest entry
+    are the infinite roots."""
+    coeffs, q, n = p.coeffs, p.degree, p.dim
+    at_shifts = (_SHIFTS[:, None] ** np.arange(q + 1)) @ coeffs.reshape(q + 1, -1)
+    leads = np.concatenate([coeffs[-1:], at_shifts.reshape(-1, n, n)])
+    # every |s| < 1, so the root test's size ||p|| max(1, |s|)^q is ||p||
+    ratios = np.linalg.svd(leads, compute_uv=False)[:, -1] / _scaled_size(p, 0.0)
+    best = int(np.argmax(ratios if max(ratios[:2]) <= tol.kernel else ratios[:2]))
+    if ratios[best] <= tol.kernel:
+        raise SingularPolynomialMatrix(ratios[best], tol.kernel)
+    if q == 0:
+        return np.zeros(0, dtype=complex)
+    stack = coeffs[::-1]
+    if best > 0:
+        # Taylor shift p(s + t) = sum_j T_j t^j, T_j = sum_k binom(k, j) s^(k-j) C_k
+        s, k = _SHIFTS[best - 1], np.arange(q + 1)
+        binom = np.array([[math.comb(c, r) for c in k] for r in k], dtype=float)
+        taylor = binom * s ** np.maximum(k[None, :] - k[:, None], 0)
+        stack = (taylor @ coeffs.reshape(q + 1, -1)).reshape(coeffs.shape)
+    comp = np.eye(n * q, k=-n, dtype=stack.dtype)
+    comp[:n] = -np.linalg.solve(stack[0], np.concatenate(stack[1:], axis=1))
+    mu = np.linalg.eigvals(comp)
+    if best == 0:
+        return mu
+    mu = mu[np.abs(mu) > tol.trim * np.max(np.abs(comp))]
+    # conj(mu) / |mu|^2 maps an exact conjugate pair to an exact pair
+    return s + np.conj(mu) / np.abs(mu) ** 2
+
+
+def poly_roots(p, tol=DEFAULTS):
+    """Finite roots of ``det p`` with multiplicity.
+
+    ``p`` is a matrix polynomial or a :class:`ScalarPoly` (as 1x1); the
+    roots are the eigenvalues of one block companion (Mackey, Mackey, Mehl
+    and Mehrmann, SIMAX 2006; see :func:`_finite_roots`).  For real ``p`` it
+    is real and LAPACK returns exact conjugates, so the list is exactly
+    closed under conjugation: roots within ``tol.imag`` of the axis snap to
+    it, the upper members stand for the pairs, and a pair within the cluster
+    radius of the axis is a split double real root.  Roots within
+    ``tol.cluster`` (relative) of each other merge into one multiple root.
 
     Raises
     ------
-    ValueError
-        If ``s`` is the zero polynomial.
+    SingularPolynomialMatrix
+        If ``det p`` vanishes identically: ``C_q`` and ``p`` at every trial
+        shift fail the root test (zero and singular constants included).
     """
-    st = s.trim()
-    if st.degree == 0:
-        if float(np.max(np.abs(st.coeffs))) == 0.0:
-            raise ValueError("zero polynomial has no root set")
-        return []
-    raw = np.roots(st.coeffs[::-1])
+    if p.coeffs.ndim == 1:
+        p = _wrap_matrix(p.coeffs[:, None, None])
+    raw = _finite_roots(p, tol)
+    if np.iscomplexobj(p.coeffs):
+        return _cluster(list(raw), tol.cluster)
 
-    if np.iscomplexobj(s.coeffs):
-        out = []
-        for mean, count in _cluster(list(raw), cluster_rtol):
-            out.extend([mean] * count)
-        return out
-
-    # LAPACK's real eigensolver returns every non-real root next to its
-    # exact conjugate, so the upper members stand for the pairs
-    reals = [float(r.real) for r in raw if abs(r.imag) <= tol_imag]
-    pairs = [complex(r) for r in raw if r.imag > tol_imag]
-
-    # a pair straddling the axis within cluster radius is a split double real
-    kept_pairs = []
-    for mu in pairs:
-        if abs(mu.imag) <= cluster_rtol * max(1.0, abs(mu)):
-            reals.extend([float(mu.real)] * 2)
+    reals = [float(r.real) for r in raw if abs(r.imag) <= tol.imag]
+    pairs = []
+    for mu in (complex(r) for r in raw if r.imag > tol.imag):
+        if abs(mu.imag) <= tol.cluster * max(1.0, abs(mu)):
+            reals.extend([mu.real] * 2)
         else:
-            kept_pairs.append(mu)
-
-    out = []
-    for mean, count in _cluster(reals, cluster_rtol):
-        out.extend([mean] * count)
-    for mean, count in _cluster(kept_pairs, cluster_rtol):
-        out.extend([mean, np.conj(mean)] * count)
+            pairs.append(mu)
+    out = _cluster(reals, tol.cluster)
+    for mean in _cluster(pairs, tol.cluster):
+        out.extend([mean, np.conj(mean)])
     return out
 
 

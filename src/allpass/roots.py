@@ -9,14 +9,16 @@ a factor construction's input, with the same circle band and degeneracy test.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from typing import Optional
 
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import DegenerateW, NotARoot, OnUnitCircle, SingularPolynomialMatrix
-from .polymat import det_poly, eval_poly, poly_roots
+from .errors import DegenerateW, NotARoot, OnUnitCircle
+from .polymat import PolyMatrix, _scaled_size, eval_poly, poly_roots
+from .polymat import det_poly  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 __all__ = [
     "RootRecord",
@@ -100,47 +102,27 @@ def _locate(alpha: complex, tol_circle: float) -> str:
 def det_roots(p, tol=DEFAULTS):
     """Detect the roots of ``det p(z)`` and return them as records.
 
-    Conjugate pairs collapse to one record with ``Im(alpha) > 0``.  Records
-    are sorted by ``(|alpha|, Re, Im)`` so that indices into the list are
-    stable; the CLI's ``--select`` indices refer to this order.  ``tol``
-    supplies the imaginary snap (``imag``), the cluster radius (``cluster``)
-    and the circle band (``circle``).
+    The roots come from :func:`~allpass.polymat.poly_roots` on the real
+    coefficients (complex storage with zero imaginary parts gives the same
+    records).  Conjugate pairs collapse to one record with ``Im(alpha) >
+    0``.  Records are sorted by ``(|alpha|, Re, Im)`` so that indices into
+    the list are stable; the CLI's ``--select`` indices refer to this order.
+    ``tol`` supplies ``kernel``, ``trim``, ``imag`` and ``cluster`` to
+    :func:`~allpass.polymat.poly_roots` and the circle band (``circle``).
 
     Raises
     ------
     ValueError
         If a coefficient of ``p`` is not real (see :func:`check_real`).
     SingularPolynomialMatrix
-        If ``det p(z)`` is identically zero (below noise at every degree).
+        If ``det p(z)`` vanishes identically; carries the best ratio.
     """
     check_real(p)
-    d = det_poly(p)
-    scale = max(1.0, p.norm()) ** p.dim
-    if float(np.max(np.abs(d.coeffs))) <= 1e-10 * scale:
-        raise SingularPolynomialMatrix(
-            "det p(z) vanishes identically; the matrix polynomial is singular"
-        )
-    if d.degree == 0:
-        return []
-    values = poly_roots(d, tol_imag=tol.imag, cluster_rtol=tol.cluster)
-
-    counts: dict[complex, int] = {}
-    for z in values:
-        if z.imag < 0:
-            continue
-        counts[z] = counts.get(z, 0) + 1
-
+    values = poly_roots(PolyMatrix(p.coeffs.real), tol)
     records = []
-    for z, count in counts.items():
+    for z, count in collections.Counter(z for z in values if z.imag >= 0).items():
         kind = KIND_REAL if z.imag == 0 else KIND_COMPLEX
-        records.append(
-            RootRecord(
-                alpha=z,
-                multiplicity=count,
-                kind=kind,
-                location=_locate(z, tol.circle),
-            )
-        )
+        records.append(RootRecord(z, count, kind, _locate(z, tol.circle)))
     records.sort(key=lambda r: (abs(r.alpha), r.alpha.real, r.alpha.imag))
     return records
 
@@ -221,12 +203,7 @@ def _positive_qr(B: np.ndarray):
 
 
 def _anchored_kernel(M: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """Kernel direction of ``M`` from its right singular vectors ``vh``.
-
-    The last right singular vector, with a deterministic phase: the
-    largest-modulus entry (lowest index on ties) is made real and positive.
-    The zero matrix maps to the first basis vector.
-    """
+    """:func:`kernel_vector` of ``M`` from its right singular vectors ``vh``."""
     if float(np.max(np.abs(M))) == 0.0:
         e1 = np.zeros(M.shape[0], dtype=M.dtype)
         e1[0] = 1.0
@@ -351,8 +328,7 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     M = np.atleast_2d(eval_poly(p, alpha))
     svd = np.linalg.svd(M)
     smin = svd[1][-1]
-    bound = tol.kernel * max(p.norm(), np.finfo(float).tiny)
-    bound *= max(1.0, abs(alpha)) ** p.degree
+    bound = tol.kernel * _scaled_size(p, alpha)
     if smin > bound:
         raise NotARoot(
             f"sigma_min(p({alpha})) = {smin:.3e} exceeds "

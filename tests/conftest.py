@@ -77,3 +77,35 @@ def worked_pair():
 def scalar_halfpair():
     """p(z) = z^2 - z + 0.5 as a 1x1 matrix; roots 0.5 +- 0.5i."""
     return PolyMatrix(np.array([0.5, -1.0, 1.0]).reshape(3, 1, 1))
+
+
+def singular_leading_3x3(seed=5):
+    """Seeded 3x3 of degree 2 whose leading matrix has rank 2 exactly.
+
+    The leading matrix has dyadic entries and its third row is the sum of the
+    first two, so ``det C_2 = 0`` in exact arithmetic: ``det p`` has degree
+    5, not 6, and ``p`` has one root at infinity.
+    """
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((3, 3, 3))
+    c[2] = np.round(8 * c[2]) / 8
+    c[2, 2] = c[2, 0] + c[2, 1]
+    return PolyMatrix(c)
+
+
+def root_values(records):
+    """Every root value the records stand for, with multiplicity."""
+    out = []
+    for r in records:
+        members = [r.alpha] if r.kind == "real" else [r.alpha, r.alpha.conjugate()]
+        out.extend(members * r.multiplicity)
+    return out
+
+
+def assert_roots_close(got, ref, rtol):
+    """Same count, and every root within ``rtol`` (relative) of one in the
+    other list, both ways."""
+    assert len(got) == len(ref)
+    for a, others in ((got, ref), (ref, got)):
+        for z in a:
+            assert min(abs(z - w) for w in others) <= rtol * abs(z)

@@ -386,13 +386,16 @@ def _far_root_poly(seed, n_small, shrink):
     "seed,n_small,shrink,kind", [(6, 1, 1e-3, "real"), (9, 2, 1e-2, "complex_pair")]
 )
 def test_mirror_set_far_outside_root(seed, n_small, shrink, kind, method):
-    # a correct root at |alpha| > 200: sigma_min(p(alpha)) is far above
-    # 1e-6 * ||p|| only because p(alpha) itself is of size |alpha|^4 ||p||
+    # a correct root at |alpha| > 200: its backward error, sigma_min(p(alpha))
+    # relative to ||p|| |alpha|^4 (the size of p(alpha)), is at roundoff
     p = _far_root_poly(seed, n_small, shrink)
     rec = [r for r in det_roots(p) if abs(r.alpha) > 200][-1]
     assert rec.kind == kind
     sigma = np.linalg.svd(p(rec.alpha), compute_uv=False)[-1]
-    assert sigma > 1e-6 * p.norm()
+    assert sigma <= 1e-14 * p.norm() * abs(rec.alpha) ** p.degree
+    if kind == "real":
+        # far above 1e-6 * ||p||: an unscaled root test would reject it
+        assert sigma > 1e-6 * p.norm()
     q, reports = mirror_set(p, [rec], method=method)
     assert len(reports) == 1
     assert reports[0].new_root_residual < 1e-12

@@ -23,6 +23,7 @@ from allpass import (
 )
 from allpass.errors import ImaginaryResidueTooLarge, SingularPolynomialMatrix
 from allpass.polymat import _conv_coeffs
+from conftest import assert_roots_close
 
 
 def test_eval_monomial():
@@ -179,6 +180,25 @@ def test_poly_roots_double_real_root_collapses():
     roots = sorted(poly_roots(ScalarPoly(coeffs)), key=lambda z: z.real)
     assert all(z.imag == 0 for z in roots)
     np.testing.assert_allclose([z.real for z in roots], [2.0, 2.0, 3.0], atol=1e-6)
+
+
+def test_poly_roots_scalar_with_zero_leading_coefficients():
+    # 1 - 2z stored at degree 3: the two roots at infinity are dropped
+    assert poly_roots(ScalarPoly(np.array([1.0, -2.0, 0.0, 0.0]))) == pytest.approx([0.5], abs=1e-15)
+    # complex coefficients: z - a stored at degree 2 has the single root a
+    a = 0.5 + 0.2j
+    assert poly_roots(ScalarPoly(np.array([-a, 1.0, 0.0]))) == pytest.approx([a], abs=1e-15)
+
+
+def test_poly_roots_matrix_matches_det_reference():
+    rng = np.random.default_rng(23)
+    p = PolyMatrix(rng.standard_normal((3, 3, 3)))
+    assert_roots_close(poly_roots(p), np.roots(det_poly(p).coeffs[::-1]), 1e-8)
+
+
+def test_poly_roots_zero_polynomial_is_singular():
+    with pytest.raises(SingularPolynomialMatrix):
+        poly_roots(ScalarPoly(np.zeros(3)))
 
 
 def test_spectral_eval_hermitian_on_circle():

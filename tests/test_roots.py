@@ -1,13 +1,17 @@
 """Root detection, kernel extraction, and mirror-plan classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import allpass.roots
 from allpass import (
+    METHODS,
     CPolyMatrix,
     PolyMatrix,
     classify,
+    det_poly,
     det_roots,
     kernel_vector,
     mirror_all_inside,
@@ -21,7 +25,13 @@ from allpass.roots import (
     CASE_REAL,
     RootRecord,
 )
-from conftest import polymatrix_with_inside_pair, rand_alpha
+from conftest import (
+    assert_roots_close,
+    polymatrix_with_inside_pair,
+    rand_alpha,
+    root_values,
+    singular_leading_3x3,
+)
 
 
 def test_det_roots_worked_pair(worked_pair):
@@ -81,6 +91,61 @@ def test_det_roots_identically_singular():
 
 def test_det_roots_constant_matrix_has_no_roots():
     assert det_roots(PolyMatrix(np.eye(2)[None])) == []
+
+
+def test_det_roots_singular_leading_hand_case():
+    # diag(z - 0.5, 2): C_1 = diag(1, 0) is singular, det p = 2 (z - 0.5),
+    # so one of the two roots is at infinity
+    coeffs = np.array([np.diag([-0.5, 2.0]), np.diag([1.0, 0.0])])
+    records = det_roots(PolyMatrix(coeffs))
+    assert len(records) == 1
+    r = records[0]
+    assert (r.kind, r.multiplicity, r.location) == ("real", 1, "inside")
+    assert r.alpha == pytest.approx(0.5, abs=1e-14)
+
+
+def test_det_roots_singular_leading_matches_det_reference():
+    p = singular_leading_3x3()
+    ref = np.roots(det_poly(p).coeffs[::-1])
+    assert len(ref) == 5
+    assert_roots_close(root_values(det_roots(p)), ref, 1e-8)
+
+
+def test_det_roots_shifts_when_leading_and_constant_are_singular():
+    # C_0 and C_2 both singular: det p = 2 z (z - 0.5), a shift past 0
+    # carries the companion and the two infinite roots are dropped
+    coeffs = np.array(
+        [np.diag([0.0, 2.0]), np.diag([-0.5, 0.0]), np.diag([1.0, 0.0])]
+    )
+    records = det_roots(PolyMatrix(coeffs))
+    assert [r.kind for r in records] == ["real", "real"]
+    np.testing.assert_allclose([r.alpha.real for r in records], [0.0, 0.5], atol=1e-14)
+
+
+def test_singular_constant_matrix_raises_with_ratio():
+    p = PolyMatrix(np.array([[[1.0, 2.0], [2.0, 4.0]]]))
+    with pytest.raises(SingularPolynomialMatrix) as info:
+        det_roots(p)
+    assert info.value.ratio <= info.value.tol == 1e-6
+    assert f"{info.value.ratio:.3e}" in str(info.value)
+
+
+def test_complex_storage_of_real_input_gives_real_records():
+    # complex storage took the complex branch: two complex_pair records with
+    # Im 5.4e-16 and 3.3e-14 stood for four real roots, and mirroring them
+    # raised DeconvolutionResidueTooLarge
+    c = np.random.default_rng(3).standard_normal((3, 2, 2))
+    records = det_roots(CPolyMatrix(c))
+    assert records == det_roots(PolyMatrix(c))
+    assert [r.kind for r in records] == ["real"] * 4
+    for method in METHODS:
+        with warnings.catch_warnings():
+            # no complex-to-real cast of the mirrored coefficients
+            warnings.simplefilter("error")
+            q, reports = mirror_all_inside(CPolyMatrix(c), method=method)
+        ref, _ = mirror_all_inside(PolyMatrix(c), method=method)
+        assert len(reports) == 2
+        np.testing.assert_array_equal(q.coeffs, ref.coeffs)
 
 
 def test_kernel_vector_worked(worked_pair):
