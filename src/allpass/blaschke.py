@@ -382,9 +382,9 @@ def verify_allpass(
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    zs, num = _on_circle(V.num, n_samples)
-    _, den = _on_circle(V.den, n_samples)
-    M = V._quotient(zs, num, den[:, 0, 0])
+    zs, num = _on_circle(V.num.coeffs, n_samples)
+    _, den = _on_circle(V.den.coeffs, n_samples)
+    M = V._quotient(zs, num, den)
     gram = M @ np.conj(M).transpose(0, 2, 1) - np.eye(V.dim)
     worst = float(np.max(np.linalg.norm(gram, axis=(1, 2))))
     det_dev = float(np.max(np.abs(np.abs(np.linalg.det(M)) - 1.0)))

@@ -14,6 +14,7 @@ circle, 5 a residual exceeded its threshold (outputs are still written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -187,14 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"{args.input}: not a rational factor: {exc}")
 
     rep = verify_allpass(V, n_samples=args.samples, tol=tol)
-    payload = {
-        "max_residual": rep.max_residual,
-        "max_imag": rep.max_imag,
-        "det_modulus_dev": rep.det_modulus_dev,
-        "n_samples": rep.n_samples,
-        "ok": rep.ok,
-    }
-    _emit(payload, args.out)
+    _emit(dataclasses.asdict(rep), args.out)
     if not rep.ok:
         print(
             f"verify: residual {rep.max_residual:.3e} exceeds {tol:.3e}",

@@ -19,12 +19,8 @@ import numpy as np
 
 from .blaschke import b2_consecutive, b2_polynomial, elementary, squared
 from .config import DEFAULTS
-from .errors import (
-    DeconvolutionResidueTooLarge,
-    OnUnitCircle,
-    SelectionNotClosed,
-)
-from .polymat import PolyMatrix, _conv_coeffs, _divide_coeffs, circle_spectrum, trim
+from .errors import DeconvolutionResidueTooLarge, OnUnitCircle, SelectionNotClosed
+from .polymat import PolyMatrix, _conv_coeffs, _divide_coeffs, _on_circle, trim
 
 # not called here, but the benchmark's tracer (perfbench/tracer.py) looks up
 # ``allpass.mirror.spectral_eval``, so the name must stay
@@ -34,8 +30,8 @@ from .roots import (
     CASE_REAL,
     KIND_COMPLEX,
     KIND_REAL,
-    LOCATION_INSIDE,
     LOCATION_ON_CIRCLE,
+    LOCATION_OUTSIDE,
     RootRecord,
     classify,
     det_roots,
@@ -74,11 +70,14 @@ class MirrorReport:
     spectral_dev
         Largest deviation of the boundary product from that of the step's
         input, normalized by the largest boundary product magnitude of the
-        step's input, over the 64th roots of unity.
+        step's input, over the 64th roots of unity (both are real, so the
+        upper half, ``z_0 .. z_32``, attains both maxima).
     new_root_residual
-        ``sigma_min(p_tilde(1/alpha))`` normalized by
-        ``||p_tilde|| * max(1, |1/alpha|)^degree`` (the natural size of an
-        evaluation there); small means the root really relocated.
+        ``sigma_min(p_tilde(1/alpha))`` normalized by ``||p_tilde|| *
+        max(1, |1/alpha|)^degree_in`` (the natural size of an evaluation
+        there); small means the root really relocated.  For ``|alpha| < 1``
+        it is ``sigma_min(z^d p_tilde(1/z))`` at ``alpha`` over ``||p_tilde||``
+        (``d = degree_in``): the same number, finite at ``alpha = 0``.
     """
 
     mirrored_roots: list
@@ -91,18 +90,90 @@ class MirrorReport:
     degree_out: int
 
 
-def _spectral_deviation(s_new, s_old) -> float:
-    """Relative deviation between two :func:`circle_spectrum` results."""
-    dev = float(np.max(np.linalg.norm(s_new - s_old, axis=(1, 2))))
-    scale = float(np.max(np.linalg.norm(s_old, axis=(1, 2))))
-    return dev / max(scale, np.finfo(float).tiny)
+def _spectral_deviation(s_new, s_old):
+    """Relative deviation of boundary spectra, point axis first, batch axes kept."""
+    dev = np.max(np.linalg.norm(s_new - s_old, axis=(-2, -1)), axis=0)
+    scale = np.max(np.linalg.norm(s_old, axis=(-2, -1)), axis=0)
+    return dev / np.maximum(scale, np.finfo(float).tiny)
 
 
-def _relocation_residual(p_new, beta) -> float:
-    M = np.atleast_2d(np.asarray(p_new(beta)))
-    sig = np.linalg.svd(M, compute_uv=False)
-    scale = p_new.norm() * max(1.0, abs(beta)) ** p_new.degree
-    return float(sig[-1]) / max(scale, np.finfo(float).tiny)
+def _certify(chain, reports) -> None:
+    """Fill in ``spectral_dev`` and ``new_root_residual`` of every report from
+    ``chain``, the input and each step's output: one product of their real
+    coefficient stacks, zero-padded to one length, on the upper half of the
+    64-point grid, and one batched evaluation and SVD at the moved roots."""
+    m = max(p.degree for p in chain) + 1
+    stack = np.zeros((m, len(chain)) + chain[0].coeffs.shape[1:])
+    for i, p in enumerate(chain):
+        stack[: p.degree + 1, i] = p.coeffs.real
+    _, P = _on_circle(stack, 64, half=True)
+    S = P @ np.conj(P).swapaxes(-1, -2)
+    devs = _spectral_deviation(S[:, 1:], S[:, :-1])
+
+    # each output as a polynomial of degree d = degree_in: at beta = 1/alpha
+    # if |beta| <= 1, else its reversal z^d p_tilde(1/z) at alpha
+    points = np.empty(len(reports), complex)
+    graded = np.zeros((len(reports), m) + stack.shape[2:])
+    for i, rep in enumerate(reports):
+        alpha, d = rep.mirrored_roots[0], rep.degree_in
+        if abs(alpha) < 1.0:
+            points[i], graded[i, : d + 1] = alpha, stack[d::-1, i + 1]
+        else:
+            points[i], graded[i, : d + 1] = 1.0 / alpha, stack[: d + 1, i + 1]
+    values = np.einsum("ij,ij...->i...", points[:, None] ** np.arange(m), graded)
+    sigma = np.linalg.svd(values, compute_uv=False)[:, -1]
+    for rep, p_new, dev, sig in zip(reports, chain[1:], devs, sigma):
+        rep.spectral_dev = float(dev)
+        rep.new_root_residual = float(sig) / max(p_new.norm(), np.finfo(float).tiny)
+
+
+def _step(p: PolyMatrix, record: RootRecord, method: str, tol):
+    """One uncertified mirror step; :func:`_certify` fills in its report."""
+    plan = classify(p, record, tol)
+
+    if plan.case == CASE_REAL:
+        V = elementary(plan.alpha.real, tol)
+        mirrored = [plan.alpha]
+    else:
+        # the constructions stay module globals looked up per call (no
+        # dispatch table), so a wrapper set on this module sees every call
+        if plan.case == CASE_DEGENERATE:
+            V = squared(plan.alpha, tol)
+        elif method == "consecutive":
+            V = b2_consecutive(plan.alpha, plan.w, tol)
+        elif method == "polynomial":
+            V = b2_polynomial(plan.alpha, plan.w, tol)
+        else:
+            _, V = build_b2(plan.alpha, plan.w, tol)
+        mirrored = [plan.alpha, np.conj(plan.alpha)]
+
+    k = V.dim
+    # classify checked that p is real, even in complex storage
+    pq = np.matmul(p.coeffs.real, plan.Q)
+    raw = _conv_coeffs(pq[:, :, :k], V.num.coeffs)
+    quot, resid_abs = _divide_coeffs(raw, V.den.coeffs)
+    resid = resid_abs / max(1.0, float(np.max(np.abs(raw))))
+    if resid > 1e-6:
+        raise DeconvolutionResidueTooLarge(
+            f"dividing out the factor denominator left relative remainder "
+            f"{resid:.3e}; the selected root does not match the factor"
+        )
+
+    # the factor for alpha = 0 is 1/z, with a constant numerator: its
+    # quotient is one coefficient short of the input, so pad it with zeros
+    pq[:, :, :k] = 0.0
+    pq[: quot.shape[0], :, :k] = quot
+    p_new = trim(PolyMatrix(pq))
+    return p_new, MirrorReport(
+        mirrored_roots=[complex(x) for x in mirrored],
+        method=V.method,
+        residual_deconv=resid,
+        max_imag=V.max_imag_pre,
+        spectral_dev=np.nan,
+        new_root_residual=np.nan,
+        degree_in=p.degree,
+        degree_out=p_new.degree,
+    )
 
 
 def mirror_once(
@@ -131,77 +202,23 @@ def mirror_once(
     Returns
     -------
     (PolyMatrix, MirrorReport)
-        The polynomial carries its :func:`~allpass.polymat.circle_spectrum`,
-        which a following step on it reads instead of evaluating it again.
+        The output and the report of :func:`mirror_set` on the one record.
 
     Raises
     ------
-    OnUnitCircle, NotARoot, DegenerateW
+    SelectionNotClosed, OnUnitCircle, NotARoot, DegenerateW
     DeconvolutionResidueTooLarge
         If dividing out the factor denominator leaves a remainder far above
         noise, which means the root structure did not match the factor.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    plan = classify(p, record, tol)
-
-    if plan.case == CASE_REAL:
-        V = elementary(plan.alpha.real, tol)
-        mirrored = [plan.alpha]
-        beta = 1.0 / plan.alpha.real
-    else:
-        # the constructions stay module globals looked up per call (no
-        # dispatch table), so a wrapper set on this module sees every call
-        if plan.case == CASE_DEGENERATE:
-            V = squared(plan.alpha, tol)
-        elif method == "consecutive":
-            V = b2_consecutive(plan.alpha, plan.w, tol)
-        elif method == "polynomial":
-            V = b2_polynomial(plan.alpha, plan.w, tol)
-        else:
-            _, V = build_b2(plan.alpha, plan.w, tol)
-        mirrored = [plan.alpha, np.conj(plan.alpha)]
-        beta = 1.0 / plan.alpha
-
-    k = V.dim
-    # classify checked that p is real, even in complex storage
-    pq = np.matmul(p.coeffs.real, plan.Q)
-    block = pq[:, :, :k]
-    rest = pq[:, :, k:]
-
-    raw = _conv_coeffs(block, V.num.coeffs)
-    quot, resid_abs = _divide_coeffs(raw, V.den.coeffs)
-    resid = resid_abs / max(1.0, float(np.max(np.abs(raw))))
-    if resid > 1e-6:
-        raise DeconvolutionResidueTooLarge(
-            f"dividing out the factor denominator left relative remainder "
-            f"{resid:.3e}; the selected root does not match the factor"
-        )
-
-    assembled = np.concatenate([quot, rest], axis=2)
-    p_new = trim(PolyMatrix(assembled))
-    # p_new is this step's own object, so its spectrum rides along to the next
-    # step; a polynomial built elsewhere carries none and is evaluated here on
-    # every call, with nothing stored on it
-    p_new._boundary_spectrum = circle_spectrum(p_new)
-    s_in = getattr(p, "_boundary_spectrum", None)
-    if s_in is None:
-        s_in = circle_spectrum(p)
-
-    report = MirrorReport(
-        mirrored_roots=[complex(x) for x in mirrored],
-        method=V.method,
-        residual_deconv=resid,
-        max_imag=V.max_imag_pre,
-        spectral_dev=_spectral_deviation(p_new._boundary_spectrum, s_in),
-        new_root_residual=_relocation_residual(p_new, beta),
-        degree_in=p.degree,
-        degree_out=p_new.degree,
-    )
+    one = dataclasses.replace(record, multiplicity=1)
+    p_new, (report,) = mirror_set(p, [one], method, tol)
     return p_new, report
 
 
-def _validate_selection(selection):
+def _validate_selection(selection, method):
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     for rec in selection:
         if rec.multiplicity < 1:
             raise SelectionNotClosed(
@@ -216,6 +233,10 @@ def _validate_selection(selection):
             raise SelectionNotClosed(
                 f"real record has nonzero imaginary part: {rec.alpha}"
             )
+        if rec.location == LOCATION_ON_CIRCLE:
+            raise OnUnitCircle(
+                f"root {rec.alpha} lies on the unit circle; mirroring cannot move it"
+            )
 
 
 def mirror_set(
@@ -229,21 +250,25 @@ def mirror_set(
     Records are processed in ascending ``|alpha|`` (ties by real then
     imaginary part) and a record of multiplicity m is applied m times, with
     the kernel recomputed from the current polynomial before each copy.
+    The method and every record are checked before the first step, also
+    with nothing to move, and the chain is certified in one pass after the
+    last (see :class:`MirrorReport`).
 
     Returns the final polynomial and the reports of every step.
     """
-    _validate_selection(selection)
+    _validate_selection(selection, method)
     ordered = sorted(
         selection, key=lambda r: (abs(r.alpha), r.alpha.real, r.alpha.imag)
     )
-    current = p
-    reports = []
+    chain, reports = [p], []
     for rec in ordered:
         for _ in range(rec.multiplicity):
-            single = dataclasses.replace(rec, multiplicity=1)
-            current, rep = mirror_once(current, single, method=method, tol=tol)
+            p_new, rep = _step(chain[-1], rec, method, tol)
+            chain.append(p_new)
             reports.append(rep)
-    return current, reports
+    if reports:
+        _certify(chain, reports)
+    return chain[-1], reports
 
 
 def mirror_all_inside(
@@ -265,15 +290,9 @@ def mirror_all_inside(
         If a root sits on the circle, where no mirror exists; checked
         before any step runs.
     """
-    records = det_roots(p, tol)
-    for rec in records:
-        if rec.location == LOCATION_ON_CIRCLE:
-            raise OnUnitCircle(
-                f"root {rec.alpha} lies on the unit circle; "
-                "mirroring cannot move it"
-            )
-    inside = [r for r in records if r.location == LOCATION_INSIDE]
-    return mirror_set(p, inside, method=method, tol=tol)
+    # on-circle records go along for mirror_set to refuse before any step
+    records = [r for r in det_roots(p, tol) if r.location != LOCATION_OUTSIDE]
+    return mirror_set(p, records, method, tol)
 
 
 def enumerate_selections(records):

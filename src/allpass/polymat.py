@@ -125,7 +125,8 @@ def constant(matrix) -> "PolyMatrix | CPolyMatrix":
 
 
 def eval_poly(p, z):
-    """Evaluate ``p`` at the point ``z`` by Horner's scheme.
+    """Evaluate ``p`` at the point ``z``: one product of the coefficient
+    stack with the powers ``z^0, ..., z^q``.
 
     Returns an ``(n, n)`` array for matrix polynomials and a scalar for
     :class:`ScalarPoly`.  Real input evaluated at a real point stays real.
@@ -133,18 +134,11 @@ def eval_poly(p, z):
     zz = complex(z)
     if np.isrealobj(p.coeffs) and zz.imag == 0.0:
         zz = zz.real
-    coeffs = p.coeffs
-    acc = np.array(coeffs[-1], dtype=np.result_type(coeffs.dtype, type(zz)))
-    for k in range(coeffs.shape[0] - 2, -1, -1):
-        acc = acc * zz + coeffs[k]
-    if acc.ndim == 0:
-        return acc[()]
-    return acc
+    return _eval_many(p.coeffs, np.array([zz]))[0]
 
 
 def _eval_many(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Evaluate a coefficient tensor at many points at once."""
-    zs = np.asarray(zs, dtype=np.complex128)
+    """Evaluate a coefficient tensor at the 1-D array of points ``zs``."""
     m = coeffs.shape[0]
     powers = zs[:, None] ** np.arange(m)[None, :]
     return (powers @ coeffs.reshape(m, -1)).reshape(zs.shape + coeffs.shape[1:])
@@ -175,12 +169,17 @@ def spectral_eval(p, z):
     return out.reshape(zs.shape + out.shape[1:])
 
 
-def _on_circle(p, n_samples: int):
-    """The ``n_samples``-th roots of unity and ``p`` at them, shape
-    ``(n_samples, n, n)`` (``n = 1`` for a :class:`ScalarPoly`)."""
-    zs = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
-    coeffs = p.coeffs if p.coeffs.ndim == 3 else p.coeffs[:, None, None]
-    return zs, _eval_many(coeffs, zs)
+def _on_circle(coeffs: np.ndarray, n_samples: int, half: bool = False):
+    """The roots of unity ``z_k = exp(2 pi i k / n_samples)`` (``k <=
+    n_samples // 2`` if ``half``) and a coefficient stack, coefficient axis
+    first, at them; the powers ``z_k^j = z_(kj mod n_samples)`` come from
+    the grid itself."""
+    grid = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
+    k = np.arange(n_samples // 2 + 1 if half else n_samples)
+    m = coeffs.shape[0]
+    powers = grid[np.outer(k, np.arange(m)) % n_samples]
+    values = powers @ coeffs.reshape(m, -1)
+    return grid[k], values.reshape(k.shape + coeffs.shape[1:])
 
 
 def circle_spectrum(p, n_samples: int = 64) -> np.ndarray:
@@ -191,7 +190,8 @@ def circle_spectrum(p, n_samples: int = 64) -> np.ndarray:
     Any degree is exact.  Returns a complex array of shape
     ``(n_samples, n, n)``.
     """
-    _, P = _on_circle(p, n_samples)
+    coeffs = p.coeffs if p.coeffs.ndim == 3 else p.coeffs[:, None, None]
+    _, P = _on_circle(coeffs, n_samples)
     return P @ np.conj(P).transpose(0, 2, 1)
 
 
@@ -372,11 +372,8 @@ def _divide_coeffs(num: np.ndarray, den: np.ndarray):
     length = num.shape[0]
     quot = np.zeros((length - dq,) + num.shape[1:], dtype=dtype)
     for k in range(length - 1, dq - 1, -1):
-        c = rem[k].copy()
-        quot[k - dq] = c
-        for j in range(1, dq + 1):
-            rem[k - j] -= c * dhat[dq - j]
-        rem[k] = 0.0
+        quot[k - dq] = rem[k]
+        rem[k - dq : k] -= np.multiply.outer(dhat[:dq], rem[k])
     residual = float(np.max(np.abs(rem[:dq]))) if dq > 0 else 0.0
     return quot / lead, residual
 

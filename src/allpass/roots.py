@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DegenerateW, NotARoot, OnUnitCircle
-from .polymat import PolyMatrix, _scaled_size, eval_poly, poly_roots
+from .polymat import PolyMatrix, _scaled_size, poly_roots
 from .polymat import det_poly  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 __all__ = [
@@ -252,36 +252,15 @@ def orthogonal_completion(V1: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _newton_polish(p, kind: str, alpha: complex, svd):
-    """One Newton step on ``det p`` from ``alpha``, kept only if it helps.
-
-    With the smallest singular triplet ``p(alpha) v = sigma u``, the scalar
-    ``u^H p(z) v`` equals ``sigma`` at ``alpha`` and has derivative
-    ``u^H p'(alpha) v`` there, so the step is
-    ``alpha - sigma / (u^H p'(alpha) v)`` (Tisseur, LAA 2000).  A real root
-    stays real and a pair member must stay in the upper half plane.
-
-    Returns the polished ``(alpha, M, svd)`` if the step lowers
-    ``sigma_min``, else ``None``.
-    """
-    if p.degree == 0:
-        return None
-    U, s, vh = svd
-    k = np.arange(1, p.degree + 1)[:, None, None]
-    dp = eval_poly(type(p)(p.coeffs[1:] * k), alpha)
-    denom = complex(np.conj(U[:, -1]) @ dp @ np.conj(vh[-1]))
-    if denom == 0:
-        return None
-    step = alpha - s[-1] / denom
-    if kind == KIND_REAL:
-        step = complex(step.real)
-    elif step.imag <= 0:
-        return None
-    M = np.atleast_2d(eval_poly(p, step))
-    polished = np.linalg.svd(M)
-    if polished[1][-1] < s[-1]:
-        return step, M, polished
-    return None
+def _value_and_slope(coeffs: np.ndarray, z: complex) -> np.ndarray:
+    """``p(z)`` and ``p'(z)``, stacked, for a real coefficient stack: one
+    product with the powers of ``z``, real at a real ``z``."""
+    m = coeffs.shape[0]
+    k = np.arange(m)
+    powers = (z.real if z.imag == 0.0 else z) ** k
+    weights = np.zeros((2, m), powers.dtype)
+    weights[0], weights[1, 1:] = powers, k[1:] * powers[:-1]
+    return (weights @ coeffs.reshape(m, -1)).reshape((2,) + coeffs.shape[1:])
 
 
 def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
@@ -325,7 +304,9 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
             f"root {record.alpha} lies on the unit circle; mirroring is undefined"
         )
     alpha = record.alpha
-    M = np.atleast_2d(eval_poly(p, alpha))
+    # check_real passed, so complex storage evaluates to the same bits
+    coeffs = p.coeffs.real
+    M, dp = _value_and_slope(coeffs, alpha)
     svd = np.linalg.svd(M)
     smin = svd[1][-1]
     bound = tol.kernel * _scaled_size(p, alpha)
@@ -334,9 +315,18 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
             f"sigma_min(p({alpha})) = {smin:.3e} exceeds "
             f"{tol.kernel:.1e} * ||p|| * max(1, |alpha|)^{p.degree} = {bound:.3e}"
         )
-    polished = _newton_polish(p, record.kind, alpha, svd)
-    if polished is not None:
-        alpha, M, svd = polished
+    # one Newton step on det p (Tisseur, LAA 2000): with the smallest singular
+    # triplet p(alpha) v = sigma u, u^H p(z) v is sigma at alpha with slope
+    # u^H p'(alpha) v, so the step is alpha - sigma / slope
+    slope = complex(np.conj(svd[0][:, -1]) @ dp @ np.conj(svd[2][-1]))
+    step = alpha - smin / slope if slope != 0 else alpha
+    if record.kind == KIND_REAL:
+        step = complex(step.real)
+    if step != alpha and (record.kind == KIND_REAL or step.imag > 0):
+        M_step = _value_and_slope(coeffs, step)[0]
+        svd_step = np.linalg.svd(M_step)
+        if svd_step[1][-1] < smin:
+            alpha, M, svd = step, M_step, svd_step
     v = _anchored_kernel(M, svd[2])
 
     if record.kind == KIND_REAL:

@@ -34,6 +34,20 @@ def rand_w(rng, min_ratio=0.05):
             return w / np.linalg.norm(w)
 
 
+def origin_scalar():
+    """``z (z - 0.5)``: an exact root at the origin, detected as 0."""
+    return PolyMatrix(np.array([0.0, -0.5, 1.0]).reshape(3, 1, 1))
+
+
+def origin_matrix():
+    """``Q diag(z, 2) Q'``: its root at the origin polishes to about 1e-17,
+    moves to about 1e17 and leaves the output with degree 0."""
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))
+    return PolyMatrix(
+        np.stack([Q @ np.diag([0.0, 2.0]) @ Q.T, Q @ np.diag([1.0, 0.0]) @ Q.T])
+    )
+
+
 def random_polymatrix(rng, dim, degree):
     return PolyMatrix(rng.standard_normal((degree + 1, dim, dim)))
 

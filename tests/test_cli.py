@@ -9,6 +9,7 @@ import pytest
 
 from allpass import CPolyMatrix, PolyMatrix, b2_polynomial, jsonio
 from allpass.cli import main
+from conftest import origin_matrix, origin_scalar
 
 
 @pytest.fixture
@@ -149,6 +150,17 @@ def test_mirror_domain_error_exit_code(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error: structural certification failed")
+
+
+@pytest.mark.parametrize("make", [origin_scalar, origin_matrix])
+def test_mirror_root_at_origin_exit_code(capsys, tmp_path, make):
+    # z (z - 0.5) raised ZeroDivisionError (exit 1 with a traceback), and
+    # grading Q diag(z, 2) Q' by its output degree reported 0.447 (exit 5)
+    path = tmp_path / "origin.json"
+    path.write_text(jsonio.dumps(jsonio.poly_to_json(make())))
+    code, out, _ = run(capsys, "mirror", str(path))
+    assert code == 0
+    assert json.loads(out)["reports"][0]["new_root_residual"] <= 1e-12
 
 
 def test_mirror_stdout_payload(capsys, poly_file):

@@ -6,6 +6,7 @@ import pytest
 import allpass.mirror
 from allpass import (
     METHODS,
+    CPolyMatrix,
     PolyMatrix,
     Tolerances,
     circle_spectrum,
@@ -17,9 +18,9 @@ from allpass import (
     spectral_eval,
 )
 from allpass.errors import OnUnitCircle, SelectionNotClosed
-from allpass.mirror import _spectral_deviation
+from allpass.mirror import MirrorReport, _certify, _spectral_deviation
 from allpass.roots import RootRecord
-from conftest import polymatrix_with_inside_pair
+from conftest import origin_matrix, origin_scalar, polymatrix_with_inside_pair
 
 
 def spectral_gap(p, q, n=64):
@@ -148,33 +149,115 @@ def _count_calls(monkeypatch, name):
 
 
 def test_mirror_chain_evaluates_each_polynomial_once(monkeypatch):
-    # a k-step chain holds k + 1 polynomials: the input and each step's output
+    # a k-step chain holds k + 1 polynomials, the input and each step's
+    # output; all of them go through one circle evaluation, on the upper half
+    # of the 64-point grid, and nothing is stored on any of them
     p = PolyMatrix(np.random.default_rng(3).standard_normal((4, 3, 3)))
     inside = [r for r in det_roots(p) if r.location == "inside"]
     steps = sum(r.multiplicity for r in inside)
     assert steps >= 3
-    kernel = _count_calls(monkeypatch, "circle_spectrum")
-    inputs = _count_calls(monkeypatch, "mirror_once")
+    kernel = _count_calls(monkeypatch, "_on_circle")
+    inputs = _count_calls(monkeypatch, "_step")
     q, reports = mirror_set(p, inside, method="consecutive")
     assert len(inputs) == len(reports) == steps
-    assert len(kernel) == steps + 1
-    # the spectrum a step reads from its input is that input's own
+    assert [stack.shape for stack in kernel] == [(4, steps + 1, 3, 3)]
     for step_in, step_out, rep in zip(inputs, inputs[1:] + [q], reports):
+        assert list(vars(step_in)) == ["coeffs"]
         fresh = _spectral_deviation(
             circle_spectrum(step_out), circle_spectrum(step_in)
         )
-        assert rep.spectral_dev == fresh
+        assert abs(rep.spectral_dev - fresh) <= 1e-15
+    assert list(vars(q)) == ["coeffs"]
 
 
 def test_mirror_all_inside_stores_nothing_on_its_input(monkeypatch):
     p = PolyMatrix(np.random.default_rng(3).standard_normal((4, 3, 3)))
-    kernel = _count_calls(monkeypatch, "circle_spectrum")
+    kernel = _count_calls(monkeypatch, "_on_circle")
     q1, reps1 = mirror_all_inside(p)
-    first = len(kernel)
     q2, reps2 = mirror_all_inside(p)
-    assert first == len(reps1) + 1
-    assert len(kernel) == 2 * first
+    assert len(kernel) == 2 and len(reps1) >= 3
+    assert list(vars(p)) == list(vars(q1)) == ["coeffs"]
     np.testing.assert_array_equal(q1.coeffs, q2.coeffs)
+    assert reps1 == reps2
+
+
+@pytest.mark.parametrize("make", [origin_scalar, origin_matrix])
+@pytest.mark.parametrize("method", METHODS)
+def test_mirror_all_inside_root_at_origin(make, method):
+    p = make()
+    q, reports = mirror_all_inside(p, method=method)
+    assert reports and reports[0].degree_out < reports[0].degree_in
+    assert max(r.new_root_residual for r in reports) <= 1e-12
+    assert spectral_gap(p, q) < 1e-12
+    assert not [r for r in det_roots(q) if r.location == "inside"]
+
+
+def _reference_certificate(p_in, p_out, rep):
+    """``spectral_dev`` from both full 64-point spectra and
+    ``new_root_residual`` from one SVD at ``beta = 1/alpha``, graded by the
+    step's input degree ``d``; at ``alpha = 0`` (``beta`` infinite) it is
+    the coefficient of ``z^d`` in the output."""
+    dev = _spectral_deviation(circle_spectrum(p_out), circle_spectrum(p_in))
+    alpha, d = rep.mirrored_roots[0], rep.degree_in
+    if alpha == 0:
+        top = p_out.degree == d
+        M = p_out.coeffs[d] if top else np.zeros(p_out.coeffs.shape[1:])
+        size = p_out.norm()
+    else:
+        M = p_out(1 / alpha)
+        size = p_out.norm() * max(1.0, abs(1 / alpha)) ** d
+    return dev, np.linalg.svd(M, compute_uv=False)[-1] / size
+
+
+@pytest.mark.parametrize(
+    "case", ["gaussian", "complex_storage", "origin_scalar", "origin_matrix"]
+)
+@pytest.mark.parametrize("method", METHODS)
+def test_chain_certificates_match_per_step_reference(monkeypatch, case, method):
+    if case == "origin_scalar":
+        p = origin_scalar()
+    elif case == "origin_matrix":
+        p = origin_matrix()
+    else:
+        p = PolyMatrix(np.random.default_rng(41).standard_normal((4, 3, 3)))
+        if case == "complex_storage":
+            p = CPolyMatrix(p.coeffs)
+    inputs = _count_calls(monkeypatch, "_step")
+    q, reports = mirror_all_inside(p, method=method)
+    assert len(reports) == len(inputs) >= 1
+    for step_in, step_out, rep in zip(inputs, inputs[1:] + [q], reports):
+        step_in = PolyMatrix(step_in.coeffs.real)
+        dev, residual = _reference_certificate(step_in, step_out, rep)
+        assert abs(rep.spectral_dev - dev) <= 1e-14
+        assert abs(rep.new_root_residual - residual) <= 1e-14
+
+
+def test_chain_certificates_match_reference_far_from_roundoff():
+    # unrelated polynomials and points that are no roots: deviations and
+    # residuals of order one, so the half grid and the graded evaluation
+    # are checked beyond roundoff; 0.4 and 0.3+0.6i take the reversal
+    rng = np.random.default_rng(5)
+    chain = [PolyMatrix(rng.standard_normal((q + 1, 3, 3))) for q in (3, 3, 2, 1)]
+    reports = [
+        MirrorReport([a], "elementary", 0.0, 0.0, np.nan, np.nan, p.degree, q.degree)
+        for a, p, q in zip([0.4, 0.3 + 0.6j, 2.5], chain, chain[1:])
+    ]
+    _certify(chain, reports)
+    for p, q, rep in zip(chain, chain[1:], reports):
+        dev, residual = _reference_certificate(p, q, rep)
+        assert dev > 0.1 and residual > 1e-3
+        np.testing.assert_allclose(
+            [rep.spectral_dev, rep.new_root_residual], [dev, residual], rtol=1e-12
+        )
+
+
+def test_unknown_method_raises_whether_or_not_anything_moves(worked_pair):
+    outside = PolyMatrix(np.stack([np.eye(2), np.diag([-0.5, -0.25])]))
+    for p in (outside, worked_pair):
+        with pytest.raises(ValueError, match="method"):
+            mirror_all_inside(p, method="bogus")
+        with pytest.raises(ValueError, match="method"):
+            mirror_set(p, [], method="bogus")
 
 
 def test_mirror_set_empty_selection(worked_pair):
@@ -262,6 +345,9 @@ def test_mirror_set_rejects_malformed_record(worked_pair):
     )
     with pytest.raises(SelectionNotClosed):
         mirror_set(worked_pair, [bad])
+    # mirror_once is a one-step mirror_set and checks its record the same way
+    with pytest.raises(SelectionNotClosed):
+        mirror_once(worked_pair, bad)
 
 
 def test_mirror_all_inside_noop_when_all_outside():
@@ -354,10 +440,16 @@ def test_mirror_all_inside_circle_root_raises_before_any_step(monkeypatch):
     t = 0.73
     c = np.convolve([-0.5, 1.0], [1.0, -2 * np.cos(t), 1.0])
     p = PolyMatrix(c.reshape(-1, 1, 1))
-    steps = _counting(monkeypatch, "mirror_once")
+    records = det_roots(p)
+    assert [r.location for r in records] == ["inside", "on_circle"]
+    # the inside root comes first, yet no step and no plan starts: every
+    # selected record is checked before the first
+    plans = _counting(monkeypatch, "classify")
     with pytest.raises(OnUnitCircle):
         mirror_all_inside(p)
-    assert steps == []
+    with pytest.raises(OnUnitCircle):
+        mirror_set(p, records)
+    assert plans == []
 
 
 @pytest.mark.parametrize("method", METHODS)
