@@ -18,24 +18,17 @@ input is validated once, by :func:`allpass.roots.check_pair`.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import math
 from typing import Optional
 
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import CholeskyNotPD
-from .polymat import (
-    CPolyMatrix,
-    PolyMatrix,
-    ScalarPoly,
-    _on_circle,
-    constant,
-    eval_poly,
-    mul,
-    to_real,
-)
-from .roots import _positive_qr, check_off_circle, check_pair
+from .errors import CholeskyNotPD, ImaginaryResidueTooLarge, ReciprocalSpectrumMismatch
+from .polymat import CPolyMatrix, PolyMatrix, ScalarPoly, _on_circle, eval_poly
+from .roots import check_off_circle, check_pair
 from .statespace import solve_stein
 
 __all__ = [
@@ -66,9 +59,14 @@ class UnitaryParam:
     phi2: float
 
     def matrix(self) -> np.ndarray:
-        c, s = np.cos(self.phi1), np.sin(self.phi1)
-        e = np.exp(1j * self.phi2)
-        return np.array([[c * e, -s], [s, c * np.conj(e)]])
+        return np.array(_unitary(self.phi1, self.phi2)).reshape(2, 2)
+
+
+def _unitary(phi1: float, phi2: float) -> tuple:
+    """Entries of :meth:`UnitaryParam.matrix`, row-major, as Python scalars."""
+    c, s = math.cos(phi1), math.sin(phi1)
+    e = cmath.exp(1j * phi2)
+    return (c * e, -s, s, c * e.conjugate())
 
 
 @dataclasses.dataclass
@@ -164,6 +162,26 @@ def squared(alpha, tol=DEFAULTS) -> RationalAllPass:
     return RationalAllPass(num=num, den=den, alpha=alpha, method="squared")
 
 
+def _mm(x, y):
+    """Product of two 2x2 matrices held row-major as 4-tuples of scalars."""
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def _lift(coeffs, a):
+    """Coefficients of ``P(z) diag(1 - conj(a) z, z - a)`` from those of
+    ``P(z)`` (4-tuples, ascending): two diagonal column scalings."""
+    b = -a.conjugate()
+    zero = (0.0,) * 4
+    lo = [(x[0], -a * x[1], x[2], -a * x[3]) for x in coeffs] + [zero]
+    hi = [zero] + [(b * x[0], x[1], b * x[2], x[3]) for x in coeffs]
+    return [tuple(u + v for u, v in zip(x, y)) for x, y in zip(lo, hi)]
+
+
 def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     """2x2 factor as a product of elementary steps and constant unitaries.
 
@@ -194,7 +212,9 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     normalizes the product to the identity at ``z = 1``.  Those two
     conditions pin the factor to a real-coefficient representative, so the
     imaginary residue before projection is pure roundoff; it is recorded in
-    ``max_imag_pre``.
+    ``max_imag_pre``.  Everything is 2x2, so it runs on Python scalars:
+    a Givens rotation for the QR and ``diag(B_+-, 1)`` times the
+    denominator, ``diag(1 - conj(a) z, z - a)``, as column scalings.
 
     Raises
     ------
@@ -204,57 +224,49 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
         If the assembled product fails to be real to ``tol.real``.
     """
     alpha, w = check_pair(alpha, w, tol)
-    Q1, R = _positive_qr(np.column_stack([w.real, w.imag]))
-    R = R / float(np.linalg.norm(w))
-    a, b, c = R[0, 0], R[0, 1], R[1, 1]
+    w0, w1 = w.tolist()
+    x0, y0, x1, y1 = w0.real, w0.imag, w1.real, w1.imag
+    # Givens QR of [[x0, y0], [x1, y1]]; check_pair rejects Re w = 0, and
+    # the sign flip keeps R11 positive
+    r00 = math.hypot(x0, x1)
+    cq, sq = x0 / r00, x1 / r00
+    r11 = cq * y1 - sq * y0
+    sgn = 1.0 if r11 >= 0.0 else -1.0
+    Q1 = (cq, -sq * sgn, sq, cq * sgn)
+    nw = math.hypot(x0, y0, x1, y1)
+    a, b, c = r00 / nw, (cq * y0 + sq * y1) / nw, sgn * r11 / nw
 
-    ap, am = alpha, np.conj(alpha)
+    ap, am = alpha, alpha.conjugate()
+    V_beta = _unitary(math.atan2(c, math.hypot(a, b)), math.atan2(-a, b))
 
-    beta = UnitaryParam(
-        phi1=float(np.arctan2(c, np.hypot(a, b))),
-        phi2=float(np.arctan2(-a, b)),
-    )
-    V_beta = beta.matrix()
+    # spanning condition at conj(alpha): V_gamma's first column is g / |g|
+    # times the phase that makes its second entry real nonnegative, so its
+    # angles are those of |g1| / |g0| and of g0 conj(g1)
+    t0, t1 = complex(a, -b), complex(0.0, -c)
+    g0 = (V_beta[0].conjugate() * t0 + V_beta[2].conjugate() * t1) / (1.0 - am * am)
+    g1 = (V_beta[1].conjugate() * t0 + V_beta[3].conjugate() * t1) / (am - ap)
+    V_gamma = _unitary(math.atan2(abs(g1), abs(g0)), cmath.phase(g0 * g1.conjugate()))
 
-    # spanning condition at conj(alpha): first column of V_gamma
-    g = V_beta.conj().T @ np.array([a - 1j * b, -1j * c])
-    g = np.array([g[0] / (1.0 - am * am), g[1] / (am - ap)])
-    g = g / np.linalg.norm(g)
-    g = g * np.conj(g[1] / abs(g[1]))
-    gamma = UnitaryParam(
-        phi1=float(np.arctan2(g[1].real, abs(g[0]))),
-        phi2=float(np.angle(g[0])) if abs(g[0]) > 0 else 0.0,
-    )
-    V_gamma = gamma.matrix()
+    # V_delta = W1^H for W1 = V_beta diag(B_+(1), 1) V_gamma diag(B_-(1), 1)
+    ep, em = (1.0 - am) / (1.0 - ap), (1.0 - ap) / (1.0 - am)
+    u = _mm((V_beta[0] * ep, V_beta[1], V_beta[2] * ep, V_beta[3]), V_gamma)
+    V_delta = tuple(x.conjugate() for x in (u[0] * em, u[2] * em, u[1], u[3]))
 
-    def elem_at_one(al):
-        return (1.0 - np.conj(al)) / (1.0 - al)
-
-    W1 = (
-        V_beta
-        @ np.diag([elem_at_one(ap), 1.0])
-        @ V_gamma
-        @ np.diag([elem_at_one(am), 1.0])
-    )
-    V_delta = W1.conj().T
-
-    def lift(al):
-        # diag(B(z; al), 1) times the denominator: diag(1 - conj(al) z, z - al)
-        return CPolyMatrix(
-            np.array([[[1.0, 0.0], [0.0, -al]], [[-np.conj(al), 0.0], [0.0, 1.0]]])
+    prod = _lift([_mm(x, V_gamma) for x in _lift([V_beta], ap)], am)
+    prod = [_mm(x, V_delta) for x in prod]
+    max_imag = max(abs(x.imag) for m in prod for x in m)
+    if max_imag > tol.real:
+        raise ImaginaryResidueTooLarge(
+            max_imag, tol.real, "projecting coefficients to real"
         )
-
-    prod = mul(constant(V_beta), lift(ap))
-    prod = mul(prod, constant(V_gamma))
-    prod = mul(prod, lift(am))
-    prod = mul(prod, constant(V_delta))
+    num = [_mm(Q1, [x.real for x in m]) for m in prod]
     return RationalAllPass(
-        num=PolyMatrix(Q1 @ to_real(prod, tol.real).coeffs),
+        num=PolyMatrix(np.array(num).reshape(3, 2, 2)),
         den=_pair_denominator(alpha),
         alpha=alpha,
         method="consecutive",
         w=w.copy(),
-        max_imag_pre=prod.max_imag(),
+        max_imag_pre=max_imag,
     )
 
 
@@ -292,6 +304,9 @@ def allpass_from_A(A: np.ndarray, direction: str, tol=DEFAULTS):
     ------
     CholeskyNotPD
         If the computed ``T'T`` is not positive definite.
+    ReciprocalSpectrumMismatch
+        If the eigenvalues of ``B`` miss the reciprocals of A's by more than
+        ``1e-8 max(1, max |1/lambda|)``.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.shape != (2, 2):
@@ -301,11 +316,12 @@ def allpass_from_A(A: np.ndarray, direction: str, tol=DEFAULTS):
             f"direction must be 'eigs_inside' or 'eigs_outside', got {direction!r}"
         )
     inside = direction == "eigs_inside"
-    moduli = np.abs(np.linalg.eigvals(A))
-    if not np.all(
+    eigs = np.linalg.eigvals(A)
+    moduli = np.abs(eigs)
+    if not (
         moduli * (1.0 + tol.circle) < 1.0 if inside
         else moduli * (1.0 - tol.circle) > 1.0
-    ):
+    ).all():
         raise ValueError(f"direction {direction} but |eigs| = {sorted(moduli)}")
     if inside:
         Gamma0 = solve_stein(A, np.eye(2))
@@ -326,12 +342,11 @@ def allpass_from_A(A: np.ndarray, direction: str, tol=DEFAULTS):
 
     # B is similar to A^-1, so its spectrum must be the reciprocals of A's
     eb = np.sort_complex(np.linalg.eigvals(B))
-    ea = np.sort_complex(1.0 / np.linalg.eigvals(A))
-    if np.max(np.abs(eb - ea)) > 1e-8 * max(1.0, float(np.max(np.abs(ea)))):
-        raise ArithmeticError(
-            f"eigenvalues of B {eb} are not the reciprocals of A's {ea}; "
-            "the Stein solve is unreliable here"
-        )
+    ea = np.sort_complex(1.0 / eigs)
+    deviation = float(abs(eb - ea).max())
+    bound = 1e-8 * max(1.0, float(abs(ea).max()))
+    if deviation > bound:
+        raise ReciprocalSpectrumMismatch(deviation, bound)
     return B, T, Gamma0
 
 
@@ -357,7 +372,7 @@ def b2_polynomial(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     Tinv = np.linalg.inv(T)
     At = A - np.trace(A) * np.eye(2)
     scale = abs(alpha) ** 2
-    coeffs = scale * np.stack([Tinv, (At - B) @ Tinv, -At @ B @ Tinv])
+    coeffs = scale * np.array([Tinv, (At - B) @ Tinv, -At @ B @ Tinv])
     return RationalAllPass(
         num=PolyMatrix(coeffs),
         den=_pair_denominator(alpha),

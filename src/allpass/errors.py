@@ -70,6 +70,33 @@ class ResonantEigenvalues(AllPassError):
     """The Stein equation X = A'XA + Q is singular: some lambda_i*lambda_j = 1."""
 
 
+class SingularSteinSolution(AllPassError):
+    """The Stein solution X of the state-space construction is numerically
+    singular.  Carries its condition number in ``cond`` and the bound it
+    exceeded in ``tol``."""
+
+    def __init__(self, cond, tol):
+        self.cond, self.tol = float(cond), float(tol)
+        super().__init__(
+            f"Stein solution X is numerically singular (cond = {self.cond:.3e} "
+            f"> {self.tol:.1e})"
+        )
+
+
+class ReciprocalSpectrumMismatch(AllPassError):
+    """The polynomial construction's B is not similar to A^-1: the largest
+    distance between B's eigenvalues and the reciprocals of A's is
+    ``deviation``, over the bound ``tol``, so the Stein solve is unreliable."""
+
+    def __init__(self, deviation, tol):
+        self.deviation, self.tol = float(deviation), float(tol)
+        super().__init__(
+            "eigenvalues of B miss the reciprocals of A's by "
+            f"{self.deviation:.3e} > {self.tol:.3e}; the Stein solve is "
+            "unreliable here"
+        )
+
+
 class CholeskyNotPD(AllPassError):
     """A Gram matrix that must be positive definite failed its Cholesky."""
 

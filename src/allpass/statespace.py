@@ -10,11 +10,12 @@ products, the adjoint ``k*(1/z)``, state coordinate changes, and the Stein
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import GramNotPD, ResonantEigenvalues
+from .errors import GramNotPD, ResonantEigenvalues, SingularSteinSolution
 from .polymat import PolyMatrix
 from .roots import check_pair
 
@@ -152,8 +153,8 @@ def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     m = A.shape[0]
     if A.shape != (m, m) or Q.shape != (m, m):
         raise ValueError(f"need square A and Q of equal size, got {A.shape}, {Q.shape}")
-    sym_err = float(np.max(np.abs(Q - Q.T))) if m else 0.0
-    if sym_err > 1e-8 * max(1.0, float(np.max(np.abs(Q))) if m else 1.0):
+    sym_err = float(abs(Q - Q.T).max()) if m else 0.0
+    if sym_err > 1e-8 * max(1.0, float(abs(Q).max()) if m else 1.0):
         raise ValueError(f"Q is not symmetric (deviation {sym_err:.3e})")
     if m == 0:
         return np.zeros((0, 0))
@@ -161,15 +162,18 @@ def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
     lam = np.linalg.eigvals(A)
     prods = lam[:, None] * lam[None, :]
-    bad = np.abs(prods - 1.0) < 1e-10
-    if np.any(bad):
+    bad = abs(prods - 1.0) < 1e-10
+    if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ResonantEigenvalues(
             f"eigenvalue product lambda_{i} * lambda_{j} = {prods[i, j]:.12g} "
             "is within 1e-10 of 1; the Stein equation is singular"
         )
 
-    K = np.eye(m * m) - np.kron(A.T, A.T)
+    # kron(A', A') by broadcasting: entry (i m + k, j m + l) is A_ji A_lk
+    At = A.T
+    kron = (At[:, None, :, None] * At[None, :, None, :]).reshape(m * m, m * m)
+    K = np.eye(m * m) - kron
     try:
         X = np.linalg.solve(K, Q.reshape(-1)).reshape(m, m)
     except np.linalg.LinAlgError as err:
@@ -185,25 +189,29 @@ def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def structural_blocks(ss: StateSpace, X: np.ndarray) -> dict:
     """Certification residuals for an all-pass candidate.
 
-    Forms ``k*(1/z) k(z)`` as one realization, applies the state transform
-    ``M = [[I, X], [0, I]]`` and reads off the blocks that must vanish when
-    ``X`` solves the Stein equation tying the realization together:
-    the (1,2) and (2,1) state coupling blocks, the transformed input/output
-    blocks, and the feedthrough deviation ``D'D + ... - I``.
+    Takes the realization ``ss_product(ss_star(ss), ss)`` of
+    ``k*(1/z) k(z)`` in the state coordinates ``M = [[I, X], [0, I]]`` and
+    reads off the blocks that must vanish when ``X`` solves the Stein
+    equation tying the realization together: the (1,2) state coupling block,
+    the transformed input/output blocks, and the feedthrough deviation
+    ``D'D + ... - I``.  The blocks are computed from their closed formulas,
+    without forming the product realization.
 
     Returns a dict of Frobenius norms: ``coupling_12``, ``input_13``,
     ``output_32`` and ``feedthrough_33`` (deviation from identity).
     """
-    m = ss.n_states
-    comp = ss_product(ss_star(ss), ss)
-    M = np.eye(2 * m)
-    M[:m, m:] = X
-    t = state_transform(comp, M)
+    # the blocks of M (star(ss) ss) M^-1, written out: star(ss) is
+    # (As, As C', -B' As, D' - B' As C') with As = A'^-1
+    A, B, C, D = ss.A, ss.B, ss.C, ss.D
+    As = np.linalg.inv(A.T)
+    Bs = As @ C.T
+    Cs = -B.T @ As
+    Ds = D.T - B.T @ Bs
     return {
-        "coupling_12": float(np.linalg.norm(t.A[:m, m:])),
-        "input_13": float(np.linalg.norm(t.B[:m, :])),
-        "output_32": float(np.linalg.norm(t.C[:, m:])),
-        "feedthrough_33": float(np.linalg.norm(t.D - np.eye(ss.D.shape[0]))),
+        "coupling_12": float(np.linalg.norm(Bs @ C + X @ A - As @ X)),
+        "input_13": float(np.linalg.norm(Bs @ D + X @ B)),
+        "output_32": float(np.linalg.norm(Ds @ C - Cs @ X)),
+        "feedthrough_33": float(np.linalg.norm(Ds @ D - np.eye(D.shape[1]))),
     }
 
 
@@ -235,7 +243,7 @@ def build_b2(alpha, w, tol=DEFAULTS):
         If the Gram matrix fails its Cholesky, or the feedthrough built from
         it fails the structural certification (worst block residual above
         1e-6, carried in the message).
-    numpy.linalg.LinAlgError
+    SingularSteinSolution
         If the Stein solution is numerically singular (condition > 1e12).
     """
     # circular at import time only
@@ -246,11 +254,11 @@ def build_b2(alpha, w, tol=DEFAULTS):
     A = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
     C = np.column_stack([w.imag, -w.real]) / np.linalg.norm(w)
     X = solve_stein(A, C.T @ C)
-    condX = float(np.linalg.cond(X))
+    # the 2-norm condition number, from the SVD np.linalg.cond would take
+    sv = np.linalg.svd(X, compute_uv=False)
+    condX = float(sv[0]) / float(sv[1]) if sv[1] > 0.0 else math.inf
     if not np.isfinite(condX) or condX > 1e12:
-        raise np.linalg.LinAlgError(
-            f"Stein solution X is numerically singular (cond = {condX:.3e})"
-        )
+        raise SingularSteinSolution(condX, 1e12)
     Ainv = np.linalg.inv(A)
     Xinv = np.linalg.inv(X)
     G = np.eye(2) + C @ Ainv @ Xinv @ Ainv.T @ C.T
@@ -281,7 +289,7 @@ def build_b2(alpha, w, tol=DEFAULTS):
     c1 = ss.C @ ss.B - tr * ss.D
     c2 = ss.C @ (A - tr * np.eye(2)) @ ss.B + det * ss.D
     rat = RationalAllPass(
-        num=PolyMatrix(scale * np.stack([c0, c1, c2])),
+        num=PolyMatrix(scale * np.array([c0, c1, c2])),
         den=_pair_denominator(alpha),
         alpha=alpha,
         method="statespace",

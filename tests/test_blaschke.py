@@ -23,7 +23,12 @@ from allpass import (
     squared,
     verify_allpass,
 )
-from allpass.errors import DegenerateW, OnUnitCircle
+from allpass.errors import (
+    AllPassError,
+    DegenerateW,
+    OnUnitCircle,
+    ReciprocalSpectrumMismatch,
+)
 from conftest import rand_alpha, rand_w
 
 PAIR_CONSTRUCTIONS = {
@@ -424,6 +429,14 @@ def test_degenerate_w_carries_ratio():
     assert exc.value.tol == 1e-3
 
 
+def kernel_direction(ratio, t1, t2):
+    """``w`` whose ``[Re w, Im w]`` is ``rot(t1) diag(1, ratio) rot(t2)``."""
+    rot1 = np.array([[np.cos(t1), -np.sin(t1)], [np.sin(t1), np.cos(t1)]])
+    rot2 = np.array([[np.cos(t2), -np.sin(t2)], [np.sin(t2), np.cos(t2)]])
+    W = rot1 @ np.diag([1.0, ratio]) @ rot2
+    return W[:, 0] + 1j * W[:, 1]
+
+
 @pytest.mark.parametrize("ratio", [1e-7, 3e-8])
 def test_consecutive_builds_where_classify_calls_generic(ratio):
     # classify calls a pair generic above DEFAULTS.degenerate = 1e-8; the
@@ -431,11 +444,8 @@ def test_consecutive_builds_where_classify_calls_generic(ratio):
     rng = np.random.default_rng(97)
     for k in range(10):
         side = "inside" if k % 2 else "outside"
-        t1, t2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        rot1 = np.array([[np.cos(t1), -np.sin(t1)], [np.sin(t1), np.cos(t1)]])
-        rot2 = np.array([[np.cos(t2), -np.sin(t2)], [np.sin(t2), np.cos(t2)]])
-        W = rot1 @ np.diag([1.0, ratio]) @ rot2
-        w = (W[:, 0] + 1j * W[:, 1]) / np.linalg.norm(W)
+        w = kernel_direction(ratio, *rng.uniform(0.0, 2.0 * np.pi, size=2))
+        w /= np.linalg.norm(w)
         V = b2_consecutive(rand_alpha(rng, side), w)
         assert verify_allpass(V).max_residual <= 1e-12
 
@@ -446,3 +456,123 @@ def test_verify_allpass_ok_honours_tol():
     assert worst > 0.0
     assert verify_allpass(V, tol=worst).ok
     assert not verify_allpass(V, tol=0.5 * worst).ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_r=st.floats(-3.0, 3.0).filter(lambda x: abs(x) >= 0.01),
+    theta=st.floats(0.01, np.pi - 0.01),
+    log_ratio=st.floats(-7.99, 0.0),
+    t1=st.floats(0.0, 2.0 * np.pi),
+    t2=st.floats(0.0, 2.0 * np.pi),
+)
+def test_consecutive_property(log_r, theta, log_ratio, t1, t2):
+    # |alpha| in [1e-3, 1e3] outside a band around the circle, sigma2/sigma1
+    # of [Re w, Im w] in [1e-8, 1]
+    alpha = complex(10.0**log_r * np.exp(1j * theta))
+    w = kernel_direction(10.0**log_ratio, t1, t2)
+    V = b2_consecutive(alpha, w)
+    assert verify_allpass(V, 64).max_residual <= DEFAULTS.allpass
+    assert V.num.coeffs.dtype == np.float64
+    assert V.max_imag_pre <= DEFAULTS.real
+    # both columns of num(alpha) along w: the component off w, relative
+    N = V.num(alpha)
+    off = np.abs(w[0] * N[1] - w[1] * N[0]) / np.linalg.norm(w)
+    assert np.max(off) <= 1e-8 * np.linalg.norm(N)
+    np.testing.assert_array_equal(
+        V.den.coeffs, [abs(alpha) ** 2, -2.0 * alpha.real, 1.0]
+    )
+
+
+# (method, alpha, w, numerator coefficients): one pair inside the circle,
+# one outside, one at sigma2/sigma1 = 1e-4, drawn from seeded generators.
+# The coefficients were recorded with numpy 2.4.6 (OpenBLAS, x86-64); the
+# literals hold the routes to their arithmetic, so a LAPACK build that rounds
+# differently needs them recorded again from an unchanged checkout.
+PINNED_ROUTES = [
+    (
+        "polynomial",  # inside, seed 1
+        (-0.020860437750470483+0.5996372587963983j),
+        [(-0.010536891010107612+0.6806023827199662j), (-0.726772415526818-0.5084006555789041j)],
+        [
+            [[0.5016622424845961, -0.27944237281897377], [0.0, 0.7176143020391937]],
+            [[-0.07495444601382933, -0.5300935113003691], [0.5300935113003686, -0.0749544460138294]],
+            [[0.7176143020391944, -4.791507610995001e-16], [0.2794423728189734, 0.5016622424845957]],
+        ],
+    ),
+    (
+        "polynomial",  # outside, seed 2
+        (1.6129139797609617+1.910106932580387j),
+        [(0.4473284802720984-0.2877032376898761j), (0.751342635160165+0.6345142412513667j)],
+        [
+            [[3.7729466475212496, 0.11496233669081922], [0.0, 1.656530182876062]],
+            [[-4.38732544293763, 3.7719234471959866], [-3.7719234471959866, -4.38732544293763]],
+            [[1.6565301828760617, 2.846965989713688e-16], [-0.11496233669081926, 3.7729466475212496]],
+        ],
+    ),
+    (
+        "polynomial",  # ratio, seed 3
+        (2.8161120410750398+1.0341726026694835j),
+        [(0.6646549659239303+0.7149822232675986j), (0.14758551515904844+0.1589110518473109j)],
+        [
+            [[1.02411839031725, -1.9291311858919886], [0.0, 8.788069109932495]],
+            [[-5.52541260174638, 1.0917173733241479], [-1.0916757562692727, -5.525427966782494]],
+            [[8.788043166016017, -7.903444588720621e-06], [1.929065258298401, 1.0241196787633797]],
+        ],
+    ),
+    (
+        "statespace",  # inside, seed 1
+        (-0.020860437750470483+0.5996372587963983j),
+        [(-0.010536891010107612+0.6806023827199662j), (-0.726772415526818-0.5084006555789041j)],
+        [
+            [[0.501662242484596, -0.27944237281897366], [0.0, 0.7176143020391937]],
+            [[-0.07495444601382933, -0.530093511300369], [0.530093511300369, -0.07495444601382939]],
+            [[0.7176143020391933, 1.5987211554602254e-16], [0.2794423728189736, 0.5016622424845952]],
+        ],
+    ),
+    (
+        "statespace",  # outside, seed 2
+        (1.6129139797609617+1.910106932580387j),
+        [(0.4473284802720984-0.2877032376898761j), (0.751342635160165+0.6345142412513667j)],
+        [
+            [[3.7729466475212496, 0.11496233669081944], [0.0, 1.6565301828760624]],
+            [[-4.387325442937632, 3.7719234471959866], [-3.7719234471959866, -4.387325442937633]],
+            [[1.6565301828760624, 1.8431436932253575e-16], [-0.11496233669081944, 3.772946647521251]],
+        ],
+    ),
+    (
+        "statespace",  # ratio, seed 3
+        (2.8161120410750398+1.0341726026694835j),
+        [(0.6646549659239303+0.7149822232675986j), (0.14758551515904844+0.1589110518473109j)],
+        [
+            [[1.0241178501689685, -1.929067036146179], [0.0, 8.788051100286062]],
+            [[-5.525416798727668, 1.0916767697766294], [-1.0916767697766234, -5.52541679872766]],
+            [[8.788051100286065, -6.494804694057166e-15], [1.9290670361461792, 1.0241178501689674]],
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "method, alpha, w, coeffs", PINNED_ROUTES,
+    ids=[f"{m}-{k}" for m in ("polynomial", "statespace")
+         for k in ("inside", "outside", "ratio")],
+)
+def test_routes_pinned_bit_for_bit(method, alpha, w, coeffs):
+    V = PAIR_CONSTRUCTIONS[method](alpha, np.array(w))
+    np.testing.assert_array_equal(V.num.coeffs, np.array(coeffs))
+
+
+def test_polynomial_reciprocal_check_is_typed():
+    # at sigma2/sigma1 near 1e-5 the Stein solve loses B's spectrum by more
+    # than the 1e-8 bound; the refusal carries both
+    alpha = 0.5655611953367762 + 0.20035102777185076j
+    w = [
+        0.03480844806410672 + 0.28485272861234023j,
+        -0.11622856730779756 - 0.950861827547541j,
+    ]
+    with pytest.raises(ReciprocalSpectrumMismatch) as exc:
+        b2_polynomial(alpha, w)
+    assert isinstance(exc.value, AllPassError)
+    assert exc.value.tol == pytest.approx(1e-8 * max(1.0, abs(alpha)))
+    assert exc.value.deviation > exc.value.tol

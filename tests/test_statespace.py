@@ -14,7 +14,14 @@ from allpass import (
     structural_blocks,
     verify_allpass,
 )
-from allpass.errors import DegenerateW, GramNotPD, OnUnitCircle, ResonantEigenvalues
+from allpass.errors import (
+    AllPassError,
+    DegenerateW,
+    GramNotPD,
+    OnUnitCircle,
+    ResonantEigenvalues,
+    SingularSteinSolution,
+)
 from conftest import rand_alpha, rand_w
 
 
@@ -260,6 +267,50 @@ def test_build_b2_small_alpha_failures_are_typed(seed, reason):
     w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     with pytest.raises(GramNotPD, match=reason):
         build_b2(alpha, w)
+
+
+def test_build_b2_singular_stein_solution_is_typed():
+    # near the real axis with |alpha| > 1, X is close to C'C, whose
+    # condition number is (sigma1/sigma2)^2 = 1e14 for this w
+    with pytest.raises(SingularSteinSolution) as exc:
+        build_b2(3.0 + 1e-6j, np.array([1.0, 1e-7j]))
+    assert isinstance(exc.value, AllPassError)
+    assert exc.value.tol == 1e12
+    assert exc.value.cond > exc.value.tol
+
+
+def composed_blocks(ss, X):
+    """The blocks of ``structural_blocks`` read off the composed realization
+    ``state_transform(ss_product(ss_star(ss), ss), [[I, X], [0, I]])``."""
+    m = ss.n_states
+    M = np.eye(2 * m)
+    M[:m, m:] = X
+    t = state_transform(ss_product(ss_star(ss), ss), M)
+    return {
+        "coupling_12": np.linalg.norm(t.A[:m, m:]),
+        "input_13": np.linalg.norm(t.B[:m, :]),
+        "output_32": np.linalg.norm(t.C[:, m:]),
+        "feedthrough_33": np.linalg.norm(t.D - np.eye(ss.D.shape[1])),
+    }
+
+
+def test_structural_blocks_match_composed_realization():
+    rng = np.random.default_rng(31)
+    cases = []
+    for k in range(10):
+        side = "inside" if k % 2 else "outside"
+        ss, _ = build_b2(rand_alpha(rng, side), rand_w(rng))
+        cases.append((ss, solve_stein(ss.A, ss.C.T @ ss.C)))
+    for n, p, m in [(2, 2, 2), (3, 2, 2), (4, 3, 2), (3, 1, 3)]:
+        ss = random_ss(rng, n, p, m)
+        ss.A = 0.9 * ss.A / np.max(np.abs(np.linalg.eigvals(ss.A)))
+        X = rng.standard_normal((n, n))
+        cases.append((ss, X + X.T))
+    # the certified blocks are roundoff (1e-16 .. 1e-13), the random ones O(1)
+    for ss, X in cases:
+        got, ref = structural_blocks(ss, X), composed_blocks(ss, X)
+        for key in ref:
+            np.testing.assert_allclose(got[key], ref[key], rtol=1e-12, atol=1e-13)
 
 
 def test_structural_blocks_vanish_after_transform():
