@@ -194,7 +194,9 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
         spanned by it.
     tol : Tolerances
         ``circle`` and ``degenerate`` for :func:`~allpass.roots.check_pair`,
-        ``real`` for the projection to real coefficients.
+        ``real`` for the projection to real coefficients: the imaginary
+        residue may be at most ``tol.real`` times the largest modulus among
+        the numerator's coefficients, or ``tol.real`` when none exceeds one.
 
     Notes
     -----
@@ -221,7 +223,8 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     ValueError, OnUnitCircle, DegenerateW
         From :func:`~allpass.roots.check_pair`.
     ImaginaryResidueTooLarge
-        If the assembled product fails to be real to ``tol.real``.
+        If the assembled product fails to be real to that bound, which it
+        carries in ``tol``.
     """
     alpha, w = check_pair(alpha, w, tol)
     w0, w1 = w.tolist()
@@ -254,12 +257,15 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
 
     prod = _lift([_mm(x, V_gamma) for x in _lift([V_beta], ap)], am)
     prod = [_mm(x, V_delta) for x in prod]
-    max_imag = max(abs(x.imag) for m in prod for x in m)
-    if max_imag > tol.real:
-        raise ImaginaryResidueTooLarge(
-            max_imag, tol.real, "projecting coefficients to real"
-        )
     num = [_mm(Q1, [x.real for x in m]) for m in prod]
+    # the coefficients grow like |alpha|^2, so the residue is judged
+    # relative to the largest of the factor's (absolute up to size one)
+    max_imag = max(abs(x.imag) for m in prod for x in m)
+    bound = tol.real * max(1.0, max(abs(x) for m in num for x in m))
+    if max_imag > bound:
+        raise ImaginaryResidueTooLarge(
+            max_imag, bound, "projecting coefficients to real"
+        )
     return RationalAllPass(
         num=PolyMatrix(np.array(num).reshape(3, 2, 2)),
         den=_pair_denominator(alpha),

@@ -162,8 +162,9 @@ def cmd_mirror(args: argparse.Namespace) -> int:
         stem, _ = os.path.splitext(args.out)
         _emit(payload["reports"], stem + ".report.json")
 
-    # the relocated root must be a root of the output by the same normalized
-    # sigma_min test classify accepts roots with
+    # max_imag is relative to the factor's coefficients, as b2_consecutive
+    # judges it; the relocated root must be a root of the output by the same
+    # normalized sigma_min test classify accepts roots with
     breach = any(
         r.residual_deconv > tol
         or r.max_imag > tol

@@ -42,11 +42,28 @@ class SingularPolynomialMatrix(AllPassError):
 
 
 class NotARoot(AllPassError):
-    """The supplied alpha is not a determinantal root of the matrix."""
+    """The supplied alpha is not a determinantal root of the matrix.
+
+    Carries ``sigma_min(p(alpha))`` in ``sigma`` and the root-test bound it
+    exceeded in ``bound`` (both ``None`` when raised with a message only).
+    """
+
+    def __init__(self, message, sigma=None, bound=None):
+        super().__init__(message)
+        self.sigma, self.bound = sigma, bound
 
 
 class OnUnitCircle(AllPassError):
-    """A root sits on the unit circle, where mirroring is undefined."""
+    """A root sits on the unit circle, where mirroring is undefined.
+
+    Carries the root's modulus in ``modulus`` and the half-width of the
+    circle band it fell in, ``tol.circle``, in ``band`` (both ``None`` when
+    raised with a message only).
+    """
+
+    def __init__(self, message, modulus=None, band=None):
+        super().__init__(message)
+        self.modulus, self.band = modulus, band
 
 
 class DegenerateW(AllPassError):
@@ -111,4 +128,12 @@ class SelectionNotClosed(AllPassError):
 
 
 class DeconvolutionResidueTooLarge(AllPassError):
-    """Polynomial division left a remainder too large to be numerical noise."""
+    """Polynomial division left a remainder too large to be numerical noise.
+
+    Carries the relative remainder in ``residual`` and the bound it exceeded
+    in ``bound`` (both ``None`` when raised with a message only).
+    """
+
+    def __init__(self, message, residual=None, bound=None):
+        super().__init__(message)
+        self.residual, self.bound = residual, bound

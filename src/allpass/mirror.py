@@ -20,7 +20,8 @@ import numpy as np
 from .blaschke import b2_consecutive, b2_polynomial, elementary, squared
 from .config import DEFAULTS
 from .errors import DeconvolutionResidueTooLarge, OnUnitCircle, SelectionNotClosed
-from .polymat import PolyMatrix, _conv_coeffs, _divide_coeffs, _on_circle, trim
+from .polymat import PolyMatrix, _conv_coeffs, _divide_coeffs, _on_circle
+from .polymat import _trimmed_length
 
 # not called here, but the benchmark's tracer (perfbench/tracer.py) looks up
 # ``allpass.mirror.spectral_eval``, so the name must stay
@@ -48,6 +49,11 @@ __all__ = [
 
 METHODS = ("consecutive", "polynomial", "statespace")
 
+_TINY = np.finfo(float).tiny
+
+# relative division remainder above which a step's root and factor disagree
+_DECONV_BOUND = 1e-6
+
 
 @dataclasses.dataclass
 class MirrorReport:
@@ -66,7 +72,9 @@ class MirrorReport:
         amplifies rounding by ``|alpha|``.
     max_imag
         Imaginary residue of the factor's numerator before projection to
-        real coefficients (zero for the real-arithmetic constructions).
+        real coefficients, over ``max(1, largest |coefficient|)`` of the
+        numerator: the number :func:`~allpass.blaschke.b2_consecutive`
+        bounds by ``tol.real`` (zero for the real-arithmetic constructions).
     spectral_dev
         Largest deviation of the boundary product from that of the step's
         input, normalized by the largest boundary product magnitude of the
@@ -94,7 +102,7 @@ def _spectral_deviation(s_new, s_old):
     """Relative deviation of boundary spectra, point axis first, batch axes kept."""
     dev = np.max(np.linalg.norm(s_new - s_old, axis=(-2, -1)), axis=0)
     scale = np.max(np.linalg.norm(s_old, axis=(-2, -1)), axis=0)
-    return dev / np.maximum(scale, np.finfo(float).tiny)
+    return dev / np.maximum(scale, _TINY)
 
 
 def _certify(chain, reports) -> None:
@@ -112,19 +120,23 @@ def _certify(chain, reports) -> None:
 
     # each output as a polynomial of degree d = degree_in: at beta = 1/alpha
     # if |beta| <= 1, else its reversal z^d p_tilde(1/z) at alpha
-    points = np.empty(len(reports), complex)
-    graded = np.zeros((len(reports), m) + stack.shape[2:])
+    points = []
+    graded = np.zeros((len(reports), m, stack[0, 0].size))
     for i, rep in enumerate(reports):
         alpha, d = rep.mirrored_roots[0], rep.degree_in
+        out = stack[: d + 1, i + 1].reshape(d + 1, -1)
         if abs(alpha) < 1.0:
-            points[i], graded[i, : d + 1] = alpha, stack[d::-1, i + 1]
+            points.append(alpha)
+            graded[i, : d + 1] = out[::-1]
         else:
-            points[i], graded[i, : d + 1] = 1.0 / alpha, stack[: d + 1, i + 1]
-    values = np.einsum("ij,ij...->i...", points[:, None] ** np.arange(m), graded)
-    sigma = np.linalg.svd(values, compute_uv=False)[:, -1]
-    for rep, p_new, dev, sig in zip(reports, chain[1:], devs, sigma):
-        rep.spectral_dev = float(dev)
-        rep.new_root_residual = float(sig) / max(p_new.norm(), np.finfo(float).tiny)
+            points.append(1.0 / alpha)
+            graded[i, : d + 1] = out
+    powers = np.array(points)[:, None, None] ** np.arange(m)
+    values = (powers @ graded).reshape((len(reports),) + stack.shape[2:])
+    sigma = np.linalg.svd(values, compute_uv=False)[:, -1].tolist()
+    for rep, p_new, dev, sig in zip(reports, chain[1:], devs.tolist(), sigma):
+        rep.spectral_dev = dev
+        rep.new_root_residual = sig / max(p_new.norm(), _TINY)
 
 
 def _step(p: PolyMatrix, record: RootRecord, method: str, tol):
@@ -152,23 +164,25 @@ def _step(p: PolyMatrix, record: RootRecord, method: str, tol):
     pq = np.matmul(p.coeffs.real, plan.Q)
     raw = _conv_coeffs(pq[:, :, :k], V.num.coeffs)
     quot, resid_abs = _divide_coeffs(raw, V.den.coeffs)
-    resid = resid_abs / max(1.0, float(np.max(np.abs(raw))))
-    if resid > 1e-6:
+    resid = resid_abs / max(1.0, float(abs(raw).max()))
+    if resid > _DECONV_BOUND:
         raise DeconvolutionResidueTooLarge(
             f"dividing out the factor denominator left relative remainder "
-            f"{resid:.3e}; the selected root does not match the factor"
+            f"{resid:.3e}; the selected root does not match the factor",
+            resid,
+            _DECONV_BOUND,
         )
 
     # the factor for alpha = 0 is 1/z, with a constant numerator: its
     # quotient is one coefficient short of the input, so pad it with zeros
     pq[:, :, :k] = 0.0
     pq[: quot.shape[0], :, :k] = quot
-    p_new = trim(PolyMatrix(pq))
+    p_new = PolyMatrix(pq[: _trimmed_length(pq, DEFAULTS.trim)])
     return p_new, MirrorReport(
         mirrored_roots=[complex(x) for x in mirrored],
         method=V.method,
         residual_deconv=resid,
-        max_imag=V.max_imag_pre,
+        max_imag=V.max_imag_pre / max(1.0, float(abs(V.num.coeffs).max())),
         spectral_dev=np.nan,
         new_root_residual=np.nan,
         degree_in=p.degree,
@@ -216,7 +230,7 @@ def mirror_once(
     return p_new, report
 
 
-def _validate_selection(selection, method):
+def _validate_selection(selection, method, tol):
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     for rec in selection:
@@ -235,7 +249,9 @@ def _validate_selection(selection, method):
             )
         if rec.location == LOCATION_ON_CIRCLE:
             raise OnUnitCircle(
-                f"root {rec.alpha} lies on the unit circle; mirroring cannot move it"
+                f"root {rec.alpha} lies on the unit circle; mirroring cannot move it",
+                abs(rec.alpha),
+                tol.circle,
             )
 
 
@@ -256,7 +272,7 @@ def mirror_set(
 
     Returns the final polynomial and the reports of every step.
     """
-    _validate_selection(selection, method)
+    _validate_selection(selection, method, tol)
     ordered = sorted(
         selection, key=lambda r: (abs(r.alpha), r.alpha.real, r.alpha.imag)
     )

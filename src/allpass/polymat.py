@@ -214,16 +214,17 @@ def mul_scalar(p, s: ScalarPoly):
     return _wrap_matrix(_conv_coeffs(p.coeffs, scaled_eye))
 
 
+def _trimmed_length(coeffs: np.ndarray, rtol: float) -> int:
+    """Number of leading coefficients :func:`trim` keeps: up to the last
+    whose magnitude exceeds ``rtol`` times the largest, at least one."""
+    mags = abs(coeffs.reshape(coeffs.shape[0], -1)).max(axis=1).tolist()
+    floor = rtol * max(mags)
+    return 1 + max((k for k, m in enumerate(mags) if m > floor), default=0)
+
+
 def trim(p, rtol: float = DEFAULTS.trim):
     """Drop trailing coefficients whose magnitude is below ``rtol * max``."""
-    coeffs = p.coeffs
-    mags = np.max(np.abs(coeffs.reshape(coeffs.shape[0], -1)), axis=1)
-    scale = float(np.max(mags))
-    if scale == 0.0:
-        return type(p)(coeffs[:1])
-    keep = np.nonzero(mags > rtol * scale)[0]
-    last = int(keep[-1]) if keep.size else 0
-    return type(p)(coeffs[: last + 1])
+    return type(p)(p.coeffs[: _trimmed_length(p.coeffs, rtol)])
 
 
 def det_poly(p) -> ScalarPoly:
@@ -359,23 +360,24 @@ def _divide_coeffs(num: np.ndarray, den: np.ndarray):
     The division runs from the low-degree end when ``|den[0]| > |den[-1]|``
     (for a linear or conjugate-pair divisor: its roots lie outside the unit
     circle), so each step scales rounding by ``1/|root|`` instead of
-    ``|root|``; the remainder then sits in the top coefficients.
+    ``|root|``; the remainder then sits in the top coefficients.  Each step
+    of the recurrence updates every column at once, on the stack flattened
+    to one row per coefficient.
     """
     if abs(den[0]) > abs(den[-1]):
         quot, residual = _divide_coeffs(num[::-1], den[::-1])
         return quot[::-1], residual
     dq = den.shape[0] - 1
     lead = den[-1]
-    dhat = den / lead
+    dhat = (den[:dq] / lead)[:, None]
     dtype = np.result_type(num.dtype, den.dtype)
-    rem = num.astype(dtype).copy()
-    length = num.shape[0]
-    quot = np.zeros((length - dq,) + num.shape[1:], dtype=dtype)
-    for k in range(length - 1, dq - 1, -1):
-        quot[k - dq] = rem[k]
-        rem[k - dq : k] -= np.multiply.outer(dhat[:dq], rem[k])
-    residual = float(np.max(np.abs(rem[:dq]))) if dq > 0 else 0.0
-    return quot / lead, residual
+    rem = num.reshape(num.shape[0], -1).astype(dtype)
+    # row k is final once the rows above it are done: it is the quotient's
+    # coefficient k - dq, and the rows below absorb its multiple of den
+    for k in range(rem.shape[0] - 1, dq - 1, -1):
+        rem[k - dq : k] -= dhat * rem[k]
+    residual = float(abs(rem[:dq]).max()) if dq > 0 else 0.0
+    return (rem[dq:] / lead).reshape((-1,) + num.shape[1:]), residual
 
 
 def deconvolve(p, d: ScalarPoly, rtol: float = DEFAULTS.trim):

@@ -9,8 +9,10 @@ a factor construction's input, with the same circle band and degeneracy test.
 
 from __future__ import annotations
 
+import cmath
 import collections
 import dataclasses
+import math
 from typing import Optional
 
 import numpy as np
@@ -128,20 +130,28 @@ def det_roots(p, tol=DEFAULTS):
 
 
 def check_real(p) -> None:
-    """Raise ``ValueError`` if a coefficient of ``p`` has a nonzero imaginary
-    part; the message carries the largest imaginary magnitude.
+    """Raise ``ValueError`` if a coefficient of ``p`` is not a finite real
+    number; the message carries the largest imaginary magnitude or the count
+    of non-finite entries.
 
     Roots of a real polynomial come in conjugate pairs, which is what lets
     :func:`det_roots` keep only the upper member of each and the factors
-    stay real; complex coefficients break both.
+    stay real; complex coefficients break both, and a NaN or an infinity
+    leaves no root to find.
     """
-    if np.iscomplexobj(p.coeffs):
-        worst = float(np.max(np.abs(p.coeffs.imag)))
+    coeffs = p.coeffs
+    if np.iscomplexobj(coeffs):
+        worst = float(np.max(np.abs(coeffs.imag)))
         if worst > 0.0:
             raise ValueError(
                 f"coefficients must be real; the largest imaginary part "
                 f"has magnitude {worst:.3e}"
             )
+    if not np.isfinite(coeffs).all():
+        bad = coeffs.size - int(np.isfinite(coeffs).sum())
+        raise ValueError(
+            f"coefficients must be finite; {bad} of {coeffs.size} are NaN or infinite"
+        )
 
 
 def check_off_circle(alpha, tol=DEFAULTS) -> complex:
@@ -151,35 +161,70 @@ def check_off_circle(alpha, tol=DEFAULTS) -> complex:
     alpha = complex(alpha)
     if _locate(alpha, tol.circle) == LOCATION_ON_CIRCLE:
         raise OnUnitCircle(
-            f"|alpha| = {abs(alpha):.12g} lies on the unit circle"
+            f"|alpha| = {abs(alpha):.12g} lies on the unit circle",
+            abs(alpha),
+            tol.circle,
         )
     return alpha
 
 
-def _w_ratio(v: np.ndarray) -> float:
-    """``sigma2/sigma1`` of ``[Re v, Im v]``.
+# LAPACK's dlamch('E'), the relative machine precision dlasv2 tests against
+_EPS = np.finfo(float).eps / 2
 
-    Zero when ``v`` is a complex multiple of a real vector, which is always
-    the case for a single entry and for ``v = 0``.
+
+def _triangular_ratio(f: float, g: float, h: float) -> float:
+    """``sigma2/sigma1`` of the upper triangular ``[[f, g], [0, h]]``, zero
+    for the zero matrix.
+
+    The singular values come from the formulas of LAPACK's ``dlasv2``
+    (Demmel and Kahan), accurate to a few ulps and exact on a diagonal
+    matrix; only their moduli are needed, so the signs are dropped.
     """
-    s = np.linalg.svd(np.column_stack([v.real, v.imag]), compute_uv=False)
-    if s.shape[0] < 2 or s[0] == 0.0:
+    fa, ga, ha = abs(f), abs(g), abs(h)
+    if ha > fa:
+        fa, ha = ha, fa
+    if ga == 0.0:
+        smin, smax = ha, fa
+    elif ga > fa and fa / ga < _EPS:
+        smin, smax = (fa / (ga / ha) if ha > 1.0 else fa / ga * ha), ga
+    else:
+        d = fa - ha
+        el = 1.0 if d == fa else d / fa
+        m = ga / fa
+        t = 2.0 - el
+        s = math.sqrt(t * t + m * m)
+        r = m if el == 0.0 else math.sqrt(el * el + m * m)
+        a = 0.5 * (s + r)
+        smin, smax = ha / a, fa * a
+    return smin / smax if smax > 0.0 else 0.0
+
+
+def _w_ratio(w0: complex, w1: complex) -> float:
+    """``sigma2/sigma1`` of ``[Re w, Im w]`` for ``w = (w0, w1)``: a Givens
+    rotation makes it upper triangular.  Zero when ``Re w = 0``."""
+    r = math.hypot(w0.real, w1.real)
+    if r == 0.0:
         return 0.0
-    return float(s[1] / s[0])
+    c, s = w0.real / r, w1.real / r
+    return _triangular_ratio(r, c * w0.imag + s * w1.imag, c * w1.imag - s * w0.imag)
 
 
 def check_pair(alpha, w=None, tol=DEFAULTS):
     """Validate the input of a pair factor construction.
 
-    ``alpha`` must lie in the open upper half plane (else ``ValueError``)
-    and off the circle by more than ``tol.circle`` (else
-    :class:`OnUnitCircle`).  A kernel direction ``w`` must pass the test
-    :func:`classify` uses to call a pair generic, ``sigma2/sigma1`` of
-    ``[Re w, Im w]`` above ``tol.degenerate``; else :class:`DegenerateW`
-    carries the ratio.  Returns ``alpha`` as a complex number and ``w`` as
-    a ``(2,)`` complex array (``None`` when no ``w`` is given).
+    ``alpha`` and ``w`` must be finite and ``alpha`` must lie in the open
+    upper half plane (else ``ValueError``) and off the circle by more than
+    ``tol.circle`` (else :class:`OnUnitCircle`).  A kernel direction ``w``
+    must pass the test :func:`classify` uses to call a pair generic,
+    ``sigma2/sigma1`` of ``[Re w, Im w]`` above ``tol.degenerate``, here
+    from a Givens rotation and :func:`_triangular_ratio` instead of an SVD;
+    else :class:`DegenerateW` carries the ratio.  Returns ``alpha`` as a
+    complex number and ``w`` as a ``(2,)`` complex array (``None`` when no
+    ``w`` is given).
     """
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if alpha.imag <= 0:
         raise ValueError(
             f"alpha must lie in the open upper half-plane, got {alpha}; "
@@ -189,7 +234,10 @@ def check_pair(alpha, w=None, tol=DEFAULTS):
     if w is None:
         return alpha, None
     w = np.asarray(w, dtype=np.complex128).reshape(2)
-    ratio = _w_ratio(w)
+    w0, w1 = w.tolist()
+    if not (cmath.isfinite(w0) and cmath.isfinite(w1)):
+        raise ValueError(f"w must be finite, got {w}")
+    ratio = _w_ratio(w0, w1)
     if ratio <= tol.degenerate:
         raise DegenerateW(ratio, tol.degenerate)
     return alpha, w
@@ -198,18 +246,18 @@ def check_pair(alpha, w=None, tol=DEFAULTS):
 def _positive_qr(B: np.ndarray):
     """QR factorisation ``B = Q1 R`` with the diagonal of ``R`` nonnegative."""
     Q1, R = np.linalg.qr(B)
-    signs = np.where(np.diag(R) < 0, -1.0, 1.0)
+    signs = np.where(R.diagonal() < 0, -1.0, 1.0)
     return Q1 * signs, R * signs[:, None]
 
 
 def _anchored_kernel(M: np.ndarray, vh: np.ndarray) -> np.ndarray:
     """:func:`kernel_vector` of ``M`` from its right singular vectors ``vh``."""
-    if float(np.max(np.abs(M))) == 0.0:
+    if not M.any():
         e1 = np.zeros(M.shape[0], dtype=M.dtype)
         e1[0] = 1.0
         return e1
     v = np.conj(vh[-1])
-    idx = int(np.argmax(np.abs(v)))
+    idx = int(abs(v).argmax())
     phase = v[idx] / abs(v[idx])
     v = v * np.conj(phase)
     # pin the anchor entry exactly onto the real axis
@@ -241,15 +289,13 @@ def orthogonal_completion(V1: np.ndarray) -> np.ndarray:
     V1 = np.atleast_2d(np.asarray(V1, dtype=np.float64))
     if V1.shape[0] < V1.shape[1]:
         raise ValueError(f"more columns than rows: {V1.shape}")
-    n, k = V1.shape
+    k = V1.shape[1]
     gram_err = float(np.max(np.abs(V1.T @ V1 - np.eye(k))))
     if gram_err > 1e-10:
         raise ValueError(
             f"columns are not orthonormal (deviation {gram_err:.3e})"
         )
-    Q, _ = _positive_qr(np.hstack([V1, np.eye(n)]))
-    Q[:, :k] = V1
-    return Q
+    return _complete(V1)
 
 
 def _value_and_slope(coeffs: np.ndarray, z: complex) -> np.ndarray:
@@ -261,6 +307,17 @@ def _value_and_slope(coeffs: np.ndarray, z: complex) -> np.ndarray:
     weights = np.zeros((2, m), powers.dtype)
     weights[0], weights[1, 1:] = powers, k[1:] * powers[:-1]
     return (weights @ coeffs.reshape(m, -1)).reshape((2,) + coeffs.shape[1:])
+
+
+def _complete(V1: np.ndarray) -> np.ndarray:
+    """:func:`orthogonal_completion` without its Gram check, for columns
+    that :func:`classify` normalized itself."""
+    n, k = V1.shape
+    B = np.eye(n, n + k, k)
+    B[:, :k] = V1
+    Q, _ = _positive_qr(B)
+    Q[:, :k] = V1
+    return Q
 
 
 def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
@@ -301,7 +358,9 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     check_real(p)
     if record.location == LOCATION_ON_CIRCLE:
         raise OnUnitCircle(
-            f"root {record.alpha} lies on the unit circle; mirroring is undefined"
+            f"root {record.alpha} lies on the unit circle; mirroring is undefined",
+            abs(record.alpha),
+            tol.circle,
         )
     alpha = record.alpha
     # check_real passed, so complex storage evaluates to the same bits
@@ -313,7 +372,9 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     if smin > bound:
         raise NotARoot(
             f"sigma_min(p({alpha})) = {smin:.3e} exceeds "
-            f"{tol.kernel:.1e} * ||p|| * max(1, |alpha|)^{p.degree} = {bound:.3e}"
+            f"{tol.kernel:.1e} * ||p|| * max(1, |alpha|)^{p.degree} = {bound:.3e}",
+            float(smin),
+            bound,
         )
     # one Newton step on det p (Tisseur, LAA 2000): with the smallest singular
     # triplet p(alpha) v = sigma u, u^H p(z) v is sigma at alpha with slope
@@ -332,30 +393,34 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     if record.kind == KIND_REAL:
         vr = np.real(v)
         vr = vr / np.linalg.norm(vr)
-        Q = orthogonal_completion(vr[:, None])
-        return MirrorPlan(case=CASE_REAL, alpha=alpha, v=vr.astype(complex), Q=Q)
+        return MirrorPlan(
+            case=CASE_REAL, alpha=alpha, v=vr.astype(complex), Q=_complete(vr[:, None])
+        )
 
-    B = np.column_stack([v.real, v.imag])
-    if _w_ratio(v) <= tol.degenerate:
+    # one QR of [Re v, Im v | I]: its leading columns are the Q1 of
+    # [Re v, Im v] = Q1 R, the rest complete them to an orthogonal Q, and
+    # R's leading 2x2 block has the singular values of [Re v, Im v]
+    n = v.shape[0]
+    B = np.eye(n, n + 2, 2)
+    B[:, 0], B[:, 1] = v.real, v.imag
+    Q, R = _positive_qr(B)
+    r = R[:2, :2].tolist()
+    # a single entry is always a complex multiple of a real one
+    if n == 1 or _triangular_ratio(r[0][0], r[0][1], r[1][1]) <= tol.degenerate:
         # kernel direction is e^{i phi} times a real vector: re-phase onto it
-        U, _, _ = np.linalg.svd(B)
+        U, _, _ = np.linalg.svd(B[:, :2])
         u = U[:, 0]
         phase = complex(u @ v.real, u @ v.imag)
         phase = phase / abs(phase)
         v_aligned = v * np.conj(phase)
         vr = np.real(v_aligned)
         vr = vr / np.linalg.norm(vr)
-        idx = int(np.argmax(np.abs(vr)))
+        idx = int(abs(vr).argmax())
         if vr[idx] < 0:
             vr = -vr
             v_aligned = -v_aligned
-        Q = orthogonal_completion(vr[:, None])
         return MirrorPlan(
-            case=CASE_DEGENERATE, alpha=alpha, v=v_aligned, Q=Q
+            case=CASE_DEGENERATE, alpha=alpha, v=v_aligned, Q=_complete(vr[:, None])
         )
-
-    # one QR of [B | I]: its leading columns are the Q1 of B = Q1 R and the
-    # rest complete them to an orthogonal Q
-    Q, R = _positive_qr(np.hstack([B, np.eye(B.shape[0])]))
-    w = R[:2, :2] @ np.array([1.0, 1.0j])
+    w = np.array([complex(*r[0]), complex(0.0, r[1][1])])
     return MirrorPlan(case=CASE_GENERIC, alpha=alpha, v=v, Q=Q, w=w)

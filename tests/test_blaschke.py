@@ -26,6 +26,7 @@ from allpass import (
 from allpass.errors import (
     AllPassError,
     DegenerateW,
+    ImaginaryResidueTooLarge,
     OnUnitCircle,
     ReciprocalSpectrumMismatch,
 )
@@ -474,7 +475,9 @@ def test_consecutive_property(log_r, theta, log_ratio, t1, t2):
     V = b2_consecutive(alpha, w)
     assert verify_allpass(V, 64).max_residual <= DEFAULTS.allpass
     assert V.num.coeffs.dtype == np.float64
-    assert V.max_imag_pre <= DEFAULTS.real
+    # the residue bound is relative to the coefficients, which grow like
+    # |alpha|^2 (see test_consecutive_residue_is_relative_to_coefficients)
+    assert V.max_imag_pre <= DEFAULTS.real * max(1.0, np.abs(V.num.coeffs).max())
     # both columns of num(alpha) along w: the component off w, relative
     N = V.num(alpha)
     off = np.abs(w[0] * N[1] - w[1] * N[0]) / np.linalg.norm(w)
@@ -576,3 +579,60 @@ def test_polynomial_reciprocal_check_is_typed():
     assert isinstance(exc.value, AllPassError)
     assert exc.value.tol == pytest.approx(1e-8 * max(1.0, abs(alpha)))
     assert exc.value.deviation > exc.value.tol
+
+
+def test_consecutive_residue_is_relative_to_coefficients():
+    # the coefficients grow like |alpha|^2 and the imaginary residue with
+    # them; against the absolute Tolerances.real = 1e-8, 59 of these 500
+    # pairs were refused although every one builds to roundoff
+    rng = np.random.default_rng(4)
+    above_absolute = 0
+    for _ in range(500):
+        alpha = rng.uniform(3e3, 1e4) * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
+        w = rng.normal(size=2) + 1j * rng.normal(size=2)
+        V = b2_consecutive(alpha, w)
+        assert verify_allpass(V, 64).max_residual <= 1e-14
+        largest = np.abs(V.num.coeffs).max()
+        assert V.max_imag_pre <= 1e-15 * largest
+        above_absolute += V.max_imag_pre > DEFAULTS.real
+    assert above_absolute >= 50
+    # inside the property's domain: Re w nearly along the axis of rotation
+    # at |alpha| = 1e3, residue 2.8e-8, as b2_polynomial and build_b2 build it
+    alpha = 1e3 * np.exp(0.01j)
+    w = kernel_direction(1e-4, 0.0, np.pi / 2 + 1e-4)
+    V = b2_consecutive(alpha, w)
+    assert V.max_imag_pre > DEFAULTS.real
+    assert verify_allpass(V, 64).max_residual <= 1e-14
+    for make in (b2_polynomial, lambda a, w: build_b2(a, w)[1]):
+        assert verify_allpass(make(alpha, w), 64).max_residual <= 1e-10
+
+
+def test_consecutive_refusal_carries_the_relative_bound():
+    alpha = 3e3 * np.exp(1.0j)
+    V = b2_consecutive(alpha, W_GENERIC)
+    largest = np.abs(V.num.coeffs).max()
+    assert largest > 1e6
+    with pytest.raises(ImaginaryResidueTooLarge) as info:
+        b2_consecutive(alpha, W_GENERIC, Tolerances(real=1e-30))
+    # bound = tol.real times the largest coefficient modulus before the
+    # orthogonal embedding, which keeps the largest entry within a factor 2
+    assert 0.5e-30 * largest <= info.value.tol <= 2e-30 * largest
+    assert info.value.max_imag > info.value.tol
+    # coefficients of size at most one: the bound is tol.real itself
+    with pytest.raises(ImaginaryResidueTooLarge) as info:
+        b2_consecutive(0.1 + 0.2j, W_GENERIC, Tolerances(real=1e-300))
+    assert info.value.tol == 1e-300
+
+
+def test_consecutive_route_makes_no_lapack_call(monkeypatch):
+    # the input check takes sigma2/sigma1 of [Re w, Im w] without an SVD,
+    # and the construction runs on Python scalars
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call")
+
+    for name in ("svd", "qr", "eig", "eigvals", "solve", "inv", "cholesky", "det"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    V = b2_consecutive(0.4 + 0.5j, np.array([0.8, 0.3 + 0.5j]))
+    assert V.num.coeffs.shape == (3, 2, 2)
+    with pytest.raises(DegenerateW):
+        b2_consecutive(0.4 + 0.5j, np.array([1.0, 1e-9j]))

@@ -163,6 +163,25 @@ def test_mirror_root_at_origin_exit_code(capsys, tmp_path, make):
     assert json.loads(out)["reports"][0]["new_root_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [1, 8, 9])
+def test_mirror_far_outside_pair_exit_code(capsys, tmp_path, seed):
+    # a pair at |alpha| > 1e4: the consecutive factor's coefficients reach
+    # 1e8 and its imaginary residue 2e-8, above the absolute --tol, so an
+    # absolute breach test exited 5 for a factor that builds and verifies
+    coeffs = np.random.default_rng(seed).standard_normal((5, 2, 2))
+    coeffs[4] *= 1e-4
+    path = tmp_path / "far.json"
+    path.write_text(jsonio.dumps(jsonio.poly_to_json(PolyMatrix(coeffs))))
+    code, out, err = run(
+        capsys, "mirror", str(path), "--select", "4", "--method", "consecutive"
+    )
+    assert code == 0, err
+    (report,) = json.loads(out)["reports"]
+    assert abs(complex(*report["mirrored_roots"][0])) > 1e4
+    assert report["max_imag"] <= 1e-15
+    assert report["spectral_dev"] <= 1e-12
+
+
 def test_mirror_stdout_payload(capsys, poly_file):
     code, out, _ = run(capsys, "mirror", poly_file, "--method", "consecutive")
     assert code == 0

@@ -1,5 +1,7 @@
 """Root mirroring end to end: single steps, selections, and the full sweep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,29 @@ from allpass import (
     CPolyMatrix,
     PolyMatrix,
     Tolerances,
+    b2_consecutive,
+    b2_polynomial,
+    build_b2,
     circle_spectrum,
+    classify,
+    deconvolve,
     det_roots,
+    elementary,
     enumerate_selections,
     mirror_all_inside,
     mirror_once,
     mirror_set,
+    mul,
     spectral_eval,
+    squared,
 )
-from allpass.errors import OnUnitCircle, SelectionNotClosed
+from allpass.errors import (
+    DeconvolutionResidueTooLarge,
+    OnUnitCircle,
+    SelectionNotClosed,
+)
 from allpass.mirror import MirrorReport, _certify, _spectral_deviation
-from allpass.roots import RootRecord
+from allpass.roots import CASE_DEGENERATE, CASE_REAL, RootRecord
 from conftest import origin_matrix, origin_scalar, polymatrix_with_inside_pair
 
 
@@ -557,3 +571,119 @@ def test_mirror_set_custom_circle_band_same_for_every_method():
     for method in METHODS:
         q, reps = mirror_set(p, [rec], method=method, tol=Tolerances(circle=0.05))
         assert len(reps) == 1 and reps[0].spectral_dev < 1e-12
+
+
+PAIR_ROUTES = {
+    "consecutive": b2_consecutive,
+    "polynomial": b2_polynomial,
+    "statespace": lambda alpha, w, tol: build_b2(alpha, w, tol)[1],
+}
+
+
+def _rebuild_step(p, record, method):
+    """One mirror step from the public parts: classify, the construction,
+    and the product ``p Q blockdiag(num, den I)`` divided by ``den``."""
+    plan = classify(p, record)
+    if plan.case == CASE_REAL:
+        V, moved = elementary(plan.alpha.real), [plan.alpha]
+    else:
+        if plan.case == CASE_DEGENERATE:
+            V = squared(plan.alpha)
+        else:
+            V = PAIR_ROUTES[method](plan.alpha, plan.w, Tolerances())
+        moved = [plan.alpha, plan.alpha.conjugate()]
+    n, k, d = p.dim, V.dim, V.den.degree
+    F = np.zeros((d + 1, n, n))
+    F[: V.num.degree + 1, :k, :k] = V.num.coeffs
+    F[:, k:, k:] = V.den.coeffs[:, None, None] * np.eye(n - k)
+    product = mul(PolyMatrix(p.coeffs @ plan.Q), PolyMatrix(F))
+    q, remainder = deconvolve(product, V.den)
+    residual = remainder / max(1.0, np.abs(product.coeffs[:, :, :k]).max())
+
+    S_in, S_out = circle_spectrum(p), circle_spectrum(q)
+    dev = np.linalg.norm(S_out - S_in, axis=(1, 2)).max()
+    dev /= np.linalg.norm(S_in, axis=(1, 2)).max()
+    alpha, deg = moved[0], p.degree
+    beta = 1.0 / alpha
+    sigma = np.linalg.svd(q(beta), compute_uv=False)[-1]
+    size = q.norm() * max(1.0, abs(beta)) ** deg
+    fields = dict(
+        mirrored_roots=moved, method=V.method, residual_deconv=residual,
+        max_imag=V.max_imag_pre / max(1.0, np.abs(V.num.coeffs).max()),
+        spectral_dev=dev, new_root_residual=sigma / size,
+        degree_in=deg, degree_out=q.degree,
+    )
+    return q, fields
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("n,degree,seed", [(3, 2, 308), (4, 4, 404), (6, 4, 604)])
+def test_chain_matches_its_public_parts(n, degree, seed, method):
+    # every step of mirror_all_inside rebuilt from classify, the factor,
+    # mul/deconvolve and circle_spectrum, on the polynomial the previous
+    # rebuilt step returned; each chain has real and generic pair steps
+    p = PolyMatrix(np.random.default_rng(seed).standard_normal((degree + 1, n, n)))
+    q, reports = mirror_all_inside(p, method=method)
+    assert {"elementary", method} <= {r.method for r in reports}
+    records = sorted(
+        (r for r in det_roots(p) if r.location == "inside"),
+        key=lambda r: (abs(r.alpha), r.alpha.real, r.alpha.imag),
+    )
+    steps = [r for r in records for _ in range(r.multiplicity)]
+    assert len(reports) == len(steps) >= 2
+    current = p
+    for rec, rep in zip(steps, reports):
+        current, fields = _rebuild_step(current, rec, method)
+        assert rep.method == fields["method"]
+        for name in ("degree_in", "degree_out"):
+            assert getattr(rep, name) == fields[name], name
+        np.testing.assert_allclose(
+            rep.mirrored_roots, fields["mirrored_roots"], rtol=1e-14
+        )
+        for name in ("residual_deconv", "max_imag", "spectral_dev"):
+            assert abs(getattr(rep, name) - fields[name]) <= 1e-11, name
+        assert abs(rep.new_root_residual - fields["new_root_residual"]) <= 1e-11
+    scale = np.abs(q.coeffs).max()
+    np.testing.assert_allclose(q.coeffs, current.coeffs, rtol=0, atol=1e-11 * scale)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_chain_call_pattern(monkeypatch, method):
+    # one detection per chain, one plan per step and one construction per
+    # step, the route's own for a generic pair
+    p = PolyMatrix(np.random.default_rng(45).standard_normal((5, 4, 4)))
+    names = ("det_roots", "classify", "elementary", "squared", *(
+        "b2_consecutive", "b2_polynomial", "build_b2"))
+    calls = {name: _counting(monkeypatch, name) for name in names}
+    _, reports = mirror_all_inside(p, method=method)
+    real = sum(len(r.mirrored_roots) == 1 for r in reports)
+    degenerate = sum(r.method == "squared" for r in reports)
+    generic = len(reports) - real - degenerate
+    assert real >= 1 and generic >= 3
+    route = {"consecutive": "b2_consecutive", "polynomial": "b2_polynomial",
+             "statespace": "build_b2"}[method]
+    expected = {"det_roots": 1, "classify": len(reports), "elementary": real,
+                "squared": degenerate, route: generic}
+    assert {name: len(c) for name, c in calls.items()} == {
+        name: expected.get(name, 0) for name in names
+    }
+
+
+def test_deconvolution_refusal_carries_residual_and_bound(monkeypatch):
+    # a plan 0.1 off the root of z - 0.5: (z - 0.5)(1 - 0.6 z) = -0.5 +
+    # 1.3 z - 0.6 z^2 over z - 0.6 leaves 0.064, relative to 1.3
+    p = PolyMatrix(np.array([-0.5, 1.0]).reshape(2, 1, 1))
+    original = allpass.mirror.classify
+
+    def shifted(p, record, tol):
+        plan = original(p, record, tol)
+        return dataclasses.replace(plan, alpha=plan.alpha + 0.1)
+
+    monkeypatch.setattr(allpass.mirror, "classify", shifted)
+    with pytest.raises(DeconvolutionResidueTooLarge) as info:
+        mirror_all_inside(p)
+    assert info.value.residual == pytest.approx(0.064 / 1.3, rel=1e-14)
+    assert info.value.bound == 1e-6
+    assert f"{info.value.residual:.3e}" in str(info.value)
+    bare = DeconvolutionResidueTooLarge("synthetic")
+    assert bare.residual is None and bare.bound is None

@@ -10,12 +10,14 @@ from allpass import (
     METHODS,
     CPolyMatrix,
     PolyMatrix,
+    Tolerances,
     classify,
     det_poly,
     det_roots,
     kernel_vector,
     mirror_all_inside,
     mirror_once,
+    mirror_set,
     orthogonal_completion,
 )
 from allpass.errors import NotARoot, OnUnitCircle, SingularPolynomialMatrix
@@ -24,6 +26,10 @@ from allpass.roots import (
     CASE_GENERIC,
     CASE_REAL,
     RootRecord,
+    _triangular_ratio,
+    _w_ratio,
+    check_off_circle,
+    check_pair,
 )
 from conftest import (
     assert_roots_close,
@@ -399,3 +405,128 @@ def test_classify_random_pairs_give_unit_w():
         plan = classify(p, rec)
         # this construction pins the kernel to a real direction
         assert plan.case == CASE_DEGENERATE
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("storage", [PolyMatrix, CPolyMatrix])
+def test_non_finite_coefficients_are_refused(bad, storage):
+    # mirror_all_inside warned and then failed inside the root finder with
+    # LinAlgError("SVD did not converge"); check_real now refuses the input
+    c = np.random.default_rng(2).standard_normal((3, 2, 2))
+    c[1, 0, 1] = bad
+    p = storage(c)
+    rec = RootRecord(
+        alpha=0.5 + 0.5j, multiplicity=1, kind="complex_pair", location="inside"
+    )
+    for call in (
+        lambda: det_roots(p),
+        lambda: classify(p, rec),
+        lambda: mirror_all_inside(p),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="1 of 12 are NaN or infinite"):
+                call()
+
+
+def test_non_finite_imaginary_part_is_refused():
+    c = np.random.default_rng(2).standard_normal((3, 2, 2)).astype(complex)
+    c[0, 1, 1] = complex(1.0, np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        det_roots(CPolyMatrix(c))
+
+
+def test_not_a_root_carries_sigma_and_bound(worked_pair):
+    alpha = 5.0 + 5.0j
+    fake = RootRecord(alpha, multiplicity=1, kind="complex_pair", location="outside")
+    with pytest.raises(NotARoot) as info:
+        classify(worked_pair, fake)
+    sigma = np.linalg.svd(worked_pair(alpha), compute_uv=False)[-1]
+    bound = 1e-6 * worked_pair.norm() * abs(alpha) ** worked_pair.degree
+    assert info.value.sigma == pytest.approx(sigma, rel=1e-12)
+    assert info.value.bound == pytest.approx(bound, rel=1e-15)
+    assert info.value.sigma > info.value.bound
+    assert f"{info.value.sigma:.3e}" in str(info.value)
+    # a message alone still makes one, with no numbers
+    bare = NotARoot("synthetic")
+    assert str(bare) == "synthetic" and bare.sigma is None and bare.bound is None
+
+
+def test_on_unit_circle_carries_modulus_and_band():
+    t = 0.73
+    p = PolyMatrix(np.array([1.0, -2 * np.cos(t), 1.0]).reshape(3, 1, 1))
+    rec = det_roots(p)[0]
+    tol = Tolerances(circle=1e-6)
+    with pytest.raises(OnUnitCircle) as info:
+        classify(p, rec, tol)
+    assert (info.value.modulus, info.value.band) == (abs(rec.alpha), 1e-6)
+    with pytest.raises(OnUnitCircle) as info:
+        mirror_set(p, [rec], tol=tol)
+    assert (info.value.modulus, info.value.band) == (abs(rec.alpha), 1e-6)
+    alpha = 0.3 + 0.9j
+    with pytest.raises(OnUnitCircle) as info:
+        check_off_circle(alpha, Tolerances(circle=0.1))
+    assert (info.value.modulus, info.value.band) == (abs(alpha), 0.1)
+    assert abs(abs(alpha) - 1.0) <= info.value.band
+    bare = OnUnitCircle("synthetic")
+    assert bare.modulus is None and bare.band is None
+
+
+def test_triangular_ratio_is_exact_on_diagonal_input():
+    # the ratio-at-tol refusal needs sigma2/sigma1 = 1e-3 exactly for
+    # diag(1, 1e-3); an SVD of the 2x2 need not return it
+    rng = np.random.default_rng(70)
+    for _ in range(2000):
+        f, h = 10.0 ** rng.uniform(-150, 150, 2) * rng.choice([-1.0, 1.0], 2)
+        ratio = _triangular_ratio(f, 0.0, h)
+        assert ratio == min(abs(f), abs(h)) / max(abs(f), abs(h))
+        assert _w_ratio(complex(f, 0.0), complex(0.0, h)) == ratio
+    assert _triangular_ratio(1.0, 0.0, 1e-3) == 1e-3
+    assert _triangular_ratio(0.0, 0.0, 0.0) == 0.0
+    assert _w_ratio(0j, 0j) == 0.0
+    # Re w = 0: [Re w, Im w] has rank one
+    assert _w_ratio(2j, -1j) == 0.0
+
+
+def test_triangular_ratio_matches_svd():
+    # upper triangular inputs over many scales, including off-diagonal
+    # entries far above the diagonal (the large-g branch of dlasv2)
+    rng = np.random.default_rng(71)
+    worst = 0.0
+    for _ in range(5000):
+        f, g, h = rng.standard_normal(3) * 10.0 ** rng.uniform(-8, 8, 3)
+        s = np.linalg.svd(np.array([[f, g], [0.0, h]]), compute_uv=False)
+        ratio = _triangular_ratio(f, g, h)
+        # sigma2 is accurate to a few ulps relative to sigma1 either way
+        worst = max(worst, abs(ratio - s[1] / s[0]))
+        assert 0.0 <= ratio <= 1.0
+    assert worst <= 1e-15
+    # off-diagonal entry beyond 1/eps times the diagonal: sigma1 = |g| and
+    # sigma2 = |f h| / |g| to roundoff, on both sides of |h| = 1
+    assert _triangular_ratio(1e-20, 1.0, 1e-5) == pytest.approx(1e-25, rel=1e-15)
+    assert _triangular_ratio(3.0, 1e17, -2.0) == pytest.approx(6e-34, rel=1e-15)
+
+
+def test_w_ratio_matches_svd_of_re_im():
+    # the Givens step costs at most a few ulps of sigma1 in sigma2, as the
+    # SVD's own rounding does, so the ratios agree to a few ulps of one
+    rng = np.random.default_rng(72)
+    worst = 0.0
+    for _ in range(5000):
+        x, y = rng.standard_normal((2, 2))
+        w = (x + 1j * y) * 10.0 ** rng.uniform(-5, 5)
+        if rng.uniform() < 0.5:
+            # nearly degenerate: a real direction times a phase, plus a tilt
+            tilt = 10.0 ** rng.uniform(-12, -1)
+            w = np.exp(1j * rng.uniform(0, np.pi)) * (x + 1j * tilt * y)
+        s = np.linalg.svd(np.column_stack([w.real, w.imag]), compute_uv=False)
+        worst = max(worst, abs(_w_ratio(*w.tolist()) - s[1] / s[0]))
+    assert worst <= 2e-15
+
+
+def test_check_pair_refuses_non_finite_input():
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        check_pair(complex(np.nan, 1.0), [1.0, 1j])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="w must be finite"):
+            check_pair(0.5 + 0.5j, [1.0, complex(0.0, bad)])
