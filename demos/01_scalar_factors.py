@@ -25,13 +25,17 @@ num = np.poly1d(V.num.coeffs[::-1].ravel())
 print("  numerator at the target 0.5:", num(0.5))
 
 # ---------------------------------------------------------------------------
-# A complex pair needs a complex elementary factor, whose coefficients are
-# not real.  For a pair alpha, conj(alpha) the product of the two elementary
-# factors has real coefficients again: the squared factor.
+# A complex root alone would need the elementary factor
+# (1 - conj(alpha) z)/(z - alpha), whose coefficients are not real, so
+# elementary() refuses it.  For a pair alpha, conj(alpha) the product of the
+# two elementary factors has real coefficients again: the squared factor.
 alpha = 0.5 + 0.5j
-Vc = elementary(alpha)
 print("\ncomplex elementary factor for alpha =", alpha)
-print("  coefficients are complex:", Vc.num.coeffs.ravel())
+print("  numerator coefficients would be complex:", np.array([1.0, -np.conj(alpha)]))
+try:
+    elementary(alpha)
+except ValueError as exc:
+    print("  elementary refuses it:", exc)
 
 Vsq = squared(alpha)
 print("squared factor for the pair alpha, conj(alpha)")

@@ -24,19 +24,11 @@ from .errors import (
     SingularSteinSolution,
 )
 from .polymat import (
-    CPolyMatrix,
     PolyMatrix,
     ScalarPoly,
     circle_spectrum,
-    constant,
-    deconvolve,
-    det_poly,
-    eval_poly,
-    mul,
-    mul_scalar,
     poly_roots,
     spectral_eval,
-    to_real,
     trim,
 )
 from .roots import (
@@ -44,12 +36,9 @@ from .roots import (
     RootRecord,
     classify,
     det_roots,
-    kernel_vector,
-    orthogonal_completion,
 )
 from .blaschke import (
     RationalAllPass,
-    UnitaryParam,
     VerifyReport,
     allpass_from_A,
     b2_consecutive,
@@ -63,10 +52,6 @@ from .statespace import (
     StateSpace,
     build_b2,
     solve_stein,
-    ss_eval,
-    ss_product,
-    ss_star,
-    state_transform,
     structural_blocks,
 )
 from .mirror import (
@@ -94,28 +79,17 @@ __all__ = [
     "SelectionNotClosed",
     "SingularPolynomialMatrix",
     "SingularSteinSolution",
-    "CPolyMatrix",
     "PolyMatrix",
     "ScalarPoly",
-    "constant",
-    "deconvolve",
-    "det_poly",
-    "eval_poly",
-    "mul",
-    "mul_scalar",
     "poly_roots",
     "spectral_eval",
     "circle_spectrum",
-    "to_real",
     "trim",
     "MirrorPlan",
     "RootRecord",
     "classify",
     "det_roots",
-    "kernel_vector",
-    "orthogonal_completion",
     "RationalAllPass",
-    "UnitaryParam",
     "VerifyReport",
     "allpass_from_A",
     "b2_consecutive",
@@ -127,10 +101,6 @@ __all__ = [
     "StateSpace",
     "build_b2",
     "solve_stein",
-    "ss_eval",
-    "ss_product",
-    "ss_star",
-    "state_transform",
     "structural_blocks",
     "METHODS",
     "MirrorReport",

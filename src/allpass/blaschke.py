@@ -27,12 +27,11 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import CholeskyNotPD, ImaginaryResidueTooLarge, ReciprocalSpectrumMismatch
-from .polymat import CPolyMatrix, PolyMatrix, ScalarPoly, _on_circle, eval_poly
+from .polymat import PolyMatrix, ScalarPoly, _on_circle, eval_poly
 from .roots import check_off_circle, check_pair
 from .statespace import solve_stein
 
 __all__ = [
-    "UnitaryParam",
     "RationalAllPass",
     "VerifyReport",
     "elementary",
@@ -45,25 +44,13 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class UnitaryParam:
-    """Two-angle parametrization of a special 2x2 unitary.
-
-    ``matrix()`` returns::
+def _unitary(phi1: float, phi2: float) -> tuple:
+    """Entries of the special unitary with angles ``phi1`` and ``phi2``,
+    row-major, as Python scalars::
 
         [[cos(phi1) e^{+i phi2},  -sin(phi1)],
          [sin(phi1),               cos(phi1) e^{-i phi2}]]
     """
-
-    phi1: float
-    phi2: float
-
-    def matrix(self) -> np.ndarray:
-        return np.array(_unitary(self.phi1, self.phi2)).reshape(2, 2)
-
-
-def _unitary(phi1: float, phi2: float) -> tuple:
-    """Entries of :meth:`UnitaryParam.matrix`, row-major, as Python scalars."""
     c, s = math.cos(phi1), math.sin(phi1)
     e = cmath.exp(1j * phi2)
     return (c * e, -s, s, c * e.conjugate())
@@ -80,7 +67,7 @@ class RationalAllPass:
     constructions that work in real arithmetic throughout).
     """
 
-    num: "PolyMatrix | CPolyMatrix"
+    num: PolyMatrix
     den: ScalarPoly
     alpha: complex
     method: str
@@ -118,28 +105,29 @@ class VerifyReport:
     """
 
     max_residual: float
-    max_imag: float
     det_modulus_dev: float
     n_samples: int
     ok: bool
 
 
 def elementary(alpha, tol=DEFAULTS) -> RationalAllPass:
-    """Scalar factor ``(1 - conj(alpha) z) / (z - alpha)``.
+    """Real scalar factor ``(1 - alpha z) / (z - alpha)`` for a real root.
 
-    Real for real ``alpha``; the complex variant only appears as an internal
-    building block.
+    Raises :class:`OnUnitCircle` for ``alpha`` on the circle and
+    ``ValueError`` for a complex one: a pair takes :func:`squared` or a 2x2
+    factor, whose coefficients stay real.
     """
     alpha = check_off_circle(alpha, tol)
-    if alpha.imag == 0.0:
-        a = alpha.real
-        # alpha = 0 is the 1/z factor; any other alpha, however small, keeps
-        # the -alpha z term so the numerator matches the denominator z - alpha
-        num = PolyMatrix([[[1.0]], [[-a]]] if a != 0.0 else [[[1.0]]])
-        den = ScalarPoly([-a, 1.0])
-    else:
-        num = CPolyMatrix(np.array([[[1.0]], [[-np.conj(alpha)]]]))
-        den = ScalarPoly(np.array([-alpha, 1.0], dtype=complex))
+    if alpha.imag != 0.0:
+        raise ValueError(
+            f"elementary factor needs a real alpha, got {alpha}; "
+            "a conjugate pair takes a pair factor"
+        )
+    a = alpha.real
+    # alpha = 0 is the 1/z factor; any other alpha, however small, keeps
+    # the -alpha z term so the numerator matches the denominator z - alpha
+    num = PolyMatrix([[[1.0]], [[-a]]] if a != 0.0 else [[[1.0]]])
+    den = ScalarPoly([-a, 1.0])
     return RationalAllPass(num=num, den=den, alpha=alpha, method="elementary")
 
 
@@ -396,9 +384,8 @@ def verify_allpass(
 
     ``num`` and ``den`` are each evaluated once on that grid.  Reports the
     worst Frobenius deviation of ``V(z) V(z)^H`` from the identity, the worst
-    deviation of ``|det V(z)|`` from 1, the coefficient imaginary residue
-    (zero for real factors), and whether the worst deviation is at most
-    ``tol``.  A denominator that vanishes on the grid raises
+    deviation of ``|det V(z)|`` from 1, and whether the worst deviation is at
+    most ``tol``.  A denominator that vanishes on the grid raises
     ``ZeroDivisionError``, as ``V(z)`` does.
     """
     if n_samples < 1:
@@ -409,13 +396,8 @@ def verify_allpass(
     gram = M @ np.conj(M).transpose(0, 2, 1) - np.eye(V.dim)
     worst = float(np.max(np.linalg.norm(gram, axis=(1, 2))))
     det_dev = float(np.max(np.abs(np.abs(np.linalg.det(M)) - 1.0)))
-    if isinstance(V.num, CPolyMatrix):
-        max_imag = V.num.max_imag()
-    else:
-        max_imag = 0.0
     return VerifyReport(
         max_residual=worst,
-        max_imag=max_imag,
         det_modulus_dev=det_dev,
         n_samples=n_samples,
         ok=bool(worst <= tol),

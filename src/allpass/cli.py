@@ -29,7 +29,7 @@ from .errors import (
     SingularPolynomialMatrix,
 )
 from .mirror import METHODS, mirror_all_inside, mirror_set
-from .roots import check_real, det_roots
+from .roots import det_roots
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -94,14 +94,9 @@ def _load_json(path: str):
 def _load_poly(path: str):
     obj = _load_json(path)
     try:
-        p = jsonio.poly_from_json(obj)
+        return jsonio.poly_from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path}: not a polynomial matrix: {exc}")
-    try:
-        check_real(p)
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}")
-    return p
 
 
 def _emit(obj, out_path: str | None):

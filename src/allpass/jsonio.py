@@ -1,9 +1,11 @@
 """JSON encoding of every object that crosses the package boundary.
 
-Matrices are row-major nested lists; a complex entry is a two-element
-``[re, im]`` list and a real entry is a plain number.  Floats are emitted
-with Python's shortest round-trip repr, so parsing the output reproduces the
-binary values bit for bit.
+Matrices are row-major nested lists of plain numbers, and a complex number
+(a root) is a two-element ``[re, im]`` list.  A coefficient may be read in
+that form too, but :class:`~allpass.polymat.PolyMatrix` and
+:class:`~allpass.polymat.ScalarPoly` refuse a nonzero imaginary part.
+Floats are emitted with Python's shortest round-trip repr, so parsing the
+output reproduces the binary values bit for bit.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ import numpy as np
 
 from .blaschke import RationalAllPass
 from .mirror import MirrorReport
-from .polymat import CPolyMatrix, PolyMatrix, ScalarPoly
+from .polymat import PolyMatrix, ScalarPoly
 from .roots import RootRecord
-from .statespace import StateSpace
 
 __all__ = [
     "poly_to_json",
@@ -29,8 +30,6 @@ __all__ = [
     "record_from_json",
     "allpass_to_json",
     "allpass_from_json",
-    "ss_to_json",
-    "ss_from_json",
     "report_to_json",
     "dumps",
 ]
@@ -38,12 +37,6 @@ __all__ = [
 
 def dumps(obj) -> str:
     return json.dumps(obj, indent=2)
-
-
-def _entry_to_json(x):
-    if isinstance(x, complex) or np.iscomplexobj(x):
-        return [float(np.real(x)), float(np.imag(x))]
-    return float(x)
 
 
 def _finite(x) -> float:
@@ -65,10 +58,7 @@ def _entry_from_json(x):
 
 def poly_to_json(p) -> dict:
     """``{"dim": n, "degree": q, "coeffs": [M_0, ..., M_q]}``."""
-    coeffs = p.coeffs
-    if isinstance(p, CPolyMatrix):
-        coeffs = np.stack([coeffs.real, coeffs.imag], -1)
-    return {"dim": p.dim, "degree": p.degree, "coeffs": coeffs.tolist()}
+    return {"dim": p.dim, "degree": p.degree, "coeffs": p.coeffs.tolist()}
 
 
 def poly_from_json(obj: dict):
@@ -90,16 +80,14 @@ def poly_from_json(obj: dict):
                 )
             for j, v in enumerate(row):
                 data[k, i, j] = _entry_from_json(v)
-    if np.all(data.imag == 0.0):
-        return PolyMatrix(data.real)
-    return CPolyMatrix(data)
+    return PolyMatrix(data)
 
 
 def scalar_to_json(s: ScalarPoly) -> dict:
     """``{"degree": q, "coeffs": [c_0, ..., c_q]}``."""
     return {
         "degree": s.degree,
-        "coeffs": [_entry_to_json(c) for c in s.coeffs],
+        "coeffs": s.coeffs.tolist(),
     }
 
 
@@ -109,10 +97,7 @@ def scalar_from_json(obj: dict) -> ScalarPoly:
         raise ValueError(
             f"degree {obj['degree']} but {len(coeffs)} coefficients"
         )
-    arr = np.asarray(coeffs)
-    if np.all(arr.imag == 0.0):
-        arr = arr.real
-    return ScalarPoly(arr)
+    return ScalarPoly(coeffs)
 
 
 def record_to_json(r: RootRecord) -> dict:
@@ -151,20 +136,6 @@ def allpass_from_json(obj: dict) -> RationalAllPass:
         alpha=complex(_finite(re), _finite(im)),
         method=str(obj["method"]),
     )
-
-
-def ss_to_json(ss: StateSpace) -> dict:
-    return {name: getattr(ss, name).tolist() for name in ("A", "B", "C", "D")}
-
-
-def ss_from_json(obj: dict) -> StateSpace:
-    mats = {}
-    for name in ("A", "B", "C", "D"):
-        m = np.asarray(obj[name], dtype=np.float64)
-        if not np.all(np.isfinite(m)):
-            raise ValueError(f"non-finite value in matrix {name}")
-        mats[name] = m
-    return StateSpace(**mats)
 
 
 def report_to_json(rep: MirrorReport) -> dict:

@@ -68,7 +68,7 @@ class MirrorReport:
         relative to the largest dividend coefficient.  The division runs
         from the high-degree end for a root inside the circle and from the
         low-degree end for one outside (see
-        :func:`~allpass.polymat.deconvolve`), so the recurrence never
+        :func:`~allpass.polymat._divide_coeffs`), so the recurrence never
         amplifies rounding by ``|alpha|``.
     max_imag
         Imaginary residue of the factor's numerator before projection to
@@ -113,7 +113,7 @@ def _certify(chain, reports) -> None:
     m = max(p.degree for p in chain) + 1
     stack = np.zeros((m, len(chain)) + chain[0].coeffs.shape[1:])
     for i, p in enumerate(chain):
-        stack[: p.degree + 1, i] = p.coeffs.real
+        stack[: p.degree + 1, i] = p.coeffs
     _, P = _on_circle(stack, 64, half=True)
     S = P @ np.conj(P).swapaxes(-1, -2)
     devs = _spectral_deviation(S[:, 1:], S[:, :-1])
@@ -160,8 +160,7 @@ def _step(p: PolyMatrix, record: RootRecord, method: str, tol):
         mirrored = [plan.alpha, np.conj(plan.alpha)]
 
     k = V.dim
-    # classify checked that p is real, even in complex storage
-    pq = np.matmul(p.coeffs.real, plan.Q)
+    pq = np.matmul(p.coeffs, plan.Q)
     raw = _conv_coeffs(pq[:, :, :k], V.num.coeffs)
     quot, resid_abs = _divide_coeffs(raw, V.den.coeffs)
     resid = resid_abs / max(1.0, float(abs(raw).max()))

@@ -1,4 +1,4 @@
-"""Matrix polynomials with real or complex coefficients.
+"""Matrix polynomials with real coefficients.
 
 A polynomial ``p(z) = sum_k C_k z^k`` is stored as a coefficient tensor of
 shape ``(q+1, n, n)`` in ascending powers; scalar polynomials store a 1-D
@@ -13,41 +13,66 @@ import math
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import ImaginaryResidueTooLarge, SingularPolynomialMatrix
+from .errors import SingularPolynomialMatrix
 
 __all__ = [
     "PolyMatrix",
-    "CPolyMatrix",
     "ScalarPoly",
-    "constant",
     "eval_poly",
     "spectral_eval",
     "circle_spectrum",
-    "mul",
-    "mul_scalar",
     "det_poly",
     "poly_roots",
-    "deconvolve",
-    "to_real",
     "trim",
 ]
 
 
-class _PolyBase:
-    """Shared behaviour of the real and complex matrix polynomial types."""
+def _real_coeffs(coeffs) -> np.ndarray:
+    """A read-only float64 copy of ``coeffs``, or ``ValueError`` carrying the
+    largest imaginary magnitude or the count of non-finite entries.
 
-    _dtype: type = np.float64
+    Complex storage is accepted when every imaginary part is zero.  Roots of
+    a real polynomial come in conjugate pairs, which is what lets
+    :func:`~allpass.roots.det_roots` keep only the upper member of each and
+    the factors stay real; complex coefficients break both, and a NaN or an
+    infinity leaves no root to find.
+    """
+    arr = np.asarray(coeffs)
+    if np.iscomplexobj(arr):
+        worst = float(np.max(np.abs(arr.imag), initial=0.0))
+        if worst > 0.0:
+            raise ValueError(
+                f"coefficients must be real; the largest imaginary part "
+                f"has magnitude {worst:.3e}"
+            )
+    else:
+        arr = np.asarray(arr, dtype=np.float64)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = arr.size - int(finite.sum())
+        raise ValueError(
+            f"coefficients must be finite; {bad} of {arr.size} are NaN or infinite"
+        )
+    arr = np.array(arr.real, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
+class PolyMatrix:
+    """Square matrix polynomial with real coefficients.
+
+    Raises ``ValueError`` for a coefficient that is not a finite real number
+    (complex storage with zero imaginary parts is real).
+    """
 
     def __init__(self, coeffs):
-        arr = np.asarray(coeffs, dtype=self._dtype)
+        arr = _real_coeffs(coeffs)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(
                 f"coefficients must have shape (q+1, n, n), got {arr.shape}"
             )
         if arr.shape[0] == 0:
             raise ValueError("need at least one coefficient matrix")
-        arr = arr.copy()
-        arr.setflags(write=False)
         self.coeffs = arr
 
     @property
@@ -66,38 +91,17 @@ class _PolyBase:
         return float(np.linalg.norm(self.coeffs.ravel()))
 
     def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim}, degree={self.degree})"
-
-
-class PolyMatrix(_PolyBase):
-    """Square matrix polynomial with real coefficients."""
-
-    _dtype = np.float64
-
-
-class CPolyMatrix(_PolyBase):
-    """Square matrix polynomial with complex coefficients."""
-
-    _dtype = np.complex128
-
-    def max_imag(self) -> float:
-        """Largest imaginary magnitude over all coefficients."""
-        return float(np.max(np.abs(self.coeffs.imag)))
+        return f"PolyMatrix(dim={self.dim}, degree={self.degree})"
 
 
 class ScalarPoly:
-    """Scalar polynomial in ascending coefficient order."""
+    """Scalar polynomial with real coefficients in ascending order; refuses
+    the same coefficients :class:`PolyMatrix` does."""
 
     def __init__(self, coeffs):
-        arr = np.atleast_1d(np.asarray(coeffs))
+        arr = _real_coeffs(np.atleast_1d(coeffs))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("scalar polynomial needs a 1-D coefficient array")
-        if np.iscomplexobj(arr):
-            arr = arr.astype(np.complex128)
-        else:
-            arr = arr.astype(np.float64)
-        arr = arr.copy()
-        arr.setflags(write=False)
         self.coeffs = arr
 
     @property
@@ -117,13 +121,6 @@ class ScalarPoly:
         return f"ScalarPoly(degree={self.degree}, coeffs={self.coeffs!r})"
 
 
-def constant(matrix) -> "PolyMatrix | CPolyMatrix":
-    """Wrap a constant square matrix as a degree-0 polynomial."""
-    arr = np.asarray(matrix)
-    cls = CPolyMatrix if np.iscomplexobj(arr) else PolyMatrix
-    return cls(arr[None, :, :])
-
-
 def eval_poly(p, z):
     """Evaluate ``p`` at the point ``z``: one product of the coefficient
     stack with the powers ``z^0, ..., z^q``.
@@ -132,7 +129,7 @@ def eval_poly(p, z):
     :class:`ScalarPoly`.  Real input evaluated at a real point stays real.
     """
     zz = complex(z)
-    if np.isrealobj(p.coeffs) and zz.imag == 0.0:
+    if zz.imag == 0.0:
         zz = zz.real
     return _eval_many(p.coeffs, np.array([zz]))[0]
 
@@ -195,25 +192,6 @@ def circle_spectrum(p, n_samples: int = 64) -> np.ndarray:
     return P @ np.conj(P).transpose(0, 2, 1)
 
 
-def _wrap_matrix(coeffs: np.ndarray):
-    if np.iscomplexobj(coeffs):
-        return CPolyMatrix(coeffs)
-    return PolyMatrix(coeffs)
-
-
-def mul(p, q):
-    """Convolution product of two matrix polynomials of equal dimension."""
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return _wrap_matrix(_conv_coeffs(p.coeffs, q.coeffs))
-
-
-def mul_scalar(p, s: ScalarPoly):
-    """Multiply a matrix polynomial by a scalar polynomial."""
-    scaled_eye = s.coeffs[:, None, None] * np.eye(p.dim)
-    return _wrap_matrix(_conv_coeffs(p.coeffs, scaled_eye))
-
-
 def _trimmed_length(coeffs: np.ndarray, rtol: float) -> int:
     """Number of leading coefficients :func:`trim` keeps: up to the last
     whose magnitude exceeds ``rtol`` times the largest, at least one."""
@@ -236,10 +214,8 @@ def det_poly(p) -> ScalarPoly:
     m = p.dim * p.degree + 1
     zs = 1.5 * np.exp(2j * np.pi * np.arange(m) / m)
     coeff = np.fft.fft(np.linalg.det(_eval_many(p.coeffs, zs))) / m / 1.5 ** np.arange(m)
-    if np.isrealobj(p.coeffs):
-        # conjugate-symmetric samples: the imaginary part is FFT noise
-        coeff = coeff.real
-    return ScalarPoly(coeff).trim()
+    # conjugate-symmetric samples: the imaginary part is FFT noise
+    return ScalarPoly(coeff.real).trim()
 
 
 def _cluster(values, rtol):
@@ -322,11 +298,8 @@ def poly_roots(p, tol=DEFAULTS):
         shift fail the root test (zero and singular constants included).
     """
     if p.coeffs.ndim == 1:
-        p = _wrap_matrix(p.coeffs[:, None, None])
+        p = PolyMatrix(p.coeffs[:, None, None])
     raw = _finite_roots(p, tol)
-    if np.iscomplexobj(p.coeffs):
-        return _cluster(list(raw), tol.cluster)
-
     reals = [float(r.real) for r in raw if abs(r.imag) <= tol.imag]
     pairs = []
     for mu in (complex(r) for r in raw if r.imag > tol.imag):
@@ -378,51 +351,3 @@ def _divide_coeffs(num: np.ndarray, den: np.ndarray):
         rem[k - dq : k] -= dhat * rem[k]
     residual = float(abs(rem[:dq]).max()) if dq > 0 else 0.0
     return (rem[dq:] / lead).reshape((-1,) + num.shape[1:]), residual
-
-
-def deconvolve(p, d: ScalarPoly, rtol: float = DEFAULTS.trim):
-    """Divide a matrix polynomial by a scalar polynomial.
-
-    Parameters
-    ----------
-    p : PolyMatrix or CPolyMatrix
-        Dividend of degree q.
-    d : ScalarPoly
-        Divisor with ``1 <= degree(d) <= q`` after trimming.
-    rtol : float
-        Trim threshold applied to the quotient.
-
-    Returns
-    -------
-    (quotient, residual)
-        Quotient with ``degree = q - degree(d)`` and the largest remainder
-        magnitude.  ``quotient * d + remainder == p`` holds to roundoff; when
-        every entry of ``p`` is divisible by ``d`` the residual is noise.
-        The division runs from the high-degree end, leaving the remainder
-        in the lowest ``degree(d)`` coefficients, unless ``|d_0| > |d_lead|``
-        (for a linear or pair divisor: roots outside the unit circle); then
-        it runs from the low-degree end and the remainder sits in the top.
-    """
-    dt = d.trim()
-    dq = dt.degree
-    q = p.degree
-    if dq < 1:
-        raise ValueError("divisor must have degree >= 1")
-    if dq > q:
-        raise ValueError(f"divisor degree {dq} exceeds dividend degree {q}")
-    quot, residual = _divide_coeffs(p.coeffs, dt.coeffs)
-    return trim(_wrap_matrix(quot), rtol), residual
-
-
-def to_real(p, tol: float = DEFAULTS.real) -> PolyMatrix:
-    """Project complex coefficients to their real parts.
-
-    Raises :class:`ImaginaryResidueTooLarge` if any imaginary magnitude
-    exceeds ``tol``; a real input passes through unchanged.
-    """
-    if isinstance(p, PolyMatrix):
-        return p
-    mx = p.max_imag()
-    if mx > tol:
-        raise ImaginaryResidueTooLarge(mx, tol, "projecting coefficients to real")
-    return PolyMatrix(p.coeffs.real)

@@ -19,19 +19,16 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DegenerateW, NotARoot, OnUnitCircle
-from .polymat import PolyMatrix, _scaled_size, poly_roots
+from .polymat import _scaled_size, poly_roots
 from .polymat import det_poly  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 __all__ = [
     "RootRecord",
     "MirrorPlan",
     "det_roots",
-    "kernel_vector",
     "classify",
-    "check_real",
     "check_off_circle",
     "check_pair",
-    "orthogonal_completion",
 ]
 
 LOCATION_INSIDE = "inside"
@@ -104,54 +101,25 @@ def _locate(alpha: complex, tol_circle: float) -> str:
 def det_roots(p, tol=DEFAULTS):
     """Detect the roots of ``det p(z)`` and return them as records.
 
-    The roots come from :func:`~allpass.polymat.poly_roots` on the real
-    coefficients (complex storage with zero imaginary parts gives the same
-    records).  Conjugate pairs collapse to one record with ``Im(alpha) >
-    0``.  Records are sorted by ``(|alpha|, Re, Im)`` so that indices into
-    the list are stable; the CLI's ``--select`` indices refer to this order.
+    The roots come from :func:`~allpass.polymat.poly_roots`.  Conjugate
+    pairs collapse to one record with ``Im(alpha) > 0``.  Records are sorted
+    by ``(|alpha|, Re, Im)`` so that indices into the list are stable; the
+    CLI's ``--select`` indices refer to this order.
     ``tol`` supplies ``kernel``, ``trim``, ``imag`` and ``cluster`` to
     :func:`~allpass.polymat.poly_roots` and the circle band (``circle``).
 
     Raises
     ------
-    ValueError
-        If a coefficient of ``p`` is not real (see :func:`check_real`).
     SingularPolynomialMatrix
         If ``det p(z)`` vanishes identically; carries the best ratio.
     """
-    check_real(p)
-    values = poly_roots(PolyMatrix(p.coeffs.real), tol)
+    values = poly_roots(p, tol)
     records = []
     for z, count in collections.Counter(z for z in values if z.imag >= 0).items():
         kind = KIND_REAL if z.imag == 0 else KIND_COMPLEX
         records.append(RootRecord(z, count, kind, _locate(z, tol.circle)))
     records.sort(key=lambda r: (abs(r.alpha), r.alpha.real, r.alpha.imag))
     return records
-
-
-def check_real(p) -> None:
-    """Raise ``ValueError`` if a coefficient of ``p`` is not a finite real
-    number; the message carries the largest imaginary magnitude or the count
-    of non-finite entries.
-
-    Roots of a real polynomial come in conjugate pairs, which is what lets
-    :func:`det_roots` keep only the upper member of each and the factors
-    stay real; complex coefficients break both, and a NaN or an infinity
-    leaves no root to find.
-    """
-    coeffs = p.coeffs
-    if np.iscomplexobj(coeffs):
-        worst = float(np.max(np.abs(coeffs.imag)))
-        if worst > 0.0:
-            raise ValueError(
-                f"coefficients must be real; the largest imaginary part "
-                f"has magnitude {worst:.3e}"
-            )
-    if not np.isfinite(coeffs).all():
-        bad = coeffs.size - int(np.isfinite(coeffs).sum())
-        raise ValueError(
-            f"coefficients must be finite; {bad} of {coeffs.size} are NaN or infinite"
-        )
 
 
 def check_off_circle(alpha, tol=DEFAULTS) -> complex:
@@ -251,7 +219,10 @@ def _positive_qr(B: np.ndarray):
 
 
 def _anchored_kernel(M: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """:func:`kernel_vector` of ``M`` from its right singular vectors ``vh``."""
+    """Unit right-kernel direction of ``M`` from its right singular vectors
+    ``vh``: the smallest one, with a deterministic phase (the largest-modulus
+    entry, lowest index on ties, made real and positive).  The zero matrix
+    maps to the first basis vector."""
     if not M.any():
         e1 = np.zeros(M.shape[0], dtype=M.dtype)
         e1[0] = 1.0
@@ -263,39 +234,6 @@ def _anchored_kernel(M: np.ndarray, vh: np.ndarray) -> np.ndarray:
     # pin the anchor entry exactly onto the real axis
     v[idx] = abs(v[idx])
     return v
-
-
-def kernel_vector(M: np.ndarray) -> np.ndarray:
-    """Unit right-kernel direction of a (nearly) rank-deficient matrix.
-
-    The smallest right singular vector, with a deterministic phase: the
-    largest-modulus entry (lowest index on ties) is made real and positive.
-    The zero matrix maps to the first basis vector.
-    """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {M.shape}")
-    _, _, vh = np.linalg.svd(M)
-    return _anchored_kernel(M, vh)
-
-
-def orthogonal_completion(V1: np.ndarray) -> np.ndarray:
-    """Complete semi-orthogonal columns to a full real orthogonal matrix.
-
-    Deterministic: the completion is the QR factorisation of ``[V1 | I]``
-    with the sign convention that the R diagonal is positive, and the
-    leading columns are overwritten with ``V1`` itself.
-    """
-    V1 = np.atleast_2d(np.asarray(V1, dtype=np.float64))
-    if V1.shape[0] < V1.shape[1]:
-        raise ValueError(f"more columns than rows: {V1.shape}")
-    k = V1.shape[1]
-    gram_err = float(np.max(np.abs(V1.T @ V1 - np.eye(k))))
-    if gram_err > 1e-10:
-        raise ValueError(
-            f"columns are not orthonormal (deviation {gram_err:.3e})"
-        )
-    return _complete(V1)
 
 
 def _value_and_slope(coeffs: np.ndarray, z: complex) -> np.ndarray:
@@ -310,8 +248,11 @@ def _value_and_slope(coeffs: np.ndarray, z: complex) -> np.ndarray:
 
 
 def _complete(V1: np.ndarray) -> np.ndarray:
-    """:func:`orthogonal_completion` without its Gram check, for columns
-    that :func:`classify` normalized itself."""
+    """Complete the orthonormal columns ``V1`` to a real orthogonal matrix.
+
+    Deterministic: the QR factorisation of ``[V1 | I]`` with a positive R
+    diagonal, whose leading columns are then overwritten with ``V1`` itself.
+    """
     n, k = V1.shape
     B = np.eye(n, n + k, k)
     B[:, :k] = V1
@@ -348,14 +289,11 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
 
     Raises
     ------
-    ValueError
-        If a coefficient of ``p`` is not real (see :func:`check_real`).
     OnUnitCircle
         If the record's location is on the circle.
     NotARoot
         If ``p(alpha)`` is far from singular.
     """
-    check_real(p)
     if record.location == LOCATION_ON_CIRCLE:
         raise OnUnitCircle(
             f"root {record.alpha} lies on the unit circle; mirroring is undefined",
@@ -363,8 +301,7 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
             tol.circle,
         )
     alpha = record.alpha
-    # check_real passed, so complex storage evaluates to the same bits
-    coeffs = p.coeffs.real
+    coeffs = p.coeffs
     M, dp = _value_and_slope(coeffs, alpha)
     svd = np.linalg.svd(M)
     smin = svd[1][-1]

@@ -2,9 +2,8 @@
 
 The transfer variable enters through its reciprocal, so eigenvalues of ``A``
 inside the unit circle correspond to poles of ``k`` outside it.  The module
-provides the algebra needed to certify all-pass factors structurally:
-products, the adjoint ``k*(1/z)``, state coordinate changes, and the Stein
-(discrete Lyapunov) solver they all hinge on.
+builds the 2x2 pair factor in state space and certifies it structurally,
+through the Stein (discrete Lyapunov) solver that certificate hinges on.
 """
 
 from __future__ import annotations
@@ -21,10 +20,6 @@ from .roots import check_pair
 
 __all__ = [
     "StateSpace",
-    "ss_eval",
-    "ss_product",
-    "ss_star",
-    "state_transform",
     "solve_stein",
     "build_b2",
     "structural_blocks",
@@ -56,69 +51,6 @@ class StateSpace:
             raise ValueError(
                 f"D must be {(self.C.shape[0], self.B.shape[1])}, got {self.D.shape}"
             )
-
-    @property
-    def n_states(self) -> int:
-        return self.A.shape[0]
-
-    def __call__(self, z):
-        return ss_eval(self, z)
-
-
-def ss_eval(ss: StateSpace, z) -> np.ndarray:
-    """Evaluate the transfer function at ``z``.
-
-    ``z = 0`` returns ``D`` (the resolvent term vanishes in the limit).
-    """
-    zz = complex(z)
-    if zz == 0:
-        return ss.D.astype(np.complex128)
-    m = ss.n_states
-    core = np.linalg.solve(np.eye(m) / zz - ss.A, ss.B)
-    return ss.C @ core + ss.D
-
-
-def ss_product(s1: StateSpace, s2: StateSpace) -> StateSpace:
-    """Realization of the product ``k1(z) k2(z)``."""
-    if s1.B.shape[1] != s2.C.shape[0]:
-        raise ValueError(
-            f"inner dimensions differ: {s1.B.shape[1]} inputs vs "
-            f"{s2.C.shape[0]} outputs"
-        )
-    m1, m2 = s1.n_states, s2.n_states
-    A = np.zeros((m1 + m2, m1 + m2))
-    A[:m1, :m1] = s1.A
-    A[:m1, m1:] = s1.B @ s2.C
-    A[m1:, m1:] = s2.A
-    B = np.vstack([s1.B @ s2.D, s2.B])
-    C = np.hstack([s1.C, s1.D @ s2.C])
-    D = s1.D @ s2.D
-    return StateSpace(A, B, C, D)
-
-
-def ss_star(ss: StateSpace) -> StateSpace:
-    """Realization of the adjoint ``k*(1/z)`` (transpose with mirrored poles).
-
-    Requires ``A`` nonsingular; the poles move to their reciprocals, which is
-    exactly what makes products ``k* k`` constant for all-pass ``k``.
-    """
-    At_inv = np.linalg.inv(ss.A.T)
-    return StateSpace(
-        A=At_inv,
-        B=At_inv @ ss.C.T,
-        C=-ss.B.T @ At_inv,
-        D=ss.D.T - ss.B.T @ At_inv @ ss.C.T,
-    )
-
-
-def state_transform(ss: StateSpace, M: np.ndarray) -> StateSpace:
-    """Change state coordinates by an invertible M: (MAM^-1, MB, CM^-1, D)."""
-    M = np.asarray(M, dtype=np.float64)
-    m = ss.n_states
-    if M.shape != (m, m):
-        raise ValueError(f"M must be {(m, m)}, got {M.shape}")
-    Minv = np.linalg.inv(M)
-    return StateSpace(M @ ss.A @ Minv, M @ ss.B, ss.C @ Minv, ss.D)
 
 
 def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -189,9 +121,9 @@ def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def structural_blocks(ss: StateSpace, X: np.ndarray) -> dict:
     """Certification residuals for an all-pass candidate.
 
-    Takes the realization ``ss_product(ss_star(ss), ss)`` of
-    ``k*(1/z) k(z)`` in the state coordinates ``M = [[I, X], [0, I]]`` and
-    reads off the blocks that must vanish when ``X`` solves the Stein
+    Takes the product realization of ``k*(1/z) k(z)``, the adjoint (poles
+    mirrored) times ``k``, in the state coordinates ``M = [[I, X], [0, I]]``
+    and reads off the blocks that must vanish when ``X`` solves the Stein
     equation tying the realization together: the (1,2) state coupling block,
     the transformed input/output blocks, and the feedthrough deviation
     ``D'D + ... - I``.  The blocks are computed from their closed formulas,

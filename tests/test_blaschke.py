@@ -13,7 +13,6 @@ from allpass import (
     RationalAllPass,
     ScalarPoly,
     Tolerances,
-    UnitaryParam,
     allpass_from_A,
     b2_consecutive,
     b2_consecutive_from_w,
@@ -30,6 +29,7 @@ from allpass.errors import (
     OnUnitCircle,
     ReciprocalSpectrumMismatch,
 )
+from allpass.blaschke import _unitary
 from conftest import rand_alpha, rand_w
 
 PAIR_CONSTRUCTIONS = {
@@ -60,7 +60,7 @@ def test_elementary_alpha_zero_is_reciprocal():
 
 
 def test_elementary_unit_modulus_on_circle():
-    for alpha in [2.0, -0.3, 0.4 + 0.7j]:
+    for alpha in [2.0, -0.3, 0.4]:
         V = elementary(alpha)
         for z in circle_samples(16):
             assert abs(abs(V(z)[0, 0]) - 1.0) < 1e-12
@@ -71,6 +71,15 @@ def test_elementary_rejects_circle_alpha():
         elementary(np.exp(0.4j))
     with pytest.raises(OnUnitCircle):
         elementary(-1.0)
+
+
+def test_elementary_refuses_complex_alpha():
+    # the factor for a complex root had complex coefficients; a pair takes
+    # squared or a 2x2 factor, and only the circle test comes first
+    with pytest.raises(ValueError, match="real alpha"):
+        elementary(0.3 - 0.4j)
+    with pytest.raises(OnUnitCircle):
+        elementary(np.exp(0.4j))
 
 
 def test_squared_real_coefficients_and_roots():
@@ -121,8 +130,7 @@ def test_scalar_factor_unit_modulus_property(re, im, theta):
 
 
 def test_unitary_param_matrix():
-    u = UnitaryParam(0.7, -0.4)
-    M = u.matrix()
+    M = np.array(_unitary(0.7, -0.4)).reshape(2, 2)
     np.testing.assert_allclose(M @ M.conj().T, np.eye(2), atol=1e-14)
     np.testing.assert_allclose(np.linalg.det(M), 1.0, atol=1e-14)
     assert M[0, 0] == pytest.approx(np.cos(0.7) * np.exp(-0.4j))
@@ -337,7 +345,6 @@ def test_verify_allpass_identity_factor():
     )
     rep = verify_allpass(V)
     assert rep.max_residual < 1e-15
-    assert rep.max_imag == 0.0
     assert rep.det_modulus_dev < 1e-15
     assert rep.ok
 
@@ -357,9 +364,8 @@ def test_verify_allpass_matches_pointwise_reference(n_samples):
     w = np.array([0.8, 0.3 + 0.5j])
     factors = [make(0.3 + 0.6j, w) for make in PAIR_CONSTRUCTIONS.values()]
     factors += [make(2.0 + 1.5j, w) for make in PAIR_CONSTRUCTIONS.values()]
-    factors += [elementary(-0.4), squared(0.2 + 0.7j), elementary(0.3 - 0.4j)]
-    # corrupted copies, one of them complex so the residual is not symmetric
-    # under z -> conj(z)
+    factors += [elementary(-0.4), squared(0.2 + 0.7j), elementary(0.3)]
+    # corrupted copies of a 2x2 and a scalar factor
     for V in (factors[1], factors[-1]):
         bad = V.num.coeffs.copy()
         bad[1, 0, -1] += 0.05

@@ -3,11 +3,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from allpass import CPolyMatrix, PolyMatrix, b2_polynomial, jsonio
+from allpass import PolyMatrix, b2_polynomial, jsonio
 from allpass.cli import main
 from conftest import origin_matrix, origin_scalar
 
@@ -97,13 +98,28 @@ def test_non_finite_coefficient_is_usage_error(capsys, tmp_path, literal):
 
 
 def test_verify_non_finite_factor_is_usage_error(capsys, tmp_path, factor_file):
-    doc = json.loads(open(factor_file).read())
+    doc = json.loads(Path(factor_file).read_text())
     doc["den"]["coeffs"][0] = float("nan")
     bad = tmp_path / "nan_factor.json"
     bad.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "verify", str(bad))
+    code, out, err = run(capsys, "verify", str(bad))
     assert code == 2
+    assert out == ""
     assert "non-finite" in err
+
+
+def test_verify_complex_factor_is_usage_error(capsys, tmp_path, factor_file):
+    # a complex numerator was verified and its residue reported as max_imag;
+    # the factor's coefficients must be real, so it is refused like a NaN
+    doc = json.loads(Path(factor_file).read_text())
+    doc["num"]["coeffs"][1][0][1] = [doc["num"]["coeffs"][1][0][1], 4.5e-3]
+    bad = tmp_path / "complex_factor.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "4.500e-03" in err
 
 
 @pytest.mark.parametrize("command", ["roots", "mirror"])
@@ -111,7 +127,8 @@ def test_complex_coefficients_are_usage_error(capsys, tmp_path, command):
     rng = np.random.default_rng(1)
     c = rng.standard_normal((3, 2, 2)) + 0.3j * rng.standard_normal((3, 2, 2))
     path = tmp_path / "complex.json"
-    path.write_text(jsonio.dumps(jsonio.poly_to_json(CPolyMatrix(c))))
+    doc = {"dim": 2, "degree": 2, "coeffs": np.stack([c.real, c.imag], -1).tolist()}
+    path.write_text(json.dumps(doc))
     code, out, err = run(capsys, command, str(path))
     assert code == 2
     assert out == ""
@@ -273,6 +290,8 @@ def test_verify_ok(capsys, factor_file):
     assert rep["ok"] is True
     assert rep["n_samples"] == 64
     assert rep["max_residual"] < 1e-9
+    # a stored factor is real, so there is no imaginary residue to report
+    assert "max_imag" not in rep
 
 
 def test_verify_sample_count_flag(capsys, factor_file):
@@ -287,7 +306,7 @@ def test_verify_rejects_too_few_samples(capsys, factor_file):
 
 
 def test_verify_corrupted_factor_breach(capsys, tmp_path, factor_file):
-    obj = json.loads(open(factor_file).read())
+    obj = json.loads(Path(factor_file).read_text())
     obj["num"]["coeffs"][0][0][0] += 0.01
     bad = tmp_path / "bad_factor.json"
     bad.write_text(json.dumps(obj))
@@ -300,7 +319,7 @@ def test_verify_corrupted_factor_breach(capsys, tmp_path, factor_file):
 
 
 def test_verify_tol_flag_beats_env(capsys, monkeypatch, tmp_path, factor_file):
-    obj = json.loads(open(factor_file).read())
+    obj = json.loads(Path(factor_file).read_text())
     obj["num"]["coeffs"][0][0][0] += 0.01
     bad = tmp_path / "bad_factor.json"
     bad.write_text(json.dumps(obj))

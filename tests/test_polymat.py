@@ -6,24 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allpass import (
-    CPolyMatrix,
     PolyMatrix,
     ScalarPoly,
     circle_spectrum,
-    constant,
-    deconvolve,
-    det_poly,
-    eval_poly,
-    mul,
-    mul_scalar,
     poly_roots,
     spectral_eval,
-    to_real,
     trim,
 )
-from allpass.errors import ImaginaryResidueTooLarge, SingularPolynomialMatrix
-from allpass.polymat import _conv_coeffs
+from allpass.errors import SingularPolynomialMatrix
+from allpass.polymat import _conv_coeffs, det_poly
 from conftest import assert_roots_close
+from reference import constant, deconvolve, mul, mul_scalar
 
 
 def test_eval_monomial():
@@ -185,9 +178,6 @@ def test_poly_roots_double_real_root_collapses():
 def test_poly_roots_scalar_with_zero_leading_coefficients():
     # 1 - 2z stored at degree 3: the two roots at infinity are dropped
     assert poly_roots(ScalarPoly(np.array([1.0, -2.0, 0.0, 0.0]))) == pytest.approx([0.5], abs=1e-15)
-    # complex coefficients: z - a stored at degree 2 has the single root a
-    a = 0.5 + 0.2j
-    assert poly_roots(ScalarPoly(np.array([-a, 1.0, 0.0]))) == pytest.approx([a], abs=1e-15)
 
 
 def test_poly_roots_matrix_matches_det_reference():
@@ -238,15 +228,11 @@ def _spectral_points(rng):
     ])
 
 
-@pytest.mark.parametrize("kind", ["real", "complex", "1x1"])
+@pytest.mark.parametrize("kind", ["real", "1x1"])
 def test_spectral_eval_batch_matches_pointwise(kind):
     rng = np.random.default_rng(41)
     if kind == "real":
         p = PolyMatrix(rng.standard_normal((4, 3, 3)))
-    elif kind == "complex":
-        p = CPolyMatrix(
-            rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
-        )
     else:
         p = PolyMatrix(rng.standard_normal((3, 1, 1)))
     zs = _spectral_points(rng)
@@ -404,21 +390,6 @@ def test_trim_is_scale_invariant():
     assert a.degree == b.degree == 2
 
 
-def test_to_real_projects_small_imaginary_parts():
-    coeffs = np.ones((2, 2, 2)) + 1e-12j * np.ones((2, 2, 2))
-    p = to_real(CPolyMatrix(coeffs))
-    assert isinstance(p, PolyMatrix)
-    np.testing.assert_array_equal(p.coeffs, coeffs.real)
-
-
-def test_to_real_rejects_large_imaginary_parts():
-    coeffs = np.ones((2, 2, 2)) + 1e-3j * np.ones((2, 2, 2))
-    with pytest.raises(ImaginaryResidueTooLarge) as exc:
-        to_real(CPolyMatrix(coeffs), tol=1e-8)
-    assert exc.value.max_imag == pytest.approx(1e-3)
-    assert exc.value.tol == 1e-8
-
-
 def test_polymatrix_shape_validation():
     with pytest.raises(ValueError):
         PolyMatrix(np.ones((2, 2, 3)))
@@ -426,10 +397,26 @@ def test_polymatrix_shape_validation():
         PolyMatrix(np.ones((2, 2)))
 
 
-def test_cpolymatrix_max_imag():
-    coeffs = np.ones((1, 2, 2), dtype=complex)
-    coeffs[0, 0, 1] += 3e-4j
-    assert CPolyMatrix(coeffs).max_imag() == pytest.approx(3e-4)
+def test_scalar_poly_refuses_complex():
+    # PolyMatrix's refusal: test_roots.py::test_complex_coefficients_are_refused
+    with pytest.raises(ValueError, match="3.000e-04"):
+        ScalarPoly([1.0, 2.0 + 3e-4j])
+
+
+def test_scalar_poly_zero_imaginary_storage_is_real():
+    # PolyMatrix's: test_roots.py::test_complex_storage_of_real_input_gives_real_records
+    s = ScalarPoly(np.array([1.0, -0.0, 2.5], dtype=complex))
+    assert s.coeffs.dtype == np.float64
+    np.testing.assert_array_equal(s.coeffs, [1.0, -0.0, 2.5])
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan_imag"]
+)
+def test_scalar_poly_refuses_non_finite(bad):
+    # PolyMatrix's refusal: test_roots.py::test_non_finite_coefficients_are_refused
+    with pytest.raises(ValueError, match="1 of 3 are NaN or infinite"):
+        ScalarPoly([1.0, bad, 2.0])
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,24 +8,21 @@ import pytest
 import allpass.roots
 from allpass import (
     METHODS,
-    CPolyMatrix,
     PolyMatrix,
     Tolerances,
     classify,
-    det_poly,
     det_roots,
-    kernel_vector,
     mirror_all_inside,
-    mirror_once,
     mirror_set,
-    orthogonal_completion,
 )
 from allpass.errors import NotARoot, OnUnitCircle, SingularPolynomialMatrix
+from allpass.polymat import det_poly
 from allpass.roots import (
     CASE_DEGENERATE,
     CASE_GENERIC,
     CASE_REAL,
     RootRecord,
+    _complete,
     _triangular_ratio,
     _w_ratio,
     check_off_circle,
@@ -38,6 +35,7 @@ from conftest import (
     root_values,
     singular_leading_3x3,
 )
+from reference import kernel_vector
 
 
 def test_det_roots_worked_pair(worked_pair):
@@ -139,19 +137,22 @@ def test_singular_constant_matrix_raises_with_ratio():
 def test_complex_storage_of_real_input_gives_real_records():
     # complex storage took the complex branch: two complex_pair records with
     # Im 5.4e-16 and 3.3e-14 stood for four real roots, and mirroring them
-    # raised DeconvolutionResidueTooLarge
+    # raised DeconvolutionResidueTooLarge; PolyMatrix now stores it as real
     c = np.random.default_rng(3).standard_normal((3, 2, 2))
-    records = det_roots(CPolyMatrix(c))
+    with warnings.catch_warnings():
+        # no complex-to-real cast warning
+        warnings.simplefilter("error")
+        p = PolyMatrix(c.astype(complex))
+    np.testing.assert_array_equal(p.coeffs, PolyMatrix(c).coeffs)
+    records = det_roots(p)
     assert records == det_roots(PolyMatrix(c))
     assert [r.kind for r in records] == ["real"] * 4
     for method in METHODS:
-        with warnings.catch_warnings():
-            # no complex-to-real cast of the mirrored coefficients
-            warnings.simplefilter("error")
-            q, reports = mirror_all_inside(CPolyMatrix(c), method=method)
-        ref, _ = mirror_all_inside(PolyMatrix(c), method=method)
+        q, reports = mirror_all_inside(p, method=method)
+        ref, ref_reports = mirror_all_inside(PolyMatrix(c), method=method)
         assert len(reports) == 2
         np.testing.assert_array_equal(q.coeffs, ref.coeffs)
+        assert reports == ref_reports
 
 
 def test_kernel_vector_worked(worked_pair):
@@ -187,7 +188,7 @@ def test_orthogonal_completion_keeps_columns():
     for n, k in [(2, 1), (3, 1), (4, 2)]:
         A = rng.standard_normal((n, k))
         V1, _ = np.linalg.qr(A)
-        Q = orthogonal_completion(V1)
+        Q = _complete(V1)
         np.testing.assert_allclose(Q[:, :k], V1, atol=1e-14)
         np.testing.assert_allclose(Q.T @ Q, np.eye(n), atol=1e-13)
 
@@ -195,16 +196,16 @@ def test_orthogonal_completion_keeps_columns():
 def test_orthogonal_completion_deterministic():
     rng = np.random.default_rng(41)
     V1, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-    Q1 = orthogonal_completion(V1)
-    Q2 = orthogonal_completion(V1.copy())
+    Q1 = _complete(V1)
+    Q2 = _complete(V1.copy())
     np.testing.assert_array_equal(Q1, Q2)
 
 
 def test_orthogonal_completion_axis_goldens():
-    Q = orthogonal_completion(np.array([[1.0], [0.0]]))
+    Q = _complete(np.array([[1.0], [0.0]]))
     np.testing.assert_array_equal(Q, np.eye(2))
     # frozen output of the sign-fixed completion; guards the convention
-    Q = orthogonal_completion(np.array([[0.0], [1.0]]))
+    Q = _complete(np.array([[0.0], [1.0]]))
     np.testing.assert_allclose(Q, [[0.0, 1.0], [1.0, 0.0]], atol=0)
 
 
@@ -281,24 +282,19 @@ def test_generic_plan_takes_one_qr(monkeypatch):
 def test_complex_coefficients_are_refused():
     # det_roots kept only the roots with Im >= 0, which for complex
     # coefficients drops roots that have no conjugate partner: on this input
-    # mirror_all_inside returned after 0 steps with a root still inside
+    # mirror_all_inside returned after 0 steps with a root still inside.
+    # PolyMatrix(c) itself dropped the imaginary parts with only a
+    # ComplexWarning, and det_roots then found 3 records of Re c
     rng = np.random.default_rng(1)
     c = rng.standard_normal((3, 2, 2)) + 0.3j * rng.standard_normal((3, 2, 2))
-    p = CPolyMatrix(c)
     worst = f"{np.max(np.abs(c.imag)):.3e}"
-    rec = RootRecord(
-        alpha=0.5 + 0.5j, multiplicity=1, kind="complex_pair", location="inside"
-    )
-    for call in (
-        lambda: det_roots(p),
-        lambda: classify(p, rec),
-        lambda: mirror_once(p, rec),
-        lambda: mirror_all_inside(p),
-    ):
-        with pytest.raises(ValueError, match=worst):
-            call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for storage in (np.complex128, np.complex64):
+            with pytest.raises(ValueError, match=worst):
+                PolyMatrix(c.astype(storage))
     # complex storage with zero imaginary parts is a real polynomial
-    assert len(det_roots(CPolyMatrix(c.real))) == len(det_roots(PolyMatrix(c.real)))
+    assert det_roots(PolyMatrix(c.real.astype(complex))) == det_roots(PolyMatrix(c.real))
 
 
 def test_classify_real_root():
@@ -408,32 +404,23 @@ def test_classify_random_pairs_give_unit_w():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("storage", [PolyMatrix, CPolyMatrix])
+@pytest.mark.parametrize("storage", [float, complex], ids=["PolyMatrix", "complex"])
 def test_non_finite_coefficients_are_refused(bad, storage):
     # mirror_all_inside warned and then failed inside the root finder with
-    # LinAlgError("SVD did not converge"); check_real now refuses the input
-    c = np.random.default_rng(2).standard_normal((3, 2, 2))
+    # LinAlgError("SVD did not converge"); no such polynomial is built now
+    c = np.random.default_rng(2).standard_normal((3, 2, 2)).astype(storage)
     c[1, 0, 1] = bad
-    p = storage(c)
-    rec = RootRecord(
-        alpha=0.5 + 0.5j, multiplicity=1, kind="complex_pair", location="inside"
-    )
-    for call in (
-        lambda: det_roots(p),
-        lambda: classify(p, rec),
-        lambda: mirror_all_inside(p),
-    ):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="1 of 12 are NaN or infinite"):
-                call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="1 of 12 are NaN or infinite"):
+            PolyMatrix(c)
 
 
 def test_non_finite_imaginary_part_is_refused():
     c = np.random.default_rng(2).standard_normal((3, 2, 2)).astype(complex)
     c[0, 1, 1] = complex(1.0, np.nan)
-    with pytest.raises(ValueError, match="finite"):
-        det_roots(CPolyMatrix(c))
+    with pytest.raises(ValueError, match="1 of 12 are NaN or infinite"):
+        PolyMatrix(c)
 
 
 def test_not_a_root_carries_sigma_and_bound(worked_pair):
