@@ -61,17 +61,14 @@ class RationalAllPass:
     """All-pass factor ``num(z) / den(z)`` with monic denominator.
 
     ``alpha`` is the mirrored root (upper-half-plane member for a pair);
-    ``w`` is the kernel direction the 2x2 constructions were anchored to,
-    when there is one.  ``max_imag_pre`` records the largest imaginary
-    coefficient residue seen before projection to real (identically zero for
-    constructions that work in real arithmetic throughout).
+    ``max_imag_pre`` records the largest imaginary coefficient residue seen
+    before projection to real (zero for the real-arithmetic constructions).
     """
 
     num: PolyMatrix
     den: ScalarPoly
     alpha: complex
     method: str
-    w: Optional[np.ndarray] = None
     max_imag_pre: float = 0.0
 
     @property
@@ -211,8 +208,7 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     ValueError, OnUnitCircle, DegenerateW
         From :func:`~allpass.roots.check_pair`.
     ImaginaryResidueTooLarge
-        If the assembled product fails to be real to that bound, which it
-        carries in ``tol``.
+        If the assembled product fails to be real to that bound.
     """
     alpha, w = check_pair(alpha, w, tol)
     w0, w1 = w.tolist()
@@ -252,14 +248,15 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     bound = tol.real * max(1.0, max(abs(x) for m in num for x in m))
     if max_imag > bound:
         raise ImaginaryResidueTooLarge(
-            max_imag, bound, "projecting coefficients to real"
+            f"imaginary residue {max_imag:.3e} exceeds tolerance {bound:.3e} "
+            "(projecting coefficients to real)",
+            max_imag, bound,
         )
     return RationalAllPass(
         num=PolyMatrix(np.array(num).reshape(3, 2, 2)),
         den=_pair_denominator(alpha),
         alpha=alpha,
         method="consecutive",
-        w=w.copy(),
         max_imag_pre=max_imag,
     )
 
@@ -267,6 +264,17 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
 # kept as an alias because the acceptance tests and the benchmark call the
 # w-anchored construction by this name
 b2_consecutive_from_w = b2_consecutive
+
+
+def _band_miss(eigs, inside: bool, tol) -> Optional[float]:
+    """``|lambda| (1 + tol.circle)`` at A's largest eigenvalue modulus unless
+    below 1 (``inside``), ``|lambda| (1 - tol.circle)`` at the smallest unless
+    above 1 (outside); ``None`` when every eigenvalue clears the band."""
+    if inside:
+        miss = float(np.abs(eigs).max()) * (1.0 + tol.circle)
+        return None if miss < 1.0 else miss
+    miss = float(np.abs(eigs).min()) * (1.0 - tol.circle)
+    return None if miss > 1.0 else miss
 
 
 def allpass_from_A(A: np.ndarray, direction: str, tol=DEFAULTS):
@@ -311,12 +319,13 @@ def allpass_from_A(A: np.ndarray, direction: str, tol=DEFAULTS):
         )
     inside = direction == "eigs_inside"
     eigs = np.linalg.eigvals(A)
-    moduli = np.abs(eigs)
-    if not (
-        moduli * (1.0 + tol.circle) < 1.0 if inside
-        else moduli * (1.0 - tol.circle) > 1.0
-    ).all():
-        raise ValueError(f"direction {direction} but |eigs| = {sorted(moduli)}")
+    if _band_miss(eigs, inside, tol) is not None:
+        raise ValueError(f"direction {direction} but |eigs| = {sorted(np.abs(eigs))}")
+    return _solve_identity(A, eigs, inside)
+
+
+def _solve_identity(A, eigs, inside: bool):
+    """:func:`allpass_from_A` past its checks; ``eigs`` are A's eigenvalues."""
     if inside:
         Gamma0 = solve_stein(A, np.eye(2))
     else:
@@ -329,9 +338,9 @@ def allpass_from_A(A: np.ndarray, direction: str, tol=DEFAULTS):
     try:
         L = np.linalg.cholesky(TtT)
     except np.linalg.LinAlgError:
-        raise CholeskyNotPD(
-            f"T'T is not positive definite (eigs {np.linalg.eigvalsh(TtT)})"
-        ) from None
+        spectrum = np.linalg.eigvalsh(TtT)
+        msg = f"T'T is not positive definite (eigs {spectrum})"
+        raise CholeskyNotPD(msg, spectrum[0], 0.0) from None
     T = L.T
 
     # B is similar to A^-1, so its spectrum must be the reciprocals of A's
@@ -340,7 +349,11 @@ def allpass_from_A(A: np.ndarray, direction: str, tol=DEFAULTS):
     deviation = float(abs(eb - ea).max())
     bound = 1e-8 * max(1.0, float(abs(ea).max()))
     if deviation > bound:
-        raise ReciprocalSpectrumMismatch(deviation, bound)
+        raise ReciprocalSpectrumMismatch(
+            f"eigenvalues of B miss the reciprocals of A's by {deviation:.3e} > "
+            f"{bound:.3e}; the Stein solve is unreliable here",
+            deviation, bound,
+        )
     return B, T, Gamma0
 
 
@@ -361,8 +374,17 @@ def b2_polynomial(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     lam = 1.0 / alpha
     rot = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
     A = Wm @ rot @ np.linalg.inv(Wm)
-    direction = "eigs_outside" if abs(alpha) < 1.0 else "eigs_inside"
-    B, T, _ = allpass_from_A(A, direction, tol)
+    inside = abs(alpha) >= 1.0
+    eigs = np.linalg.eigvals(A)
+    # near the degenerate boundary, rounding in inv(Wm) can move A's spectrum
+    miss = _band_miss(eigs, inside, tol)
+    if miss is not None:
+        raise ReciprocalSpectrumMismatch(
+            "eigenvalues of A miss 1/alpha across the circle band: "
+            f"|lambda| (1 +- tol.circle) = {miss:.3e} against 1",
+            miss, 1.0,
+        )
+    B, T, _ = _solve_identity(A, eigs, inside)
     Tinv = np.linalg.inv(T)
     At = A - np.trace(A) * np.eye(2)
     scale = abs(alpha) ** 2
@@ -372,7 +394,6 @@ def b2_polynomial(alpha, w, tol=DEFAULTS) -> RationalAllPass:
         den=_pair_denominator(alpha),
         alpha=alpha,
         method="polynomial",
-        w=w.copy(),
         max_imag_pre=0.0,
     )
 

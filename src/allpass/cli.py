@@ -19,15 +19,8 @@ import json
 import os
 import sys
 
-from . import __version__, jsonio
+from . import __version__, errors, jsonio
 from .config import DEFAULTS
-from .errors import (
-    AllPassError,
-    DeconvolutionResidueTooLarge,
-    ImaginaryResidueTooLarge,
-    OnUnitCircle,
-    SingularPolynomialMatrix,
-)
 from .mirror import METHODS, mirror_all_inside, mirror_set
 from .roots import det_roots
 
@@ -39,6 +32,21 @@ EXIT_ON_CIRCLE = 4
 EXIT_BREACH = 5
 
 _ENV_TOL = "BLASCHKE_TOL"
+
+
+class UsageError(Exception):
+    pass
+
+
+# main's exit code for a refusal: that of the first row the error is an instance of
+EXIT_CODES = (
+    (UsageError, EXIT_USAGE),
+    (errors.SingularPolynomialMatrix, EXIT_SINGULAR),
+    (errors.OnUnitCircle, EXIT_ON_CIRCLE),
+    (errors.DeconvolutionResidueTooLarge, EXIT_BREACH),
+    (errors.ImaginaryResidueTooLarge, EXIT_BREACH),
+    (errors.AllPassError, EXIT_FAILURE),
+)
 
 
 def _positive_float(text: str) -> float:
@@ -75,10 +83,6 @@ def _resolve_tol(explicit: float | None, default: float) -> float:
             raise UsageError(f"{_ENV_TOL} must be positive: {env!r}")
         return value
     return default
-
-
-class UsageError(Exception):
-    pass
 
 
 def _load_json(path: str):
@@ -250,21 +254,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, errors.AllPassError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SingularPolynomialMatrix as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except OnUnitCircle as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ON_CIRCLE
-    except (DeconvolutionResidueTooLarge, ImaginaryResidueTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BREACH
-    except AllPassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

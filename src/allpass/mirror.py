@@ -168,15 +168,14 @@ def _step(p: PolyMatrix, record: RootRecord, method: str, tol):
         raise DeconvolutionResidueTooLarge(
             f"dividing out the factor denominator left relative remainder "
             f"{resid:.3e}; the selected root does not match the factor",
-            resid,
-            _DECONV_BOUND,
+            resid, _DECONV_BOUND,
         )
 
     # the factor for alpha = 0 is 1/z, with a constant numerator: its
     # quotient is one coefficient short of the input, so pad it with zeros
     pq[:, :, :k] = 0.0
     pq[: quot.shape[0], :, :k] = quot
-    p_new = PolyMatrix(pq[: _trimmed_length(pq, DEFAULTS.trim)])
+    p_new = PolyMatrix(pq[: _trimmed_length(pq, tol.trim)])
     return p_new, MirrorReport(
         mirrored_roots=[complex(x) for x in mirrored],
         method=V.method,
@@ -235,22 +234,24 @@ def _validate_selection(selection, method, tol):
     for rec in selection:
         if rec.multiplicity < 1:
             raise SelectionNotClosed(
-                f"record for {rec.alpha} has multiplicity {rec.multiplicity}"
+                f"record for {rec.alpha} has multiplicity {rec.multiplicity}",
+                rec.multiplicity, 1,
             )
         if rec.kind == KIND_COMPLEX and rec.alpha.imag <= 0:
             raise SelectionNotClosed(
                 f"complex record must carry the upper-half-plane member, "
-                f"got {rec.alpha}"
+                f"got {rec.alpha}",
+                rec.alpha.imag, 0.0,
             )
         if rec.kind == KIND_REAL and rec.alpha.imag != 0:
             raise SelectionNotClosed(
-                f"real record has nonzero imaginary part: {rec.alpha}"
+                f"real record has nonzero imaginary part: {rec.alpha}",
+                rec.alpha.imag, 0.0,
             )
         if rec.location == LOCATION_ON_CIRCLE:
             raise OnUnitCircle(
                 f"root {rec.alpha} lies on the unit circle; mirroring cannot move it",
-                abs(rec.alpha),
-                tol.circle,
+                abs(abs(rec.alpha) - 1.0), tol.circle,
             )
 
 

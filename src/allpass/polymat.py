@@ -111,9 +111,6 @@ class ScalarPoly:
     def __call__(self, z):
         return eval_poly(self, z)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
     def trim(self, rtol: float = DEFAULTS.trim) -> "ScalarPoly":
         return trim(self, rtol)
 
@@ -259,7 +256,11 @@ def _finite_roots(p, tol):
     ratios = np.linalg.svd(leads, compute_uv=False)[:, -1] / _scaled_size(p, 0.0)
     best = int(np.argmax(ratios if max(ratios[:2]) <= tol.kernel else ratios[:2]))
     if ratios[best] <= tol.kernel:
-        raise SingularPolynomialMatrix(ratios[best], tol.kernel)
+        raise SingularPolynomialMatrix(
+            "det p(z) vanishes identically: max over trial shifts s of sigma_min"
+            f"(p(s)) / (||p|| max(1, |s|)^q) = {ratios[best]:.3e} <= {tol.kernel:.1e}",
+            ratios[best], tol.kernel,
+        )
     if q == 0:
         return np.zeros(0, dtype=complex)
     stack = coeffs[::-1]

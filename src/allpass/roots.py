@@ -111,7 +111,7 @@ def det_roots(p, tol=DEFAULTS):
     Raises
     ------
     SingularPolynomialMatrix
-        If ``det p(z)`` vanishes identically; carries the best ratio.
+        If ``det p(z)`` vanishes identically.
     """
     values = poly_roots(p, tol)
     records = []
@@ -130,8 +130,7 @@ def check_off_circle(alpha, tol=DEFAULTS) -> complex:
     if _locate(alpha, tol.circle) == LOCATION_ON_CIRCLE:
         raise OnUnitCircle(
             f"|alpha| = {abs(alpha):.12g} lies on the unit circle",
-            abs(alpha),
-            tol.circle,
+            abs(abs(alpha) - 1.0), tol.circle,
         )
     return alpha
 
@@ -207,7 +206,11 @@ def check_pair(alpha, w=None, tol=DEFAULTS):
         raise ValueError(f"w must be finite, got {w}")
     ratio = _w_ratio(w0, w1)
     if ratio <= tol.degenerate:
-        raise DegenerateW(ratio, tol.degenerate)
+        raise DegenerateW(
+            "w and conj(w) are numerically dependent (sigma2/sigma1 = "
+            f"{ratio:.3e} <= {tol.degenerate:.1e}); use the squared scalar factor",
+            ratio, tol.degenerate,
+        )
     return alpha, w
 
 
@@ -297,8 +300,7 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     if record.location == LOCATION_ON_CIRCLE:
         raise OnUnitCircle(
             f"root {record.alpha} lies on the unit circle; mirroring is undefined",
-            abs(record.alpha),
-            tol.circle,
+            abs(abs(record.alpha) - 1.0), tol.circle,
         )
     alpha = record.alpha
     coeffs = p.coeffs
@@ -310,8 +312,7 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
         raise NotARoot(
             f"sigma_min(p({alpha})) = {smin:.3e} exceeds "
             f"{tol.kernel:.1e} * ||p|| * max(1, |alpha|)^{p.degree} = {bound:.3e}",
-            float(smin),
-            bound,
+            smin, bound,
         )
     # one Newton step on det p (Tisseur, LAA 2000): with the smallest singular
     # triplet p(alpha) v = sigma u, u^H p(z) v is sigma at alpha with slope

@@ -70,8 +70,7 @@ def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     ResonantEigenvalues
         If some product of eigenvalues ``lambda_i * lambda_j`` of A is within
         1e-10 of 1, where the equation is singular, or if the Kronecker
-        system turns out singular anyway; the message then carries its
-        condition number.
+        system turns out singular anyway.
 
     Notes
     -----
@@ -99,7 +98,8 @@ def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
         i, j = np.argwhere(bad)[0]
         raise ResonantEigenvalues(
             f"eigenvalue product lambda_{i} * lambda_{j} = {prods[i, j]:.12g} "
-            "is within 1e-10 of 1; the Stein equation is singular"
+            "is within 1e-10 of 1; the Stein equation is singular",
+            abs(prods - 1.0).min(), 1e-10,
         )
 
     # kron(A', A') by broadcasting: entry (i m + k, j m + l) is A_ji A_lk
@@ -110,10 +110,13 @@ def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
         X = np.linalg.solve(K, Q.reshape(-1)).reshape(m, m)
     except np.linalg.LinAlgError as err:
         # eigenvalues of a defective A carry errors far above 1e-10, so a
-        # product can equal 1 exactly although the test above let it pass
+        # product can equal 1 exactly although the test above let it pass;
+        # the refusal is LAPACK's exact-zero pivot, which has no bound
+        cond = np.linalg.cond(K)
         raise ResonantEigenvalues(
             f"the Kronecker Stein system is singular (condition number "
-            f"{np.linalg.cond(K):.3e}); some eigenvalue product of A is 1"
+            f"{cond:.3e}); some eigenvalue product of A is 1",
+            cond, None,
         ) from err
     return 0.5 * (X + X.T)
 
@@ -173,8 +176,7 @@ def build_b2(alpha, w, tol=DEFAULTS):
     ResonantEigenvalues
     GramNotPD
         If the Gram matrix fails its Cholesky, or the feedthrough built from
-        it fails the structural certification (worst block residual above
-        1e-6, carried in the message).
+        it fails the structural certification (worst block above 1e-6).
     SingularSteinSolution
         If the Stein solution is numerically singular (condition > 1e12).
     """
@@ -190,7 +192,10 @@ def build_b2(alpha, w, tol=DEFAULTS):
     sv = np.linalg.svd(X, compute_uv=False)
     condX = float(sv[0]) / float(sv[1]) if sv[1] > 0.0 else math.inf
     if not np.isfinite(condX) or condX > 1e12:
-        raise SingularSteinSolution(condX, 1e12)
+        raise SingularSteinSolution(
+            f"Stein solution X is numerically singular (cond = {condX:.3e} > 1.0e+12)",
+            condX, 1e12,
+        )
     Ainv = np.linalg.inv(A)
     Xinv = np.linalg.inv(X)
     G = np.eye(2) + C @ Ainv @ Xinv @ Ainv.T @ C.T
@@ -201,7 +206,9 @@ def build_b2(alpha, w, tol=DEFAULTS):
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        raise GramNotPD("Gram matrix is not positive definite") from None
+        raise GramNotPD(
+            "Gram matrix is not positive definite", np.linalg.eigvalsh(G)[0], 0.0
+        ) from None
     D = np.linalg.inv(L).T
     B = -Xinv @ Ainv.T @ C.T @ D
     ss = StateSpace(A, B, C, D)
@@ -210,7 +217,8 @@ def build_b2(alpha, w, tol=DEFAULTS):
     if worst > 1e-6:
         raise GramNotPD(
             f"structural certification failed (worst block residual "
-            f"{worst:.3e}: {blocks})"
+            f"{worst:.3e}: {blocks})",
+            worst, 1e-6,
         )
 
     # rational form over the monic denominator (z - alpha)(z - conj alpha)
@@ -225,7 +233,6 @@ def build_b2(alpha, w, tol=DEFAULTS):
         den=_pair_denominator(alpha),
         alpha=alpha,
         method="statespace",
-        w=w.copy(),
         max_imag_pre=0.0,
     )
     return ss, rat

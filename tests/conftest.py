@@ -34,6 +34,15 @@ def rand_w(rng, min_ratio=0.05):
             return w / np.linalg.norm(w)
 
 
+# a valid pair near the degenerate boundary: sigma2/sigma1 of [Re w, Im w] is
+# 1.6e-8, and b2_polynomial's A = Wm rot inv(Wm) comes out with eigenvalue
+# modulus 0.974 where 1/|alpha| is 1.039
+CROSSING_ALPHA = -0.15513715005622325 + 0.9502534925617604j
+CROSSING_W = np.array(
+    [-0.11806368624135133 + 0.6476911326462257j, 0.1349808666942894 - 0.7404980272148007j]
+)
+
+
 def origin_scalar():
     """``z (z - 0.5)``: an exact root at the origin, detected as 0."""
     return PolyMatrix(np.array([0.0, -0.5, 1.0]).reshape(3, 1, 1))

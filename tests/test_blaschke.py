@@ -30,7 +30,7 @@ from allpass.errors import (
     ReciprocalSpectrumMismatch,
 )
 from allpass.blaschke import _unitary
-from conftest import rand_alpha, rand_w
+from conftest import CROSSING_ALPHA, CROSSING_W, rand_alpha, rand_w
 
 PAIR_CONSTRUCTIONS = {
     "consecutive": b2_consecutive,
@@ -432,8 +432,8 @@ def test_pair_constructions_accept_alike(method):
 def test_degenerate_w_carries_ratio():
     with pytest.raises(DegenerateW) as exc:
         b2_consecutive(0.5 + 0.5j, np.array([1.0, 2e-4j]), Tolerances(degenerate=1e-3))
-    assert exc.value.ratio == pytest.approx(2e-4, rel=1e-12)
-    assert exc.value.tol == 1e-3
+    assert exc.value.value == pytest.approx(2e-4, rel=1e-12)
+    assert exc.value.bound == 1e-3
 
 
 def kernel_direction(ratio, t1, t2):
@@ -583,8 +583,23 @@ def test_polynomial_reciprocal_check_is_typed():
     with pytest.raises(ReciprocalSpectrumMismatch) as exc:
         b2_polynomial(alpha, w)
     assert isinstance(exc.value, AllPassError)
-    assert exc.value.tol == pytest.approx(1e-8 * max(1.0, abs(alpha)))
-    assert exc.value.deviation > exc.value.tol
+    assert exc.value.bound == pytest.approx(1e-8 * max(1.0, abs(alpha)))
+    assert exc.value.value > exc.value.bound
+
+
+def test_polynomial_band_crossing_is_typed():
+    # the ratio 1.6e-8 passes check_pair, but rounding in inv([Re w, Im w])
+    # moves A's eigenvalues from 1/|alpha| = 1.039 to 0.974, inside the
+    # circle; this was a plain ValueError from allpass_from_A's direction check
+    with pytest.raises(ReciprocalSpectrumMismatch) as exc:
+        b2_polynomial(CROSSING_ALPHA, CROSSING_W)
+    assert str(exc.value).startswith("eigenvalues of A miss 1/alpha")
+    assert exc.value.value == pytest.approx(0.974 * (1.0 - DEFAULTS.circle), abs=1e-3)
+    assert exc.value.value <= exc.value.bound == 1.0
+    # the other routes build the same pair to roundoff
+    for make in (b2_consecutive, PAIR_CONSTRUCTIONS["statespace"]):
+        V = make(CROSSING_ALPHA, CROSSING_W)
+        assert verify_allpass(V, 64).max_residual <= 1e-13
 
 
 def test_consecutive_residue_is_relative_to_coefficients():
@@ -622,12 +637,12 @@ def test_consecutive_refusal_carries_the_relative_bound():
         b2_consecutive(alpha, W_GENERIC, Tolerances(real=1e-30))
     # bound = tol.real times the largest coefficient modulus before the
     # orthogonal embedding, which keeps the largest entry within a factor 2
-    assert 0.5e-30 * largest <= info.value.tol <= 2e-30 * largest
-    assert info.value.max_imag > info.value.tol
+    assert 0.5e-30 * largest <= info.value.bound <= 2e-30 * largest
+    assert info.value.value > info.value.bound
     # coefficients of size at most one: the bound is tol.real itself
     with pytest.raises(ImaginaryResidueTooLarge) as info:
         b2_consecutive(0.1 + 0.2j, W_GENERIC, Tolerances(real=1e-300))
-    assert info.value.tol == 1e-300
+    assert info.value.bound == 1e-300
 
 
 def test_consecutive_route_makes_no_lapack_call(monkeypatch):

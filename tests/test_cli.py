@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from allpass import PolyMatrix, b2_polynomial, jsonio
-from allpass.cli import main
+import allpass.cli
+from allpass import AllPassError, PolyMatrix, b2_polynomial, jsonio
+from allpass.cli import EXIT_CODES, main
 from conftest import origin_matrix, origin_scalar
 
 
@@ -340,8 +341,51 @@ def test_env_tol_garbage_is_usage_error(capsys, monkeypatch, factor_file):
 
 
 def test_tol_must_be_positive(capsys, factor_file):
-    code, _, _ = run(capsys, "verify", factor_file, "--tol", "-1e-9")
+    # "--tol -1e-9" reads as a missing argument, so the value is attached
+    for flag in (["--tol=-1e-9"], ["--tol", "0"]):
+        code, _, err = run(capsys, "verify", factor_file, *flag)
+        assert code == 2
+        assert "must be positive" in err
+
+
+def test_samples_must_be_an_integer(capsys, factor_file):
+    code, _, err = run(capsys, "verify", factor_file, "--samples", "abc")
     assert code == 2
+    assert "not an integer: 'abc'" in err
+
+
+def test_env_tol_must_be_positive(capsys, monkeypatch, factor_file):
+    monkeypatch.setenv("BLASCHKE_TOL", "-1")
+    code, out, err = run(capsys, "verify", factor_file)
+    assert code == 2
+    assert out == ""
+    assert err == "error: BLASCHKE_TOL must be positive: '-1'\n"
+
+
+def test_mirror_select_empty(capsys, poly_file):
+    code, out, err = run(capsys, "mirror", poly_file, "--select", ",")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --select: empty selection\n"
+
+
+@pytest.mark.parametrize(
+    "cls, code", EXIT_CODES, ids=[cls.__name__ for cls, _ in EXIT_CODES]
+)
+def test_exit_code_table(capsys, monkeypatch, poly_file, cls, code):
+    def refuse(args):
+        raise cls("synthetic")
+
+    monkeypatch.setattr(allpass.cli, "cmd_mirror", refuse)
+    assert run(capsys, "mirror", poly_file) == (code, "", "error: synthetic\n")
+
+
+def test_exit_code_table_order():
+    # a row never shadows a later one, and the last catches every domain error
+    classes = [cls for cls, _ in EXIT_CODES]
+    for i, cls in enumerate(classes):
+        assert not any(issubclass(cls, earlier) for earlier in classes[:i])
+    assert classes[-1] is AllPassError
 
 
 def test_no_command_is_usage_error(capsys):

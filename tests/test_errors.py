@@ -1,0 +1,171 @@
+"""One refusal shape: every AllPassError carries the number that tripped it.
+
+Every ``raise`` of an ``AllPassError`` subclass in the package passes the
+message, ``value`` and ``bound``, no subclass has a constructor of its own,
+and each raise site is reached by one input below, which asserts both
+numbers.
+"""
+
+import ast
+import collections
+import inspect
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import allpass
+from allpass import errors
+from allpass import (
+    PolyMatrix,
+    Tolerances,
+    b2_consecutive,
+    b2_polynomial,
+    build_b2,
+    classify,
+    det_roots,
+    mirror_once,
+    mirror_set,
+)
+from allpass.roots import RootRecord, check_off_circle, check_pair
+from allpass.statespace import solve_stein
+from conftest import CROSSING_ALPHA, CROSSING_W
+
+SRC = Path(allpass.__file__).parent
+DOMAIN = {
+    name
+    for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, errors.AllPassError)
+}
+
+
+def raise_sites():
+    """``(module, line, class name, argument count)`` of every ``raise
+    <AllPassError subclass>(...)`` in the package."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            func = node.exc.func
+            if isinstance(func, ast.Name) and func.id in DOMAIN:
+                n_args = len(node.exc.args) + len(node.exc.keywords)
+                sites.append((path.stem, node.lineno, func.id, n_args))
+    return sites
+
+
+def test_error_classes_share_one_constructor():
+    for name in DOMAIN - {"AllPassError"}:
+        assert "__init__" not in vars(getattr(errors, name)), name
+    exc = errors.NotARoot("m", np.float64(2.0), 1)
+    assert (str(exc), exc.value, exc.bound) == ("m", 2.0, 1.0)
+    assert type(exc.value) is float and type(exc.bound) is float
+
+
+def test_every_raise_passes_message_value_and_bound():
+    sites = raise_sites()
+    assert len(sites) >= 19
+    assert [s for s in sites if s[3] != 3] == []
+
+
+def shifted_root():
+    # a wide root test accepts 0.45 for the root 0.5 of (z - 0.5)(z - 3); one
+    # Newton step leaves it 1e-3 off, far above the division's 1e-6
+    p = PolyMatrix(np.array([1.5, -3.5, 1.0]).reshape(3, 1, 1))
+    rec = RootRecord(0.45, 1, "real", "inside")
+    mirror_once(p, rec, tol=Tolerances(kernel=1.0))
+
+
+def bad_record(**change):
+    def run():
+        p = PolyMatrix(np.array([-0.25, 0.0, 1.0]).reshape(3, 1, 1))
+        rec = RootRecord(0.5, 1, "real", "inside")
+        for k, v in change.items():
+            setattr(rec, k, v)
+        mirror_set(p, [rec])
+
+    return run
+
+
+def small_pair_b2(seed):
+    rng = np.random.default_rng(seed)
+    alpha = 1e-3 * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
+    w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return lambda: build_b2(alpha, w)
+
+
+CIRCLE = PolyMatrix(np.array([1.0, -2 * np.cos(0.7), 1.0]).reshape(3, 1, 1))
+ON_CIRCLE = RootRecord(np.exp(0.7j), 1, "complex_pair", "on_circle")
+
+# (module, class, input) for every raise site; the LAPACK site of solve_stein
+# has no bound of its own
+SITES = {
+    "singular": ("polymat", errors.SingularPolynomialMatrix,
+                 lambda: det_roots(PolyMatrix(np.array([[[1.0, 2.0], [2.0, 4.0]]])))),
+    "off-circle": ("roots", errors.OnUnitCircle,
+                   lambda: check_off_circle(0.3 + 0.9j, Tolerances(circle=0.1))),
+    "degenerate": ("roots", errors.DegenerateW,
+                   lambda: check_pair(0.5 + 0.5j, [1.0, 2e-4j], Tolerances(degenerate=1e-3))),
+    "classify-circle": ("roots", errors.OnUnitCircle, lambda: classify(CIRCLE, ON_CIRCLE)),
+    "not-a-root": ("roots", errors.NotARoot,
+                   lambda: classify(CIRCLE, RootRecord(3.0, 1, "real", "outside"))),
+    "imaginary": ("blaschke", errors.ImaginaryResidueTooLarge,
+                  lambda: b2_consecutive(0.1 + 0.2j, [0.8, 0.3 + 0.5j], Tolerances(real=1e-300))),
+    "cholesky": ("blaschke", errors.CholeskyNotPD, lambda: b2_polynomial(
+        0.8437477363070668 + 1.0493977280145141j,
+        [-0.8316891902400994 - 0.5528105504093846j, -0.043221993909552316 - 0.02873056626808511j],
+    )),
+    "reciprocal-B": ("blaschke", errors.ReciprocalSpectrumMismatch, lambda: b2_polynomial(
+        0.5655611953367762 + 0.20035102777185076j,
+        [0.03480844806410672 + 0.28485272861234023j, -0.11622856730779756 - 0.950861827547541j],
+    )),
+    "reciprocal-A": ("blaschke", errors.ReciprocalSpectrumMismatch,
+                     lambda: b2_polynomial(CROSSING_ALPHA, CROSSING_W)),
+    "resonant": ("statespace", errors.ResonantEigenvalues,
+                 lambda: solve_stein(np.diag([2.0, 0.5]), np.eye(2))),
+    "resonant-lapack": ("statespace", errors.ResonantEigenvalues,
+                        lambda: solve_stein(np.array([[-9999.0, 1.0], [-1e8, 10001.0]]), np.eye(2))),
+    "stein-cond": ("statespace", errors.SingularSteinSolution,
+                   lambda: build_b2(3.0 + 1e-6j, np.array([1.0, 1e-7j]))),
+    "gram-cholesky": ("statespace", errors.GramNotPD, small_pair_b2(196)),
+    "gram-blocks": ("statespace", errors.GramNotPD, small_pair_b2(0)),
+    "deconvolution": ("mirror", errors.DeconvolutionResidueTooLarge, shifted_root),
+    "multiplicity": ("mirror", errors.SelectionNotClosed, bad_record(multiplicity=0)),
+    "lower-half": ("mirror", errors.SelectionNotClosed,
+                   bad_record(alpha=0.5 - 0.5j, kind="complex_pair")),
+    "real-imaginary": ("mirror", errors.SelectionNotClosed, bad_record(alpha=0.5 + 0.1j)),
+    "selection-circle": ("mirror", errors.OnUnitCircle,
+                         lambda: mirror_set(CIRCLE, [ON_CIRCLE])),
+}
+
+
+def raised_at(info):
+    """``(module, line)`` of the frame that raised."""
+    tb = info.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return Path(tb.tb_frame.f_code.co_filename).stem, tb.tb_lineno
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_raise_site_carries_value_and_bound(site):
+    module, cls, run = SITES[site]
+    with pytest.raises(cls) as info:
+        run()
+    assert type(info.value) is cls
+    assert raised_at(info)[0] == module
+    assert isinstance(info.value.value, float)
+    if site == "resonant-lapack":
+        assert info.value.bound is None
+    else:
+        assert isinstance(info.value.bound, float)
+
+
+def test_every_raise_site_is_reached():
+    lines = collections.Counter()
+    for module, cls, run in SITES.values():
+        with pytest.raises(cls) as info:
+            run()
+        lines[raised_at(info)] += 1
+    sites = collections.Counter((m, line) for m, line, _, _ in raise_sites())
+    assert lines == sites

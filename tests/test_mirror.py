@@ -27,11 +27,18 @@ from allpass import (
 from allpass.errors import (
     DeconvolutionResidueTooLarge,
     OnUnitCircle,
+    ReciprocalSpectrumMismatch,
     SelectionNotClosed,
 )
 from allpass.mirror import MirrorReport, _certify, _spectral_deviation
-from allpass.roots import CASE_DEGENERATE, CASE_REAL, RootRecord
-from conftest import origin_matrix, origin_scalar, polymatrix_with_inside_pair
+from allpass.roots import CASE_DEGENERATE, CASE_GENERIC, CASE_REAL, MirrorPlan, RootRecord
+from conftest import (
+    CROSSING_ALPHA,
+    CROSSING_W,
+    origin_matrix,
+    origin_scalar,
+    polymatrix_with_inside_pair,
+)
 from reference import deconvolve, mul
 
 
@@ -678,8 +685,45 @@ def test_deconvolution_refusal_carries_residual_and_bound(monkeypatch):
     monkeypatch.setattr(allpass.mirror, "classify", shifted)
     with pytest.raises(DeconvolutionResidueTooLarge) as info:
         mirror_all_inside(p)
-    assert info.value.residual == pytest.approx(0.064 / 1.3, rel=1e-14)
+    assert info.value.value == pytest.approx(0.064 / 1.3, rel=1e-14)
     assert info.value.bound == 1e-6
-    assert f"{info.value.residual:.3e}" in str(info.value)
+    assert f"{info.value.value:.3e}" in str(info.value)
     bare = DeconvolutionResidueTooLarge("synthetic")
-    assert bare.residual is None and bare.bound is None
+    assert bare.value is None and bare.bound is None
+
+
+def test_polynomial_band_crossing_is_typed_through_mirror_once(monkeypatch):
+    # p = [[s(z), 0], [l(z), 1]] with s(z) = (z - alpha)(z - conj alpha) and
+    # real l(z) = c0 + c1 z through l(alpha) = -w1 / w0: p(alpha) w = 0.
+    # classify's own w is triangular ([Re w, Im w] = R), and no triangular w
+    # was seen to cross; the plan here takes Q = I, which keeps Q1 w = v
+    alpha, w = CROSSING_ALPHA, CROSSING_W
+    lw = -w[1] / w[0]
+    c1 = lw.imag / alpha.imag
+    coeffs = np.zeros((3, 2, 2))
+    coeffs[:, 0, 0] = [abs(alpha) ** 2, -2.0 * alpha.real, 1.0]
+    coeffs[:2, 1, 0] = [lw.real - c1 * alpha.real, c1]
+    coeffs[0, 1, 1] = 1.0
+    p = PolyMatrix(coeffs)
+    assert np.linalg.norm(p(alpha) @ w) <= 1e-15
+    plan = MirrorPlan(case=CASE_GENERIC, alpha=alpha, v=w, Q=np.eye(2), w=w)
+    monkeypatch.setattr(allpass.mirror, "classify", lambda p, record, tol: plan)
+    record = RootRecord(alpha, 1, "complex_pair", "inside")
+    with pytest.raises(ReciprocalSpectrumMismatch) as info:
+        mirror_once(p, record, method="polynomial")
+    assert info.value.value is not None and info.value.bound == 1.0
+    # the consecutive route mirrors the pair on the same plan
+    q, report = mirror_once(p, record, method="consecutive")
+    assert report.spectral_dev <= 1e-12
+    assert report.new_root_residual <= 1e-12
+
+
+def test_step_trims_with_the_callers_tolerance():
+    # (z - 0.5)(1 + 1e-10 z): with trim = 1e-9 the far root is infinite, so
+    # det_roots finds one root and the output must keep degree 1
+    p = PolyMatrix(np.array([-0.5, 1.0 - 0.5e-10, 1e-10]).reshape(3, 1, 1))
+    tol = Tolerances(trim=1e-9)
+    assert [r.alpha for r in det_roots(p, tol)] == [0.5]
+    q, (report,) = mirror_all_inside(p, tol=tol)
+    assert q.degree == report.degree_out == 1
+    np.testing.assert_allclose(q.coeffs.ravel(), [1.0, -0.5], atol=1e-15)

@@ -130,8 +130,8 @@ def test_singular_constant_matrix_raises_with_ratio():
     p = PolyMatrix(np.array([[[1.0, 2.0], [2.0, 4.0]]]))
     with pytest.raises(SingularPolynomialMatrix) as info:
         det_roots(p)
-    assert info.value.ratio <= info.value.tol == 1e-6
-    assert f"{info.value.ratio:.3e}" in str(info.value)
+    assert info.value.value <= info.value.bound == 1e-6
+    assert f"{info.value.value:.3e}" in str(info.value)
 
 
 def test_complex_storage_of_real_input_gives_real_records():
@@ -430,13 +430,13 @@ def test_not_a_root_carries_sigma_and_bound(worked_pair):
         classify(worked_pair, fake)
     sigma = np.linalg.svd(worked_pair(alpha), compute_uv=False)[-1]
     bound = 1e-6 * worked_pair.norm() * abs(alpha) ** worked_pair.degree
-    assert info.value.sigma == pytest.approx(sigma, rel=1e-12)
+    assert info.value.value == pytest.approx(sigma, rel=1e-12)
     assert info.value.bound == pytest.approx(bound, rel=1e-15)
-    assert info.value.sigma > info.value.bound
-    assert f"{info.value.sigma:.3e}" in str(info.value)
+    assert info.value.value > info.value.bound
+    assert f"{info.value.value:.3e}" in str(info.value)
     # a message alone still makes one, with no numbers
     bare = NotARoot("synthetic")
-    assert str(bare) == "synthetic" and bare.sigma is None and bare.bound is None
+    assert str(bare) == "synthetic" and bare.value is None and bare.bound is None
 
 
 def test_on_unit_circle_carries_modulus_and_band():
@@ -446,17 +446,18 @@ def test_on_unit_circle_carries_modulus_and_band():
     tol = Tolerances(circle=1e-6)
     with pytest.raises(OnUnitCircle) as info:
         classify(p, rec, tol)
-    assert (info.value.modulus, info.value.band) == (abs(rec.alpha), 1e-6)
+    gap = abs(abs(rec.alpha) - 1.0)
+    assert (info.value.value, info.value.bound) == (gap, 1e-6)
     with pytest.raises(OnUnitCircle) as info:
         mirror_set(p, [rec], tol=tol)
-    assert (info.value.modulus, info.value.band) == (abs(rec.alpha), 1e-6)
+    assert (info.value.value, info.value.bound) == (gap, 1e-6)
     alpha = 0.3 + 0.9j
     with pytest.raises(OnUnitCircle) as info:
         check_off_circle(alpha, Tolerances(circle=0.1))
-    assert (info.value.modulus, info.value.band) == (abs(alpha), 0.1)
-    assert abs(abs(alpha) - 1.0) <= info.value.band
+    assert (info.value.value, info.value.bound) == (abs(abs(alpha) - 1.0), 0.1)
+    assert info.value.value <= info.value.bound
     bare = OnUnitCircle("synthetic")
-    assert bare.modulus is None and bare.band is None
+    assert bare.value is None and bare.bound is None
 
 
 def test_triangular_ratio_is_exact_on_diagonal_input():

@@ -272,8 +272,8 @@ def test_build_b2_singular_stein_solution_is_typed():
     with pytest.raises(SingularSteinSolution) as exc:
         build_b2(3.0 + 1e-6j, np.array([1.0, 1e-7j]))
     assert isinstance(exc.value, AllPassError)
-    assert exc.value.tol == 1e12
-    assert exc.value.cond > exc.value.tol
+    assert exc.value.bound == 1e12
+    assert exc.value.value > exc.value.bound
 
 
 def composed_blocks(ss, X):
