@@ -35,7 +35,9 @@ for r in records:
 plan = classify(p, records[0])
 print("\nmirror plan:", plan.case)
 print("  kernel vector:", np.round(plan.v, 6))
-print("  orthogonal Q:\n", np.round(plan.Q, 6))
+# the step applies the all-pass I + Q1 (V - I) Q1' through the k real
+# orthonormal columns Q1 that span the kernel (k = 2 for a generic pair)
+print("  kernel columns Q1:\n", np.round(plan.Q1, 6))
 
 q, report = mirror_once(p, records[0], method="polynomial")
 print("\nafter one mirror step:")

@@ -217,8 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mirror.add_argument(
         "--method",
         choices=METHODS,
-        default="polynomial",
-        help="construction used for generic complex pairs (default: polynomial)",
+        default="consecutive",
+        help="construction used for generic complex pairs (default: consecutive)",
     )
     p_mirror.add_argument(
         "--select",

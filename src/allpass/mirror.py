@@ -1,14 +1,20 @@
 """The mirroring pipeline: move determinantal roots across the unit circle.
 
 One step takes a real matrix polynomial ``p`` and a root record, plans the
-kernel geometry, builds the matching all-pass factor ``V``, and returns
+kernel geometry, builds the matching ``k x k`` all-pass factor ``V``, and
+returns
 
-    p_tilde = p Q blockdiag(V, I)
+    p_tilde = p (I + Q1 (V - I) Q1') = p + (p Q1 V - p Q1) Q1'
 
-with the factor's denominator divided back out of the transformed columns,
-so the output is again a real matrix polynomial of no higher degree.  The
-boundary product ``p(z) p(1/conj z)^H`` is untouched while the selected root
-moves from ``alpha`` to ``1/alpha``.
+where the ``k <= 2`` orthonormal real columns ``Q1`` span the kernel
+directions: ``I + Q1 (V - I) Q1'`` is itself a real all-pass function, so no
+orthogonal completion of ``Q1`` is formed.  The factor's denominator is
+divided back out of ``p Q1 num``, so the output is again a real matrix
+polynomial of no higher degree.  The boundary product ``p(z) p(1/conj
+z)^H`` is untouched while the selected root moves from ``alpha`` to
+``1/alpha``.  The textbook step ``p Q blockdiag(V, I)``, with ``Q`` any
+orthogonal completion of ``Q1``, gives the same output times the constant
+orthogonal ``Q'``.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 
 from .blaschke import b2_consecutive, b2_polynomial, elementary, squared
 from .config import DEFAULTS
-from .errors import DeconvolutionResidueTooLarge, OnUnitCircle, SelectionNotClosed
+from .errors import DeconvolutionResidueTooLarge, SelectionNotClosed
 from .polymat import PolyMatrix, _conv_coeffs, _divide_coeffs, _on_circle
 from .polymat import _trimmed_length
 
@@ -31,9 +37,9 @@ from .roots import (
     CASE_REAL,
     KIND_COMPLEX,
     KIND_REAL,
-    LOCATION_ON_CIRCLE,
     LOCATION_OUTSIDE,
     RootRecord,
+    check_off_circle,
     classify,
     det_roots,
 )
@@ -99,10 +105,14 @@ class MirrorReport:
 
 
 def _spectral_deviation(s_new, s_old):
-    """Relative deviation of boundary spectra, point axis first, batch axes kept."""
-    dev = np.max(np.linalg.norm(s_new - s_old, axis=(-2, -1)), axis=0)
-    scale = np.max(np.linalg.norm(s_old, axis=(-2, -1)), axis=0)
-    return dev / np.maximum(scale, _TINY)
+    """Relative deviation of boundary spectra, point axis first, batch axes
+    kept: the largest Frobenius norm over the points, taken as the square
+    root of the largest sum of squared moduli."""
+    def peak(x):
+        squares = np.add.reduce((x.conj() * x).real, axis=(-2, -1))
+        return np.sqrt(np.max(squares, axis=0))
+
+    return peak(s_new - s_old) / np.maximum(peak(s_old), _TINY)
 
 
 def _certify(chain, reports) -> None:
@@ -159,9 +169,9 @@ def _step(p: PolyMatrix, record: RootRecord, method: str, tol):
             _, V = build_b2(plan.alpha, plan.w, tol)
         mirrored = [plan.alpha, np.conj(plan.alpha)]
 
-    k = V.dim
-    pq = np.matmul(p.coeffs, plan.Q)
-    raw = _conv_coeffs(pq[:, :, :k], V.num.coeffs)
+    Q1 = plan.Q1
+    pq1 = p.coeffs @ Q1
+    raw = _conv_coeffs(pq1, V.num.coeffs)
     quot, resid_abs = _divide_coeffs(raw, V.den.coeffs)
     resid = resid_abs / max(1.0, float(abs(raw).max()))
     if resid > _DECONV_BOUND:
@@ -171,11 +181,12 @@ def _step(p: PolyMatrix, record: RootRecord, method: str, tol):
             resid, _DECONV_BOUND,
         )
 
-    # the factor for alpha = 0 is 1/z, with a constant numerator: its
-    # quotient is one coefficient short of the input, so pad it with zeros
-    pq[:, :, :k] = 0.0
-    pq[: quot.shape[0], :, :k] = quot
-    p_new = PolyMatrix(pq[: _trimmed_length(pq, tol.trim)])
+    # p + (p Q1 V - p Q1) Q1'; the factor for alpha = 0 is 1/z, with a
+    # constant numerator: its quotient is one coefficient short of the input
+    pq1 = -pq1
+    pq1[: quot.shape[0]] += quot
+    out = p.coeffs + pq1 @ Q1.T
+    p_new = PolyMatrix(out[: _trimmed_length(out, tol.trim)])
     return p_new, MirrorReport(
         mirrored_roots=[complex(x) for x in mirrored],
         method=V.method,
@@ -191,7 +202,7 @@ def _step(p: PolyMatrix, record: RootRecord, method: str, tol):
 def mirror_once(
     p: PolyMatrix,
     record: RootRecord,
-    method: str = "polynomial",
+    method: str = "consecutive",
     tol=DEFAULTS,
 ):
     """Mirror one copy of one root (or conjugate pair) of ``p``.
@@ -206,8 +217,9 @@ def mirror_once(
     record : RootRecord
         Root to mirror; must be off the unit circle.
     method : {"consecutive", "polynomial", "statespace"}
-        Construction used for a generic complex pair; real and degenerate
-        roots always take the scalar factors.
+        Construction used for a generic complex pair (default
+        ``"consecutive"``); real and degenerate roots always take the scalar
+        factors.
     tol : Tolerances
         Passed to :func:`classify` and to every factor construction.
 
@@ -248,17 +260,13 @@ def _validate_selection(selection, method, tol):
                 f"real record has nonzero imaginary part: {rec.alpha}",
                 rec.alpha.imag, 0.0,
             )
-        if rec.location == LOCATION_ON_CIRCLE:
-            raise OnUnitCircle(
-                f"root {rec.alpha} lies on the unit circle; mirroring cannot move it",
-                abs(abs(rec.alpha) - 1.0), tol.circle,
-            )
+        check_off_circle(rec.alpha, tol)
 
 
 def mirror_set(
     p: PolyMatrix,
     selection,
-    method: str = "polynomial",
+    method: str = "consecutive",
     tol=DEFAULTS,
 ):
     """Mirror every root in a selection, one copy at a time.
@@ -289,7 +297,7 @@ def mirror_set(
 
 def mirror_all_inside(
     p: PolyMatrix,
-    method: str = "polynomial",
+    method: str = "consecutive",
     tol=DEFAULTS,
 ):
     """Mirror every determinantal root inside the unit circle.

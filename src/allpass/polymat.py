@@ -88,7 +88,8 @@ class PolyMatrix:
 
     def norm(self) -> float:
         """Frobenius norm of the stacked coefficient tensor."""
-        return float(np.linalg.norm(self.coeffs.ravel()))
+        c = self.coeffs.ravel()
+        return math.sqrt(c @ c)
 
     def __repr__(self):
         return f"PolyMatrix(dim={self.dim}, degree={self.degree})"
@@ -246,15 +247,19 @@ def _finite_roots(p, tol):
     """Finite roots of ``det p`` with multiplicity, from one monic block
     companion led by whichever of ``C_q`` (ratio ``sigma_min / ||p||``) and
     ``C_0`` is farther from the root test, or of ``C_q`` and every ``p(s)``
-    when both fail it.  ``p(s)`` leads the companion of ``mu^q p(s + 1/mu)``:
-    ``z = s + 1/mu``, and ``mu`` at most ``tol.trim`` times its largest entry
-    are the infinite roots."""
+    when both fail it; only then are the other shifts evaluated.  ``p(s)``
+    leads the companion of ``mu^q p(s + 1/mu)``: ``z = s + 1/mu``, and ``mu``
+    at most ``tol.trim`` times its largest entry are the infinite roots."""
     coeffs, q, n = p.coeffs, p.degree, p.dim
-    at_shifts = (_SHIFTS[:, None] ** np.arange(q + 1)) @ coeffs.reshape(q + 1, -1)
-    leads = np.concatenate([coeffs[-1:], at_shifts.reshape(-1, n, n)])
     # every |s| < 1, so the root test's size ||p|| max(1, |s|)^q is ||p||
-    ratios = np.linalg.svd(leads, compute_uv=False)[:, -1] / _scaled_size(p, 0.0)
-    best = int(np.argmax(ratios if max(ratios[:2]) <= tol.kernel else ratios[:2]))
+    size = _scaled_size(p, 0.0)
+    ratios = np.linalg.svd(coeffs[[-1, 0]], compute_uv=False)[:, -1] / size
+    best = int(np.argmax(ratios))
+    if ratios[best] <= tol.kernel:
+        at_shifts = (_SHIFTS[:, None] ** np.arange(q + 1)) @ coeffs.reshape(q + 1, -1)
+        leads = np.concatenate([coeffs[-1:], at_shifts.reshape(-1, n, n)])
+        ratios = np.linalg.svd(leads, compute_uv=False)[:, -1] / size
+        best = int(np.argmax(ratios))
     if ratios[best] <= tol.kernel:
         raise SingularPolynomialMatrix(
             "det p(z) vanishes identically: max over trial shifts s of sigma_min"
@@ -263,10 +268,12 @@ def _finite_roots(p, tol):
         )
     if q == 0:
         return np.zeros(0, dtype=complex)
-    stack = coeffs[::-1]
-    if best > 0:
-        # Taylor shift p(s + t) = sum_j T_j t^j, T_j = sum_k binom(k, j) s^(k-j) C_k
-        s, k = _SHIFTS[best - 1], np.arange(q + 1)
+    # ascending coefficients of mu^q p(s + 1/mu): the stack reversed for C_q,
+    # the stack itself for s = 0, else the Taylor shift p(s + t) = sum_j T_j
+    # t^j with T_j = sum_k binom(k, j) s^(k-j) C_k
+    stack, s = (coeffs[::-1], 0.0) if best == 0 else (coeffs, _SHIFTS[best - 1])
+    if best > 1:
+        k = np.arange(q + 1)
         binom = np.array([[math.comb(c, r) for c in k] for r in k], dtype=float)
         taylor = binom * s ** np.maximum(k[None, :] - k[:, None], 0)
         stack = (taylor @ coeffs.reshape(q + 1, -1)).reshape(coeffs.shape)
@@ -300,7 +307,7 @@ def poly_roots(p, tol=DEFAULTS):
     """
     if p.coeffs.ndim == 1:
         p = PolyMatrix(p.coeffs[:, None, None])
-    raw = _finite_roots(p, tol)
+    raw = _finite_roots(p, tol).tolist()
     reals = [float(r.real) for r in raw if abs(r.imag) <= tol.imag]
     pairs = []
     for mu in (complex(r) for r in raw if r.imag > tol.imag):

@@ -2,9 +2,10 @@
 
 ``det_roots`` finds where ``det p(z)`` vanishes and folds conjugate pairs
 into single records; ``classify`` turns one record into everything the factor
-constructions need: the kernel direction, its orthogonal completion, and the
-generic/degenerate/real case split.  ``check_pair`` is the one validation of
-a factor construction's input, with the same circle band and degeneracy test.
+constructions need: the kernel direction, the orthonormal real columns that
+span it, and the generic/degenerate/real case split.  ``check_pair`` is the
+one validation of a factor construction's input, with the same circle band
+and degeneracy test.
 """
 
 from __future__ import annotations
@@ -77,17 +78,19 @@ class MirrorPlan:
     ``case`` selects the factor type.  ``alpha`` is the record's root after
     one Newton polish against ``p`` (see :func:`classify`), so it can differ
     from the record's value in the last digits.  ``v`` is the unit kernel
-    vector of ``p(alpha)``; ``Q`` is a real orthogonal matrix whose leading
-    columns carry the kernel directions.  In the generic case the first two
-    columns of ``Q`` equal the Q1 of the QR factorisation
-    ``(Re v, Im v) = Q1 R``, and ``w = R (1, i)'`` expresses ``v`` in the Q1
-    coordinates: ``Q1 w = v`` (so ``R`` is ``[Re w, Im w]``).
+    vector of ``p(alpha)``; the orthonormal real columns ``Q1`` (``n x k``,
+    ``k`` the size of the step's factor ``V``) span the kernel directions:
+    the normalised real kernel for a real root or a degenerate pair, and for
+    a generic pair the Q1 of the QR factorisation ``(Re v, Im v) = Q1 R``,
+    with ``w = R (1, i)'`` expressing ``v`` in the Q1 coordinates: ``Q1 w =
+    v`` (so ``R`` is ``[Re w, Im w]``).  The step applies the all-pass ``I
+    + Q1 (V - I) Q1'``, with no orthogonal completion of ``Q1``.
     """
 
     case: str
     alpha: complex
     v: np.ndarray
-    Q: np.ndarray
+    Q1: np.ndarray
     w: Optional[np.ndarray] = None
 
 
@@ -250,20 +253,6 @@ def _value_and_slope(coeffs: np.ndarray, z: complex) -> np.ndarray:
     return (weights @ coeffs.reshape(m, -1)).reshape((2,) + coeffs.shape[1:])
 
 
-def _complete(V1: np.ndarray) -> np.ndarray:
-    """Complete the orthonormal columns ``V1`` to a real orthogonal matrix.
-
-    Deterministic: the QR factorisation of ``[V1 | I]`` with a positive R
-    diagonal, whose leading columns are then overwritten with ``V1`` itself.
-    """
-    n, k = V1.shape
-    B = np.eye(n, n + k, k)
-    B[:, :k] = V1
-    Q, _ = _positive_qr(B)
-    Q[:, :k] = V1
-    return Q
-
-
 def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     """Build the mirror plan for one root record.
 
@@ -274,10 +263,12 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     record : RootRecord
         The root to plan for; must not sit on the unit circle.
     tol : Tolerances
-        ``sigma_min(p(alpha)) <= tol.kernel * ||p|| * max(1, |alpha|)^q``
-        (``q`` the degree of ``p``, the natural size of an evaluation at
-        ``alpha``) is required for alpha to be accepted as a root.  A pair
-        whose ``sigma2/sigma1`` of ``(Re v, Im v)`` is at most
+        ``||alpha| - 1| > tol.circle`` is required, as
+        :func:`check_off_circle` judges it, whatever band located the
+        record.  ``sigma_min(p(alpha)) <= tol.kernel * ||p|| * max(1,
+        |alpha|)^q`` (``q`` the degree of ``p``, the natural size of an
+        evaluation at ``alpha``) is required for alpha to be accepted as a
+        root.  A pair whose ``sigma2/sigma1`` of ``(Re v, Im v)`` is at most
         ``tol.degenerate`` counts as degenerate (kernel direction is a
         complex multiple of a real vector).
 
@@ -293,16 +284,11 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     Raises
     ------
     OnUnitCircle
-        If the record's location is on the circle.
+        If the record's root lies within ``tol.circle`` of the circle.
     NotARoot
         If ``p(alpha)`` is far from singular.
     """
-    if record.location == LOCATION_ON_CIRCLE:
-        raise OnUnitCircle(
-            f"root {record.alpha} lies on the unit circle; mirroring is undefined",
-            abs(abs(record.alpha) - 1.0), tol.circle,
-        )
-    alpha = record.alpha
+    alpha = check_off_circle(record.alpha, tol)
     coeffs = p.coeffs
     M, dp = _value_and_slope(coeffs, alpha)
     svd = np.linalg.svd(M)
@@ -322,7 +308,7 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     if record.kind == KIND_REAL:
         step = complex(step.real)
     if step != alpha and (record.kind == KIND_REAL or step.imag > 0):
-        M_step = _value_and_slope(coeffs, step)[0]
+        M_step = p(step)
         svd_step = np.linalg.svd(M_step)
         if svd_step[1][-1] < smin:
             alpha, M, svd = step, M_step, svd_step
@@ -330,35 +316,31 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
 
     if record.kind == KIND_REAL:
         vr = np.real(v)
-        vr = vr / np.linalg.norm(vr)
-        return MirrorPlan(
-            case=CASE_REAL, alpha=alpha, v=vr.astype(complex), Q=_complete(vr[:, None])
-        )
+        vr = vr / math.sqrt(vr @ vr)
+        return MirrorPlan(CASE_REAL, alpha, vr.astype(complex), vr[:, None])
 
-    # one QR of [Re v, Im v | I]: its leading columns are the Q1 of
-    # [Re v, Im v] = Q1 R, the rest complete them to an orthogonal Q, and
-    # R's leading 2x2 block has the singular values of [Re v, Im v]
+    # one QR of [Re v, Im v] = Q1 R; R has the singular values of
+    # [Re v, Im v], and a single entry is always a complex multiple of a
+    # real one
     n = v.shape[0]
-    B = np.eye(n, n + 2, 2)
+    B = np.empty((n, 2))
     B[:, 0], B[:, 1] = v.real, v.imag
-    Q, R = _positive_qr(B)
-    r = R[:2, :2].tolist()
-    # a single entry is always a complex multiple of a real one
+    if n > 1:
+        Q1, R = _positive_qr(B)
+        r = R.tolist()
     if n == 1 or _triangular_ratio(r[0][0], r[0][1], r[1][1]) <= tol.degenerate:
         # kernel direction is e^{i phi} times a real vector: re-phase onto it
-        U, _, _ = np.linalg.svd(B[:, :2])
+        U, _, _ = np.linalg.svd(B)
         u = U[:, 0]
         phase = complex(u @ v.real, u @ v.imag)
         phase = phase / abs(phase)
         v_aligned = v * np.conj(phase)
         vr = np.real(v_aligned)
-        vr = vr / np.linalg.norm(vr)
+        vr = vr / math.sqrt(vr @ vr)
         idx = int(abs(vr).argmax())
         if vr[idx] < 0:
             vr = -vr
             v_aligned = -v_aligned
-        return MirrorPlan(
-            case=CASE_DEGENERATE, alpha=alpha, v=v_aligned, Q=_complete(vr[:, None])
-        )
+        return MirrorPlan(CASE_DEGENERATE, alpha, v_aligned, vr[:, None])
     w = np.array([complex(*r[0]), complex(0.0, r[1][1])])
-    return MirrorPlan(case=CASE_GENERIC, alpha=alpha, v=v, Q=Q, w=w)
+    return MirrorPlan(CASE_GENERIC, alpha, v, Q1, w)

@@ -1,18 +1,19 @@
 """Reference algebra the tests compare the pipeline against.
 
-Polynomial products and division, the plain kernel vector, and the
-state-space product, adjoint and coordinate change.  The package itself
-works on fused kernels (``_conv_coeffs``, ``_divide_coeffs``,
-``_anchored_kernel``, the closed-form ``structural_blocks``); these are the
-textbook forms, kept here so tests can build inputs and check results with
-them.
+Polynomial products and division, the plain kernel vector, the orthogonal
+completion and the dense mirror step ``p Q blockdiag(V, I)``, the
+innovations form, and the state-space product, adjoint and coordinate
+change.  The package itself works on fused kernels (``_conv_coeffs``,
+``_divide_coeffs``, ``_anchored_kernel``, the rank-k step, the closed-form
+``structural_blocks``); these are the textbook forms, kept here so tests can
+build inputs and check results with them.
 """
 
 import numpy as np
 
 from allpass.config import DEFAULTS
 from allpass.polymat import PolyMatrix, ScalarPoly, _conv_coeffs, _divide_coeffs, trim
-from allpass.roots import _anchored_kernel
+from allpass.roots import _anchored_kernel, _positive_qr
 from allpass.statespace import StateSpace
 
 
@@ -80,6 +81,48 @@ def kernel_vector(M: np.ndarray) -> np.ndarray:
         raise ValueError(f"need a square matrix, got shape {M.shape}")
     _, _, vh = np.linalg.svd(M)
     return _anchored_kernel(M, vh)
+
+
+def complete(V1: np.ndarray) -> np.ndarray:
+    """Complete the orthonormal columns ``V1`` to a real orthogonal matrix.
+
+    Deterministic: the QR factorisation of ``[V1 | I]`` with a positive R
+    diagonal, whose leading columns are then overwritten with ``V1`` itself.
+    """
+    n, k = V1.shape
+    B = np.eye(n, n + k, k)
+    B[:, :k] = V1
+    Q, _ = _positive_qr(B)
+    Q[:, :k] = V1
+    return Q
+
+
+def dense_step(p, Q1, V):
+    """The textbook mirror step ``p Q blockdiag(V, I)`` with ``Q`` the
+    :func:`complete` of ``Q1``, the factor's denominator divided out.
+
+    Returns ``(p_tilde, Q, residual)``: the output (trimmed), the orthogonal
+    ``Q`` and the remainder of the division, relative to the largest
+    coefficient of the transformed kernel columns.  The package's rank-k
+    step returns ``p_tilde Q'``.
+    """
+    n, k, d = p.dim, V.dim, V.den.degree
+    Q = complete(Q1)
+    F = np.zeros((d + 1, n, n))
+    F[: V.num.degree + 1, :k, :k] = V.num.coeffs
+    F[:, k:, k:] = V.den.coeffs[:, None, None] * np.eye(n - k)
+    product = mul(PolyMatrix(p.coeffs @ Q), PolyMatrix(F))
+    q, remainder = deconvolve(product, V.den)
+    return q, Q, remainder / max(1.0, np.abs(product.coeffs[:, :, :k]).max())
+
+
+def innovations(p) -> PolyMatrix:
+    """``p U`` with the constant orthogonal ``U`` that makes ``p(0) U`` lower
+    triangular with a positive diagonal: one QR of ``p(0)'``.  Two outputs
+    that differ by a constant orthogonal right factor, and whose ``p(0)`` is
+    nonsingular, have the same innovations form."""
+    U, _ = _positive_qr(p.coeffs[0].T)
+    return PolyMatrix(p.coeffs @ U)
 
 
 def ss_eval(ss: StateSpace, z) -> np.ndarray:

@@ -128,7 +128,7 @@ def test_05_end_to_end_mirroring():
         dim = 2 if k % 2 == 0 else 3
         degree = int(rng.integers(1, 4))
         p, _, pairs = polymatrix_with_inside_pair(rng, dim, degree)
-        q, _ = mirror_set(p, pairs)
+        q, _ = mirror_set(p, pairs, method="polynomial")
 
         assert isinstance(q, PolyMatrix)
         assert not np.iscomplexobj(q.coeffs)

@@ -31,6 +31,7 @@ from allpass.errors import (
     SelectionNotClosed,
 )
 from allpass.mirror import MirrorReport, _certify, _spectral_deviation
+from allpass.polymat import trim
 from allpass.roots import CASE_DEGENERATE, CASE_GENERIC, CASE_REAL, MirrorPlan, RootRecord
 from conftest import (
     CROSSING_ALPHA,
@@ -39,7 +40,7 @@ from conftest import (
     origin_scalar,
     polymatrix_with_inside_pair,
 )
-from reference import deconvolve, mul
+from reference import deconvolve, dense_step, innovations, mul
 
 
 def spectral_gap(p, q, n=64):
@@ -583,25 +584,44 @@ PAIR_ROUTES = {
 }
 
 
+def _factor(plan, method):
+    """The step's factor for a plan, and the roots it moves."""
+    if plan.case == CASE_REAL:
+        return elementary(plan.alpha.real), [plan.alpha]
+    if plan.case == CASE_DEGENERATE:
+        V = squared(plan.alpha)
+    else:
+        V = PAIR_ROUTES[method](plan.alpha, plan.w, Tolerances())
+    return V, [plan.alpha, plan.alpha.conjugate()]
+
+
+def _chain_records(p):
+    """The records of ``mirror_all_inside``'s steps, one per copy, in order."""
+    records = sorted(
+        (r for r in det_roots(p) if r.location == "inside"),
+        key=lambda r: (abs(r.alpha), r.alpha.real, r.alpha.imag),
+    )
+    return [r for r in records for _ in range(r.multiplicity)]
+
+
 def _rebuild_step(p, record, method):
     """One mirror step from the public parts: classify, the construction,
-    and the product ``p Q blockdiag(num, den I)`` divided by ``den``."""
+    and the rank-k form ``p + (p Q1 num / den - p Q1) Q1'``, with ``p Q1``
+    and ``num`` in the leading ``k`` columns of square stacks for ``mul``
+    and ``deconvolve``."""
     plan = classify(p, record)
-    if plan.case == CASE_REAL:
-        V, moved = elementary(plan.alpha.real), [plan.alpha]
-    else:
-        if plan.case == CASE_DEGENERATE:
-            V = squared(plan.alpha)
-        else:
-            V = PAIR_ROUTES[method](plan.alpha, plan.w, Tolerances())
-        moved = [plan.alpha, plan.alpha.conjugate()]
-    n, k, d = p.dim, V.dim, V.den.degree
-    F = np.zeros((d + 1, n, n))
-    F[: V.num.degree + 1, :k, :k] = V.num.coeffs
-    F[:, k:, k:] = V.den.coeffs[:, None, None] * np.eye(n - k)
-    product = mul(PolyMatrix(p.coeffs @ plan.Q), PolyMatrix(F))
-    q, remainder = deconvolve(product, V.den)
-    residual = remainder / max(1.0, np.abs(product.coeffs[:, :, :k]).max())
+    V, moved = _factor(plan, method)
+    n, k, Q1 = p.dim, V.dim, plan.Q1
+    pq1 = np.zeros(p.coeffs.shape)
+    pq1[:, :, :k] = p.coeffs @ Q1
+    N = np.zeros((V.num.degree + 1, n, n))
+    N[:, :k, :k] = V.num.coeffs
+    product = mul(PolyMatrix(pq1), PolyMatrix(N))
+    quot, remainder = deconvolve(product, V.den)
+    residual = remainder / max(1.0, np.abs(product.coeffs).max())
+    delta = -pq1[:, :, :k]
+    delta[: quot.degree + 1] += quot.coeffs[:, :, :k]
+    q = trim(PolyMatrix(p.coeffs + delta @ Q1.T))
 
     S_in, S_out = circle_spectrum(p), circle_spectrum(q)
     dev = np.linalg.norm(S_out - S_in, axis=(1, 2)).max()
@@ -628,11 +648,7 @@ def test_chain_matches_its_public_parts(n, degree, seed, method):
     p = PolyMatrix(np.random.default_rng(seed).standard_normal((degree + 1, n, n)))
     q, reports = mirror_all_inside(p, method=method)
     assert {"elementary", method} <= {r.method for r in reports}
-    records = sorted(
-        (r for r in det_roots(p) if r.location == "inside"),
-        key=lambda r: (abs(r.alpha), r.alpha.real, r.alpha.imag),
-    )
-    steps = [r for r in records for _ in range(r.multiplicity)]
+    steps = _chain_records(p)
     assert len(reports) == len(steps) >= 2
     current = p
     for rec, rep in zip(steps, reports):
@@ -648,6 +664,84 @@ def test_chain_matches_its_public_parts(n, degree, seed, method):
         assert abs(rep.new_root_residual - fields["new_root_residual"]) <= 1e-11
     scale = np.abs(q.coeffs).max()
     np.testing.assert_allclose(q.coeffs, current.coeffs, rtol=0, atol=1e-11 * scale)
+
+
+def _one_step_inputs():
+    """``(case, p, record)`` with a real root, a degenerate pair and a
+    generic pair inside the circle."""
+    rng = np.random.default_rng(1601)
+    while True:
+        p = PolyMatrix(rng.standard_normal((3, 3, 3)))
+        real = [r for r in det_roots(p) if r.kind == "real" and r.location == "inside"]
+        if real:
+            break
+    yield CASE_REAL, p, real[0]
+    # U diag((z - a)(z - conj a), 1 + 0.4 z, 2 - 0.3 z) W' has the real
+    # kernel W e1 at a
+    a = 0.3 + 0.5j
+    U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    W, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    d = np.zeros((3, 3, 3))
+    d[:, 0, 0] = [abs(a) ** 2, -2.0 * a.real, 1.0]
+    d[:2, 1, 1] = [1.0, 0.4]
+    d[:2, 2, 2] = [2.0, -0.3]
+    p = PolyMatrix(U @ d @ W.T)
+    yield CASE_DEGENERATE, p, det_roots(p)[0]
+    while True:
+        p, _, pairs = polymatrix_with_inside_pair(rng, 3, 2)
+        if classify(p, pairs[0]).case == CASE_GENERIC:
+            break
+    yield CASE_GENERIC, p, pairs[0]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_step_is_the_dense_step_times_q_transpose(method):
+    # the rank-k step p + (p Q1 V - p Q1) Q1' is the textbook p Q
+    # blockdiag(V, I) times the constant orthogonal Q'
+    for case, p, record in _one_step_inputs():
+        plan = classify(p, record)
+        assert plan.case == case
+        q, report = mirror_once(p, record, method=method)
+        ref, Q, residual = dense_step(p, plan.Q1, _factor(plan, method)[0])
+        assert q.coeffs.shape == ref.coeffs.shape
+        gap = np.linalg.norm(q.coeffs - ref.coeffs @ Q.T)
+        assert gap <= 1e-13 * np.linalg.norm(ref.coeffs), case
+        assert abs(report.residual_deconv - residual) <= 1e-13
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("n,degree", [(2, 2), (3, 2), (4, 4), (6, 4)])
+def test_chain_matches_the_dense_reference_in_innovations_form(n, degree, method):
+    # the outputs differ from the dense chain's by a constant orthogonal
+    # right factor, which the innovations form removes
+    for seed in range(4):
+        p = PolyMatrix(np.random.default_rng(1610 + seed).standard_normal((degree + 1, n, n)))
+        q, reports = mirror_all_inside(p, method=method)
+        ref = p
+        for rec in _chain_records(p):
+            plan = classify(ref, rec)
+            ref = dense_step(ref, plan.Q1, _factor(plan, method)[0])[0]
+        a, b = innovations(q).coeffs, innovations(ref).coeffs
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max(), seed
+
+
+def test_step_qr_calls(monkeypatch):
+    # a real step forms no orthogonal completion and takes no QR; a generic
+    # step takes one, of the n x 2 [Re v, Im v]
+    calls = []
+    original = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    steps = {case: (p, record) for case, p, record in _one_step_inputs()}
+    for case, expected in [(CASE_REAL, []), (CASE_GENERIC, [(3, 2)])]:
+        calls.clear()
+        mirror_once(*steps[case])
+        assert calls == expected, case
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -696,7 +790,7 @@ def test_polynomial_band_crossing_is_typed_through_mirror_once(monkeypatch):
     # p = [[s(z), 0], [l(z), 1]] with s(z) = (z - alpha)(z - conj alpha) and
     # real l(z) = c0 + c1 z through l(alpha) = -w1 / w0: p(alpha) w = 0.
     # classify's own w is triangular ([Re w, Im w] = R), and no triangular w
-    # was seen to cross; the plan here takes Q = I, which keeps Q1 w = v
+    # was seen to cross; the plan here takes Q1 = I, which keeps Q1 w = v
     alpha, w = CROSSING_ALPHA, CROSSING_W
     lw = -w[1] / w[0]
     c1 = lw.imag / alpha.imag
@@ -706,7 +800,7 @@ def test_polynomial_band_crossing_is_typed_through_mirror_once(monkeypatch):
     coeffs[0, 1, 1] = 1.0
     p = PolyMatrix(coeffs)
     assert np.linalg.norm(p(alpha) @ w) <= 1e-15
-    plan = MirrorPlan(case=CASE_GENERIC, alpha=alpha, v=w, Q=np.eye(2), w=w)
+    plan = MirrorPlan(case=CASE_GENERIC, alpha=alpha, v=w, Q1=np.eye(2), w=w)
     monkeypatch.setattr(allpass.mirror, "classify", lambda p, record, tol: plan)
     record = RootRecord(alpha, 1, "complex_pair", "inside")
     with pytest.raises(ReciprocalSpectrumMismatch) as info:

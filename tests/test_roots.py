@@ -22,7 +22,6 @@ from allpass.roots import (
     CASE_GENERIC,
     CASE_REAL,
     RootRecord,
-    _complete,
     _triangular_ratio,
     _w_ratio,
     check_off_circle,
@@ -35,7 +34,7 @@ from conftest import (
     root_values,
     singular_leading_3x3,
 )
-from reference import kernel_vector
+from reference import complete, kernel_vector
 
 
 def test_det_roots_worked_pair(worked_pair):
@@ -188,7 +187,7 @@ def test_orthogonal_completion_keeps_columns():
     for n, k in [(2, 1), (3, 1), (4, 2)]:
         A = rng.standard_normal((n, k))
         V1, _ = np.linalg.qr(A)
-        Q = _complete(V1)
+        Q = complete(V1)
         np.testing.assert_allclose(Q[:, :k], V1, atol=1e-14)
         np.testing.assert_allclose(Q.T @ Q, np.eye(n), atol=1e-13)
 
@@ -196,16 +195,16 @@ def test_orthogonal_completion_keeps_columns():
 def test_orthogonal_completion_deterministic():
     rng = np.random.default_rng(41)
     V1, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-    Q1 = _complete(V1)
-    Q2 = _complete(V1.copy())
+    Q1 = complete(V1)
+    Q2 = complete(V1.copy())
     np.testing.assert_array_equal(Q1, Q2)
 
 
 def test_orthogonal_completion_axis_goldens():
-    Q = _complete(np.array([[1.0], [0.0]]))
+    Q = complete(np.array([[1.0], [0.0]]))
     np.testing.assert_array_equal(Q, np.eye(2))
     # frozen output of the sign-fixed completion; guards the convention
-    Q = _complete(np.array([[0.0], [1.0]]))
+    Q = complete(np.array([[0.0], [1.0]]))
     np.testing.assert_allclose(Q, [[0.0, 1.0], [1.0, 0.0]], atol=0)
 
 
@@ -213,7 +212,7 @@ def test_classify_generic_worked(worked_pair):
     rec = det_roots(worked_pair)[0]
     plan = classify(worked_pair, rec)
     assert plan.case == CASE_GENERIC
-    np.testing.assert_allclose(plan.Q.T @ plan.Q, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(plan.Q1.T @ plan.Q1, np.eye(2), atol=1e-12)
     # w = R (1, i)', so [Re w, Im w] is the QR factor R
     R = np.column_stack([plan.w.real, plan.w.imag])
     assert R[1, 0] == 0.0
@@ -221,7 +220,7 @@ def test_classify_generic_worked(worked_pair):
     # the kernel here is (1, i)/sqrt(2) up to phase, so R is a scaled identity
     np.testing.assert_allclose(R, np.eye(2) / np.sqrt(2), atol=1e-10)
     # Q1 w reproduces the kernel vector: p(alpha) Q1 w = 0
-    resid = worked_pair(rec.alpha) @ plan.Q[:, :2] @ plan.w
+    resid = worked_pair(rec.alpha) @ plan.Q1 @ plan.w
     assert np.linalg.norm(resid) < 1e-10
 
 
@@ -231,7 +230,7 @@ def test_classify_is_bit_deterministic(worked_pair):
     b = classify(worked_pair, rec)
     assert a.case == b.case
     np.testing.assert_array_equal(a.v, b.v)
-    np.testing.assert_array_equal(a.Q, b.Q)
+    np.testing.assert_array_equal(a.Q1, b.Q1)
     np.testing.assert_array_equal(a.w, b.w)
 
 
@@ -246,7 +245,7 @@ def test_generic_plan_reconstruction_identity():
         if plan.case != CASE_GENERIC:
             continue
         hits += 1
-        np.testing.assert_allclose(plan.Q[:, :2] @ plan.w, plan.v, atol=1e-12)
+        np.testing.assert_allclose(plan.Q1 @ plan.w, plan.v, atol=1e-12)
         # [Re w, Im w] is the upper-triangular R with entries a, b, c
         assert plan.w.real[1] == 0.0
         sq = plan.w.real[0] ** 2 + plan.w.imag[0] ** 2 + plan.w.imag[1] ** 2
@@ -255,7 +254,8 @@ def test_generic_plan_reconstruction_identity():
 
 
 def test_generic_plan_takes_one_qr(monkeypatch):
-    # Q1, R and the completion of Q all come from the QR of [Re v, Im v | I]
+    # Q1 and R both come from the QR of the n x 2 [Re v, Im v]; no
+    # orthogonal completion is formed
     calls = []
     original = allpass.roots._positive_qr
 
@@ -272,10 +272,11 @@ def test_generic_plan_takes_one_qr(monkeypatch):
             plan = classify(p, pairs[0])
             if plan.case == CASE_GENERIC:
                 break
-        assert calls == [(dim, dim + 2)]
-        Q = plan.Q
-        np.testing.assert_allclose(Q.T @ Q, np.eye(dim), atol=1e-14)
-        np.testing.assert_allclose(Q[:, :2] @ plan.w, plan.v, atol=1e-14)
+        assert calls == [(dim, 2)]
+        Q1 = plan.Q1
+        assert Q1.shape == (dim, 2)
+        np.testing.assert_allclose(Q1.T @ Q1, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(Q1 @ plan.w, plan.v, atol=1e-14)
         assert plan.w.real[1] == 0.0
 
 
@@ -458,6 +459,53 @@ def test_on_unit_circle_carries_modulus_and_band():
     assert info.value.value <= info.value.bound
     bare = OnUnitCircle("synthetic")
     assert bare.value is None and bare.bound is None
+
+
+def test_on_circle_is_judged_by_the_calls_band():
+    # z^2 + 0.9801 has the pair +-0.99i; located with circle = 0.05 the
+    # record says "on_circle", and classify and mirror_set refused it from
+    # that stored location even under the default band, with value 0.01
+    # above bound 1e-8
+    p = PolyMatrix(np.array([0.9801, 0.0, 1.0]).reshape(3, 1, 1))
+    wide = Tolerances(circle=0.05)
+    (rec,) = det_roots(p, wide)
+    assert rec.location == "on_circle"
+    assert classify(p, rec).case == CASE_DEGENERATE
+    q, (report,) = mirror_set(p, [rec])
+    np.testing.assert_allclose(report.mirrored_roots, [0.99j, -0.99j], rtol=1e-14)
+    assert [r.location for r in det_roots(q)] == ["outside"]
+    np.testing.assert_allclose(det_roots(q)[0].alpha, 1j / 0.99, rtol=1e-12)
+    for refuse in (lambda: classify(p, rec, wide), lambda: mirror_set(p, [rec], tol=wide)):
+        with pytest.raises(OnUnitCircle) as info:
+            refuse()
+        assert info.value.value == pytest.approx(0.01, rel=1e-12)
+        assert info.value.bound == 0.05
+        assert info.value.value <= info.value.bound
+
+
+def test_finite_roots_takes_one_two_matrix_svd(monkeypatch):
+    # the four trial shifts are evaluated, and their SVDs taken, only when
+    # C_q and C_0 both fail the root test
+    calls = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(73)
+    c = rng.standard_normal((3, 3, 3))
+    singular = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3))
+    for lead, const, expected in [
+        (c[2], c[0], [(2, 3, 3)]),
+        (singular, c[0], [(2, 3, 3)]),
+        (c[2], singular, [(2, 3, 3)]),
+        (singular, singular, [(2, 3, 3), (6, 3, 3)]),
+    ]:
+        calls.clear()
+        det_roots(PolyMatrix(np.stack([const, c[1], lead])))
+        assert calls == expected
 
 
 def test_triangular_ratio_is_exact_on_diagonal_input():
