@@ -1,10 +1,14 @@
-"""Why the state-space construction works: the structural certificate.
+"""Why the state-space construction works: the structural blocks.
 
 The 2x2 factor is realized as k(z) = C (z^-1 I - A)^-1 B + D.  The product
 k*(1/z) k(z) has a realization of twice the state dimension; if k is
 all-pass that product is identically the identity, which means a suitable
 change of state coordinates must wipe out all coupling blocks at once.
 The right coordinates come from the Stein equation X = A^T X A + C^T C.
+
+The vanishing blocks explain the construction; they are not its gate.
+build_b2, like b2_polynomial, returns a factor only after checking
+V(z) V(z)^H = I on the unit circle to Tolerances.allpass.
 """
 
 import numpy as np
@@ -54,7 +58,7 @@ print("product on the circle:\n", np.round(transfer(Ac, Bc, Cc, Dc, zc).real, 12
 # Before the transform, the composed realization is dense.
 print("\ncomposed A before the state transform:\n", np.round(Ac, 4))
 
-# The Stein solution produces the certificate coordinates M = [[I, X], [0, I]].
+# The Stein solution produces the coordinates M = [[I, X], [0, I]].
 X = solve_stein(A, C.T @ C)
 M = np.eye(4)
 M[:2, 2:] = X
@@ -66,6 +70,6 @@ print(
 # structural_blocks reads the blocks that must vanish straight from their
 # closed formulas, without composing anything.
 blocks = structural_blocks(ss, X)
-print("\ncertificate block norms (all should vanish):")
+print("\nstructural block norms (all should vanish):")
 for name, val in blocks.items():
     print(f"  {name:16s} {val:.2e}")

@@ -13,15 +13,14 @@ from .errors import (
     CholeskyNotPD,
     DeconvolutionResidueTooLarge,
     DegenerateW,
+    FactorNotAllPass,
     GramNotPD,
     ImaginaryResidueTooLarge,
     NotARoot,
     OnUnitCircle,
-    ReciprocalSpectrumMismatch,
     ResonantEigenvalues,
     SelectionNotClosed,
     SingularPolynomialMatrix,
-    SingularSteinSolution,
 )
 from .polymat import (
     PolyMatrix,
@@ -70,15 +69,14 @@ __all__ = [
     "CholeskyNotPD",
     "DeconvolutionResidueTooLarge",
     "DegenerateW",
+    "FactorNotAllPass",
     "GramNotPD",
     "ImaginaryResidueTooLarge",
     "NotARoot",
     "OnUnitCircle",
-    "ReciprocalSpectrumMismatch",
     "ResonantEigenvalues",
     "SelectionNotClosed",
     "SingularPolynomialMatrix",
-    "SingularSteinSolution",
     "PolyMatrix",
     "ScalarPoly",
     "poly_roots",

@@ -8,7 +8,8 @@ kernel direction take its squared real-coefficient form; generic pairs take a
 2x2 factor built either from a product of four elementary steps interleaved
 with constant unitaries (``b2_consecutive``), from a polynomial identity in a
 companion-like matrix A (``b2_polynomial``), or in state space
-(:func:`allpass.statespace.build_b2`).
+(:func:`allpass.statespace.build_b2`).  The last two return only a factor
+that verifies: ``V V^H = I`` on the circle to ``tol.allpass``.
 
 Every construction has the shape ``(alpha, [w,] tol=DEFAULTS)``: the pair
 member ``alpha`` in the upper half plane, the kernel direction ``w`` the
@@ -21,12 +22,11 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-from typing import Optional
 
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import CholeskyNotPD, ImaginaryResidueTooLarge, ReciprocalSpectrumMismatch
+from .errors import CholeskyNotPD, FactorNotAllPass, ImaginaryResidueTooLarge
 from .polymat import PolyMatrix, ScalarPoly, _on_circle, eval_poly
 from .roots import check_off_circle, check_pair
 from .statespace import solve_stein
@@ -266,17 +266,6 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
 b2_consecutive_from_w = b2_consecutive
 
 
-def _band_miss(eigs, inside: bool, tol) -> Optional[float]:
-    """``|lambda| (1 + tol.circle)`` at A's largest eigenvalue modulus unless
-    below 1 (``inside``), ``|lambda| (1 - tol.circle)`` at the smallest unless
-    above 1 (outside); ``None`` when every eigenvalue clears the band."""
-    if inside:
-        miss = float(np.abs(eigs).max()) * (1.0 + tol.circle)
-        return None if miss < 1.0 else miss
-    miss = float(np.abs(eigs).min()) * (1.0 - tol.circle)
-    return None if miss > 1.0 else miss
-
-
 def allpass_from_A(A: np.ndarray, direction: str, tol=DEFAULTS):
     """Solve the all-pass polynomial identity for a given companion matrix.
 
@@ -306,9 +295,6 @@ def allpass_from_A(A: np.ndarray, direction: str, tol=DEFAULTS):
     ------
     CholeskyNotPD
         If the computed ``T'T`` is not positive definite.
-    ReciprocalSpectrumMismatch
-        If the eigenvalues of ``B`` miss the reciprocals of A's by more than
-        ``1e-8 max(1, max |1/lambda|)``.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.shape != (2, 2):
@@ -318,14 +304,15 @@ def allpass_from_A(A: np.ndarray, direction: str, tol=DEFAULTS):
             f"direction must be 'eigs_inside' or 'eigs_outside', got {direction!r}"
         )
     inside = direction == "eigs_inside"
-    eigs = np.linalg.eigvals(A)
-    if _band_miss(eigs, inside, tol) is not None:
-        raise ValueError(f"direction {direction} but |eigs| = {sorted(np.abs(eigs))}")
-    return _solve_identity(A, eigs, inside)
+    mods = np.abs(np.linalg.eigvals(A))
+    if not (mods.max() * (1.0 + tol.circle) < 1.0 if inside
+            else mods.min() * (1.0 - tol.circle) > 1.0):
+        raise ValueError(f"direction {direction} but |eigs| = {sorted(mods)}")
+    return _solve_identity(A, inside)
 
 
-def _solve_identity(A, eigs, inside: bool):
-    """:func:`allpass_from_A` past its checks; ``eigs`` are A's eigenvalues."""
+def _solve_identity(A, inside: bool):
+    """:func:`allpass_from_A` past its checks."""
     if inside:
         Gamma0 = solve_stein(A, np.eye(2))
     else:
@@ -341,20 +328,7 @@ def _solve_identity(A, eigs, inside: bool):
         spectrum = np.linalg.eigvalsh(TtT)
         msg = f"T'T is not positive definite (eigs {spectrum})"
         raise CholeskyNotPD(msg, spectrum[0], 0.0) from None
-    T = L.T
-
-    # B is similar to A^-1, so its spectrum must be the reciprocals of A's
-    eb = np.sort_complex(np.linalg.eigvals(B))
-    ea = np.sort_complex(1.0 / eigs)
-    deviation = float(abs(eb - ea).max())
-    bound = 1e-8 * max(1.0, float(abs(ea).max()))
-    if deviation > bound:
-        raise ReciprocalSpectrumMismatch(
-            f"eigenvalues of B miss the reciprocals of A's by {deviation:.3e} > "
-            f"{bound:.3e}; the Stein solve is unreliable here",
-            deviation, bound,
-        )
-    return B, T, Gamma0
+    return B, L.T, Gamma0
 
 
 def b2_polynomial(alpha, w, tol=DEFAULTS) -> RationalAllPass:
@@ -367,35 +341,25 @@ def b2_polynomial(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     denominator; its column space at ``alpha`` is spanned by ``w`` because
     the adjugate of the singular ``I - A alpha`` has rank one with columns
     in the eigenvector direction.  The input is validated by
-    :func:`~allpass.roots.check_pair`.
+    :func:`~allpass.roots.check_pair` and the factor by :func:`_certified`.
     """
     alpha, w = check_pair(alpha, w, tol)
     Wm = np.column_stack([w.real, w.imag])
     lam = 1.0 / alpha
     rot = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
     A = Wm @ rot @ np.linalg.inv(Wm)
-    inside = abs(alpha) >= 1.0
-    eigs = np.linalg.eigvals(A)
-    # near the degenerate boundary, rounding in inv(Wm) can move A's spectrum
-    miss = _band_miss(eigs, inside, tol)
-    if miss is not None:
-        raise ReciprocalSpectrumMismatch(
-            "eigenvalues of A miss 1/alpha across the circle band: "
-            f"|lambda| (1 +- tol.circle) = {miss:.3e} against 1",
-            miss, 1.0,
-        )
-    B, T, _ = _solve_identity(A, eigs, inside)
+    B, T, _ = _solve_identity(A, abs(alpha) >= 1.0)
     Tinv = np.linalg.inv(T)
     At = A - np.trace(A) * np.eye(2)
     scale = abs(alpha) ** 2
     coeffs = scale * np.array([Tinv, (At - B) @ Tinv, -At @ B @ Tinv])
-    return RationalAllPass(
+    return _certified(RationalAllPass(
         num=PolyMatrix(coeffs),
         den=_pair_denominator(alpha),
         alpha=alpha,
         method="polynomial",
         max_imag_pre=0.0,
-    )
+    ), tol)
 
 
 def verify_allpass(
@@ -403,16 +367,18 @@ def verify_allpass(
 ) -> VerifyReport:
     """Check the defining identity at the ``n_samples``-th roots of unity.
 
-    ``num`` and ``den`` are each evaluated once on that grid.  Reports the
-    worst Frobenius deviation of ``V(z) V(z)^H`` from the identity, the worst
-    deviation of ``|det V(z)|`` from 1, and whether the worst deviation is at
-    most ``tol``.  A denominator that vanishes on the grid raises
+    Reports the worst Frobenius deviation of ``V(z) V(z)^H`` from the
+    identity, the worst deviation of ``|det V(z)|`` from 1, and whether the
+    worst deviation is at most ``tol``.  The coefficients are real, so
+    ``V(conj z) = conj V(z)`` and both maxima are attained on the upper half
+    of the grid, ``z_0 .. z_(n_samples // 2)``: ``num`` and ``den`` are each
+    evaluated once there.  A denominator that vanishes on the grid raises
     ``ZeroDivisionError``, as ``V(z)`` does.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    zs, num = _on_circle(V.num.coeffs, n_samples)
-    _, den = _on_circle(V.den.coeffs, n_samples)
+    zs, num = _on_circle(V.num.coeffs, n_samples, half=True)
+    _, den = _on_circle(V.den.coeffs, n_samples, half=True)
     M = V._quotient(zs, num, den)
     gram = M @ np.conj(M).transpose(0, 2, 1) - np.eye(V.dim)
     worst = float(np.max(np.linalg.norm(gram, axis=(1, 2))))
@@ -423,3 +389,19 @@ def verify_allpass(
         n_samples=n_samples,
         ok=bool(worst <= tol),
     )
+
+
+def _certified(V: RationalAllPass, tol) -> RationalAllPass:
+    """``V`` if it verifies on the 64-point grid to ``tol.allpass``.
+
+    Raises :class:`~allpass.errors.FactorNotAllPass` with the residual
+    otherwise, also when the residual is NaN.
+    """
+    rep = verify_allpass(V, 64, tol.allpass)
+    if not rep.ok:
+        raise FactorNotAllPass(
+            f"{V.method} factor is not all-pass: |V V^H - I| = "
+            f"{rep.max_residual:.3e} on the circle exceeds {tol.allpass:.3e}",
+            rep.max_residual, tol.allpass,
+        )
+    return V

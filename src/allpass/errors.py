@@ -50,16 +50,10 @@ class ResonantEigenvalues(AllPassError):
     system when LAPACK finds it singular (then with no ``bound``)."""
 
 
-class SingularSteinSolution(AllPassError):
-    """The state-space construction's Stein solution X is numerically
-    singular: ``value`` is its condition number."""
-
-
-class ReciprocalSpectrumMismatch(AllPassError):
-    """The polynomial construction's matrices miss their spectra: ``value`` is
-    the largest distance of B's eigenvalues from the reciprocals of A's, or,
-    when rounding carried A's (``1/alpha`` and its conjugate) across the
-    circle band, ``|lambda| (1 +- tol.circle)`` of the one that crossed."""
+class FactorNotAllPass(AllPassError):
+    """A built pair factor fails ``V(z) V(z)^H = I`` on the unit circle:
+    ``value`` is the largest Frobenius deviation on the 64-point grid (NaN
+    when it could not be evaluated), ``bound`` is ``tol.allpass``."""
 
 
 class CholeskyNotPD(AllPassError):
@@ -68,9 +62,8 @@ class CholeskyNotPD(AllPassError):
 
 
 class GramNotPD(AllPassError):
-    """The state-space Gram matrix G is not positive definite (``value`` its
-    smallest eigenvalue), or the factor built from its Cholesky (D'GD = I)
-    fails the structural certification (``value`` the worst block)."""
+    """The state-space Gram matrix G failed its Cholesky: ``value`` is its
+    smallest eigenvalue."""
 
 
 class SelectionNotClosed(AllPassError):

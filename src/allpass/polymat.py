@@ -8,6 +8,7 @@ arrays are marked read-only), so they can be shared freely.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -164,17 +165,28 @@ def spectral_eval(p, z):
     return out.reshape(zs.shape + out.shape[1:])
 
 
-def _on_circle(coeffs: np.ndarray, n_samples: int, half: bool = False):
+@functools.lru_cache(maxsize=64)
+def _circle_powers(n_samples: int, m: int, half: bool):
     """The roots of unity ``z_k = exp(2 pi i k / n_samples)`` (``k <=
-    n_samples // 2`` if ``half``) and a coefficient stack, coefficient axis
-    first, at them; the powers ``z_k^j = z_(kj mod n_samples)`` come from
-    the grid itself."""
+    n_samples // 2`` if ``half``) and their powers ``z_k^j``, ``j < m``, as
+    read-only arrays; the powers come from the grid itself, ``z_k^j =
+    z_(kj mod n_samples)``.  Cached: every pair factor's certificate and
+    every chain certification evaluates on the same grid."""
     grid = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
     k = np.arange(n_samples // 2 + 1 if half else n_samples)
+    zs, powers = grid[k], grid[np.outer(k, np.arange(m)) % n_samples]
+    zs.setflags(write=False)
+    powers.setflags(write=False)
+    return zs, powers
+
+
+def _on_circle(coeffs: np.ndarray, n_samples: int, half: bool = False):
+    """The grid of :func:`_circle_powers` and a coefficient stack,
+    coefficient axis first, at it."""
     m = coeffs.shape[0]
-    powers = grid[np.outer(k, np.arange(m)) % n_samples]
+    zs, powers = _circle_powers(n_samples, m, half)
     values = powers @ coeffs.reshape(m, -1)
-    return grid[k], values.reshape(k.shape + coeffs.shape[1:])
+    return zs, values.reshape(zs.shape + coeffs.shape[1:])
 
 
 def circle_spectrum(p, n_samples: int = 64) -> np.ndarray:

@@ -2,19 +2,19 @@
 
 The transfer variable enters through its reciprocal, so eigenvalues of ``A``
 inside the unit circle correspond to poles of ``k`` outside it.  The module
-builds the 2x2 pair factor in state space and certifies it structurally,
-through the Stein (discrete Lyapunov) solver that certificate hinges on.
+builds the 2x2 pair factor in state space from a Stein (discrete Lyapunov)
+solution, and :func:`structural_blocks` reads off why that factor is all-pass:
+the blocks of its product with its adjoint that the Stein solution cancels.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import GramNotPD, ResonantEigenvalues, SingularSteinSolution
+from .errors import GramNotPD, ResonantEigenvalues
 from .polymat import PolyMatrix
 from .roots import check_pair
 
@@ -122,7 +122,7 @@ def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def structural_blocks(ss: StateSpace, X: np.ndarray) -> dict:
-    """Certification residuals for an all-pass candidate.
+    """The blocks that explain why a realization is all-pass.
 
     Takes the product realization of ``k*(1/z) k(z)``, the adjoint (poles
     mirrored) times ``k``, in the state coordinates ``M = [[I, X], [0, I]]``
@@ -161,7 +161,8 @@ def build_b2(alpha, w, tol=DEFAULTS):
         Kernel direction in Q1 coordinates; the numerator's column space at
         ``alpha`` is spanned by it.
     tol : Tolerances
-        ``circle`` and ``degenerate`` for :func:`~allpass.roots.check_pair`.
+        ``circle`` and ``degenerate`` for :func:`~allpass.roots.check_pair`,
+        ``allpass`` for the factor's certificate.
 
     Returns
     -------
@@ -175,27 +176,18 @@ def build_b2(alpha, w, tol=DEFAULTS):
         From :func:`~allpass.roots.check_pair`.
     ResonantEigenvalues
     GramNotPD
-        If the Gram matrix fails its Cholesky, or the feedthrough built from
-        it fails the structural certification (worst block above 1e-6).
-    SingularSteinSolution
-        If the Stein solution is numerically singular (condition > 1e12).
+        If the Gram matrix fails its Cholesky.
+    FactorNotAllPass
+        If the factor fails ``V V^H = I`` on the circle to ``tol.allpass``.
     """
     # circular at import time only
-    from .blaschke import RationalAllPass, _pair_denominator
+    from .blaschke import RationalAllPass, _certified, _pair_denominator
 
     alpha, w = check_pair(alpha, w, tol)
     lam = 1.0 / alpha
     A = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
     C = np.column_stack([w.imag, -w.real]) / np.linalg.norm(w)
     X = solve_stein(A, C.T @ C)
-    # the 2-norm condition number, from the SVD np.linalg.cond would take
-    sv = np.linalg.svd(X, compute_uv=False)
-    condX = float(sv[0]) / float(sv[1]) if sv[1] > 0.0 else math.inf
-    if not np.isfinite(condX) or condX > 1e12:
-        raise SingularSteinSolution(
-            f"Stein solution X is numerically singular (cond = {condX:.3e} > 1.0e+12)",
-            condX, 1e12,
-        )
     Ainv = np.linalg.inv(A)
     Xinv = np.linalg.inv(X)
     G = np.eye(2) + C @ Ainv @ Xinv @ Ainv.T @ C.T
@@ -212,14 +204,6 @@ def build_b2(alpha, w, tol=DEFAULTS):
     D = np.linalg.inv(L).T
     B = -Xinv @ Ainv.T @ C.T @ D
     ss = StateSpace(A, B, C, D)
-    blocks = structural_blocks(ss, X)
-    worst = max(blocks.values())
-    if worst > 1e-6:
-        raise GramNotPD(
-            f"structural certification failed (worst block residual "
-            f"{worst:.3e}: {blocks})",
-            worst, 1e-6,
-        )
 
     # rational form over the monic denominator (z - alpha)(z - conj alpha)
     tr = 2.0 * lam.real
@@ -235,4 +219,4 @@ def build_b2(alpha, w, tol=DEFAULTS):
         method="statespace",
         max_imag_pre=0.0,
     )
-    return ss, rat
+    return ss, _certified(rat, tol)

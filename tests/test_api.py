@@ -13,15 +13,14 @@ def test_public_names():
         "CholeskyNotPD",
         "DeconvolutionResidueTooLarge",
         "DegenerateW",
+        "FactorNotAllPass",
         "GramNotPD",
         "ImaginaryResidueTooLarge",
         "NotARoot",
         "OnUnitCircle",
-        "ReciprocalSpectrumMismatch",
         "ResonantEigenvalues",
         "SelectionNotClosed",
         "SingularPolynomialMatrix",
-        "SingularSteinSolution",
         "PolyMatrix",
         "ScalarPoly",
         "poly_roots",

@@ -25,11 +25,12 @@ from allpass import (
 from allpass.errors import (
     AllPassError,
     DegenerateW,
+    FactorNotAllPass,
     ImaginaryResidueTooLarge,
     OnUnitCircle,
-    ReciprocalSpectrumMismatch,
+    ResonantEigenvalues,
 )
-from allpass.blaschke import _unitary
+from allpass.blaschke import _certified, _unitary
 from conftest import CROSSING_ALPHA, CROSSING_W, rand_alpha, rand_w
 
 PAIR_CONSTRUCTIONS = {
@@ -495,7 +496,9 @@ def test_consecutive_property(log_r, theta, log_ratio, t1, t2):
 
 # (method, alpha, w, numerator coefficients): one pair inside the circle,
 # one outside, one at sigma2/sigma1 = 1e-4, drawn from seeded generators.
-# The coefficients were recorded with numpy 2.4.6 (OpenBLAS, x86-64); the
+# The polynomial route refuses the last (its factor is off the identity on
+# the circle by 1.2e-5), so that entry pins the refusal's residual instead.
+# The numbers were recorded with numpy 2.4.6 (OpenBLAS, x86-64); the
 # literals hold the routes to their arithmetic, so a LAPACK build that rounds
 # differently needs them recorded again from an unchanged checkout.
 PINNED_ROUTES = [
@@ -520,14 +523,10 @@ PINNED_ROUTES = [
         ],
     ),
     (
-        "polynomial",  # ratio, seed 3
+        "polynomial",  # ratio, seed 3: refused
         (2.8161120410750398+1.0341726026694835j),
         [(0.6646549659239303+0.7149822232675986j), (0.14758551515904844+0.1589110518473109j)],
-        [
-            [[1.02411839031725, -1.9291311858919886], [0.0, 8.788069109932495]],
-            [[-5.52541260174638, 1.0917173733241479], [-1.0916757562692727, -5.525427966782494]],
-            [[8.788043166016017, -7.903444588720621e-06], [1.929065258298401, 1.0241196787633797]],
-        ],
+        1.1726405903926982e-05,
     ),
     (
         "statespace",  # inside, seed 1
@@ -568,38 +567,97 @@ PINNED_ROUTES = [
          for k in ("inside", "outside", "ratio")],
 )
 def test_routes_pinned_bit_for_bit(method, alpha, w, coeffs):
-    V = PAIR_CONSTRUCTIONS[method](alpha, np.array(w))
-    np.testing.assert_array_equal(V.num.coeffs, np.array(coeffs))
+    def build():
+        return PAIR_CONSTRUCTIONS[method](alpha, np.array(w))
+
+    if isinstance(coeffs, float):
+        with pytest.raises(FactorNotAllPass) as info:
+            build()
+        assert info.value.value == coeffs > info.value.bound == DEFAULTS.allpass
+        # the other routes build the same pair to roundoff
+        for make in (b2_consecutive, PAIR_CONSTRUCTIONS["statespace"]):
+            assert verify_allpass(make(alpha, np.array(w)), 64).max_residual <= 1e-14
+    else:
+        np.testing.assert_array_equal(build().num.coeffs, np.array(coeffs))
 
 
 def test_polynomial_reciprocal_check_is_typed():
-    # at sigma2/sigma1 near 1e-5 the Stein solve loses B's spectrum by more
-    # than the 1e-8 bound; the refusal carries both
+    # at sigma2/sigma1 near 1e-5 the Stein solve loses B's spectrum (B is
+    # similar to A^-1 in exact arithmetic), and the factor built from it is
+    # not all-pass; the certificate's refusal carries the residual
     alpha = 0.5655611953367762 + 0.20035102777185076j
     w = [
         0.03480844806410672 + 0.28485272861234023j,
         -0.11622856730779756 - 0.950861827547541j,
     ]
-    with pytest.raises(ReciprocalSpectrumMismatch) as exc:
+    with pytest.raises(FactorNotAllPass) as exc:
         b2_polynomial(alpha, w)
     assert isinstance(exc.value, AllPassError)
-    assert exc.value.bound == pytest.approx(1e-8 * max(1.0, abs(alpha)))
-    assert exc.value.value > exc.value.bound
+    assert exc.value.bound == DEFAULTS.allpass
+    assert exc.value.value == pytest.approx(1.03, abs=0.01)
 
 
 def test_polynomial_band_crossing_is_typed():
     # the ratio 1.6e-8 passes check_pair, but rounding in inv([Re w, Im w])
     # moves A's eigenvalues from 1/|alpha| = 1.039 to 0.974, inside the
-    # circle; this was a plain ValueError from allpass_from_A's direction check
-    with pytest.raises(ReciprocalSpectrumMismatch) as exc:
+    # circle; A's entries reach 3.6e7, and the Kronecker system of the Stein
+    # equation comes out singular for LAPACK
+    with pytest.raises(ResonantEigenvalues, match="Kronecker") as exc:
         b2_polynomial(CROSSING_ALPHA, CROSSING_W)
-    assert str(exc.value).startswith("eigenvalues of A miss 1/alpha")
-    assert exc.value.value == pytest.approx(0.974 * (1.0 - DEFAULTS.circle), abs=1e-3)
-    assert exc.value.value <= exc.value.bound == 1.0
+    assert exc.value.bound is None
     # the other routes build the same pair to roundoff
     for make in (b2_consecutive, PAIR_CONSTRUCTIONS["statespace"]):
         V = make(CROSSING_ALPHA, CROSSING_W)
         assert verify_allpass(V, 64).max_residual <= 1e-13
+
+
+def assert_tripped(exc):
+    """A refusal's ``value`` lies on the failing side of its ``bound``: above
+    it for a residual (NaN included), at or below it for a smallest
+    eigenvalue or a distance from resonance; LAPACK's singular Stein system
+    has no bound."""
+    if isinstance(exc, (FactorNotAllPass, ImaginaryResidueTooLarge)):
+        assert not exc.value <= exc.bound, exc
+    elif exc.bound is not None:
+        assert exc.value <= exc.bound, exc
+
+
+def test_pair_routes_return_all_pass_or_refuse():
+    # |alpha| = 10^U(-3, 3), arg alpha in (0.02, pi - 0.02), sigma2/sigma1 of
+    # [Re w, Im w] = 10^U(-8, 0): without their certificate the polynomial
+    # and state-space routes return 53 and 51 factors of these 300 that fail
+    # V V^H = I; each route returns a factor within tol.allpass or refuses
+    # with the number that tripped
+    rng = np.random.default_rng(20261019)
+    refused = {name: 0 for name in PAIR_CONSTRUCTIONS}
+    for _ in range(300):
+        alpha = 10.0 ** rng.uniform(-3, 3) * np.exp(1j * rng.uniform(0.02, np.pi - 0.02))
+        w = kernel_direction(10.0 ** rng.uniform(-8, 0), *rng.uniform(0, 2 * np.pi, 2))
+        for name, make in PAIR_CONSTRUCTIONS.items():
+            try:
+                V = make(alpha, w)
+            except AllPassError as exc:
+                assert_tripped(exc)
+                refused[name] += 1
+                continue
+            assert verify_allpass(V, 64).max_residual <= DEFAULTS.allpass, name
+    assert refused["consecutive"] == 0
+    assert min(refused["polynomial"], refused["statespace"]) >= 30
+
+
+def test_certificate_refuses_a_nan_residual():
+    # a numerator so large that V V^H overflows leaves a NaN residual, which
+    # compares false against any bound and must still refuse
+    V = RationalAllPass(
+        num=PolyMatrix(1e300 * np.eye(2)[None]),
+        den=ScalarPoly([0.25, 0.0, 1.0]),
+        alpha=0.5j,
+        method="polynomial",
+    )
+    with np.errstate(all="ignore"), pytest.raises(FactorNotAllPass) as info:
+        _certified(V, DEFAULTS)
+    assert np.isnan(info.value.value)
+    assert info.value.bound == DEFAULTS.allpass
 
 
 def test_consecutive_residue_is_relative_to_coefficients():

@@ -157,7 +157,7 @@ def test_circle_root_exit_code(capsys, tmp_path):
 
 def test_mirror_domain_error_exit_code(capsys, tmp_path):
     # z I - A with the pair 1e-3 exp(+-i theta); the state-space factor for
-    # this kernel fails its structural certificate (GramNotPD)
+    # this kernel is off the identity on the circle by 1.9e-2 (FactorNotAllPass)
     rng = np.random.default_rng(0)
     lam = 1e-3 * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
     S = rng.standard_normal((2, 2))
@@ -167,7 +167,7 @@ def test_mirror_domain_error_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, "mirror", str(path), "--method", "statespace")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: structural certification failed")
+    assert err.startswith("error: statespace factor is not all-pass")
 
 
 @pytest.mark.parametrize("make", [origin_scalar, origin_matrix])

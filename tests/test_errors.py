@@ -3,7 +3,8 @@
 Every ``raise`` of an ``AllPassError`` subclass in the package passes the
 message, ``value`` and ``bound``, no subclass has a constructor of its own,
 and each raise site is reached by one input below, which asserts both
-numbers.
+numbers.  The pair factors of the polynomial and state-space routes share
+one raise site, their all-pass certificate.
 """
 
 import ast
@@ -64,7 +65,7 @@ def test_error_classes_share_one_constructor():
 
 def test_every_raise_passes_message_value_and_bound():
     sites = raise_sites()
-    assert len(sites) >= 17
+    assert len(sites) >= 14
     assert [s for s in sites if s[3] != 3] == []
 
 
@@ -114,20 +115,15 @@ SITES = {
         0.8437477363070668 + 1.0493977280145141j,
         [-0.8316891902400994 - 0.5528105504093846j, -0.043221993909552316 - 0.02873056626808511j],
     )),
-    "reciprocal-B": ("blaschke", errors.ReciprocalSpectrumMismatch, lambda: b2_polynomial(
+    "reciprocal-B": ("blaschke", errors.FactorNotAllPass, lambda: b2_polynomial(
         0.5655611953367762 + 0.20035102777185076j,
         [0.03480844806410672 + 0.28485272861234023j, -0.11622856730779756 - 0.950861827547541j],
     )),
-    "reciprocal-A": ("blaschke", errors.ReciprocalSpectrumMismatch,
-                     lambda: b2_polynomial(CROSSING_ALPHA, CROSSING_W)),
     "resonant": ("statespace", errors.ResonantEigenvalues,
                  lambda: solve_stein(np.diag([2.0, 0.5]), np.eye(2))),
     "resonant-lapack": ("statespace", errors.ResonantEigenvalues,
                         lambda: solve_stein(np.array([[-9999.0, 1.0], [-1e8, 10001.0]]), np.eye(2))),
-    "stein-cond": ("statespace", errors.SingularSteinSolution,
-                   lambda: build_b2(3.0 + 1e-6j, np.array([1.0, 1e-7j]))),
     "gram-cholesky": ("statespace", errors.GramNotPD, small_pair_b2(196)),
-    "gram-blocks": ("statespace", errors.GramNotPD, small_pair_b2(0)),
     "deconvolution": ("mirror", errors.DeconvolutionResidueTooLarge, shifted_root),
     "multiplicity": ("mirror", errors.SelectionNotClosed, bad_record(multiplicity=0)),
     "lower-half": ("mirror", errors.SelectionNotClosed,
@@ -135,13 +131,23 @@ SITES = {
     "real-imaginary": ("mirror", errors.SelectionNotClosed, bad_record(alpha=0.5 + 0.1j)),
 }
 # callers that refuse through a site above: classify and mirror_set judge a
-# record's root by check_off_circle
+# record's root by check_off_circle, build_b2 certifies its factor as
+# b2_polynomial does (a Stein solution of condition 1.5e14 leaves the factor
+# 7.8e-3 off the identity), and on a w near the degenerate boundary
+# b2_polynomial's Stein system comes out singular for LAPACK
 ROUTED = {
     "classify-circle": ("roots", errors.OnUnitCircle, lambda: classify(CIRCLE, ON_CIRCLE)),
     "selection-circle": ("roots", errors.OnUnitCircle,
                          lambda: mirror_set(CIRCLE, [ON_CIRCLE])),
+    "gram-blocks": ("blaschke", errors.FactorNotAllPass, small_pair_b2(0)),
+    "stein-cond": ("blaschke", errors.FactorNotAllPass,
+                   lambda: build_b2(0.5 + 1e-10j, np.array([1.0 + 0.5j, 1e-7j]))),
+    "reciprocal-A": ("statespace", errors.ResonantEigenvalues,
+                     lambda: b2_polynomial(CROSSING_ALPHA, CROSSING_W)),
 }
 INPUTS = {**SITES, **ROUTED}
+# the refusals of LAPACK's singular Kronecker system, which has no bound
+UNBOUNDED = {"resonant-lapack", "reciprocal-A"}
 
 
 def raised_at(info):
@@ -160,7 +166,7 @@ def test_raise_site_carries_value_and_bound(site):
     assert type(info.value) is cls
     assert raised_at(info)[0] == module
     assert isinstance(info.value.value, float)
-    if site == "resonant-lapack":
+    if site in UNBOUNDED:
         assert info.value.bound is None
     else:
         assert isinstance(info.value.bound, float)

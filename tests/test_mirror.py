@@ -7,6 +7,7 @@ import pytest
 
 import allpass.mirror
 from allpass import (
+    DEFAULTS,
     METHODS,
     PolyMatrix,
     Tolerances,
@@ -26,8 +27,9 @@ from allpass import (
 )
 from allpass.errors import (
     DeconvolutionResidueTooLarge,
+    FactorNotAllPass,
     OnUnitCircle,
-    ReciprocalSpectrumMismatch,
+    ResonantEigenvalues,
     SelectionNotClosed,
 )
 from allpass.mirror import MirrorReport, _certify, _spectral_deviation
@@ -803,13 +805,29 @@ def test_polynomial_band_crossing_is_typed_through_mirror_once(monkeypatch):
     plan = MirrorPlan(case=CASE_GENERIC, alpha=alpha, v=w, Q1=np.eye(2), w=w)
     monkeypatch.setattr(allpass.mirror, "classify", lambda p, record, tol: plan)
     record = RootRecord(alpha, 1, "complex_pair", "inside")
-    with pytest.raises(ReciprocalSpectrumMismatch) as info:
+    with pytest.raises(ResonantEigenvalues, match="Kronecker") as info:
         mirror_once(p, record, method="polynomial")
-    assert info.value.value is not None and info.value.bound == 1.0
+    assert info.value.value is not None and info.value.bound is None
     # the consecutive route mirrors the pair on the same plan
     q, report = mirror_once(p, record, method="consecutive")
     assert report.spectral_dev <= 1e-12
     assert report.new_root_residual <= 1e-12
+
+
+def test_graded_input_refuses_or_keeps_the_spectrum():
+    # 3x16 with C_k scaled by 100^k: a polynomial factor on the way is off
+    # the identity on the circle, and without the certificate the output
+    # drifted 3.9e-6 from the input spectrum; the consecutive route keeps it
+    rng = np.random.default_rng(1000)
+    p = PolyMatrix(rng.standard_normal((17, 3, 3)) * 100.0 ** np.arange(17)[:, None, None])
+    with pytest.raises(FactorNotAllPass) as info:
+        mirror_all_inside(p, method="polynomial")
+    assert info.value.value > info.value.bound == DEFAULTS.allpass
+    q, _ = mirror_all_inside(p, method="consecutive")
+    S_in, S_out = circle_spectrum(p, 256), circle_spectrum(q, 256)
+    dev = np.linalg.norm(S_out - S_in, axis=(1, 2)).max()
+    assert dev <= 1e-8 * np.linalg.norm(S_in, axis=(1, 2)).max()
+    assert all(r.location == "outside" for r in det_roots(q))
 
 
 def test_step_trims_with_the_callers_tolerance():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from allpass import (
+    DEFAULTS,
     StateSpace,
     build_b2,
     solve_stein,
@@ -11,12 +12,11 @@ from allpass import (
     verify_allpass,
 )
 from allpass.errors import (
-    AllPassError,
     DegenerateW,
+    FactorNotAllPass,
     GramNotPD,
     OnUnitCircle,
     ResonantEigenvalues,
-    SingularSteinSolution,
 )
 from conftest import rand_alpha, rand_w
 from reference import ss_eval, ss_product, ss_star, state_transform
@@ -252,27 +252,46 @@ def test_build_b2_rejects_lower_half_alpha():
 
 
 @pytest.mark.parametrize(
-    "seed, reason", [(0, "worst block residual"), (196, "not positive definite")]
+    "seed, reason", [(0, "not all-pass"), (196, "not positive definite")]
 )
 def test_build_b2_small_alpha_failures_are_typed(seed, reason):
-    # at |alpha| = 1e-3 the factor loses about |alpha|^-2: for about one w in
-    # twelve the structural certificate fails (seed 0), and rounding can give
-    # the Gram matrix, positive definite in exact arithmetic, an eigenvalue
-    # of -2e-11 against 0.26 (seed 196)
+    # at |alpha| = 1e-3 the factor loses about |alpha|^-2: for seed 0 it is
+    # off the identity on the circle by 2.0e-2, and rounding can give the
+    # Gram matrix, positive definite in exact arithmetic, an eigenvalue of
+    # -2e-11 against 0.26 (seed 196)
     rng = np.random.default_rng(seed)
     alpha = 1e-3 * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
     w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    with pytest.raises(GramNotPD, match=reason):
+    with pytest.raises((FactorNotAllPass, GramNotPD), match=reason) as info:
         build_b2(alpha, w)
+    if info.type is FactorNotAllPass:
+        assert info.value.value == pytest.approx(2.0e-2, rel=0.05)
+        assert info.value.bound == DEFAULTS.allpass
+    else:
+        assert info.value.value < info.value.bound == 0.0
+
+
+def test_build_b2_ill_conditioned_stein_solution_verifies():
+    # near the real axis with |alpha| > 1, X is close to C'C, whose
+    # condition number is (sigma1/sigma2)^2 = 1e14 for this w; the factor
+    # built from it is all-pass to roundoff
+    ss, V = build_b2(3.0 + 1e-6j, np.array([1.0, 1e-7j]))
+    assert np.linalg.cond(solve_stein(ss.A, ss.C.T @ ss.C)) > 1e12
+    assert verify_allpass(V, 64).max_residual <= 1e-14
 
 
 def test_build_b2_singular_stein_solution_is_typed():
-    # near the real axis with |alpha| > 1, X is close to C'C, whose
-    # condition number is (sigma1/sigma2)^2 = 1e14 for this w
-    with pytest.raises(SingularSteinSolution) as exc:
-        build_b2(3.0 + 1e-6j, np.array([1.0, 1e-7j]))
-    assert isinstance(exc.value, AllPassError)
-    assert exc.value.bound == 1e12
+    # inside the circle near the real axis, X is numerically singular too,
+    # and there the factor built from it is off the identity: the refusal is
+    # the factor's certificate, with the residual it measured
+    alpha, w = 0.5 + 1e-10j, np.array([1.0 + 0.5j, 1e-7j])
+    lam = 1.0 / alpha
+    A = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
+    C = np.column_stack([w.imag, -w.real]) / np.linalg.norm(w)
+    assert np.linalg.cond(solve_stein(A, C.T @ C)) > 1e12
+    with pytest.raises(FactorNotAllPass) as exc:
+        build_b2(alpha, w)
+    assert exc.value.bound == DEFAULTS.allpass
     assert exc.value.value > exc.value.bound
 
 
