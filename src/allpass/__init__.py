@@ -14,7 +14,6 @@ from .errors import (
     DeconvolutionResidueTooLarge,
     DegenerateW,
     FactorNotAllPass,
-    GramNotPD,
     ImaginaryResidueTooLarge,
     NotARoot,
     OnUnitCircle,
@@ -43,13 +42,13 @@ from .blaschke import (
     b2_consecutive,
     b2_consecutive_from_w,
     b2_polynomial,
+    build_b2,
     elementary,
     squared,
     verify_allpass,
 )
 from .statespace import (
     StateSpace,
-    build_b2,
     solve_stein,
     structural_blocks,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "DeconvolutionResidueTooLarge",
     "DegenerateW",
     "FactorNotAllPass",
-    "GramNotPD",
     "ImaginaryResidueTooLarge",
     "NotARoot",
     "OnUnitCircle",
@@ -93,11 +91,11 @@ __all__ = [
     "b2_consecutive",
     "b2_consecutive_from_w",
     "b2_polynomial",
+    "build_b2",
     "elementary",
     "squared",
     "verify_allpass",
     "StateSpace",
-    "build_b2",
     "solve_stein",
     "structural_blocks",
     "METHODS",

@@ -8,8 +8,10 @@ kernel direction take its squared real-coefficient form; generic pairs take a
 2x2 factor built either from a product of four elementary steps interleaved
 with constant unitaries (``b2_consecutive``), from a polynomial identity in a
 companion-like matrix A (``b2_polynomial``), or in state space
-(:func:`allpass.statespace.build_b2`).  The last two return only a factor
-that verifies: ``V V^H = I`` on the circle to ``tol.allpass``.
+(``build_b2``).  The last two solve a Stein equation
+(:func:`allpass.statespace.solve_stein`) in real arithmetic, take the
+Cholesky factor of a Gram matrix, and return only a factor that verifies:
+``V V^H = I`` on the circle to ``tol.allpass``.
 
 Every construction has the shape ``(alpha, [w,] tol=DEFAULTS)``: the pair
 member ``alpha`` in the upper half plane, the kernel direction ``w`` the
@@ -29,7 +31,7 @@ from .config import DEFAULTS
 from .errors import CholeskyNotPD, FactorNotAllPass, ImaginaryResidueTooLarge
 from .polymat import PolyMatrix, ScalarPoly, _on_circle, eval_poly
 from .roots import check_off_circle, check_pair
-from .statespace import solve_stein
+from .statespace import StateSpace, solve_stein
 
 __all__ = [
     "RationalAllPass",
@@ -40,6 +42,7 @@ __all__ = [
     "b2_consecutive_from_w",
     "allpass_from_A",
     "b2_polynomial",
+    "build_b2",
     "verify_allpass",
 ]
 
@@ -322,13 +325,21 @@ def _solve_identity(A, inside: bool):
     TtT = B.T @ Gamma0 @ B - Gamma0
     if not inside:
         TtT = -TtT
+    return B, _cholesky(TtT, "T'T").T, Gamma0
+
+
+def _cholesky(M: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factor of ``M``, positive definite in exact arithmetic.
+
+    Raises :class:`~allpass.errors.CholeskyNotPD` with the smallest
+    eigenvalue of ``M`` when rounding has made it indefinite.
+    """
     try:
-        L = np.linalg.cholesky(TtT)
+        return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        spectrum = np.linalg.eigvalsh(TtT)
-        msg = f"T'T is not positive definite (eigs {spectrum})"
+        spectrum = np.linalg.eigvalsh(M)
+        msg = f"{name} is not positive definite (eigs {spectrum})"
         raise CholeskyNotPD(msg, spectrum[0], 0.0) from None
-    return B, L.T, Gamma0
 
 
 def b2_polynomial(alpha, w, tol=DEFAULTS) -> RationalAllPass:
@@ -353,13 +364,64 @@ def b2_polynomial(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     At = A - np.trace(A) * np.eye(2)
     scale = abs(alpha) ** 2
     coeffs = scale * np.array([Tinv, (At - B) @ Tinv, -At @ B @ Tinv])
-    return _certified(RationalAllPass(
-        num=PolyMatrix(coeffs),
-        den=_pair_denominator(alpha),
-        alpha=alpha,
-        method="polynomial",
-        max_imag_pre=0.0,
-    ), tol)
+    return _certified(coeffs, alpha, "polynomial", tol)
+
+
+def build_b2(alpha, w, tol=DEFAULTS):
+    """All-pass factor for a conjugate root pair, built in state space.
+
+    Parameters
+    ----------
+    alpha : complex
+        Upper-half-plane member of the pair, off the unit circle.
+    w : (2,) complex array
+        Kernel direction in Q1 coordinates; the numerator's column space at
+        ``alpha`` is spanned by it.
+    tol : Tolerances
+        ``circle`` and ``degenerate`` for :func:`~allpass.roots.check_pair`,
+        ``allpass`` for the factor's certificate.
+
+    Returns
+    -------
+    (StateSpace, RationalAllPass)
+        The realization and its rational form with monic denominator
+        ``(z - alpha)(z - conj(alpha))``.
+
+    Raises
+    ------
+    ValueError, OnUnitCircle, DegenerateW
+        From :func:`~allpass.roots.check_pair`.
+    ResonantEigenvalues
+        From :func:`~allpass.statespace.solve_stein`.
+    CholeskyNotPD
+        If the Gram matrix fails its Cholesky.
+    FactorNotAllPass
+        If the factor fails ``V V^H = I`` on the circle to ``tol.allpass``.
+    """
+    alpha, w = check_pair(alpha, w, tol)
+    lam = 1.0 / alpha
+    A = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
+    C = np.column_stack([w.imag, -w.real]) / np.linalg.norm(w)
+    X = solve_stein(A, C.T @ C)
+    Ainv = np.linalg.inv(A)
+    Xinv = np.linalg.inv(X)
+    G = np.eye(2) + C @ Ainv @ Xinv @ Ainv.T @ C.T
+
+    # G is positive definite in exact arithmetic on both sides of the
+    # circle: X >= 0 gives G >= I for |alpha| > 1, and for |alpha| < 1,
+    # Y = -X > 0 gives G = (I + C Y^-1 C')^-1
+    D = np.linalg.inv(_cholesky(G, "Gram matrix G")).T
+    B = -Xinv @ Ainv.T @ C.T @ D
+    ss = StateSpace(A, B, C, D)
+
+    # rational form over the monic denominator (z - alpha)(z - conj alpha)
+    tr = 2.0 * lam.real
+    det = abs(lam) ** 2
+    scale = abs(alpha) ** 2
+    c0 = ss.D
+    c1 = ss.C @ ss.B - tr * ss.D
+    c2 = ss.C @ (A - tr * np.eye(2)) @ ss.B + det * ss.D
+    return ss, _certified(scale * np.array([c0, c1, c2]), alpha, "statespace", tol)
 
 
 def verify_allpass(
@@ -391,12 +453,20 @@ def verify_allpass(
     )
 
 
-def _certified(V: RationalAllPass, tol) -> RationalAllPass:
-    """``V`` if it verifies on the 64-point grid to ``tol.allpass``.
+def _certified(coeffs, alpha: complex, method: str, tol) -> RationalAllPass:
+    """The pair factor ``coeffs`` over the monic pair denominator, if it
+    verifies on the 64-point grid to ``tol.allpass``.
 
     Raises :class:`~allpass.errors.FactorNotAllPass` with the residual
     otherwise, also when the residual is NaN.
     """
+    V = RationalAllPass(
+        num=PolyMatrix(coeffs),
+        den=_pair_denominator(alpha),
+        alpha=alpha,
+        method=method,
+        max_imag_pre=0.0,
+    )
     rep = verify_allpass(V, 64, tol.allpass)
     if not rep.ok:
         raise FactorNotAllPass(

@@ -20,6 +20,7 @@ import os
 import sys
 
 from . import __version__, errors, jsonio
+from .blaschke import verify_allpass
 from .config import DEFAULTS
 from .mirror import METHODS, mirror_all_inside, mirror_set
 from .roots import det_roots
@@ -178,8 +179,6 @@ def cmd_mirror(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .blaschke import verify_allpass
-
     tol = _resolve_tol(args.tol, default=DEFAULTS.allpass)
     obj = _load_json(args.input)
     try:

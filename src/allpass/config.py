@@ -31,7 +31,9 @@ class Tolerances:
         Half-width of the exclusion band around the unit circle.
     kernel
         Relative bound on sigma_min(p(alpha)) for alpha to count as a root;
-        p(s) failing it at every trial shift s makes p singular.
+        p(s) failing it at every trial shift s makes p singular; and the
+        bound on a mirror step's relative division remainder, above which
+        the step's root and factor disagree.
     residual
         Default threshold of the ``mirror`` command on each step's reported
         deconvolution remainder, imaginary residue and spectral deviation.

@@ -57,13 +57,9 @@ class FactorNotAllPass(AllPassError):
 
 
 class CholeskyNotPD(AllPassError):
-    """A Gram matrix that must be positive definite failed its Cholesky:
-    ``value`` is its smallest eigenvalue."""
-
-
-class GramNotPD(AllPassError):
-    """The state-space Gram matrix G failed its Cholesky: ``value`` is its
-    smallest eigenvalue."""
+    """A Gram matrix that must be positive definite failed its Cholesky
+    (``T'T`` of the polynomial identity, or ``G`` of the state-space
+    factor): ``value`` is its smallest eigenvalue, ``bound`` is 0."""
 
 
 class SelectionNotClosed(AllPassError):

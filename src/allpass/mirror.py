@@ -23,7 +23,7 @@ import dataclasses
 
 import numpy as np
 
-from .blaschke import b2_consecutive, b2_polynomial, elementary, squared
+from .blaschke import b2_consecutive, b2_polynomial, build_b2, elementary, squared
 from .config import DEFAULTS
 from .errors import DeconvolutionResidueTooLarge, SelectionNotClosed
 from .polymat import PolyMatrix, _conv_coeffs, _divide_coeffs, _on_circle
@@ -43,7 +43,6 @@ from .roots import (
     classify,
     det_roots,
 )
-from .statespace import build_b2
 
 __all__ = [
     "MirrorReport",
@@ -56,9 +55,6 @@ __all__ = [
 METHODS = ("consecutive", "polynomial", "statespace")
 
 _TINY = np.finfo(float).tiny
-
-# relative division remainder above which a step's root and factor disagree
-_DECONV_BOUND = 1e-6
 
 
 @dataclasses.dataclass
@@ -174,11 +170,13 @@ def _step(p: PolyMatrix, record: RootRecord, method: str, tol):
     raw = _conv_coeffs(pq1, V.num.coeffs)
     quot, resid_abs = _divide_coeffs(raw, V.den.coeffs)
     resid = resid_abs / max(1.0, float(abs(raw).max()))
-    if resid > _DECONV_BOUND:
+    # the remainder vanishes exactly when p Q1 num does at the step's roots:
+    # a relative residual of "alpha is a root", bounded as the root test is
+    if resid > tol.kernel:
         raise DeconvolutionResidueTooLarge(
             f"dividing out the factor denominator left relative remainder "
             f"{resid:.3e}; the selected root does not match the factor",
-            resid, _DECONV_BOUND,
+            resid, tol.kernel,
         )
 
     # p + (p Q1 V - p Q1) Q1'; the factor for alpha = 0 is 1/z, with a

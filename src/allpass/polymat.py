@@ -268,8 +268,7 @@ def _finite_roots(p, tol):
     ratios = np.linalg.svd(coeffs[[-1, 0]], compute_uv=False)[:, -1] / size
     best = int(np.argmax(ratios))
     if ratios[best] <= tol.kernel:
-        at_shifts = (_SHIFTS[:, None] ** np.arange(q + 1)) @ coeffs.reshape(q + 1, -1)
-        leads = np.concatenate([coeffs[-1:], at_shifts.reshape(-1, n, n)])
+        leads = np.concatenate([coeffs[-1:], _eval_many(coeffs, _SHIFTS)])
         ratios = np.linalg.svd(leads, compute_uv=False)[:, -1] / size
         best = int(np.argmax(ratios))
     if ratios[best] <= tol.kernel:

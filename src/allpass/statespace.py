@@ -2,9 +2,11 @@
 
 The transfer variable enters through its reciprocal, so eigenvalues of ``A``
 inside the unit circle correspond to poles of ``k`` outside it.  The module
-builds the 2x2 pair factor in state space from a Stein (discrete Lyapunov)
-solution, and :func:`structural_blocks` reads off why that factor is all-pass:
-the blocks of its product with its adjoint that the Stein solution cancels.
+holds the realization algebra only: the Stein (discrete Lyapunov) solver the
+real-arithmetic pair factors are built from, and :func:`structural_blocks`,
+which reads off why the state-space pair factor
+(:func:`allpass.blaschke.build_b2`) is all-pass: the blocks of its product
+with its adjoint that the Stein solution cancels.
 """
 
 from __future__ import annotations
@@ -13,15 +15,11 @@ import dataclasses
 
 import numpy as np
 
-from .config import DEFAULTS
-from .errors import GramNotPD, ResonantEigenvalues
-from .polymat import PolyMatrix
-from .roots import check_pair
+from .errors import ResonantEigenvalues
 
 __all__ = [
     "StateSpace",
     "solve_stein",
-    "build_b2",
     "structural_blocks",
 ]
 
@@ -149,74 +147,3 @@ def structural_blocks(ss: StateSpace, X: np.ndarray) -> dict:
         "feedthrough_33": float(np.linalg.norm(Ds @ D - np.eye(D.shape[1]))),
     }
 
-
-def build_b2(alpha, w, tol=DEFAULTS):
-    """All-pass factor for a conjugate root pair, built in state space.
-
-    Parameters
-    ----------
-    alpha : complex
-        Upper-half-plane member of the pair, off the unit circle.
-    w : (2,) complex array
-        Kernel direction in Q1 coordinates; the numerator's column space at
-        ``alpha`` is spanned by it.
-    tol : Tolerances
-        ``circle`` and ``degenerate`` for :func:`~allpass.roots.check_pair`,
-        ``allpass`` for the factor's certificate.
-
-    Returns
-    -------
-    (StateSpace, RationalAllPass)
-        The realization and its rational form with monic denominator
-        ``(z - alpha)(z - conj(alpha))``.
-
-    Raises
-    ------
-    ValueError, OnUnitCircle, DegenerateW
-        From :func:`~allpass.roots.check_pair`.
-    ResonantEigenvalues
-    GramNotPD
-        If the Gram matrix fails its Cholesky.
-    FactorNotAllPass
-        If the factor fails ``V V^H = I`` on the circle to ``tol.allpass``.
-    """
-    # circular at import time only
-    from .blaschke import RationalAllPass, _certified, _pair_denominator
-
-    alpha, w = check_pair(alpha, w, tol)
-    lam = 1.0 / alpha
-    A = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
-    C = np.column_stack([w.imag, -w.real]) / np.linalg.norm(w)
-    X = solve_stein(A, C.T @ C)
-    Ainv = np.linalg.inv(A)
-    Xinv = np.linalg.inv(X)
-    G = np.eye(2) + C @ Ainv @ Xinv @ Ainv.T @ C.T
-
-    # G is positive definite in exact arithmetic on both sides of the
-    # circle: X >= 0 gives G >= I for |alpha| > 1, and for |alpha| < 1,
-    # Y = -X > 0 gives G = (I + C Y^-1 C')^-1
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        raise GramNotPD(
-            "Gram matrix is not positive definite", np.linalg.eigvalsh(G)[0], 0.0
-        ) from None
-    D = np.linalg.inv(L).T
-    B = -Xinv @ Ainv.T @ C.T @ D
-    ss = StateSpace(A, B, C, D)
-
-    # rational form over the monic denominator (z - alpha)(z - conj alpha)
-    tr = 2.0 * lam.real
-    det = abs(lam) ** 2
-    scale = abs(alpha) ** 2
-    c0 = ss.D
-    c1 = ss.C @ ss.B - tr * ss.D
-    c2 = ss.C @ (A - tr * np.eye(2)) @ ss.B + det * ss.D
-    rat = RationalAllPass(
-        num=PolyMatrix(scale * np.array([c0, c1, c2])),
-        den=_pair_denominator(alpha),
-        alpha=alpha,
-        method="statespace",
-        max_imag_pre=0.0,
-    )
-    return ss, _certified(rat, tol)

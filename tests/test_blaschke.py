@@ -227,7 +227,6 @@ def test_num_determinant_vanishes_at_pair_and_mirrors():
     # det num factors as den(z) times the mirrored quadratic, so it is rank
     # deficient at alpha, conj(alpha) and at both reciprocals
     from allpass.polymat import det_poly, eval_poly
-    from allpass.statespace import build_b2
 
     alpha = 0.5 + 0.5j
     w = np.array([1.0, 1.0j]) / np.sqrt(2)
@@ -648,14 +647,8 @@ def test_pair_routes_return_all_pass_or_refuse():
 def test_certificate_refuses_a_nan_residual():
     # a numerator so large that V V^H overflows leaves a NaN residual, which
     # compares false against any bound and must still refuse
-    V = RationalAllPass(
-        num=PolyMatrix(1e300 * np.eye(2)[None]),
-        den=ScalarPoly([0.25, 0.0, 1.0]),
-        alpha=0.5j,
-        method="polynomial",
-    )
     with np.errstate(all="ignore"), pytest.raises(FactorNotAllPass) as info:
-        _certified(V, DEFAULTS)
+        _certified(1e300 * np.eye(2)[None], 0.5j, "polynomial", DEFAULTS)
     assert np.isnan(info.value.value)
     assert info.value.bound == DEFAULTS.allpass
 

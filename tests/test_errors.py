@@ -4,7 +4,8 @@ Every ``raise`` of an ``AllPassError`` subclass in the package passes the
 message, ``value`` and ``bound``, no subclass has a constructor of its own,
 and each raise site is reached by one input below, which asserts both
 numbers.  The pair factors of the polynomial and state-space routes share
-one raise site, their all-pass certificate.
+two raise sites: the Cholesky of their Gram matrix and their all-pass
+certificate.
 """
 
 import ast
@@ -65,16 +66,20 @@ def test_error_classes_share_one_constructor():
 
 def test_every_raise_passes_message_value_and_bound():
     sites = raise_sites()
-    assert len(sites) >= 14
+    assert len(sites) >= 13
     assert [s for s in sites if s[3] != 3] == []
 
 
 def shifted_root():
-    # a wide root test accepts 0.45 for the root 0.5 of (z - 0.5)(z - 3); one
-    # Newton step leaves it 1e-3 off, far above the division's 1e-6
-    p = PolyMatrix(np.array([1.5, -3.5, 1.0]).reshape(3, 1, 1))
+    # the root test is relative to ||p||, which the 1e6 (z - 10) block
+    # dominates, so it accepts 0.45 for the root 0.5 of (z - 0.5)(z - 3); one
+    # Newton step leaves it 1e-3 off, and the division, relative to the
+    # coefficients it divides, leaves 4.3e-4 against tol.kernel = 1e-6
+    coeffs = np.zeros((3, 2, 2))
+    coeffs[:, 0, 0] = [1.5, -3.5, 1.0]
+    coeffs[:2, 1, 1] = [-1e7, 1e6]
     rec = RootRecord(0.45, 1, "real", "inside")
-    mirror_once(p, rec, tol=Tolerances(kernel=1.0))
+    mirror_once(PolyMatrix(coeffs), rec)
 
 
 def bad_record(**change):
@@ -123,7 +128,6 @@ SITES = {
                  lambda: solve_stein(np.diag([2.0, 0.5]), np.eye(2))),
     "resonant-lapack": ("statespace", errors.ResonantEigenvalues,
                         lambda: solve_stein(np.array([[-9999.0, 1.0], [-1e8, 10001.0]]), np.eye(2))),
-    "gram-cholesky": ("statespace", errors.GramNotPD, small_pair_b2(196)),
     "deconvolution": ("mirror", errors.DeconvolutionResidueTooLarge, shifted_root),
     "multiplicity": ("mirror", errors.SelectionNotClosed, bad_record(multiplicity=0)),
     "lower-half": ("mirror", errors.SelectionNotClosed,
@@ -131,14 +135,16 @@ SITES = {
     "real-imaginary": ("mirror", errors.SelectionNotClosed, bad_record(alpha=0.5 + 0.1j)),
 }
 # callers that refuse through a site above: classify and mirror_set judge a
-# record's root by check_off_circle, build_b2 certifies its factor as
-# b2_polynomial does (a Stein solution of condition 1.5e14 leaves the factor
-# 7.8e-3 off the identity), and on a w near the degenerate boundary
-# b2_polynomial's Stein system comes out singular for LAPACK
+# record's root by check_off_circle, build_b2 takes its Gram matrix's
+# Cholesky and certifies its factor as b2_polynomial does (a Stein solution
+# of condition 1.5e14 leaves the factor 7.8e-3 off the identity), and on a w
+# near the degenerate boundary b2_polynomial's Stein system comes out
+# singular for LAPACK
 ROUTED = {
     "classify-circle": ("roots", errors.OnUnitCircle, lambda: classify(CIRCLE, ON_CIRCLE)),
     "selection-circle": ("roots", errors.OnUnitCircle,
                          lambda: mirror_set(CIRCLE, [ON_CIRCLE])),
+    "gram-cholesky": ("blaschke", errors.CholeskyNotPD, small_pair_b2(196)),
     "gram-blocks": ("blaschke", errors.FactorNotAllPass, small_pair_b2(0)),
     "stein-cond": ("blaschke", errors.FactorNotAllPass,
                    lambda: build_b2(0.5 + 1e-10j, np.array([1.0 + 0.5j, 1e-7j]))),

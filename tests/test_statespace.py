@@ -12,9 +12,9 @@ from allpass import (
     verify_allpass,
 )
 from allpass.errors import (
+    CholeskyNotPD,
     DegenerateW,
     FactorNotAllPass,
-    GramNotPD,
     OnUnitCircle,
     ResonantEigenvalues,
 )
@@ -262,7 +262,7 @@ def test_build_b2_small_alpha_failures_are_typed(seed, reason):
     rng = np.random.default_rng(seed)
     alpha = 1e-3 * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
     w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    with pytest.raises((FactorNotAllPass, GramNotPD), match=reason) as info:
+    with pytest.raises((FactorNotAllPass, CholeskyNotPD), match=reason) as info:
         build_b2(alpha, w)
     if info.type is FactorNotAllPass:
         assert info.value.value == pytest.approx(2.0e-2, rel=0.05)
