@@ -24,10 +24,8 @@ from .errors import (
 from .polymat import (
     PolyMatrix,
     ScalarPoly,
-    circle_spectrum,
     poly_roots,
     spectral_eval,
-    trim,
 )
 from .roots import (
     MirrorPlan,
@@ -38,7 +36,6 @@ from .roots import (
 from .blaschke import (
     RationalAllPass,
     VerifyReport,
-    allpass_from_A,
     b2_consecutive,
     b2_consecutive_from_w,
     b2_polynomial,
@@ -55,7 +52,6 @@ from .statespace import (
 from .mirror import (
     METHODS,
     MirrorReport,
-    enumerate_selections,
     mirror_all_inside,
     mirror_once,
     mirror_set,
@@ -79,15 +75,12 @@ __all__ = [
     "ScalarPoly",
     "poly_roots",
     "spectral_eval",
-    "circle_spectrum",
-    "trim",
     "MirrorPlan",
     "RootRecord",
     "classify",
     "det_roots",
     "RationalAllPass",
     "VerifyReport",
-    "allpass_from_A",
     "b2_consecutive",
     "b2_consecutive_from_w",
     "b2_polynomial",
@@ -100,7 +93,6 @@ __all__ = [
     "structural_blocks",
     "METHODS",
     "MirrorReport",
-    "enumerate_selections",
     "mirror_all_inside",
     "mirror_once",
     "mirror_set",

@@ -40,7 +40,6 @@ __all__ = [
     "squared",
     "b2_consecutive",
     "b2_consecutive_from_w",
-    "allpass_from_A",
     "b2_polynomial",
     "build_b2",
     "verify_allpass",
@@ -269,53 +268,10 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
 b2_consecutive_from_w = b2_consecutive
 
 
-def allpass_from_A(A: np.ndarray, direction: str, tol=DEFAULTS):
-    """Solve the all-pass polynomial identity for a given companion matrix.
-
-    For ``V(z) = (I - Az)^-1 (I - Bz) T^-1`` to be all-pass, the Gram matrix
-    ``Gamma0`` must solve a Stein equation, ``B = Gamma0^-1 A^-T Gamma0``,
-    and ``T'T`` must equal ``B' Gamma0 B - Gamma0`` (eigenvalues of A inside
-    the circle) or its negative (outside).
-
-    Parameters
-    ----------
-    A : (2, 2) array, nonsingular.
-    direction : {"eigs_inside", "eigs_outside"}
-        Declared location of A's spectrum relative to the unit circle;
-        validated strictly.  The roots the factor mirrors are the
-        reciprocals of A's eigenvalues, and each must lie off the circle by
-        more than ``tol.circle``: ``|lambda| (1 + tol.circle) < 1`` inside,
-        ``|lambda| (1 - tol.circle) > 1`` outside.
-    tol : Tolerances
-
-    Returns
-    -------
-    (B, T, Gamma0)
-        ``T`` is upper triangular with positive diagonal (the transposed
-        Cholesky factor of ``T'T``).
-
-    Raises
-    ------
-    CholeskyNotPD
-        If the computed ``T'T`` is not positive definite.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    if A.shape != (2, 2):
-        raise ValueError(f"A must be 2x2, got {A.shape}")
-    if direction not in ("eigs_inside", "eigs_outside"):
-        raise ValueError(
-            f"direction must be 'eigs_inside' or 'eigs_outside', got {direction!r}"
-        )
-    inside = direction == "eigs_inside"
-    mods = np.abs(np.linalg.eigvals(A))
-    if not (mods.max() * (1.0 + tol.circle) < 1.0 if inside
-            else mods.min() * (1.0 - tol.circle) > 1.0):
-        raise ValueError(f"direction {direction} but |eigs| = {sorted(mods)}")
-    return _solve_identity(A, inside)
-
-
 def _solve_identity(A, inside: bool):
-    """:func:`allpass_from_A` past its checks."""
+    """``(B, T, Gamma0)`` making ``(I - Az)^-1 (I - Bz) T^-1`` all-pass for a
+    2x2 ``A``: a Stein solution ``Gamma0``, ``B = Gamma0^-1 A^-T Gamma0`` and
+    ``T'T = +-(B' Gamma0 B - Gamma0)``, ``+`` if ``A``'s eigenvalues lie inside."""
     if inside:
         Gamma0 = solve_stein(A, np.eye(2))
     else:
@@ -439,8 +395,8 @@ def verify_allpass(
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    zs, num = _on_circle(V.num.coeffs, n_samples, half=True)
-    _, den = _on_circle(V.den.coeffs, n_samples, half=True)
+    zs, num = _on_circle(V.num.coeffs, n_samples)
+    _, den = _on_circle(V.den.coeffs, n_samples)
     M = V._quotient(zs, num, den)
     gram = M @ np.conj(M).transpose(0, 2, 1) - np.eye(V.dim)
     worst = float(np.max(np.linalg.norm(gram, axis=(1, 2))))

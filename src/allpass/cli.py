@@ -8,7 +8,8 @@ all-pass identity on circle samples.  Machine-readable JSON goes to stdout
 
 Exit codes: 0 success, 1 unexpected computation failure, 2 usage or input
 parse error, 3 identically singular input matrix, 4 a root sits on the unit
-circle, 5 a residual exceeded its threshold (outputs are still written).
+circle (for ``verify``: the factor's denominator vanishes on the sample
+grid), 5 a residual exceeded its threshold (outputs are still written).
 """
 
 from __future__ import annotations
@@ -186,7 +187,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{args.input}: not a rational factor: {exc}")
 
-    rep = verify_allpass(V, n_samples=args.samples, tol=tol)
+    try:
+        rep = verify_allpass(V, n_samples=args.samples, tol=tol)
+    except ZeroDivisionError as exc:
+        print(f"error: {exc}, a pole on the unit circle", file=sys.stderr)
+        return EXIT_ON_CIRCLE
     _emit(dataclasses.asdict(rep), args.out)
     if not rep.ok:
         print(

@@ -26,8 +26,7 @@ import numpy as np
 from .blaschke import b2_consecutive, b2_polynomial, build_b2, elementary, squared
 from .config import DEFAULTS
 from .errors import DeconvolutionResidueTooLarge, SelectionNotClosed
-from .polymat import PolyMatrix, _conv_coeffs, _divide_coeffs, _on_circle
-from .polymat import _trimmed_length
+from .polymat import PolyMatrix, _conv_coeffs, _divide_coeffs, _on_circle, _trimmed_length
 
 # not called here, but the benchmark's tracer (perfbench/tracer.py) looks up
 # ``allpass.mirror.spectral_eval``, so the name must stay
@@ -49,7 +48,6 @@ __all__ = [
     "mirror_once",
     "mirror_set",
     "mirror_all_inside",
-    "enumerate_selections",
 ]
 
 METHODS = ("consecutive", "polynomial", "statespace")
@@ -120,7 +118,7 @@ def _certify(chain, reports) -> None:
     stack = np.zeros((m, len(chain)) + chain[0].coeffs.shape[1:])
     for i, p in enumerate(chain):
         stack[: p.degree + 1, i] = p.coeffs
-    _, P = _on_circle(stack, 64, half=True)
+    _, P = _on_circle(stack, 64)
     S = P @ np.conj(P).swapaxes(-1, -2)
     devs = _spectral_deviation(S[:, 1:], S[:, :-1])
 
@@ -316,19 +314,3 @@ def mirror_all_inside(
     records = [r for r in det_roots(p, tol) if r.location != LOCATION_OUTSIDE]
     return mirror_set(p, records, method, tol)
 
-
-def enumerate_selections(records):
-    """All subsets of a root record list, including the empty selection.
-
-    With ``m_r`` real and ``m_c`` complex-pair records this is
-    ``2**(m_r + m_c)`` selections; multiplicities are not expanded
-    (a record is either taken, with all its copies, or left).
-    """
-    records = list(records)
-    K = len(records)
-    if K > 16:
-        raise ValueError(f"{K} records would enumerate {2**K} selections")
-    out = []
-    for mask in range(1 << K):
-        out.append([records[i] for i in range(K) if (mask >> i) & 1])
-    return out

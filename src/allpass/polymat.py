@@ -21,10 +21,8 @@ __all__ = [
     "ScalarPoly",
     "eval_poly",
     "spectral_eval",
-    "circle_spectrum",
     "det_poly",
     "poly_roots",
-    "trim",
 ]
 
 
@@ -72,8 +70,8 @@ class PolyMatrix:
             raise ValueError(
                 f"coefficients must have shape (q+1, n, n), got {arr.shape}"
             )
-        if arr.shape[0] == 0:
-            raise ValueError("need at least one coefficient matrix")
+        if 0 in arr.shape:
+            raise ValueError(f"need one coefficient or more and n >= 1, got {arr.shape}")
         self.coeffs = arr
 
     @property
@@ -112,9 +110,6 @@ class ScalarPoly:
 
     def __call__(self, z):
         return eval_poly(self, z)
-
-    def trim(self, rtol: float = DEFAULTS.trim) -> "ScalarPoly":
-        return trim(self, rtol)
 
     def __repr__(self):
         return f"ScalarPoly(degree={self.degree}, coeffs={self.coeffs!r})"
@@ -166,53 +161,35 @@ def spectral_eval(p, z):
 
 
 @functools.lru_cache(maxsize=64)
-def _circle_powers(n_samples: int, m: int, half: bool):
-    """The roots of unity ``z_k = exp(2 pi i k / n_samples)`` (``k <=
-    n_samples // 2`` if ``half``) and their powers ``z_k^j``, ``j < m``, as
-    read-only arrays; the powers come from the grid itself, ``z_k^j =
-    z_(kj mod n_samples)``.  Cached: every pair factor's certificate and
-    every chain certification evaluates on the same grid."""
+def _circle_powers(n_samples: int, m: int):
+    """The roots of unity ``z_k = exp(2 pi i k / n_samples)``, ``k <=
+    n_samples // 2``, and their powers ``z_k^j``, ``j < m``, as read-only
+    arrays; the powers come from the grid itself, ``z_k^j = z_(kj mod
+    n_samples)``.  Cached: every pair factor's certificate and every chain
+    certification evaluates on the same grid."""
     grid = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
-    k = np.arange(n_samples // 2 + 1 if half else n_samples)
+    k = np.arange(n_samples // 2 + 1)
     zs, powers = grid[k], grid[np.outer(k, np.arange(m)) % n_samples]
     zs.setflags(write=False)
     powers.setflags(write=False)
     return zs, powers
 
 
-def _on_circle(coeffs: np.ndarray, n_samples: int, half: bool = False):
-    """The grid of :func:`_circle_powers` and a coefficient stack,
+def _on_circle(coeffs: np.ndarray, n_samples: int):
+    """The half grid of :func:`_circle_powers` and a coefficient stack,
     coefficient axis first, at it."""
     m = coeffs.shape[0]
-    zs, powers = _circle_powers(n_samples, m, half)
+    zs, powers = _circle_powers(n_samples, m)
     values = powers @ coeffs.reshape(m, -1)
     return zs, values.reshape(zs.shape + coeffs.shape[1:])
 
 
-def circle_spectrum(p, n_samples: int = 64) -> np.ndarray:
-    """Boundary spectrum ``p(z) p(z)^H`` at ``z_k = exp(2 pi i k / n_samples)``.
-
-    On the unit circle ``1/conj(z) = z``, so this is :func:`spectral_eval` on
-    the grid of roots of unity from one evaluation of ``p`` instead of two.
-    Any degree is exact.  Returns a complex array of shape
-    ``(n_samples, n, n)``.
-    """
-    coeffs = p.coeffs if p.coeffs.ndim == 3 else p.coeffs[:, None, None]
-    _, P = _on_circle(coeffs, n_samples)
-    return P @ np.conj(P).transpose(0, 2, 1)
-
-
 def _trimmed_length(coeffs: np.ndarray, rtol: float) -> int:
-    """Number of leading coefficients :func:`trim` keeps: up to the last
-    whose magnitude exceeds ``rtol`` times the largest, at least one."""
+    """Number of leading coefficients a stack keeps when trimmed: up to the
+    last whose magnitude exceeds ``rtol`` times the largest, at least one."""
     mags = abs(coeffs.reshape(coeffs.shape[0], -1)).max(axis=1).tolist()
     floor = rtol * max(mags)
     return 1 + max((k for k, m in enumerate(mags) if m > floor), default=0)
-
-
-def trim(p, rtol: float = DEFAULTS.trim):
-    """Drop trailing coefficients whose magnitude is below ``rtol * max``."""
-    return type(p)(p.coeffs[: _trimmed_length(p.coeffs, rtol)])
 
 
 def det_poly(p) -> ScalarPoly:
@@ -225,7 +202,7 @@ def det_poly(p) -> ScalarPoly:
     zs = 1.5 * np.exp(2j * np.pi * np.arange(m) / m)
     coeff = np.fft.fft(np.linalg.det(_eval_many(p.coeffs, zs))) / m / 1.5 ** np.arange(m)
     # conjugate-symmetric samples: the imaginary part is FFT noise
-    return ScalarPoly(coeff.real).trim()
+    return ScalarPoly(coeff.real[: _trimmed_length(coeff.real, DEFAULTS.trim)])
 
 
 def _cluster(values, rtol):

@@ -1,18 +1,27 @@
 """Reference algebra the tests compare the pipeline against.
 
-Polynomial products and division, the plain kernel vector, the orthogonal
+Polynomial products, division and trimming, the boundary spectrum on the
+full grid of roots of unity, the plain kernel vector, the orthogonal
 completion and the dense mirror step ``p Q blockdiag(V, I)``, the
 innovations form, and the state-space product, adjoint and coordinate
 change.  The package itself works on fused kernels (``_conv_coeffs``,
 ``_divide_coeffs``, ``_anchored_kernel``, the rank-k step, the closed-form
-``structural_blocks``); these are the textbook forms, kept here so tests can
-build inputs and check results with them.
+``structural_blocks``) and on the upper half of the circle grid; these are
+the textbook forms, kept here so tests can build inputs and check results
+with them.
 """
 
 import numpy as np
 
 from allpass.config import DEFAULTS
-from allpass.polymat import PolyMatrix, ScalarPoly, _conv_coeffs, _divide_coeffs, trim
+from allpass.polymat import (
+    PolyMatrix,
+    ScalarPoly,
+    _conv_coeffs,
+    _divide_coeffs,
+    _trimmed_length,
+    spectral_eval,
+)
 from allpass.roots import _anchored_kernel, _positive_qr
 from allpass.statespace import StateSpace
 
@@ -58,7 +67,7 @@ def deconvolve(p, d: ScalarPoly, rtol: float = DEFAULTS.trim):
         (for a linear or pair divisor: roots outside the unit circle); then
         it runs from the low-degree end and the remainder sits in the top.
     """
-    dt = d.trim()
+    dt = ScalarPoly(d.coeffs[: _trimmed_length(d.coeffs, DEFAULTS.trim)])
     dq = dt.degree
     q = p.degree
     if dq < 1:
@@ -66,7 +75,20 @@ def deconvolve(p, d: ScalarPoly, rtol: float = DEFAULTS.trim):
     if dq > q:
         raise ValueError(f"divisor degree {dq} exceeds dividend degree {q}")
     quot, residual = _divide_coeffs(p.coeffs, dt.coeffs)
-    return trim(PolyMatrix(quot), rtol), residual
+    return trimmed(PolyMatrix(quot), rtol), residual
+
+
+def trimmed(p, rtol: float = DEFAULTS.trim) -> PolyMatrix:
+    """``p`` without the trailing coefficients at most ``rtol`` times its
+    largest, as the mirror step trims its output."""
+    return PolyMatrix(p.coeffs[: _trimmed_length(p.coeffs, rtol)])
+
+
+def circle_spectrum(p, n_samples: int = 64) -> np.ndarray:
+    """The boundary spectrum ``p(z) p(z)^H`` at every ``n_samples``-th root
+    of unity, shape ``(n_samples, n, n)``: :func:`spectral_eval` on the
+    grid, where ``1/conj(z) = z``."""
+    return spectral_eval(p, np.exp(2j * np.pi * np.arange(n_samples) / n_samples))
 
 
 def kernel_vector(M: np.ndarray) -> np.ndarray:

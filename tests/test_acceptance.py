@@ -11,12 +11,10 @@ import pytest
 
 from allpass import (
     PolyMatrix,
-    allpass_from_A,
     b2_consecutive_from_w,
     b2_polynomial,
     build_b2,
     det_roots,
-    enumerate_selections,
     mirror_once,
     mirror_set,
     solve_stein,
@@ -24,7 +22,7 @@ from allpass import (
     structural_blocks,
     verify_allpass,
 )
-from allpass.roots import RootRecord
+from allpass.blaschke import _solve_identity
 from conftest import polymatrix_with_inside_pair, rand_alpha, rand_w
 
 
@@ -169,11 +167,11 @@ def test_06_scalar_sanity():
 def test_07_gram_closed_forms():
     """Hand-derived solutions of the all-pass polynomial identity for
     scaled identity matrices, to 1e-12."""
-    B, T, G = allpass_from_A(0.5 * np.eye(2), "eigs_inside")
+    B, T, G = _solve_identity(0.5 * np.eye(2), inside=True)
     np.testing.assert_allclose(G, (4.0 / 3.0) * np.eye(2), atol=1e-12)
     np.testing.assert_allclose(B, 2.0 * np.eye(2), atol=1e-12)
     np.testing.assert_allclose(T, 2.0 * np.eye(2), atol=1e-12)
-    B, T, G = allpass_from_A(2.0 * np.eye(2), "eigs_outside")
+    B, T, G = _solve_identity(2.0 * np.eye(2), inside=False)
     np.testing.assert_allclose(G, np.eye(2) / 3.0, atol=1e-12)
     np.testing.assert_allclose(B, 0.5 * np.eye(2), atol=1e-12)
     np.testing.assert_allclose(T, 0.5 * np.eye(2), atol=1e-12)
@@ -220,32 +218,3 @@ def test_09_stein_solver():
     np.testing.assert_allclose(
         solve_stein(0.5 * np.eye(2), np.eye(2)), (4.0 / 3.0) * np.eye(2), atol=1e-13
     )
-
-
-def test_10_selection_count():
-    """enumerate_selections yields exactly 2^(m_r + m_c) subsets."""
-    rng = np.random.default_rng(110)
-    for _ in range(20):
-        m_r = int(rng.integers(0, 5))
-        m_c = int(rng.integers(0, 5))
-        records = []
-        for k in range(m_r):
-            records.append(
-                RootRecord(
-                    alpha=complex(rng.uniform(1.1, 4.0)),
-                    multiplicity=1,
-                    kind="real",
-                    location="outside",
-                )
-            )
-        for k in range(m_c):
-            records.append(
-                RootRecord(
-                    alpha=complex(rng.uniform(0.1, 0.8), rng.uniform(0.1, 0.8)),
-                    multiplicity=1,
-                    kind="complex_pair",
-                    location="inside",
-                )
-            )
-        sels = enumerate_selections(records)
-        assert len(sels) == 2 ** (m_r + m_c)

@@ -29,15 +29,12 @@ def test_public_names():
         "ScalarPoly",
         "poly_roots",
         "spectral_eval",
-        "circle_spectrum",
-        "trim",
         "MirrorPlan",
         "RootRecord",
         "classify",
         "det_roots",
         "RationalAllPass",
         "VerifyReport",
-        "allpass_from_A",
         "b2_consecutive",
         "b2_consecutive_from_w",
         "b2_polynomial",
@@ -50,7 +47,6 @@ def test_public_names():
         "structural_blocks",
         "METHODS",
         "MirrorReport",
-        "enumerate_selections",
         "mirror_all_inside",
         "mirror_once",
         "mirror_set",

@@ -13,7 +13,6 @@ from allpass import (
     RationalAllPass,
     ScalarPoly,
     Tolerances,
-    allpass_from_A,
     b2_consecutive,
     b2_consecutive_from_w,
     b2_polynomial,
@@ -30,7 +29,7 @@ from allpass.errors import (
     OnUnitCircle,
     ResonantEigenvalues,
 )
-from allpass.blaschke import _certified, _unitary
+from allpass.blaschke import _certified, _solve_identity, _unitary
 from conftest import CROSSING_ALPHA, CROSSING_W, rand_alpha, rand_w
 
 PAIR_CONSTRUCTIONS = {
@@ -242,26 +241,18 @@ def test_num_determinant_vanishes_at_pair_and_mirrors():
 
 
 def test_allpass_from_A_closed_form_inside():
-    B, T, G = allpass_from_A(0.5 * np.eye(2), "eigs_inside")
+    # the all-pass identity solved from A, as b2_polynomial solves it
+    B, T, G = _solve_identity(0.5 * np.eye(2), inside=True)
     np.testing.assert_allclose(G, (4.0 / 3.0) * np.eye(2), atol=1e-12)
     np.testing.assert_allclose(B, 2.0 * np.eye(2), atol=1e-12)
     np.testing.assert_allclose(T, 2.0 * np.eye(2), atol=1e-12)
 
 
 def test_allpass_from_A_closed_form_outside():
-    B, T, G = allpass_from_A(2.0 * np.eye(2), "eigs_outside")
+    B, T, G = _solve_identity(2.0 * np.eye(2), inside=False)
     np.testing.assert_allclose(G, np.eye(2) / 3.0, atol=1e-12)
     np.testing.assert_allclose(B, 0.5 * np.eye(2), atol=1e-12)
     np.testing.assert_allclose(T, 0.5 * np.eye(2), atol=1e-12)
-
-
-def test_allpass_from_A_direction_validation():
-    with pytest.raises(ValueError):
-        allpass_from_A(0.5 * np.eye(2), "eigs_outside")
-    with pytest.raises(ValueError):
-        allpass_from_A(2.0 * np.eye(2), "eigs_inside")
-    with pytest.raises(ValueError):
-        allpass_from_A(np.eye(2), "sideways")
 
 
 def test_allpass_from_A_reciprocal_spectrum():
@@ -270,7 +261,7 @@ def test_allpass_from_A_reciprocal_spectrum():
         alpha = rand_alpha(rng, "inside")
         lam = 1.0 / alpha
         A = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
-        B, _, _ = allpass_from_A(A, "eigs_outside")
+        B, _, _ = _solve_identity(A, inside=False)
         eb = np.sort_complex(np.linalg.eigvals(B))
         ea = np.sort_complex(1.0 / np.linalg.eigvals(A))
         np.testing.assert_allclose(eb, ea, atol=1e-10)

@@ -155,6 +155,33 @@ def test_circle_root_exit_code(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["roots", "mirror"])
+def test_zero_dimension_input_is_usage_error(capsys, tmp_path, command):
+    # a 0x0 stack reached the root finder, which died with an IndexError
+    path = tmp_path / "dim0.json"
+    path.write_text(json.dumps({"dim": 0, "degree": 1, "coeffs": [[], []]}))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "n >= 1" in err
+
+
+@pytest.mark.parametrize("den", [[-1.0, 1.0], [0.0]])
+def test_verify_pole_on_circle_exit_code(capsys, tmp_path, factor_file, den):
+    # z - 1 vanishes at z = 1, a grid point, and 0 everywhere; verify_allpass
+    # raised ZeroDivisionError for both (exit 1 with a traceback)
+    doc = json.loads(Path(factor_file).read_text())
+    doc["den"] = {"degree": len(den) - 1, "coeffs": den}
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "z = (1+0j)" in err
+
+
 def test_mirror_domain_error_exit_code(capsys, tmp_path):
     # z I - A with the pair 1e-3 exp(+-i theta); the state-space factor for
     # this kernel is off the identity on the circle by 1.9e-2 (FactorNotAllPass)

@@ -14,11 +14,9 @@ from allpass import (
     b2_consecutive,
     b2_polynomial,
     build_b2,
-    circle_spectrum,
     classify,
     det_roots,
     elementary,
-    enumerate_selections,
     mirror_all_inside,
     mirror_once,
     mirror_set,
@@ -33,7 +31,6 @@ from allpass.errors import (
     SelectionNotClosed,
 )
 from allpass.mirror import MirrorReport, _certify, _spectral_deviation
-from allpass.polymat import trim
 from allpass.roots import CASE_DEGENERATE, CASE_GENERIC, CASE_REAL, MirrorPlan, RootRecord
 from conftest import (
     CROSSING_ALPHA,
@@ -42,7 +39,7 @@ from conftest import (
     origin_scalar,
     polymatrix_with_inside_pair,
 )
-from reference import deconvolve, dense_step, innovations, mul
+from reference import circle_spectrum, deconvolve, dense_step, innovations, mul, trimmed
 
 
 def spectral_gap(p, q, n=64):
@@ -525,34 +522,6 @@ def test_mirror_once_rejects_circle_record(worked_pair):
         mirror_once(worked_pair, bad)
 
 
-def _fake_records(m_r, m_c):
-    recs = []
-    for k in range(m_r):
-        recs.append(
-            RootRecord(alpha=2.0 + k, multiplicity=1, kind="real", location="outside")
-        )
-    for k in range(m_c):
-        recs.append(
-            RootRecord(
-                alpha=0.3 + 0.1 * k + 0.4j,
-                multiplicity=1,
-                kind="complex_pair",
-                location="inside",
-            )
-        )
-    return recs
-
-
-@pytest.mark.parametrize("m_r,m_c", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 3)])
-def test_enumerate_selections_count(m_r, m_c):
-    sels = enumerate_selections(_fake_records(m_r, m_c))
-    assert len(sels) == 2 ** (m_r + m_c)
-    assert [] in [list(s) for s in sels]
-    # subsets are distinct
-    keys = {tuple(id(r) for r in s) for s in sels}
-    assert len(keys) == len(sels)
-
-
 def _rotation_pair_poly(radius, theta):
     """``z I - M`` with ``M`` a rotation-scaling: a generic pair at
     ``radius * e^{+-i theta}`` with kernel ``(1, -+i)/sqrt(2)``."""
@@ -623,7 +592,7 @@ def _rebuild_step(p, record, method):
     residual = remainder / max(1.0, np.abs(product.coeffs).max())
     delta = -pq1[:, :, :k]
     delta[: quot.degree + 1] += quot.coeffs[:, :, :k]
-    q = trim(PolyMatrix(p.coeffs + delta @ Q1.T))
+    q = trimmed(PolyMatrix(p.coeffs + delta @ Q1.T))
 
     S_in, S_out = circle_spectrum(p), circle_spectrum(q)
     dev = np.linalg.norm(S_out - S_in, axis=(1, 2)).max()

@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allpass import (
-    PolyMatrix,
-    ScalarPoly,
-    circle_spectrum,
-    poly_roots,
-    spectral_eval,
-    trim,
-)
+from allpass import PolyMatrix, ScalarPoly, poly_roots, spectral_eval
+from allpass.config import DEFAULTS
 from allpass.errors import SingularPolynomialMatrix
-from allpass.polymat import _conv_coeffs, det_poly
+from allpass.polymat import _conv_coeffs, _on_circle, _trimmed_length, det_poly
 from conftest import assert_roots_close
 from reference import constant, deconvolve, mul, mul_scalar
 
@@ -251,23 +245,22 @@ def test_spectral_eval_batch_matches_pointwise(kind):
     [("real", (5, 3, 3)), ("1x1", (4, 1, 1)), ("degree>=64", (70, 2, 2))],
 )
 def test_circle_spectrum_matches_spectral_eval(kind, shape):
+    # the spectrum P P^H from one evaluation of p on the circle kernel's
+    # half grid, z_0 .. z_32 of the 64th roots of unity, as _certify forms it
     rng = np.random.default_rng(44)
     p = PolyMatrix(rng.standard_normal(shape))
-    zs = np.exp(2j * np.pi * np.arange(64) / 64)
+    zs, P = _on_circle(p.coeffs, 64)
+    np.testing.assert_allclose(zs, np.exp(2j * np.pi * np.arange(33) / 64), atol=1e-15)
     ref = spectral_eval(p, zs)
-    got = circle_spectrum(p)
-    assert got.shape == (64,) + shape[1:]
+    got = P @ np.conj(P).transpose(0, 2, 1)
+    assert got.shape == (33,) + shape[1:]
     scale = np.max(np.linalg.norm(ref, axis=(1, 2)))
     assert np.max(np.linalg.norm(got - ref, axis=(1, 2))) <= 1e-13 * scale
-    # other grid sizes too, and a ScalarPoly counts as 1x1
-    five = np.exp(2j * np.pi * np.arange(5) / 5)
-    np.testing.assert_allclose(
-        circle_spectrum(p, 5), spectral_eval(p, five), rtol=0, atol=1e-13 * scale
-    )
-    c = p.coeffs[:, 0, 0]
-    np.testing.assert_array_equal(
-        circle_spectrum(ScalarPoly(c)), circle_spectrum(PolyMatrix(c[:, None, None]))
-    )
+    # other grid sizes too
+    five, P = _on_circle(p.coeffs, 5)
+    got = P @ np.conj(P).transpose(0, 2, 1)
+    assert got.shape == (3,) + shape[1:]
+    np.testing.assert_allclose(got, spectral_eval(p, five), rtol=0, atol=1e-13 * scale)
 
 
 def test_conv_coeffs_matches_double_loop():
@@ -374,9 +367,7 @@ def test_trim_drops_tiny_leading_coefficients():
     coeffs[0] = np.eye(2)
     coeffs[1] = 2 * np.eye(2)
     coeffs[3] = 1e-15 * np.ones((2, 2))
-    t = trim(PolyMatrix(coeffs))
-    assert t.degree == 1
-    np.testing.assert_array_equal(t.coeffs, coeffs[:2])
+    assert _trimmed_length(coeffs, DEFAULTS.trim) == 2
 
 
 def test_trim_is_scale_invariant():
@@ -385,9 +376,9 @@ def test_trim_is_scale_invariant():
     rng = np.random.default_rng(29)
     coeffs = rng.standard_normal((4, 2, 2))
     coeffs[3] *= 1e-14
-    a = trim(PolyMatrix(coeffs))
-    b = trim(PolyMatrix(1e-30 * coeffs))
-    assert a.degree == b.degree == 2
+    a = _trimmed_length(coeffs, DEFAULTS.trim)
+    b = _trimmed_length(1e-30 * coeffs, DEFAULTS.trim)
+    assert a == b == 3
 
 
 def test_polymatrix_shape_validation():
@@ -395,6 +386,12 @@ def test_polymatrix_shape_validation():
         PolyMatrix(np.ones((2, 2, 3)))
     with pytest.raises(ValueError):
         PolyMatrix(np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        PolyMatrix(np.ones((0, 2, 2)))
+    # a 0x0 stack reached the root finder, which died with an IndexError
+    # taking the last singular value of an empty matrix
+    with pytest.raises(ValueError, match=r"n >= 1"):
+        PolyMatrix(np.zeros((2, 0, 0)))
 
 
 def test_scalar_poly_refuses_complex():
