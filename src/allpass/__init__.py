@@ -18,7 +18,6 @@ from .errors import (
     NotARoot,
     OnUnitCircle,
     ResonantEigenvalues,
-    SelectionNotClosed,
     SingularPolynomialMatrix,
 )
 from .polymat import (
@@ -69,7 +68,6 @@ __all__ = [
     "NotARoot",
     "OnUnitCircle",
     "ResonantEigenvalues",
-    "SelectionNotClosed",
     "SingularPolynomialMatrix",
     "PolyMatrix",
     "ScalarPoly",

@@ -9,7 +9,10 @@ all-pass identity on circle samples.  Machine-readable JSON goes to stdout
 Exit codes: 0 success, 1 unexpected computation failure, 2 usage or input
 parse error, 3 identically singular input matrix, 4 a root sits on the unit
 circle (for ``verify``: the factor's denominator vanishes on the sample
-grid), 5 a residual exceeded its threshold (outputs are still written).
+grid), 5 a residual exceeded its threshold.  The command's own threshold
+check writes the outputs before it exits 5; a step the library refuses
+(``DeconvolutionResidueTooLarge``, ``ImaginaryResidueTooLarge``) exits 5
+with nothing written.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -52,12 +56,15 @@ EXIT_CODES = (
 
 
 def _positive_float(text: str) -> float:
+    """A ``--tol`` or ``BLASCHKE_TOL`` value; an infinite one would pass anything."""
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a number: {text!r}")
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
     return value
 
 
@@ -78,12 +85,9 @@ def _resolve_tol(explicit: float | None, default: float) -> float:
     env = os.environ.get(_ENV_TOL)
     if env is not None and env.strip():
         try:
-            value = float(env)
-        except ValueError:
-            raise UsageError(f"{_ENV_TOL} is not a number: {env!r}")
-        if not value > 0.0:
-            raise UsageError(f"{_ENV_TOL} must be positive: {env!r}")
-        return value
+            return _positive_float(env)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"{_ENV_TOL} {exc}")
     return default
 
 

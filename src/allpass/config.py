@@ -14,10 +14,10 @@ import dataclasses
 class Tolerances:
     """Numerical thresholds shared across the pipeline.
 
-    imag
-        Absolute bound under which a root's imaginary part snaps to zero.
     cluster
-        Relative radius for merging nearby roots into one multiple root.
+        Relative radius for merging nearby roots into one multiple root, and
+        for folding a conjugate pair whose imaginary part is within it of
+        the real axis into a double real root.
     trim
         Relative floor under which trailing coefficients count as zero, and
         under which a shifted companion's eigenvalue is an infinite root.
@@ -41,7 +41,6 @@ class Tolerances:
         Bound on ||V V^H - I|| on the circle for a factor to verify.
     """
 
-    imag: float = 1e-8
     cluster: float = 1e-7
     trim: float = 1e-12
     real: float = 1e-8

@@ -62,11 +62,6 @@ class CholeskyNotPD(AllPassError):
     factor): ``value`` is its smallest eigenvalue, ``bound`` is 0."""
 
 
-class SelectionNotClosed(AllPassError):
-    """A root selection holds a malformed or conjugation-breaking record:
-    ``value`` is the offending multiplicity or imaginary part."""
-
-
 class DeconvolutionResidueTooLarge(AllPassError):
     """Polynomial division left a remainder too large to be numerical noise:
     ``value`` is the remainder relative to the largest dividend coefficient."""

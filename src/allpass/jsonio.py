@@ -27,7 +27,6 @@ __all__ = [
     "scalar_to_json",
     "scalar_from_json",
     "record_to_json",
-    "record_from_json",
     "allpass_to_json",
     "allpass_from_json",
     "report_to_json",
@@ -69,7 +68,6 @@ def poly_from_json(obj: dict):
         raise ValueError(
             f"degree {degree} but {len(coeffs)} coefficient matrices"
         )
-    data = np.empty((degree + 1, dim, dim), dtype=np.complex128)
     for k, mat in enumerate(coeffs):
         if len(mat) != dim:
             raise ValueError(f"coefficient {k} has {len(mat)} rows, expected {dim}")
@@ -78,9 +76,9 @@ def poly_from_json(obj: dict):
                 raise ValueError(
                     f"coefficient {k} row {i} has {len(row)} entries, expected {dim}"
                 )
-            for j, v in enumerate(row):
-                data[k, i, j] = _entry_from_json(v)
-    return PolyMatrix(data)
+    # sized by the entries read, not by the declared dim
+    data = [[[_entry_from_json(v) for v in row] for row in mat] for mat in coeffs]
+    return PolyMatrix(np.array(data, np.complex128).reshape(degree + 1, dim, dim))
 
 
 def scalar_to_json(s: ScalarPoly) -> dict:
@@ -107,16 +105,6 @@ def record_to_json(r: RootRecord) -> dict:
         "kind": r.kind,
         "location": r.location,
     }
-
-
-def record_from_json(obj: dict) -> RootRecord:
-    re, im = obj["alpha"]
-    return RootRecord(
-        alpha=complex(_finite(re), _finite(im)),
-        multiplicity=int(obj["multiplicity"]),
-        kind=str(obj["kind"]),
-        location=str(obj["location"]),
-    )
 
 
 def allpass_to_json(V: RationalAllPass) -> dict:

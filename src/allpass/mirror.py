@@ -25,7 +25,7 @@ import numpy as np
 
 from .blaschke import b2_consecutive, b2_polynomial, build_b2, elementary, squared
 from .config import DEFAULTS
-from .errors import DeconvolutionResidueTooLarge, SelectionNotClosed
+from .errors import DeconvolutionResidueTooLarge
 from .polymat import PolyMatrix, _conv_coeffs, _divide_coeffs, _on_circle, _trimmed_length
 
 # not called here, but the benchmark's tracer (perfbench/tracer.py) looks up
@@ -34,8 +34,6 @@ from .polymat import spectral_eval  # noqa: F401
 from .roots import (
     CASE_DEGENERATE,
     CASE_REAL,
-    KIND_COMPLEX,
-    KIND_REAL,
     LOCATION_OUTSIDE,
     RootRecord,
     check_off_circle,
@@ -226,7 +224,7 @@ def mirror_once(
 
     Raises
     ------
-    SelectionNotClosed, OnUnitCircle, NotARoot, DegenerateW
+    OnUnitCircle, NotARoot, DegenerateW
     DeconvolutionResidueTooLarge
         If dividing out the factor denominator leaves a remainder far above
         noise, which means the root structure did not match the factor.
@@ -240,22 +238,6 @@ def _validate_selection(selection, method, tol):
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     for rec in selection:
-        if rec.multiplicity < 1:
-            raise SelectionNotClosed(
-                f"record for {rec.alpha} has multiplicity {rec.multiplicity}",
-                rec.multiplicity, 1,
-            )
-        if rec.kind == KIND_COMPLEX and rec.alpha.imag <= 0:
-            raise SelectionNotClosed(
-                f"complex record must carry the upper-half-plane member, "
-                f"got {rec.alpha}",
-                rec.alpha.imag, 0.0,
-            )
-        if rec.kind == KIND_REAL and rec.alpha.imag != 0:
-            raise SelectionNotClosed(
-                f"real record has nonzero imaginary part: {rec.alpha}",
-                rec.alpha.imag, 0.0,
-            )
         check_off_circle(rec.alpha, tol)
 
 

@@ -280,12 +280,13 @@ def poly_roots(p, tol=DEFAULTS):
 
     ``p`` is a matrix polynomial or a :class:`ScalarPoly` (as 1x1); the
     roots are the eigenvalues of one block companion (Mackey, Mackey, Mehl
-    and Mehrmann, SIMAX 2006; see :func:`_finite_roots`).  For real ``p`` it
-    is real and LAPACK returns exact conjugates, so the list is exactly
-    closed under conjugation: roots within ``tol.imag`` of the axis snap to
-    it, the upper members stand for the pairs, and a pair within the cluster
-    radius of the axis is a split double real root.  Roots within
-    ``tol.cluster`` (relative) of each other merge into one multiple root.
+    and Mehrmann, SIMAX 2006; see :func:`_finite_roots`).  The companion is
+    real and LAPACK returns exact conjugates, so the list is exactly closed
+    under conjugation: a root is real when its imaginary part is exactly
+    zero, the upper members stand for the pairs, and a pair whose imaginary
+    part is within ``tol.cluster * max(1, |mu|)`` of the axis is a split
+    double real root.  Roots within ``tol.cluster`` (relative) of each other
+    merge into one multiple root.
 
     Raises
     ------
@@ -296,10 +297,10 @@ def poly_roots(p, tol=DEFAULTS):
     if p.coeffs.ndim == 1:
         p = PolyMatrix(p.coeffs[:, None, None])
     raw = _finite_roots(p, tol).tolist()
-    reals = [float(r.real) for r in raw if abs(r.imag) <= tol.imag]
+    reals = [r.real for r in raw if r.imag == 0]
     pairs = []
-    for mu in (complex(r) for r in raw if r.imag > tol.imag):
-        if abs(mu.imag) <= tol.cluster * max(1.0, abs(mu)):
+    for mu in (r for r in raw if r.imag > 0):
+        if mu.imag <= tol.cluster * max(1.0, abs(mu)):
             reals.extend([mu.real] * 2)
         else:
             pairs.append(mu)

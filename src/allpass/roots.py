@@ -44,31 +44,35 @@ CASE_DEGENERATE = "degenerate_pair"
 CASE_GENERIC = "generic_pair"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class RootRecord:
     """One determinantal root; a complex record stands for the conjugate pair.
 
-    ``alpha`` has a strictly positive imaginary part for ``kind ==
-    "complex_pair"`` and is real for ``kind == "real"``.
+    ``alpha`` is finite with ``Im(alpha) >= 0``: a pair record carries its
+    upper member.  ``kind`` follows from it: ``"real"`` when the imaginary
+    part is exactly zero, else ``"complex_pair"``.
     """
 
     alpha: complex
     multiplicity: int
-    kind: str
     location: str
 
     def __post_init__(self):
-        self.alpha = complex(self.alpha)
+        object.__setattr__(self, "alpha", complex(self.alpha))
+        if not cmath.isfinite(self.alpha) or self.alpha.imag < 0:
+            raise ValueError(f"alpha must be finite with Im >= 0, got {self.alpha}")
         if self.multiplicity < 1:
             raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
-        if self.kind not in (KIND_REAL, KIND_COMPLEX):
-            raise ValueError(f"unknown kind {self.kind!r}")
         if self.location not in (
             LOCATION_INSIDE,
             LOCATION_ON_CIRCLE,
             LOCATION_OUTSIDE,
         ):
             raise ValueError(f"unknown location {self.location!r}")
+
+    @property
+    def kind(self) -> str:
+        return KIND_REAL if self.alpha.imag == 0 else KIND_COMPLEX
 
 
 @dataclasses.dataclass
@@ -108,7 +112,9 @@ def det_roots(p, tol=DEFAULTS):
     pairs collapse to one record with ``Im(alpha) > 0``.  Records are sorted
     by ``(|alpha|, Re, Im)`` so that indices into the list are stable; the
     CLI's ``--select`` indices refer to this order.
-    ``tol`` supplies ``kernel``, ``trim``, ``imag`` and ``cluster`` to
+    A record is real exactly when :func:`~allpass.polymat.poly_roots`
+    returns its root with a zero imaginary part.
+    ``tol`` supplies ``kernel``, ``trim`` and ``cluster`` to
     :func:`~allpass.polymat.poly_roots` and the circle band (``circle``).
 
     Raises
@@ -119,8 +125,7 @@ def det_roots(p, tol=DEFAULTS):
     values = poly_roots(p, tol)
     records = []
     for z, count in collections.Counter(z for z in values if z.imag >= 0).items():
-        kind = KIND_REAL if z.imag == 0 else KIND_COMPLEX
-        records.append(RootRecord(z, count, kind, _locate(z, tol.circle)))
+        records.append(RootRecord(z, count, _locate(z, tol.circle)))
     records.sort(key=lambda r: (abs(r.alpha), r.alpha.real, r.alpha.imag))
     return records
 

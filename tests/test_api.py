@@ -23,7 +23,6 @@ def test_public_names():
         "NotARoot",
         "OnUnitCircle",
         "ResonantEigenvalues",
-        "SelectionNotClosed",
         "SingularPolynomialMatrix",
         "PolyMatrix",
         "ScalarPoly",

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import allpass.cli
-from allpass import AllPassError, PolyMatrix, b2_polynomial, jsonio
+import allpass.mirror
+from allpass import (
+    AllPassError,
+    ImaginaryResidueTooLarge,
+    PolyMatrix,
+    b2_polynomial,
+    jsonio,
+)
 from allpass.cli import EXIT_CODES, main
 from conftest import origin_matrix, origin_scalar
 
@@ -167,6 +174,19 @@ def test_zero_dimension_input_is_usage_error(capsys, tmp_path, command):
     assert "n >= 1" in err
 
 
+@pytest.mark.parametrize("command", ["roots", "mirror"])
+def test_declared_dim_beyond_the_rows_is_usage_error(capsys, tmp_path, command):
+    # the reader allocated the declared (1, 1e8, 1e8) stack before checking
+    # a single row and died with a MemoryError
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 10**8, "degree": 0, "coeffs": [[]]}))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "has 0 rows, expected 100000000" in err
+
+
 @pytest.mark.parametrize("den", [[-1.0, 1.0], [0.0]])
 def test_verify_pole_on_circle_exit_code(capsys, tmp_path, factor_file, den):
     # z - 1 vanishes at z = 1, a grid point, and 0 everywhere; verify_allpass
@@ -311,6 +331,19 @@ def test_mirror_tiny_tol_breaches_but_writes(capsys, tmp_path, poly_file):
     assert (tmp_path / "m.report.json").exists()
 
 
+def test_refused_step_exits_5_writing_nothing(capsys, monkeypatch, tmp_path, poly_file):
+    # unlike the command's own threshold check, a refused step leaves nothing
+    def refuse(alpha, w, tol):
+        raise ImaginaryResidueTooLarge("synthetic", 1.0, tol.real)
+
+    monkeypatch.setattr(allpass.mirror, "b2_consecutive", refuse)
+    dest = tmp_path / "m.json"
+    code, out, err = run(capsys, "mirror", poly_file, "--out", str(dest))
+    assert (code, out, err) == (5, "", "error: synthetic\n")
+    assert not dest.exists()
+    assert not (tmp_path / "m.report.json").exists()
+
+
 def test_verify_ok(capsys, factor_file):
     code, out, _ = run(capsys, "verify", factor_file)
     assert code == 0
@@ -373,6 +406,25 @@ def test_tol_must_be_positive(capsys, factor_file):
         code, _, err = run(capsys, "verify", factor_file, *flag)
         assert code == 2
         assert "must be positive" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "mirror"])
+def test_infinite_tol_is_usage_error(capsys, command, factor_file, poly_file):
+    # an infinite threshold passed every residual, so verify said ok for
+    # any factor and mirror never breached
+    path = factor_file if command == "verify" else poly_file
+    code, out, err = run(capsys, command, path, "--tol", "inf")
+    assert code == 2
+    assert out == ""
+    assert "error: argument --tol: must be finite: 'inf'" in err
+
+
+def test_env_tol_must_be_finite(capsys, monkeypatch, factor_file):
+    monkeypatch.setenv("BLASCHKE_TOL", "inf")
+    code, out, err = run(capsys, "verify", factor_file)
+    assert code == 2
+    assert out == ""
+    assert err == "error: BLASCHKE_TOL must be finite: 'inf'\n"
 
 
 def test_samples_must_be_an_integer(capsys, factor_file):

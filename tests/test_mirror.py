@@ -28,7 +28,6 @@ from allpass.errors import (
     FactorNotAllPass,
     OnUnitCircle,
     ResonantEigenvalues,
-    SelectionNotClosed,
 )
 from allpass.mirror import MirrorReport, _certify, _spectral_deviation
 from allpass.roots import CASE_DEGENERATE, CASE_GENERIC, CASE_REAL, MirrorPlan, RootRecord
@@ -357,14 +356,13 @@ def test_mirror_set_order_independence():
 
 
 def test_mirror_set_rejects_malformed_record(worked_pair):
-    bad = RootRecord(
-        alpha=0.5 - 0.5j, multiplicity=1, kind="complex_pair", location="inside"
-    )
-    with pytest.raises(SelectionNotClosed):
-        mirror_set(worked_pair, [bad])
-    # mirror_once is a one-step mirror_set and checks its record the same way
-    with pytest.raises(SelectionNotClosed):
-        mirror_once(worked_pair, bad)
+    # a lower-half or non-finite record refuses itself when it is built, so
+    # neither mirror_set nor mirror_once ever sees one
+    for alpha in (0.5 - 0.5j, complex(np.nan, 0.5)):
+        with pytest.raises(ValueError):
+            mirror_set(worked_pair, [RootRecord(alpha, 1, "inside")])
+        with pytest.raises(ValueError):
+            mirror_once(worked_pair, RootRecord(alpha, 1, "inside"))
 
 
 def test_mirror_all_inside_noop_when_all_outside():
@@ -515,9 +513,7 @@ def test_mirror_set_far_outside_root(seed, n_small, shrink, kind, method):
 
 
 def test_mirror_once_rejects_circle_record(worked_pair):
-    bad = RootRecord(
-        alpha=np.exp(0.3j), multiplicity=1, kind="complex_pair", location="on_circle"
-    )
+    bad = RootRecord(alpha=np.exp(0.3j), multiplicity=1, location="on_circle")
     with pytest.raises(OnUnitCircle):
         mirror_once(worked_pair, bad)
 
@@ -773,7 +769,7 @@ def test_polynomial_band_crossing_is_typed_through_mirror_once(monkeypatch):
     assert np.linalg.norm(p(alpha) @ w) <= 1e-15
     plan = MirrorPlan(case=CASE_GENERIC, alpha=alpha, v=w, Q1=np.eye(2), w=w)
     monkeypatch.setattr(allpass.mirror, "classify", lambda p, record, tol: plan)
-    record = RootRecord(alpha, 1, "complex_pair", "inside")
+    record = RootRecord(alpha, 1, "inside")
     with pytest.raises(ResonantEigenvalues, match="Kronecker") as info:
         mirror_once(p, record, method="polynomial")
     assert info.value.value is not None and info.value.bound is None

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from allpass import PolyMatrix, ScalarPoly, poly_roots, spectral_eval
 from allpass.config import DEFAULTS
 from allpass.errors import SingularPolynomialMatrix
-from allpass.polymat import _conv_coeffs, _on_circle, _trimmed_length, det_poly
+from allpass.polymat import (
+    _conv_coeffs,
+    _finite_roots,
+    _on_circle,
+    _trimmed_length,
+    det_poly,
+)
 from conftest import assert_roots_close
 from reference import constant, deconvolve, mul, mul_scalar
 
@@ -167,6 +173,31 @@ def test_poly_roots_double_real_root_collapses():
     roots = sorted(poly_roots(ScalarPoly(coeffs)), key=lambda z: z.real)
     assert all(z.imag == 0 for z in roots)
     np.testing.assert_allclose([z.real for z in roots], [2.0, 2.0, 3.0], atol=1e-6)
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.05, 0.999, -1.2])
+def test_poly_roots_near_axis_pair_is_a_double_real_root(a):
+    # (z - a)^2 + e^2 with e = 1e-9: the companion's eigenvalues are a pair
+    # with 0 < Im <= 2e-8 (below 1e-8 for the two small a), well inside the
+    # cluster radius of the axis, so they come out as two equal reals
+    e = 1e-9
+    coeffs = np.array([a * a + e * e, -2 * a, 1.0])
+    raw = _finite_roots(PolyMatrix(coeffs[:, None, None]), DEFAULTS)
+    assert 0 < abs(raw.imag).max() <= 2e-8
+    roots = poly_roots(ScalarPoly(coeffs))
+    assert len(roots) == 2 and roots[0] == roots[1]
+    assert roots[0].imag == 0
+    assert roots[0].real == pytest.approx(a, abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.999, -1.2, 1.001])
+def test_poly_roots_pair_outside_cluster_radius_stays_a_pair(a):
+    # e = 1e-5 is a hundred cluster radii off the axis at |a| near 1
+    e = 1e-5
+    roots = poly_roots(ScalarPoly(np.array([a * a + e * e, -2 * a, 1.0])))
+    assert len(roots) == 2 and roots[0] == np.conj(roots[1])
+    assert abs(roots[0].imag) == pytest.approx(e, rel=1e-6)
+    assert roots[0].real == pytest.approx(a, abs=1e-12)
 
 
 def test_poly_roots_scalar_with_zero_leading_coefficients():

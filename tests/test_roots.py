@@ -1,5 +1,6 @@
 """Root detection, kernel extraction, and mirror-plan classification."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -330,7 +331,7 @@ def test_classify_degenerate_rotated():
 
 
 def test_classify_rejects_non_root(worked_pair):
-    fake = RootRecord(alpha=5.0 + 5.0j, multiplicity=1, kind="complex_pair", location="outside")
+    fake = RootRecord(alpha=5.0 + 5.0j, multiplicity=1, location="outside")
     with pytest.raises(NotARoot):
         classify(worked_pair, fake)
 
@@ -349,7 +350,7 @@ def test_classify_polish_never_worse_and_keeps_kind():
             # the detected value, and one knocked off by 1e-9 relative
             nudge = 1e-9 * abs(rec.alpha) * (1.0 if rec.kind == "real" else 1j)
             for alpha in (rec.alpha, rec.alpha + nudge):
-                start = RootRecord(alpha, 1, rec.kind, rec.location)
+                start = RootRecord(alpha, 1, rec.location)
                 plan = classify(p, start)
                 assert _sigma_min(p, plan.alpha) <= _sigma_min(p, alpha)
                 if rec.kind == "real":
@@ -364,9 +365,7 @@ def test_classify_polish_never_worse_and_keeps_kind():
 def test_classify_tests_the_record_not_the_polished_root(worked_pair):
     # one Newton step from 1e-3 off the pair lands close to it, but the
     # record itself is no root and must still be refused
-    near = RootRecord(
-        alpha=0.5 + 0.501j, multiplicity=1, kind="complex_pair", location="inside"
-    )
+    near = RootRecord(alpha=0.5 + 0.501j, multiplicity=1, location="inside")
     with pytest.raises(NotARoot):
         classify(worked_pair, near)
 
@@ -380,10 +379,26 @@ def test_classify_rejects_circle_root():
 
 
 def test_record_validation():
-    with pytest.raises(ValueError):
-        RootRecord(alpha=1.0 + 0.0j, multiplicity=0, kind="real", location="outside")
-    with pytest.raises(ValueError):
-        RootRecord(alpha=0.5, multiplicity=1, kind="bogus", location="inside")
+    for alpha, multiplicity, location in [
+        (1.0 + 0.0j, 0, "outside"),
+        (0.5, 1, "bogus"),
+        # a pair record carries the upper member
+        (0.5 - 0.5j, 1, "inside"),
+        # a NaN record failed inside classify's SVD
+        (complex(np.nan, 0.5), 1, "inside"),
+        (complex(0.5, np.inf), 1, "outside"),
+    ]:
+        with pytest.raises(ValueError):
+            RootRecord(alpha, multiplicity, location)
+
+
+def test_record_kind_follows_alpha():
+    assert RootRecord(0.5, 2, "inside").kind == "real"
+    assert RootRecord(complex(0.5, -0.0), 1, "inside").kind == "real"
+    assert RootRecord(0.5 + 1e-300j, 1, "inside").kind == "complex_pair"
+    rec = RootRecord(0.5 + 0.1j, 1, "inside")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.alpha = 0.5
 
 
 def test_classify_random_pairs_give_unit_w():
@@ -426,7 +441,7 @@ def test_non_finite_imaginary_part_is_refused():
 
 def test_not_a_root_carries_sigma_and_bound(worked_pair):
     alpha = 5.0 + 5.0j
-    fake = RootRecord(alpha, multiplicity=1, kind="complex_pair", location="outside")
+    fake = RootRecord(alpha, multiplicity=1, location="outside")
     with pytest.raises(NotARoot) as info:
         classify(worked_pair, fake)
     sigma = np.linalg.svd(worked_pair(alpha), compute_uv=False)[-1]
