@@ -13,10 +13,9 @@ from .errors import (
     CholeskyNotPD,
     DeconvolutionResidueTooLarge,
     DegenerateW,
-    FactorNotAllPass,
-    ImaginaryResidueTooLarge,
     NotARoot,
     OnUnitCircle,
+    ResidualTooLarge,
     ResonantEigenvalues,
     SingularPolynomialMatrix,
 )
@@ -63,10 +62,9 @@ __all__ = [
     "CholeskyNotPD",
     "DeconvolutionResidueTooLarge",
     "DegenerateW",
-    "FactorNotAllPass",
-    "ImaginaryResidueTooLarge",
     "NotARoot",
     "OnUnitCircle",
+    "ResidualTooLarge",
     "ResonantEigenvalues",
     "SingularPolynomialMatrix",
     "PolyMatrix",

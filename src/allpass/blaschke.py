@@ -9,9 +9,10 @@ kernel direction take its squared real-coefficient form; generic pairs take a
 with constant unitaries (``b2_consecutive``), from a polynomial identity in a
 companion-like matrix A (``b2_polynomial``), or in state space
 (``build_b2``).  The last two solve a Stein equation
-(:func:`allpass.statespace.solve_stein`) in real arithmetic, take the
-Cholesky factor of a Gram matrix, and return only a factor that verifies:
-``V V^H = I`` on the circle to ``tol.allpass``.
+(:func:`allpass.statespace.solve_stein`) in real arithmetic and take the
+Cholesky factor of a Gram matrix.  No construction certifies its factor:
+the mirror pipeline judges its output (:func:`allpass.mirror.mirror_set`),
+and a direct caller checks ``V V^H = I`` with :func:`verify_allpass`.
 
 Every construction has the shape ``(alpha, [w,] tol=DEFAULTS)``: the pair
 member ``alpha`` in the upper half plane, the kernel direction ``w`` the
@@ -28,7 +29,7 @@ import math
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import CholeskyNotPD, FactorNotAllPass, ImaginaryResidueTooLarge
+from .errors import CholeskyNotPD
 from .polymat import PolyMatrix, ScalarPoly, _on_circle, eval_poly
 from .roots import check_off_circle, check_pair
 from .statespace import StateSpace, solve_stein
@@ -180,10 +181,7 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
         Kernel direction; the numerator's column space at ``alpha`` is
         spanned by it.
     tol : Tolerances
-        ``circle`` and ``degenerate`` for :func:`~allpass.roots.check_pair`,
-        ``real`` for the projection to real coefficients: the imaginary
-        residue may be at most ``tol.real`` times the largest modulus among
-        the numerator's coefficients, or ``tol.real`` when none exceeds one.
+        ``circle`` and ``degenerate`` for :func:`~allpass.roots.check_pair`.
 
     Notes
     -----
@@ -201,7 +199,9 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     normalizes the product to the identity at ``z = 1``.  Those two
     conditions pin the factor to a real-coefficient representative, so the
     imaginary residue before projection is pure roundoff; it is recorded in
-    ``max_imag_pre``.  Everything is 2x2, so it runs on Python scalars:
+    ``max_imag_pre``, and the mirror certificate bounds it relative to the
+    largest coefficient modulus (:attr:`~allpass.mirror.MirrorReport.max_imag`).
+    Everything is 2x2, so it runs on Python scalars:
     a Givens rotation for the QR and ``diag(B_+-, 1)`` times the
     denominator, ``diag(1 - conj(a) z, z - a)``, as column scalings.
 
@@ -209,8 +209,6 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     ------
     ValueError, OnUnitCircle, DegenerateW
         From :func:`~allpass.roots.check_pair`.
-    ImaginaryResidueTooLarge
-        If the assembled product fails to be real to that bound.
     """
     alpha, w = check_pair(alpha, w, tol)
     w0, w1 = w.tolist()
@@ -244,22 +242,12 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     prod = _lift([_mm(x, V_gamma) for x in _lift([V_beta], ap)], am)
     prod = [_mm(x, V_delta) for x in prod]
     num = [_mm(Q1, [x.real for x in m]) for m in prod]
-    # the coefficients grow like |alpha|^2, so the residue is judged
-    # relative to the largest of the factor's (absolute up to size one)
-    max_imag = max(abs(x.imag) for m in prod for x in m)
-    bound = tol.real * max(1.0, max(abs(x) for m in num for x in m))
-    if max_imag > bound:
-        raise ImaginaryResidueTooLarge(
-            f"imaginary residue {max_imag:.3e} exceeds tolerance {bound:.3e} "
-            "(projecting coefficients to real)",
-            max_imag, bound,
-        )
     return RationalAllPass(
         num=PolyMatrix(np.array(num).reshape(3, 2, 2)),
         den=_pair_denominator(alpha),
         alpha=alpha,
         method="consecutive",
-        max_imag_pre=max_imag,
+        max_imag_pre=max(abs(x.imag) for m in prod for x in m),
     )
 
 
@@ -308,7 +296,7 @@ def b2_polynomial(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     denominator; its column space at ``alpha`` is spanned by ``w`` because
     the adjugate of the singular ``I - A alpha`` has rank one with columns
     in the eigenvector direction.  The input is validated by
-    :func:`~allpass.roots.check_pair` and the factor by :func:`_certified`.
+    :func:`~allpass.roots.check_pair`; the factor is not certified here.
     """
     alpha, w = check_pair(alpha, w, tol)
     Wm = np.column_stack([w.real, w.imag])
@@ -320,7 +308,7 @@ def b2_polynomial(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     At = A - np.trace(A) * np.eye(2)
     scale = abs(alpha) ** 2
     coeffs = scale * np.array([Tinv, (At - B) @ Tinv, -At @ B @ Tinv])
-    return _certified(coeffs, alpha, "polynomial", tol)
+    return RationalAllPass(PolyMatrix(coeffs), _pair_denominator(alpha), alpha, "polynomial")
 
 
 def build_b2(alpha, w, tol=DEFAULTS):
@@ -334,14 +322,13 @@ def build_b2(alpha, w, tol=DEFAULTS):
         Kernel direction in Q1 coordinates; the numerator's column space at
         ``alpha`` is spanned by it.
     tol : Tolerances
-        ``circle`` and ``degenerate`` for :func:`~allpass.roots.check_pair`,
-        ``allpass`` for the factor's certificate.
+        ``circle`` and ``degenerate`` for :func:`~allpass.roots.check_pair`.
 
     Returns
     -------
     (StateSpace, RationalAllPass)
         The realization and its rational form with monic denominator
-        ``(z - alpha)(z - conj(alpha))``.
+        ``(z - alpha)(z - conj(alpha))``; neither is certified here.
 
     Raises
     ------
@@ -351,8 +338,6 @@ def build_b2(alpha, w, tol=DEFAULTS):
         From :func:`~allpass.statespace.solve_stein`.
     CholeskyNotPD
         If the Gram matrix fails its Cholesky.
-    FactorNotAllPass
-        If the factor fails ``V V^H = I`` on the circle to ``tol.allpass``.
     """
     alpha, w = check_pair(alpha, w, tol)
     lam = 1.0 / alpha
@@ -377,7 +362,8 @@ def build_b2(alpha, w, tol=DEFAULTS):
     c0 = ss.D
     c1 = ss.C @ ss.B - tr * ss.D
     c2 = ss.C @ (A - tr * np.eye(2)) @ ss.B + det * ss.D
-    return ss, _certified(scale * np.array([c0, c1, c2]), alpha, "statespace", tol)
+    num = PolyMatrix(scale * np.array([c0, c1, c2]))
+    return ss, RationalAllPass(num, _pair_denominator(alpha), alpha, "statespace")
 
 
 def verify_allpass(
@@ -407,27 +393,3 @@ def verify_allpass(
         n_samples=n_samples,
         ok=bool(worst <= tol),
     )
-
-
-def _certified(coeffs, alpha: complex, method: str, tol) -> RationalAllPass:
-    """The pair factor ``coeffs`` over the monic pair denominator, if it
-    verifies on the 64-point grid to ``tol.allpass``.
-
-    Raises :class:`~allpass.errors.FactorNotAllPass` with the residual
-    otherwise, also when the residual is NaN.
-    """
-    V = RationalAllPass(
-        num=PolyMatrix(coeffs),
-        den=_pair_denominator(alpha),
-        alpha=alpha,
-        method=method,
-        max_imag_pre=0.0,
-    )
-    rep = verify_allpass(V, 64, tol.allpass)
-    if not rep.ok:
-        raise FactorNotAllPass(
-            f"{V.method} factor is not all-pass: |V V^H - I| = "
-            f"{rep.max_residual:.3e} on the circle exceeds {tol.allpass:.3e}",
-            rep.max_residual, tol.allpass,
-        )
-    return V

@@ -9,10 +9,12 @@ all-pass identity on circle samples.  Machine-readable JSON goes to stdout
 Exit codes: 0 success, 1 unexpected computation failure, 2 usage or input
 parse error, 3 identically singular input matrix, 4 a root sits on the unit
 circle (for ``verify``: the factor's denominator vanishes on the sample
-grid), 5 a residual exceeded its threshold.  The command's own threshold
-check writes the outputs before it exits 5; a step the library refuses
-(``DeconvolutionResidueTooLarge``, ``ImaginaryResidueTooLarge``) exits 5
-with nothing written.
+grid), 5 a residual exceeded its threshold.  ``mirror`` passes ``--tol`` to
+the library as ``Tolerances.residual``; when the chain fails the
+certificate of :func:`~allpass.mirror.mirror_set` (``ResidualTooLarge``),
+the outputs are written before it exits 5, and a step the library refuses
+before the certificate runs (``DeconvolutionResidueTooLarge``) exits 5 with
+nothing written.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ EXIT_CODES = (
     (errors.SingularPolynomialMatrix, EXIT_SINGULAR),
     (errors.OnUnitCircle, EXIT_ON_CIRCLE),
     (errors.DeconvolutionResidueTooLarge, EXIT_BREACH),
-    (errors.ImaginaryResidueTooLarge, EXIT_BREACH),
+    (errors.ResidualTooLarge, EXIT_BREACH),
     (errors.AllPassError, EXIT_FAILURE),
 )
 
@@ -145,41 +147,33 @@ def _parse_selection(text: str, n_records: int) -> list[int]:
     return sorted(set(indices))
 
 
+def _emit_mirror(p_out, reports, out_path: str | None):
+    p_tilde = jsonio.poly_to_json(p_out)
+    reports = [jsonio.report_to_json(r) for r in reports]
+    if out_path is None:
+        _emit({"p_tilde": p_tilde, "reports": reports}, None)
+    else:
+        _emit(p_tilde, out_path)
+        _emit(reports, os.path.splitext(out_path)[0] + ".report.json")
+
+
 def cmd_mirror(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args.tol, default=DEFAULTS.residual)
+    residual = _resolve_tol(args.tol, default=DEFAULTS.residual)
+    tol = dataclasses.replace(DEFAULTS, residual=residual)
     p = _load_poly(args.input)
 
-    if args.select == "all-inside":
-        p_out, reports = mirror_all_inside(p, method=args.method)
-    else:
-        records = det_roots(p)
-        chosen = [records[k] for k in _parse_selection(args.select, len(records))]
-        p_out, reports = mirror_set(p, chosen, method=args.method)
-
-    payload = {
-        "p_tilde": jsonio.poly_to_json(p_out),
-        "reports": [jsonio.report_to_json(r) for r in reports],
-    }
-    if args.out is None:
-        _emit(payload, None)
-    else:
-        _emit(payload["p_tilde"], args.out)
-        stem, _ = os.path.splitext(args.out)
-        _emit(payload["reports"], stem + ".report.json")
-
-    # max_imag is relative to the factor's coefficients, as b2_consecutive
-    # judges it; the relocated root must be a root of the output by the same
-    # normalized sigma_min test classify accepts roots with
-    breach = any(
-        r.residual_deconv > tol
-        or r.max_imag > tol
-        or r.spectral_dev > tol
-        or r.new_root_residual > DEFAULTS.kernel
-        for r in reports
-    )
-    if breach:
-        print("mirror: residual threshold exceeded", file=sys.stderr)
-        return EXIT_BREACH
+    try:
+        if args.select == "all-inside":
+            p_out, reports = mirror_all_inside(p, args.method, tol)
+        else:
+            records = det_roots(p, tol)
+            chosen = [records[k] for k in _parse_selection(args.select, len(records))]
+            p_out, reports = mirror_set(p, chosen, args.method, tol)
+    except errors.ResidualTooLarge as exc:
+        # a refused certificate still leaves its chain to inspect
+        _emit_mirror(exc.p_tilde, exc.reports, args.out)
+        raise
+    _emit_mirror(p_out, reports, args.out)
     return EXIT_OK
 
 
@@ -235,7 +229,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "the roots command (default: all-inside)",
     )
     p_mirror.add_argument("--tol", type=_positive_float, default=None,
-                          help=f"residual threshold (default {DEFAULTS.residual:g})")
+                          help="the mirror certificate's bound (Tolerances.residual) on each "
+                          "step's division remainder, imaginary residue, spectral "
+                          f"deviation and drift (default {DEFAULTS.residual:g})")
     p_mirror.add_argument("--out", default=None,
                           help="write the transformed matrix here and the "
                           "reports next to it as <stem>.report.json")

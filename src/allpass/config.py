@@ -21,9 +21,6 @@ class Tolerances:
     trim
         Relative floor under which trailing coefficients count as zero, and
         under which a shifted companion's eigenvalue is an infinite root.
-    real
-        Bound on imaginary residue allowed when projecting complex
-        coefficients to real ones.
     degenerate
         Relative second-singular-value bound deciding when (Re v, Im v)
         are dependent.
@@ -33,17 +30,19 @@ class Tolerances:
         Relative bound on sigma_min(p(alpha)) for alpha to count as a root;
         p(s) failing it at every trial shift s makes p singular; and the
         bound on a mirror step's relative division remainder, above which
-        the step's root and factor disagree.
+        the step's root and factor disagree, and on its relocation residual
+        in the certificate of :func:`~allpass.mirror.mirror_set`.
     residual
-        Default threshold of the ``mirror`` command on each step's reported
-        deconvolution remainder, imaginary residue and spectral deviation.
+        Bound of the certificate :func:`~allpass.mirror.mirror_set` enforces
+        on each step's deconvolution remainder, imaginary residue and
+        spectral deviation, and on each output's drift from the input
+        spectrum; the ``mirror`` command's ``--tol`` sets it.
     allpass
         Bound on ||V V^H - I|| on the circle for a factor to verify.
     """
 
     cluster: float = 1e-7
     trim: float = 1e-12
-    real: float = 1e-8
     degenerate: float = 1e-8
     circle: float = 1e-8
     kernel: float = 1e-6

@@ -20,11 +20,6 @@ class AllPassError(Exception):
         self.bound = None if bound is None else float(bound)
 
 
-class ImaginaryResidueTooLarge(AllPassError):
-    """A complex intermediate refused to project to real coefficients:
-    ``value`` is its largest imaginary residue."""
-
-
 class SingularPolynomialMatrix(AllPassError):
     """det p(z) vanishes identically: ``value`` is the best ``sigma_min(p(s))
     / (||p|| max(1, |s|)^q)`` over the trial shifts ``s``."""
@@ -50,12 +45,6 @@ class ResonantEigenvalues(AllPassError):
     system when LAPACK finds it singular (then with no ``bound``)."""
 
 
-class FactorNotAllPass(AllPassError):
-    """A built pair factor fails ``V(z) V(z)^H = I`` on the unit circle:
-    ``value`` is the largest Frobenius deviation on the 64-point grid (NaN
-    when it could not be evaluated), ``bound`` is ``tol.allpass``."""
-
-
 class CholeskyNotPD(AllPassError):
     """A Gram matrix that must be positive definite failed its Cholesky
     (``T'T`` of the polynomial identity, or ``G`` of the state-space
@@ -65,3 +54,10 @@ class CholeskyNotPD(AllPassError):
 class DeconvolutionResidueTooLarge(AllPassError):
     """Polynomial division left a remainder too large to be numerical noise:
     ``value`` is the remainder relative to the largest dividend coefficient."""
+
+
+class ResidualTooLarge(AllPassError):
+    """A mirror failed its certificate: ``value`` is the first number over
+    its bound (NaN included), ``bound`` is ``tol.residual``, or
+    ``tol.kernel`` for a relocation residual.  ``p_tilde`` and ``reports``
+    hold the output of the whole selection and the report of every step."""

@@ -20,12 +20,13 @@ orthogonal ``Q'``.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from .blaschke import b2_consecutive, b2_polynomial, build_b2, elementary, squared
 from .config import DEFAULTS
-from .errors import DeconvolutionResidueTooLarge
+from .errors import DeconvolutionResidueTooLarge, ResidualTooLarge
 from .polymat import PolyMatrix, _conv_coeffs, _divide_coeffs, _on_circle, _trimmed_length
 
 # not called here, but the benchmark's tracer (perfbench/tracer.py) looks up
@@ -70,9 +71,10 @@ class MirrorReport:
         amplifies rounding by ``|alpha|``.
     max_imag
         Imaginary residue of the factor's numerator before projection to
-        real coefficients, over ``max(1, largest |coefficient|)`` of the
-        numerator: the number :func:`~allpass.blaschke.b2_consecutive`
-        bounds by ``tol.real`` (zero for the real-arithmetic constructions).
+        real coefficients (``max_imag_pre`` of
+        :func:`~allpass.blaschke.b2_consecutive`), over ``max(1, largest
+        |coefficient|)`` of the numerator; zero for the real-arithmetic
+        constructions.
     spectral_dev
         Largest deviation of the boundary product from that of the step's
         input, normalized by the largest boundary product magnitude of the
@@ -107,18 +109,23 @@ def _spectral_deviation(s_new, s_old):
     return peak(s_new - s_old) / np.maximum(peak(s_old), _TINY)
 
 
-def _certify(chain, reports) -> None:
+def _certify(chain, reports, tol) -> None:
     """Fill in ``spectral_dev`` and ``new_root_residual`` of every report from
     ``chain``, the input and each step's output: one product of their real
     coefficient stacks, zero-padded to one length, on the upper half of the
-    64-point grid, and one batched evaluation and SVD at the moved roots."""
+    64-point grid, and one batched evaluation and SVD at the moved roots.
+    Then raise at the first number the certificate of :func:`mirror_set`
+    refuses."""
     m = max(p.degree for p in chain) + 1
     stack = np.zeros((m, len(chain)) + chain[0].coeffs.shape[1:])
     for i, p in enumerate(chain):
         stack[: p.degree + 1, i] = p.coeffs
-    _, P = _on_circle(stack, 64)
+    # scaled by the power of two that brings the largest coefficient into
+    # [1/2, 1): exact in range, and the squares of the spectra cannot overflow
+    _, P = _on_circle(np.ldexp(stack, -math.frexp(abs(stack).max())[1]), 64)
     S = P @ np.conj(P).swapaxes(-1, -2)
     devs = _spectral_deviation(S[:, 1:], S[:, :-1])
+    drifts = _spectral_deviation(S[:, 1:], S[:, :1])
 
     # each output as a polynomial of degree d = degree_in: at beta = 1/alpha
     # if |beta| <= 1, else its reversal z^d p_tilde(1/z) at alpha
@@ -139,6 +146,21 @@ def _certify(chain, reports) -> None:
     for rep, p_new, dev, sig in zip(reports, chain[1:], devs.tolist(), sigma):
         rep.spectral_dev = dev
         rep.new_root_residual = sig / max(p_new.norm(), _TINY)
+
+    for i, (rep, drift) in enumerate(zip(reports, drifts.tolist())):
+        for name, value, bound in (
+            ("spectral_dev", rep.spectral_dev, tol.residual),
+            ("residual_deconv", rep.residual_deconv, tol.residual),
+            ("max_imag", rep.max_imag, tol.residual),
+            ("drift from the input spectrum", drift, tol.residual),
+            ("new_root_residual", rep.new_root_residual, tol.kernel),
+        ):
+            if not value <= bound:
+                raise ResidualTooLarge(
+                    f"mirror step {i + 1} of {len(reports)}: {name} {value:.3e} "
+                    f"exceeds {bound:.3e}",
+                    value, bound,
+                )
 
 
 def _step(p: PolyMatrix, record: RootRecord, method: str, tol):
@@ -167,8 +189,9 @@ def _step(p: PolyMatrix, record: RootRecord, method: str, tol):
     quot, resid_abs = _divide_coeffs(raw, V.den.coeffs)
     resid = resid_abs / max(1.0, float(abs(raw).max()))
     # the remainder vanishes exactly when p Q1 num does at the step's roots:
-    # a relative residual of "alpha is a root", bounded as the root test is
-    if resid > tol.kernel:
+    # a relative residual of "alpha is a root", bounded as the root test is;
+    # NaN refuses too
+    if not resid <= tol.kernel:
         raise DeconvolutionResidueTooLarge(
             f"dividing out the factor denominator left relative remainder "
             f"{resid:.3e}; the selected root does not match the factor",
@@ -228,6 +251,8 @@ def mirror_once(
     DeconvolutionResidueTooLarge
         If dividing out the factor denominator leaves a remainder far above
         noise, which means the root structure did not match the factor.
+    ResidualTooLarge
+        If the step fails the certificate of :func:`mirror_set`.
     """
     one = dataclasses.replace(record, multiplicity=1)
     p_new, (report,) = mirror_set(p, [one], method, tol)
@@ -256,6 +281,15 @@ def mirror_set(
     with nothing to move, and the chain is certified in one pass after the
     last (see :class:`MirrorReport`).
 
+    The certificate judges the output, not the factors: the spectrum stays
+    and each root moves.  Each step's ``spectral_dev``, ``residual_deconv``
+    and ``max_imag``, and each output's drift from the input spectrum on the
+    same grid, must be at most ``tol.residual``, and its
+    ``new_root_residual`` at most ``tol.kernel``; else it raises
+    :class:`~allpass.errors.ResidualTooLarge` at the first, NaN included,
+    with the final polynomial and every report as ``p_tilde`` and
+    ``reports``.  A step refuses as :func:`mirror_once` says.
+
     Returns the final polynomial and the reports of every step.
     """
     _validate_selection(selection, method, tol)
@@ -269,7 +303,11 @@ def mirror_set(
             chain.append(p_new)
             reports.append(rep)
     if reports:
-        _certify(chain, reports)
+        try:
+            _certify(chain, reports, tol)
+        except ResidualTooLarge as exc:
+            exc.p_tilde, exc.reports = chain[-1], reports
+            raise
     return chain[-1], reports
 
 

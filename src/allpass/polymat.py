@@ -86,9 +86,12 @@ class PolyMatrix:
         return eval_poly(self, z)
 
     def norm(self) -> float:
-        """Frobenius norm of the stacked coefficient tensor."""
-        c = self.coeffs.ravel()
-        return math.sqrt(c @ c)
+        """Frobenius norm of the stacked coefficient tensor, squared after
+        scaling by the power of two that brings its largest entry into
+        [1/2, 1), so no square overflows; exact in range."""
+        e = math.frexp(abs(self.coeffs).max())[1]
+        c = np.ldexp(self.coeffs.ravel(), -e)
+        return float(np.ldexp(math.sqrt(c @ c), e))
 
     def __repr__(self):
         return f"PolyMatrix(dim={self.dim}, degree={self.degree})"
@@ -306,7 +309,7 @@ def poly_roots(p, tol=DEFAULTS):
             pairs.append(mu)
     out = _cluster(reals, tol.cluster)
     for mean in _cluster(pairs, tol.cluster):
-        out.extend([mean, np.conj(mean)])
+        out.extend([mean, mean.conjugate()])
     return out
 
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from allpass import PolyMatrix, det_roots
+import allpass.mirror
+from allpass import PolyMatrix, det_roots, mirror_once
 from allpass.errors import SingularPolynomialMatrix
+from allpass.roots import CASE_GENERIC, MirrorPlan, RootRecord
 
 
 def rand_alpha(rng, side="inside"):
@@ -41,6 +43,42 @@ CROSSING_ALPHA = -0.15513715005622325 + 0.9502534925617604j
 CROSSING_W = np.array(
     [-0.11806368624135133 + 0.6476911326462257j, 0.1349808666942894 - 0.7404980272148007j]
 )
+
+
+def small_pair(seed):
+    """A pair member at ``|alpha| = 1e-3`` and a Gaussian kernel direction,
+    where the state-space factor loses about ``|alpha|^-2``."""
+    rng = np.random.default_rng(seed)
+    alpha = 1e-3 * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
+    return alpha, rng.standard_normal(2) + 1j * rng.standard_normal(2)
+
+
+def patch_consecutive(patch, change):
+    """Route every consecutive factor the pipeline builds through ``change``
+    (``patch`` is a ``pytest.MonkeyPatch``)."""
+    build = allpass.mirror.b2_consecutive
+    patch.setattr(allpass.mirror, "b2_consecutive", lambda alpha, w, tol: change(build(alpha, w, tol)))
+
+
+def mirror_on_kernel(alpha, w, method):
+    """``mirror_once`` of the pair ``alpha`` of a 2x2 ``p`` with ``p(alpha) w
+    = 0``, on the plan with ``Q1 = I``, so the step builds its factor on this
+    exact ``w`` (classify's own ``w`` is triangular, ``[Re w, Im w] = R``).
+
+    ``p = [[s, 0], [l, 1]]`` with ``s = (z - alpha)(z - conj alpha)`` and
+    real ``l = c0 + c1 z`` through ``l(alpha) = -w1 / w0``.
+    """
+    w = np.asarray(w, dtype=complex)
+    lw = -w[1] / w[0]
+    c1 = lw.imag / alpha.imag
+    coeffs = np.zeros((3, 2, 2))
+    coeffs[:, 0, 0] = [abs(alpha) ** 2, -2.0 * alpha.real, 1.0]
+    coeffs[:2, 1, 0] = [lw.real - c1 * alpha.real, c1]
+    coeffs[0, 1, 1] = 1.0
+    plan = MirrorPlan(case=CASE_GENERIC, alpha=alpha, v=w, Q1=np.eye(2), w=w)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(allpass.mirror, "classify", lambda p, record, tol: plan)
+        return mirror_once(PolyMatrix(coeffs), RootRecord(alpha, 1, "inside"), method)
 
 
 def origin_scalar():

@@ -18,10 +18,9 @@ def test_public_names():
         "CholeskyNotPD",
         "DeconvolutionResidueTooLarge",
         "DegenerateW",
-        "FactorNotAllPass",
-        "ImaginaryResidueTooLarge",
         "NotARoot",
         "OnUnitCircle",
+        "ResidualTooLarge",
         "ResonantEigenvalues",
         "SingularPolynomialMatrix",
         "PolyMatrix",

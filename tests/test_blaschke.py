@@ -24,13 +24,19 @@ from allpass import (
 from allpass.errors import (
     AllPassError,
     DegenerateW,
-    FactorNotAllPass,
-    ImaginaryResidueTooLarge,
     OnUnitCircle,
+    ResidualTooLarge,
     ResonantEigenvalues,
 )
-from allpass.blaschke import _certified, _solve_identity, _unitary
-from conftest import CROSSING_ALPHA, CROSSING_W, rand_alpha, rand_w
+from allpass.blaschke import _solve_identity, _unitary
+from conftest import (
+    CROSSING_ALPHA,
+    CROSSING_W,
+    mirror_on_kernel,
+    patch_consecutive,
+    rand_alpha,
+    rand_w,
+)
 
 PAIR_CONSTRUCTIONS = {
     "consecutive": b2_consecutive,
@@ -472,9 +478,10 @@ def test_consecutive_property(log_r, theta, log_ratio, t1, t2):
     V = b2_consecutive(alpha, w)
     assert verify_allpass(V, 64).max_residual <= DEFAULTS.allpass
     assert V.num.coeffs.dtype == np.float64
-    # the residue bound is relative to the coefficients, which grow like
-    # |alpha|^2 (see test_consecutive_residue_is_relative_to_coefficients)
-    assert V.max_imag_pre <= DEFAULTS.real * max(1.0, np.abs(V.num.coeffs).max())
+    # the mirror certificate bounds the residue relative to the coefficients,
+    # which grow like |alpha|^2 (see
+    # test_consecutive_residue_is_relative_to_coefficients)
+    assert V.max_imag_pre <= DEFAULTS.residual * max(1.0, np.abs(V.num.coeffs).max())
     # both columns of num(alpha) along w: the component off w, relative
     N = V.num(alpha)
     off = np.abs(w[0] * N[1] - w[1] * N[0]) / np.linalg.norm(w)
@@ -486,8 +493,8 @@ def test_consecutive_property(log_r, theta, log_ratio, t1, t2):
 
 # (method, alpha, w, numerator coefficients): one pair inside the circle,
 # one outside, one at sigma2/sigma1 = 1e-4, drawn from seeded generators.
-# The polynomial route refuses the last (its factor is off the identity on
-# the circle by 1.2e-5), so that entry pins the refusal's residual instead.
+# The polynomial route's factor for the last is off the identity on the
+# circle by 1.2e-5, so that entry pins its verify_allpass residual instead.
 # The numbers were recorded with numpy 2.4.6 (OpenBLAS, x86-64); the
 # literals hold the routes to their arithmetic, so a LAPACK build that rounds
 # differently needs them recorded again from an unchanged checkout.
@@ -513,7 +520,7 @@ PINNED_ROUTES = [
         ],
     ),
     (
-        "polynomial",  # ratio, seed 3: refused
+        "polynomial",  # ratio, seed 3: not all-pass
         (2.8161120410750398+1.0341726026694835j),
         [(0.6646549659239303+0.7149822232675986j), (0.14758551515904844+0.1589110518473109j)],
         1.1726405903926982e-05,
@@ -561,9 +568,7 @@ def test_routes_pinned_bit_for_bit(method, alpha, w, coeffs):
         return PAIR_CONSTRUCTIONS[method](alpha, np.array(w))
 
     if isinstance(coeffs, float):
-        with pytest.raises(FactorNotAllPass) as info:
-            build()
-        assert info.value.value == coeffs > info.value.bound == DEFAULTS.allpass
+        assert verify_allpass(build(), 64).max_residual == coeffs > DEFAULTS.allpass
         # the other routes build the same pair to roundoff
         for make in (b2_consecutive, PAIR_CONSTRUCTIONS["statespace"]):
             assert verify_allpass(make(alpha, np.array(w)), 64).max_residual <= 1e-14
@@ -574,17 +579,20 @@ def test_routes_pinned_bit_for_bit(method, alpha, w, coeffs):
 def test_polynomial_reciprocal_check_is_typed():
     # at sigma2/sigma1 near 1e-5 the Stein solve loses B's spectrum (B is
     # similar to A^-1 in exact arithmetic), and the factor built from it is
-    # not all-pass; the certificate's refusal carries the residual
+    # not all-pass; the mirror certificate refuses the step's output, 0.99
+    # off the input spectrum, which the consecutive factor keeps
     alpha = 0.5655611953367762 + 0.20035102777185076j
     w = [
         0.03480844806410672 + 0.28485272861234023j,
         -0.11622856730779756 - 0.950861827547541j,
     ]
-    with pytest.raises(FactorNotAllPass) as exc:
-        b2_polynomial(alpha, w)
-    assert isinstance(exc.value, AllPassError)
-    assert exc.value.bound == DEFAULTS.allpass
-    assert exc.value.value == pytest.approx(1.03, abs=0.01)
+    assert verify_allpass(b2_polynomial(alpha, w), 64).max_residual == pytest.approx(1.03, abs=0.01)
+    with pytest.raises(ResidualTooLarge, match="spectral_dev") as exc:
+        mirror_on_kernel(alpha, w, "polynomial")
+    assert exc.value.bound == DEFAULTS.residual
+    assert exc.value.value == pytest.approx(0.99, abs=0.01)
+    _, report = mirror_on_kernel(alpha, w, "consecutive")
+    assert report.spectral_dev <= 1e-14
 
 
 def test_polynomial_band_crossing_is_typed():
@@ -602,24 +610,23 @@ def test_polynomial_band_crossing_is_typed():
 
 
 def assert_tripped(exc):
-    """A refusal's ``value`` lies on the failing side of its ``bound``: above
-    it for a residual (NaN included), at or below it for a smallest
+    """A refusal's ``value`` lies at or below its ``bound``: a smallest
     eigenvalue or a distance from resonance; LAPACK's singular Stein system
     has no bound."""
-    if isinstance(exc, (FactorNotAllPass, ImaginaryResidueTooLarge)):
-        assert not exc.value <= exc.bound, exc
-    elif exc.bound is not None:
+    if exc.bound is not None:
         assert exc.value <= exc.bound, exc
 
 
 def test_pair_routes_return_all_pass_or_refuse():
     # |alpha| = 10^U(-3, 3), arg alpha in (0.02, pi - 0.02), sigma2/sigma1 of
-    # [Re w, Im w] = 10^U(-8, 0): without their certificate the polynomial
-    # and state-space routes return 53 and 51 factors of these 300 that fail
-    # V V^H = I; each route returns a factor within tol.allpass or refuses
-    # with the number that tripped
+    # [Re w, Im w] = 10^U(-8, 0): the consecutive route builds every pair of
+    # these 300 to tol.allpass; the polynomial and state-space routes refuse
+    # 88 and 6 with the number that tripped, and return 116 and 91 factors
+    # that fail V V^H = I, which a direct caller finds with verify_allpass
+    # and the mirror certificate through the output
     rng = np.random.default_rng(20261019)
     refused = {name: 0 for name in PAIR_CONSTRUCTIONS}
+    failed = dict(refused)
     for _ in range(300):
         alpha = 10.0 ** rng.uniform(-3, 3) * np.exp(1j * rng.uniform(0.02, np.pi - 0.02))
         w = kernel_direction(10.0 ** rng.uniform(-8, 0), *rng.uniform(0, 2 * np.pi, 2))
@@ -630,24 +637,26 @@ def test_pair_routes_return_all_pass_or_refuse():
                 assert_tripped(exc)
                 refused[name] += 1
                 continue
-            assert verify_allpass(V, 64).max_residual <= DEFAULTS.allpass, name
-    assert refused["consecutive"] == 0
-    assert min(refused["polynomial"], refused["statespace"]) >= 30
+            failed[name] += not verify_allpass(V, 64).ok
+    assert refused["consecutive"] == failed["consecutive"] == 0
+    assert min(failed["polynomial"], failed["statespace"]) >= 30
 
 
 def test_certificate_refuses_a_nan_residual():
     # a numerator so large that V V^H overflows leaves a NaN residual, which
-    # compares false against any bound and must still refuse
-    with np.errstate(all="ignore"), pytest.raises(FactorNotAllPass) as info:
-        _certified(1e300 * np.eye(2)[None], 0.5j, "polynomial", DEFAULTS)
-    assert np.isnan(info.value.value)
-    assert info.value.bound == DEFAULTS.allpass
+    # compares false against any bound and must still fail the direct
+    # caller's certificate, verify_allpass
+    V = b2_polynomial(0.5j, W_GENERIC)
+    V = dataclasses.replace(V, num=PolyMatrix(1e300 * np.eye(2)[None]))
+    with np.errstate(all="ignore"):
+        rep = verify_allpass(V, 64)
+    assert np.isnan(rep.max_residual) and not rep.ok
 
 
 def test_consecutive_residue_is_relative_to_coefficients():
     # the coefficients grow like |alpha|^2 and the imaginary residue with
-    # them; against the absolute Tolerances.real = 1e-8, 59 of these 500
-    # pairs were refused although every one builds to roundoff
+    # them; against an absolute bound of 1e-8, 59 of these 500 pairs were
+    # refused although every one builds to roundoff
     rng = np.random.default_rng(4)
     above_absolute = 0
     for _ in range(500):
@@ -657,34 +666,31 @@ def test_consecutive_residue_is_relative_to_coefficients():
         assert verify_allpass(V, 64).max_residual <= 1e-14
         largest = np.abs(V.num.coeffs).max()
         assert V.max_imag_pre <= 1e-15 * largest
-        above_absolute += V.max_imag_pre > DEFAULTS.real
+        above_absolute += V.max_imag_pre > DEFAULTS.residual
     assert above_absolute >= 50
     # inside the property's domain: Re w nearly along the axis of rotation
     # at |alpha| = 1e3, residue 2.8e-8, as b2_polynomial and build_b2 build it
     alpha = 1e3 * np.exp(0.01j)
     w = kernel_direction(1e-4, 0.0, np.pi / 2 + 1e-4)
     V = b2_consecutive(alpha, w)
-    assert V.max_imag_pre > DEFAULTS.real
+    assert V.max_imag_pre > DEFAULTS.residual
     assert verify_allpass(V, 64).max_residual <= 1e-14
     for make in (b2_polynomial, lambda a, w: build_b2(a, w)[1]):
         assert verify_allpass(make(alpha, w), 64).max_residual <= 1e-10
 
 
-def test_consecutive_refusal_carries_the_relative_bound():
+def test_consecutive_refusal_carries_the_relative_bound(monkeypatch):
+    # the mirror certificate judges the residue relative to the factor's
+    # largest coefficient, which exceeds 1e6 at |alpha| = 3e3: a residue of
+    # 2e-8 of it refuses with that relative number
     alpha = 3e3 * np.exp(1.0j)
-    V = b2_consecutive(alpha, W_GENERIC)
-    largest = np.abs(V.num.coeffs).max()
+    largest = np.abs(b2_consecutive(alpha, W_GENERIC).num.coeffs).max()
     assert largest > 1e6
-    with pytest.raises(ImaginaryResidueTooLarge) as info:
-        b2_consecutive(alpha, W_GENERIC, Tolerances(real=1e-30))
-    # bound = tol.real times the largest coefficient modulus before the
-    # orthogonal embedding, which keeps the largest entry within a factor 2
-    assert 0.5e-30 * largest <= info.value.bound <= 2e-30 * largest
-    assert info.value.value > info.value.bound
-    # coefficients of size at most one: the bound is tol.real itself
-    with pytest.raises(ImaginaryResidueTooLarge) as info:
-        b2_consecutive(0.1 + 0.2j, W_GENERIC, Tolerances(real=1e-300))
-    assert info.value.bound == 1e-300
+    patch_consecutive(monkeypatch, lambda V: dataclasses.replace(V, max_imag_pre=2e-8 * largest))
+    with pytest.raises(ResidualTooLarge, match="max_imag") as info:
+        mirror_on_kernel(alpha, W_GENERIC, "consecutive")
+    assert info.value.value == pytest.approx(2e-8, rel=1e-12)
+    assert info.value.bound == DEFAULTS.residual
 
 
 def test_consecutive_route_makes_no_lapack_call(monkeypatch):

@@ -1,5 +1,6 @@
 """Command line contract: exit codes, JSON output, file writing."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -12,13 +13,13 @@ import allpass.cli
 import allpass.mirror
 from allpass import (
     AllPassError,
-    ImaginaryResidueTooLarge,
+    DeconvolutionResidueTooLarge,
     PolyMatrix,
     b2_polynomial,
     jsonio,
 )
 from allpass.cli import EXIT_CODES, main
-from conftest import origin_matrix, origin_scalar
+from conftest import origin_matrix, origin_scalar, patch_consecutive
 
 
 @pytest.fixture
@@ -204,7 +205,9 @@ def test_verify_pole_on_circle_exit_code(capsys, tmp_path, factor_file, den):
 
 def test_mirror_domain_error_exit_code(capsys, tmp_path):
     # z I - A with the pair 1e-3 exp(+-i theta); the state-space factor for
-    # this kernel is off the identity on the circle by 1.9e-2 (FactorNotAllPass)
+    # this kernel is off the identity on the circle by 1.9e-2, and the step's
+    # output is 1.3e-2 off the input spectrum: the certificate refuses it,
+    # and the refused chain is written
     rng = np.random.default_rng(0)
     lam = 1e-3 * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
     S = rng.standard_normal((2, 2))
@@ -212,9 +215,11 @@ def test_mirror_domain_error_exit_code(capsys, tmp_path):
     path = tmp_path / "small_pair.json"
     path.write_text(jsonio.dumps(jsonio.poly_to_json(PolyMatrix(np.stack([-A, np.eye(2)])))))
     code, out, err = run(capsys, "mirror", str(path), "--method", "statespace")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: statespace factor is not all-pass")
+    assert code == 5
+    assert err.startswith("error: mirror step 1 of 1: spectral_dev 1.2")
+    assert err.count("\n") == 1
+    (report,) = json.loads(out)["reports"]
+    assert report["spectral_dev"] == pytest.approx(1.26e-2, rel=0.01)
 
 
 @pytest.mark.parametrize("make", [origin_scalar, origin_matrix])
@@ -332,9 +337,10 @@ def test_mirror_tiny_tol_breaches_but_writes(capsys, tmp_path, poly_file):
 
 
 def test_refused_step_exits_5_writing_nothing(capsys, monkeypatch, tmp_path, poly_file):
-    # unlike the command's own threshold check, a refused step leaves nothing
+    # unlike the certificate's refusal, a step refused before the chain is
+    # complete leaves nothing
     def refuse(alpha, w, tol):
-        raise ImaginaryResidueTooLarge("synthetic", 1.0, tol.real)
+        raise DeconvolutionResidueTooLarge("synthetic", 1.0, tol.kernel)
 
     monkeypatch.setattr(allpass.mirror, "b2_consecutive", refuse)
     dest = tmp_path / "m.json"
@@ -342,6 +348,18 @@ def test_refused_step_exits_5_writing_nothing(capsys, monkeypatch, tmp_path, pol
     assert (code, out, err) == (5, "", "error: synthetic\n")
     assert not dest.exists()
     assert not (tmp_path / "m.report.json").exists()
+
+
+def test_nan_report_exits_5_and_writes(capsys, monkeypatch, tmp_path, poly_file):
+    # "spectral_dev > tol" is false for NaN, so a NaN report exited 0
+    patch_consecutive(monkeypatch, lambda V: dataclasses.replace(V, max_imag_pre=np.nan))
+    dest = tmp_path / "m.json"
+    code, out, err = run(capsys, "mirror", poly_file, "--out", str(dest))
+    assert (code, out) == (5, "")
+    assert err == "error: mirror step 1 of 1: max_imag nan exceeds 1.000e-08\n"
+    assert jsonio.poly_from_json(json.loads(dest.read_text())).dim == 2
+    (report,) = json.loads((tmp_path / "m.report.json").read_text())
+    assert np.isnan(report["max_imag"])
 
 
 def test_verify_ok(capsys, factor_file):

@@ -4,12 +4,14 @@ Every ``raise`` of an ``AllPassError`` subclass in the package passes the
 message, ``value`` and ``bound``, no subclass has a constructor of its own,
 and each raise site is reached by one input below, which asserts both
 numbers.  The pair factors of the polynomial and state-space routes share
-two raise sites: the Cholesky of their Gram matrix and their all-pass
-certificate.
+one raise site, the Cholesky of their Gram matrix; a factor that is not
+all-pass is refused by the mirror certificate, through its effect on the
+output.
 """
 
 import ast
 import collections
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -21,7 +23,6 @@ from allpass import errors
 from allpass import (
     PolyMatrix,
     Tolerances,
-    b2_consecutive,
     b2_polynomial,
     build_b2,
     classify,
@@ -31,7 +32,7 @@ from allpass import (
 )
 from allpass.roots import RootRecord, check_off_circle, check_pair
 from allpass.statespace import solve_stein
-from conftest import CROSSING_ALPHA, CROSSING_W
+from conftest import CROSSING_ALPHA, CROSSING_W, mirror_on_kernel, patch_consecutive, small_pair
 
 SRC = Path(allpass.__file__).parent
 DOMAIN = {
@@ -66,7 +67,7 @@ def test_error_classes_share_one_constructor():
 
 def test_every_raise_passes_message_value_and_bound():
     sites = raise_sites()
-    assert len(sites) >= 10
+    assert len(sites) >= 9
     assert [s for s in sites if s[3] != 3] == []
 
 
@@ -82,11 +83,14 @@ def shifted_root():
     mirror_once(PolyMatrix(coeffs), rec)
 
 
-def small_pair_b2(seed):
-    rng = np.random.default_rng(seed)
-    alpha = 1e-3 * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
-    w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return lambda: build_b2(alpha, w)
+def imaginary_residue():
+    # a consecutive factor whose residue is 2e-8 of its largest coefficient
+    def residue(V):
+        return dataclasses.replace(V, max_imag_pre=2e-8 * np.abs(V.num.coeffs).max())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch_consecutive(patch, residue)
+        mirror_on_kernel(0.1 + 0.2j, [0.8, 0.3 + 0.5j], "consecutive")
 
 
 CIRCLE = PolyMatrix(np.array([1.0, -2 * np.cos(0.7), 1.0]).reshape(3, 1, 1))
@@ -103,15 +107,14 @@ SITES = {
                    lambda: check_pair(0.5 + 0.5j, [1.0, 2e-4j], Tolerances(degenerate=1e-3))),
     "not-a-root": ("roots", errors.NotARoot,
                    lambda: classify(CIRCLE, RootRecord(3.0, 1, "outside"))),
-    "imaginary": ("blaschke", errors.ImaginaryResidueTooLarge,
-                  lambda: b2_consecutive(0.1 + 0.2j, [0.8, 0.3 + 0.5j], Tolerances(real=1e-300))),
     "cholesky": ("blaschke", errors.CholeskyNotPD, lambda: b2_polynomial(
         0.8437477363070668 + 1.0493977280145141j,
         [-0.8316891902400994 - 0.5528105504093846j, -0.043221993909552316 - 0.02873056626808511j],
     )),
-    "reciprocal-B": ("blaschke", errors.FactorNotAllPass, lambda: b2_polynomial(
+    "reciprocal-B": ("mirror", errors.ResidualTooLarge, lambda: mirror_on_kernel(
         0.5655611953367762 + 0.20035102777185076j,
         [0.03480844806410672 + 0.28485272861234023j, -0.11622856730779756 - 0.950861827547541j],
+        "polynomial",
     )),
     "resonant": ("statespace", errors.ResonantEigenvalues,
                  lambda: solve_stein(np.diag([2.0, 0.5]), np.eye(2))),
@@ -121,18 +124,22 @@ SITES = {
 }
 # callers that refuse through a site above: classify and mirror_set judge a
 # record's root by check_off_circle, build_b2 takes its Gram matrix's
-# Cholesky and certifies its factor as b2_polynomial does (a Stein solution
-# of condition 1.5e14 leaves the factor 7.8e-3 off the identity), and on a w
-# near the degenerate boundary b2_polynomial's Stein system comes out
-# singular for LAPACK
+# Cholesky as b2_polynomial does, the mirror certificate refuses a step
+# with an imaginary residue or whose state-space factor is off the identity
+# (at |alpha| = 1e-3, and where
+# a Stein solution of condition 1.5e14 leaves the output 3.3e-4 off the
+# input spectrum), and on a w near the degenerate boundary b2_polynomial's
+# Stein system comes out singular for LAPACK
 ROUTED = {
     "classify-circle": ("roots", errors.OnUnitCircle, lambda: classify(CIRCLE, ON_CIRCLE)),
     "selection-circle": ("roots", errors.OnUnitCircle,
                          lambda: mirror_set(CIRCLE, [ON_CIRCLE])),
-    "gram-cholesky": ("blaschke", errors.CholeskyNotPD, small_pair_b2(196)),
-    "gram-blocks": ("blaschke", errors.FactorNotAllPass, small_pair_b2(0)),
-    "stein-cond": ("blaschke", errors.FactorNotAllPass,
-                   lambda: build_b2(0.5 + 1e-10j, np.array([1.0 + 0.5j, 1e-7j]))),
+    "imaginary": ("mirror", errors.ResidualTooLarge, imaginary_residue),
+    "gram-cholesky": ("blaschke", errors.CholeskyNotPD, lambda: build_b2(*small_pair(196))),
+    "gram-blocks": ("mirror", errors.ResidualTooLarge,
+                    lambda: mirror_on_kernel(*small_pair(0), "statespace")),
+    "stein-cond": ("mirror", errors.ResidualTooLarge,
+                   lambda: mirror_on_kernel(0.5 + 1e-10j, [1.0 + 0.5j, 1e-7j], "statespace")),
     "reciprocal-A": ("statespace", errors.ResonantEigenvalues,
                      lambda: b2_polynomial(CROSSING_ALPHA, CROSSING_W)),
 }

@@ -1,5 +1,6 @@
 """Root mirroring end to end: single steps, selections, and the full sweep."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -24,18 +25,21 @@ from allpass import (
     squared,
 )
 from allpass.errors import (
+    AllPassError,
     DeconvolutionResidueTooLarge,
-    FactorNotAllPass,
     OnUnitCircle,
+    ResidualTooLarge,
     ResonantEigenvalues,
 )
 from allpass.mirror import MirrorReport, _certify, _spectral_deviation
-from allpass.roots import CASE_DEGENERATE, CASE_GENERIC, CASE_REAL, MirrorPlan, RootRecord
+from allpass.roots import CASE_DEGENERATE, CASE_GENERIC, CASE_REAL, RootRecord
 from conftest import (
     CROSSING_ALPHA,
     CROSSING_W,
+    mirror_on_kernel,
     origin_matrix,
     origin_scalar,
+    patch_consecutive,
     polymatrix_with_inside_pair,
 )
 from reference import circle_spectrum, deconvolve, dense_step, innovations, mul, trimmed
@@ -259,13 +263,20 @@ def test_chain_certificates_match_reference_far_from_roundoff():
         MirrorReport([a], "elementary", 0.0, 0.0, np.nan, np.nan, p.degree, q.degree)
         for a, p, q in zip([0.4, 0.3 + 0.6j, 2.5], chain, chain[1:])
     ]
-    _certify(chain, reports)
+    # the certificate fills in every report before it refuses the first
+    with pytest.raises(ResidualTooLarge, match="step 1 of 3: spectral_dev") as info:
+        _certify(chain, reports, DEFAULTS)
     for p, q, rep in zip(chain, chain[1:], reports):
         dev, residual = _reference_certificate(p, q, rep)
         assert dev > 0.1 and residual > 1e-3
         np.testing.assert_allclose(
             [rep.spectral_dev, rep.new_root_residual], [dev, residual], rtol=1e-12
         )
+    assert (info.value.value, info.value.bound) == (reports[0].spectral_dev, DEFAULTS.residual)
+    # past the spectral bounds, the relocation residual is judged by tol.kernel
+    with pytest.raises(ResidualTooLarge, match="step 1 of 3: new_root_residual") as info:
+        _certify(chain, reports, Tolerances(residual=1e3))
+    assert (info.value.value, info.value.bound) == (reports[0].new_root_residual, DEFAULTS.kernel)
 
 
 def test_unknown_method_raises_whether_or_not_anything_moves(worked_pair):
@@ -753,46 +764,125 @@ def test_deconvolution_refusal_carries_residual_and_bound(monkeypatch):
     assert bare.value is None and bare.bound is None
 
 
-def test_polynomial_band_crossing_is_typed_through_mirror_once(monkeypatch):
-    # p = [[s(z), 0], [l(z), 1]] with s(z) = (z - alpha)(z - conj alpha) and
-    # real l(z) = c0 + c1 z through l(alpha) = -w1 / w0: p(alpha) w = 0.
-    # classify's own w is triangular ([Re w, Im w] = R), and no triangular w
-    # was seen to cross; the plan here takes Q1 = I, which keeps Q1 w = v
-    alpha, w = CROSSING_ALPHA, CROSSING_W
-    lw = -w[1] / w[0]
-    c1 = lw.imag / alpha.imag
-    coeffs = np.zeros((3, 2, 2))
-    coeffs[:, 0, 0] = [abs(alpha) ** 2, -2.0 * alpha.real, 1.0]
-    coeffs[:2, 1, 0] = [lw.real - c1 * alpha.real, c1]
-    coeffs[0, 1, 1] = 1.0
-    p = PolyMatrix(coeffs)
-    assert np.linalg.norm(p(alpha) @ w) <= 1e-15
-    plan = MirrorPlan(case=CASE_GENERIC, alpha=alpha, v=w, Q1=np.eye(2), w=w)
-    monkeypatch.setattr(allpass.mirror, "classify", lambda p, record, tol: plan)
-    record = RootRecord(alpha, 1, "inside")
+def test_polynomial_band_crossing_is_typed_through_mirror_once():
+    # no triangular w was seen to cross, so the step runs on the crossing w
     with pytest.raises(ResonantEigenvalues, match="Kronecker") as info:
-        mirror_once(p, record, method="polynomial")
+        mirror_on_kernel(CROSSING_ALPHA, CROSSING_W, "polynomial")
     assert info.value.value is not None and info.value.bound is None
     # the consecutive route mirrors the pair on the same plan
-    q, report = mirror_once(p, record, method="consecutive")
+    q, report = mirror_on_kernel(CROSSING_ALPHA, CROSSING_W, "consecutive")
     assert report.spectral_dev <= 1e-12
     assert report.new_root_residual <= 1e-12
 
 
-def test_graded_input_refuses_or_keeps_the_spectrum():
-    # 3x16 with C_k scaled by 100^k: a polynomial factor on the way is off
-    # the identity on the circle, and without the certificate the output
-    # drifted 3.9e-6 from the input spectrum; the consecutive route keeps it
-    rng = np.random.default_rng(1000)
-    p = PolyMatrix(rng.standard_normal((17, 3, 3)) * 100.0 ** np.arange(17)[:, None, None])
-    with pytest.raises(FactorNotAllPass) as info:
-        mirror_all_inside(p, method="polynomial")
-    assert info.value.value > info.value.bound == DEFAULTS.allpass
-    q, _ = mirror_all_inside(p, method="consecutive")
+def graded(seed, n, q, g):
+    """The graded input ``C_k g^k``, ``C_k`` Gaussian from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    return PolyMatrix(rng.standard_normal((q + 1, n, n)) * float(g) ** np.arange(q + 1)[:, None, None])
+
+
+def assert_mirrored(p, q):
+    """``q`` keeps the spectrum of ``p`` to 1e-8 on 256 points, and no root
+    of ``det q`` is left inside the circle."""
     S_in, S_out = circle_spectrum(p, 256), circle_spectrum(q, 256)
     dev = np.linalg.norm(S_out - S_in, axis=(1, 2)).max()
     assert dev <= 1e-8 * np.linalg.norm(S_in, axis=(1, 2)).max()
     assert all(r.location == "outside" for r in det_roots(q))
+
+
+def test_graded_input_refuses_or_keeps_the_spectrum():
+    # 3x16 with C_k scaled by 100^k: the polynomial factor of step 3 leaves
+    # its output 3.9e-6 off its input's spectrum, and the certificate
+    # refuses the run with the chain it judged; the consecutive route keeps
+    # the spectrum
+    p = graded(1000, 3, 16, 100)
+    with pytest.raises(ResidualTooLarge, match="step 3 of 29: spectral_dev") as info:
+        mirror_all_inside(p, method="polynomial")
+    refusal = info.value
+    assert refusal.value == pytest.approx(3.9e-6, rel=0.02)
+    assert refusal.bound == DEFAULTS.residual and len(refusal.reports) == 29
+    assert isinstance(refusal.p_tilde, PolyMatrix)
+    assert all(r.method in ("elementary", "squared", "polynomial") for r in refusal.reports)
+    q, _ = mirror_all_inside(p, method="consecutive")
+    assert_mirrored(p, q)
+
+
+def test_graded_input_judged_by_its_output_returns():
+    # g = 100, 3x16, seed 1002: a polynomial factor on the way was 1.3e-8 off
+    # the identity on the circle, above tol.allpass, and the run used to be
+    # refused; its output keeps the spectrum to 3.7e-10 on 256 points
+    p = graded(1002, 3, 16, 100)
+    q, reports = mirror_all_inside(p, method="polynomial")
+    assert "polynomial" in {r.method for r in reports}
+    assert_mirrored(p, q)
+
+
+def test_refusal_carries_the_chain():
+    # a bound no step meets: the refusal holds the number that tripped it,
+    # the output and the reports the same selection returns at the defaults
+    p = PolyMatrix(np.random.default_rng(41).standard_normal((4, 3, 3)))
+    q, reports = mirror_all_inside(p)
+    with pytest.raises(ResidualTooLarge) as info:
+        mirror_all_inside(p, tol=Tolerances(residual=1e-300))
+    refusal = info.value
+    assert refusal.bound == 1e-300 and refusal.value == reports[0].spectral_dev > 1e-300
+    assert str(refusal).startswith(f"mirror step 1 of {len(reports)}: spectral_dev")
+    np.testing.assert_array_equal(refusal.p_tilde.coeffs, q.coeffs)
+    assert refusal.reports == reports
+
+
+def test_nan_factor_coefficient_is_refused(monkeypatch):
+    # a NaN in a numerator left a NaN remainder, which passed the division
+    # check, and the step's output then failed PolyMatrix's finite check
+    # with a ValueError
+    def poison(V):
+        num = copy.copy(V.num)
+        num.coeffs = np.where(np.arange(3)[:, None, None] == 1, np.nan, V.num.coeffs)
+        return dataclasses.replace(V, num=num)
+
+    patch_consecutive(monkeypatch, poison)
+    p = PolyMatrix(np.random.default_rng(5).standard_normal((5, 3, 3)))
+    with pytest.raises(AllPassError) as info:
+        mirror_all_inside(p)
+    assert np.isnan(info.value.value) and info.value.bound == DEFAULTS.kernel
+
+
+def test_nan_residual_is_refused_with_the_chain(monkeypatch):
+    # a NaN report compares false against any bound and must still refuse
+    patch_consecutive(monkeypatch, lambda V: dataclasses.replace(V, max_imag_pre=np.nan))
+    p = PolyMatrix(np.random.default_rng(5).standard_normal((5, 3, 3)))
+    with pytest.raises(ResidualTooLarge, match="max_imag nan") as info:
+        mirror_all_inside(p)
+    assert np.isnan(info.value.value) and info.value.bound == DEFAULTS.residual
+    assert [np.isnan(r.max_imag) for r in info.value.reports] == [False, True, False, True]
+
+
+def test_max_imag_is_relative_to_the_factor(monkeypatch):
+    # the imaginary residue grows with the coefficients, like |alpha|^2, so
+    # the report divides it by the largest of them, and by one when none
+    # exceeds one (see test_blaschke for the refusal)
+    factors = []
+    patch_consecutive(monkeypatch, lambda V: factors.append(V) or V)
+    p = PolyMatrix(np.random.default_rng(5).standard_normal((5, 3, 3)))
+    _, reports = mirror_all_inside(p)
+    pairs = [r for r in reports if r.method == "consecutive"]
+    assert len(pairs) == len(factors) == 2
+    for rep, V in zip(pairs, factors):
+        assert rep.max_imag == V.max_imag_pre / max(1.0, np.abs(V.num.coeffs).max())
+
+
+@pytest.mark.parametrize("k", [-300, -256, 256, 300])
+def test_reports_are_scale_invariant(k):
+    # the spectra square the coefficients: at |k| = 256 their squares
+    # underflowed or overflowed and every spectral_dev read 0.0, at k = 300
+    # NaN.  The remainder is relative to max(1, largest dividend
+    # coefficient), so it is not compared
+    c = np.random.default_rng(5).standard_normal((5, 3, 3))
+    q0, base = mirror_all_inside(PolyMatrix(c))
+    q, reports = mirror_all_inside(PolyMatrix(np.ldexp(c, k)))
+    np.testing.assert_array_equal(q.coeffs, np.ldexp(q0.coeffs, k))
+    unscaled = [dataclasses.replace(r, residual_deconv=0.0) for r in reports]
+    assert unscaled == [dataclasses.replace(r, residual_deconv=0.0) for r in base]
 
 
 def test_step_trims_with_the_callers_tolerance():

@@ -200,6 +200,26 @@ def test_poly_roots_pair_outside_cluster_radius_stays_a_pair(a):
     assert roots[0].real == pytest.approx(a, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [-600, -300, 300, 600])
+def test_norm_is_scale_equivariant(k):
+    # the plain sum of squares overflows for k near 512 and underflows for
+    # k near -512 (it read inf at k = 600 and 0.0 at k = -600); a power of
+    # two scales exactly
+    c = np.random.default_rng(5).standard_normal((5, 3, 3))
+    assert PolyMatrix(np.ldexp(c, k)).norm() == np.ldexp(PolyMatrix(c).norm(), k)
+    assert PolyMatrix(np.zeros((2, 2, 2))).norm() == 0.0
+
+
+def test_poly_roots_are_python_complex():
+    # the lower member of a pair came back as np.complex128 (from np.conj),
+    # the other roots as complex
+    a, e = 1e-3, 1e-5
+    roots = poly_roots(ScalarPoly([a * a + e * e, -2 * a, 1]))
+    roots += poly_roots(ScalarPoly([-0.5, 1.0]))
+    assert [type(z) for z in roots] == [complex] * 3
+    assert roots[1] == roots[0].conjugate()
+
+
 def test_poly_roots_scalar_with_zero_leading_coefficients():
     # 1 - 2z stored at degree 3: the two roots at infinity are dropped
     assert poly_roots(ScalarPoly(np.array([1.0, -2.0, 0.0, 0.0]))) == pytest.approx([0.5], abs=1e-15)

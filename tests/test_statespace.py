@@ -14,11 +14,11 @@ from allpass import (
 from allpass.errors import (
     CholeskyNotPD,
     DegenerateW,
-    FactorNotAllPass,
     OnUnitCircle,
+    ResidualTooLarge,
     ResonantEigenvalues,
 )
-from conftest import rand_alpha, rand_w
+from conftest import mirror_on_kernel, rand_alpha, rand_w, small_pair
 from reference import ss_eval, ss_product, ss_star, state_transform
 
 
@@ -256,18 +256,20 @@ def test_build_b2_rejects_lower_half_alpha():
 )
 def test_build_b2_small_alpha_failures_are_typed(seed, reason):
     # at |alpha| = 1e-3 the factor loses about |alpha|^-2: for seed 0 it is
-    # off the identity on the circle by 2.0e-2, and rounding can give the
-    # Gram matrix, positive definite in exact arithmetic, an eigenvalue of
-    # -2e-11 against 0.26 (seed 196)
-    rng = np.random.default_rng(seed)
-    alpha = 1e-3 * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
-    w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    with pytest.raises((FactorNotAllPass, CholeskyNotPD), match=reason) as info:
-        build_b2(alpha, w)
-    if info.type is FactorNotAllPass:
-        assert info.value.value == pytest.approx(2.0e-2, rel=0.05)
-        assert info.value.bound == DEFAULTS.allpass
+    # off the identity on the circle by 2.0e-2, which a direct caller sees
+    # in verify_allpass and the mirror certificate in the step's output, and
+    # rounding can give the Gram matrix, positive definite in exact
+    # arithmetic, an eigenvalue of -2e-11 against 0.26 (seed 196)
+    alpha, w = small_pair(seed)
+    if reason == "not all-pass":
+        rep = verify_allpass(build_b2(alpha, w)[1], 64)
+        assert rep.max_residual == pytest.approx(2.0e-2, rel=0.05) and not rep.ok
+        with pytest.raises(ResidualTooLarge, match="spectral_dev") as info:
+            mirror_on_kernel(alpha, w, "statespace")
+        assert info.value.value > info.value.bound == DEFAULTS.residual
     else:
+        with pytest.raises(CholeskyNotPD, match=reason) as info:
+            mirror_on_kernel(alpha, w, "statespace")
         assert info.value.value < info.value.bound == 0.0
 
 
@@ -282,17 +284,18 @@ def test_build_b2_ill_conditioned_stein_solution_verifies():
 
 def test_build_b2_singular_stein_solution_is_typed():
     # inside the circle near the real axis, X is numerically singular too,
-    # and there the factor built from it is off the identity: the refusal is
-    # the factor's certificate, with the residual it measured
+    # and there the factor built from it is off the identity: the mirror
+    # certificate refuses the step's output, 3.3e-4 off the input spectrum
     alpha, w = 0.5 + 1e-10j, np.array([1.0 + 0.5j, 1e-7j])
     lam = 1.0 / alpha
     A = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
     C = np.column_stack([w.imag, -w.real]) / np.linalg.norm(w)
     assert np.linalg.cond(solve_stein(A, C.T @ C)) > 1e12
-    with pytest.raises(FactorNotAllPass) as exc:
-        build_b2(alpha, w)
-    assert exc.value.bound == DEFAULTS.allpass
-    assert exc.value.value > exc.value.bound
+    assert not verify_allpass(build_b2(alpha, w)[1], 64).ok
+    with pytest.raises(ResidualTooLarge) as exc:
+        mirror_on_kernel(alpha, w, "statespace")
+    assert exc.value.bound == DEFAULTS.residual
+    assert exc.value.value == pytest.approx(3.3e-4, rel=0.05)
 
 
 def composed_blocks(ss, X):
