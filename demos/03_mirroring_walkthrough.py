@@ -34,10 +34,12 @@ for r in records:
 # the full 2x2 construction.
 plan = classify(p, records[0])
 print("\nmirror plan:", plan.case)
-print("  kernel vector:", np.round(plan.v, 6))
 # the step applies the all-pass I + Q1 (V - I) Q1' through the k real
-# orthonormal columns Q1 that span the kernel (k = 2 for a generic pair)
+# orthonormal columns Q1 that span the kernel (k = 2 for a generic pair);
+# w holds the kernel direction in their coordinates, so Q1 w is the
+# kernel vector of p(alpha)
 print("  kernel columns Q1:\n", np.round(plan.Q1, 6))
+print("  kernel vector Q1 w:", np.round(plan.Q1 @ plan.w, 6))
 
 q, report = mirror_once(p, records[0], method="polynomial")
 print("\nafter one mirror step:")

@@ -11,7 +11,6 @@ from .config import DEFAULTS, Tolerances
 from .errors import (
     AllPassError,
     CholeskyNotPD,
-    DeconvolutionResidueTooLarge,
     DegenerateW,
     NotARoot,
     OnUnitCircle,
@@ -60,7 +59,6 @@ __all__ = [
     "Tolerances",
     "AllPassError",
     "CholeskyNotPD",
-    "DeconvolutionResidueTooLarge",
     "DegenerateW",
     "NotARoot",
     "OnUnitCircle",

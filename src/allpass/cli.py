@@ -10,11 +10,9 @@ Exit codes: 0 success, 1 unexpected computation failure, 2 usage or input
 parse error, 3 identically singular input matrix, 4 a root sits on the unit
 circle (for ``verify``: the factor's denominator vanishes on the sample
 grid), 5 a residual exceeded its threshold.  ``mirror`` passes ``--tol`` to
-the library as ``Tolerances.residual``; when the chain fails the
-certificate of :func:`~allpass.mirror.mirror_set` (``ResidualTooLarge``),
-the outputs are written before it exits 5, and a step the library refuses
-before the certificate runs (``DeconvolutionResidueTooLarge``) exits 5 with
-nothing written.
+the library as ``Tolerances.residual``; when :func:`~allpass.mirror.mirror_set`
+refuses (``ResidualTooLarge``), the chain the refusal carries is written
+before it exits 5.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ EXIT_CODES = (
     (UsageError, EXIT_USAGE),
     (errors.SingularPolynomialMatrix, EXIT_SINGULAR),
     (errors.OnUnitCircle, EXIT_ON_CIRCLE),
-    (errors.DeconvolutionResidueTooLarge, EXIT_BREACH),
     (errors.ResidualTooLarge, EXIT_BREACH),
     (errors.AllPassError, EXIT_FAILURE),
 )
@@ -229,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "the roots command (default: all-inside)",
     )
     p_mirror.add_argument("--tol", type=_positive_float, default=None,
-                          help="the mirror certificate's bound (Tolerances.residual) on each "
+                          help="the mirror's bound (Tolerances.residual) on each "
                           "step's division remainder, imaginary residue, spectral "
                           f"deviation and drift (default {DEFAULTS.residual:g})")
     p_mirror.add_argument("--out", default=None,

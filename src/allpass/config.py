@@ -29,14 +29,13 @@ class Tolerances:
     kernel
         Relative bound on sigma_min(p(alpha)) for alpha to count as a root;
         p(s) failing it at every trial shift s makes p singular; and the
-        bound on a mirror step's relative division remainder, above which
-        the step's root and factor disagree, and on its relocation residual
-        in the certificate of :func:`~allpass.mirror.mirror_set`.
+        bound on a mirror step's relocation residual in the certificate of
+        :func:`~allpass.mirror.mirror_set`.
     residual
-        Bound of the certificate :func:`~allpass.mirror.mirror_set` enforces
-        on each step's deconvolution remainder, imaginary residue and
-        spectral deviation, and on each output's drift from the input
-        spectrum; the ``mirror`` command's ``--tol`` sets it.
+        Bound :func:`~allpass.mirror.mirror_set` enforces on each step's
+        division remainder, imaginary residue and spectral deviation, and
+        on each output's drift from the input spectrum; the ``mirror``
+        command's ``--tol`` sets it.
     allpass
         Bound on ||V V^H - I|| on the circle for a factor to verify.
     """

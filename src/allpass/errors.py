@@ -51,13 +51,8 @@ class CholeskyNotPD(AllPassError):
     factor): ``value`` is its smallest eigenvalue, ``bound`` is 0."""
 
 
-class DeconvolutionResidueTooLarge(AllPassError):
-    """Polynomial division left a remainder too large to be numerical noise:
-    ``value`` is the remainder relative to the largest dividend coefficient."""
-
-
 class ResidualTooLarge(AllPassError):
-    """A mirror failed its certificate: ``value`` is the first number over
-    its bound (NaN included), ``bound`` is ``tol.residual``, or
-    ``tol.kernel`` for a relocation residual.  ``p_tilde`` and ``reports``
-    hold the output of the whole selection and the report of every step."""
+    """A mirror failed its judgement: ``value`` is the first number over its
+    bound (NaN included), ``bound`` is ``tol.residual``, or ``tol.kernel``
+    for a relocation residual.  ``p_tilde`` and ``reports`` hold the last
+    output of the chain that was judged and the report of each step."""

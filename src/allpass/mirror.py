@@ -20,14 +20,14 @@ orthogonal ``Q'``.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from .blaschke import b2_consecutive, b2_polynomial, build_b2, elementary, squared
 from .config import DEFAULTS
-from .errors import DeconvolutionResidueTooLarge, ResidualTooLarge
-from .polymat import PolyMatrix, _conv_coeffs, _divide_coeffs, _on_circle, _trimmed_length
+from .errors import ResidualTooLarge
+from .polymat import PolyMatrix, _conv_coeffs, _divide_coeffs, _on_circle
+from .polymat import _trimmed_length, _unit_scaled
 
 # not called here, but the benchmark's tracer (perfbench/tracer.py) looks up
 # ``allpass.mirror.spectral_eval``, so the name must stay
@@ -64,7 +64,8 @@ class MirrorReport:
         record that was selected.
     residual_deconv
         Largest remainder left by dividing out the factor denominator,
-        relative to the largest dividend coefficient.  The division runs
+        relative to the largest dividend coefficient; it vanishes exactly
+        when ``p Q1 num`` does at the step's roots.  The division runs
         from the high-degree end for a root inside the circle and from the
         low-degree end for one outside (see
         :func:`~allpass.polymat._divide_coeffs`), so the recurrence never
@@ -109,20 +110,27 @@ def _spectral_deviation(s_new, s_old):
     return peak(s_new - s_old) / np.maximum(peak(s_old), _TINY)
 
 
-def _certify(chain, reports, tol) -> None:
+def _judge(step, name, value, bound) -> None:
+    """Refuse ``value`` of step ``step = (i, n)`` unless it is at most
+    ``bound``; NaN refuses too."""
+    if not value <= bound:
+        message = f"mirror step {step[0]} of {step[1]}: {name} {value:.3e} exceeds {bound:.3e}"
+        raise ResidualTooLarge(message, value, bound)
+
+
+def _certify(chain, reports, tol, n) -> None:
     """Fill in ``spectral_dev`` and ``new_root_residual`` of every report from
     ``chain``, the input and each step's output: one product of their real
     coefficient stacks, zero-padded to one length, on the upper half of the
     64-point grid, and one batched evaluation and SVD at the moved roots.
     Then raise at the first number the certificate of :func:`mirror_set`
-    refuses."""
+    refuses, as step ``i`` of ``n``.  No square of a spectrum overflows on
+    the chain's scale, which :func:`mirror_set` sets."""
     m = max(p.degree for p in chain) + 1
     stack = np.zeros((m, len(chain)) + chain[0].coeffs.shape[1:])
     for i, p in enumerate(chain):
         stack[: p.degree + 1, i] = p.coeffs
-    # scaled by the power of two that brings the largest coefficient into
-    # [1/2, 1): exact in range, and the squares of the spectra cannot overflow
-    _, P = _on_circle(np.ldexp(stack, -math.frexp(abs(stack).max())[1]), 64)
+    _, P = _on_circle(stack, 64)
     S = P @ np.conj(P).swapaxes(-1, -2)
     devs = _spectral_deviation(S[:, 1:], S[:, :-1])
     drifts = _spectral_deviation(S[:, 1:], S[:, :1])
@@ -147,24 +155,19 @@ def _certify(chain, reports, tol) -> None:
         rep.spectral_dev = dev
         rep.new_root_residual = sig / max(p_new.norm(), _TINY)
 
-    for i, (rep, drift) in enumerate(zip(reports, drifts.tolist())):
+    for i, (rep, drift) in enumerate(zip(reports, drifts.tolist()), 1):
         for name, value, bound in (
             ("spectral_dev", rep.spectral_dev, tol.residual),
-            ("residual_deconv", rep.residual_deconv, tol.residual),
             ("max_imag", rep.max_imag, tol.residual),
             ("drift from the input spectrum", drift, tol.residual),
             ("new_root_residual", rep.new_root_residual, tol.kernel),
         ):
-            if not value <= bound:
-                raise ResidualTooLarge(
-                    f"mirror step {i + 1} of {len(reports)}: {name} {value:.3e} "
-                    f"exceeds {bound:.3e}",
-                    value, bound,
-                )
+            _judge((i, n), name, value, bound)
 
 
-def _step(p: PolyMatrix, record: RootRecord, method: str, tol):
-    """One uncertified mirror step; :func:`_certify` fills in its report."""
+def _step(p: PolyMatrix, record: RootRecord, method: str, tol, step):
+    """Mirror step ``step = (i, n)``; it judges its own division remainder,
+    and :func:`_certify` fills in the rest of its report."""
     plan = classify(p, record, tol)
 
     if plan.case == CASE_REAL:
@@ -187,16 +190,8 @@ def _step(p: PolyMatrix, record: RootRecord, method: str, tol):
     pq1 = p.coeffs @ Q1
     raw = _conv_coeffs(pq1, V.num.coeffs)
     quot, resid_abs = _divide_coeffs(raw, V.den.coeffs)
-    resid = resid_abs / max(1.0, float(abs(raw).max()))
-    # the remainder vanishes exactly when p Q1 num does at the step's roots:
-    # a relative residual of "alpha is a root", bounded as the root test is;
-    # NaN refuses too
-    if not resid <= tol.kernel:
-        raise DeconvolutionResidueTooLarge(
-            f"dividing out the factor denominator left relative remainder "
-            f"{resid:.3e}; the selected root does not match the factor",
-            resid, tol.kernel,
-        )
+    resid = resid_abs / max(float(abs(raw).max()), _TINY)
+    _judge(step, "residual_deconv", resid, tol.residual)
 
     # p + (p Q1 V - p Q1) Q1'; the factor for alpha = 0 is 1/z, with a
     # constant numerator: its quotient is one coefficient short of the input
@@ -248,11 +243,8 @@ def mirror_once(
     Raises
     ------
     OnUnitCircle, NotARoot, DegenerateW
-    DeconvolutionResidueTooLarge
-        If dividing out the factor denominator leaves a remainder far above
-        noise, which means the root structure did not match the factor.
     ResidualTooLarge
-        If the step fails the certificate of :func:`mirror_set`.
+        If the step fails the judgement of :func:`mirror_set`.
     """
     one = dataclasses.replace(record, multiplicity=1)
     p_new, (report,) = mirror_set(p, [one], method, tol)
@@ -281,14 +273,21 @@ def mirror_set(
     with nothing to move, and the chain is certified in one pass after the
     last (see :class:`MirrorReport`).
 
-    The certificate judges the output, not the factors: the spectrum stays
-    and each root moves.  Each step's ``spectral_dev``, ``residual_deconv``
-    and ``max_imag``, and each output's drift from the input spectrum on the
-    same grid, must be at most ``tol.residual``, and its
-    ``new_root_residual`` at most ``tol.kernel``; else it raises
-    :class:`~allpass.errors.ResidualTooLarge` at the first, NaN included,
-    with the final polynomial and every report as ``p_tilde`` and
-    ``reports``.  A step refuses as :func:`mirror_once` says.
+    The steps run on ``p 2^-e`` (:func:`~allpass.polymat._unit_scaled`),
+    and the output is multiplied back by ``2^e``: powers of two are exact,
+    so ``2^k p`` gives ``2^k`` times the output of ``p`` wherever both are
+    normal, and the same reports.
+
+    The judgement is of the output, not of the factors.  Each step's
+    ``residual_deconv`` (judged by the step, before it builds its output),
+    ``spectral_dev`` and ``max_imag``, and each output's drift from the
+    input spectrum, must be at most ``tol.residual``, and its
+    ``new_root_residual`` at most ``tol.kernel``; else
+    :class:`~allpass.errors.ResidualTooLarge` is raised at the first, NaN
+    included, after the chain before a refused step is certified.  It
+    carries that chain's last output and reports as ``p_tilde`` and
+    ``reports``.  A step also refuses as :func:`classify` and the factor
+    constructions do.
 
     Returns the final polynomial and the reports of every step.
     """
@@ -296,19 +295,26 @@ def mirror_set(
     ordered = sorted(
         selection, key=lambda r: (abs(r.alpha), r.alpha.real, r.alpha.imag)
     )
-    chain, reports = [p], []
-    for rec in ordered:
-        for _ in range(rec.multiplicity):
-            p_new, rep = _step(chain[-1], rec, method, tol)
+    steps = [rec for rec in ordered for _ in range(rec.multiplicity)]
+    scaled, e = _unit_scaled(p.coeffs)
+    chain, reports, refusal = [PolyMatrix(scaled)], [], None
+    try:
+        for i, rec in enumerate(steps, 1):
+            p_new, rep = _step(chain[-1], rec, method, tol, (i, len(steps)))
             chain.append(p_new)
             reports.append(rep)
-    if reports:
-        try:
-            _certify(chain, reports, tol)
-        except ResidualTooLarge as exc:
-            exc.p_tilde, exc.reports = chain[-1], reports
-            raise
-    return chain[-1], reports
+    except ResidualTooLarge as exc:
+        refusal = exc
+    try:
+        if reports:
+            _certify(chain, reports, tol, len(steps))
+    except ResidualTooLarge as exc:
+        refusal = exc
+    p_out = PolyMatrix(np.ldexp(chain[-1].coeffs, e))
+    if refusal is not None:
+        refusal.p_tilde, refusal.reports = p_out, reports
+        raise refusal
+    return p_out, reports
 
 
 def mirror_all_inside(

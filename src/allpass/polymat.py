@@ -87,14 +87,19 @@ class PolyMatrix:
 
     def norm(self) -> float:
         """Frobenius norm of the stacked coefficient tensor, squared after
-        scaling by the power of two that brings its largest entry into
-        [1/2, 1), so no square overflows; exact in range."""
-        e = math.frexp(abs(self.coeffs).max())[1]
-        c = np.ldexp(self.coeffs.ravel(), -e)
+        :func:`_unit_scaled`, so no square overflows."""
+        c, e = _unit_scaled(self.coeffs.ravel())
         return float(np.ldexp(math.sqrt(c @ c), e))
 
     def __repr__(self):
         return f"PolyMatrix(dim={self.dim}, degree={self.degree})"
+
+
+def _unit_scaled(coeffs: np.ndarray):
+    """``(coeffs 2^-e, e)`` with the largest magnitude brought into [1/2, 1)
+    (``math.frexp``; ``e = 0`` for zeros): the package's one scale, exact."""
+    e = math.frexp(abs(coeffs).max())[1]
+    return np.ldexp(coeffs, -e), e
 
 
 class ScalarPoly:
@@ -289,7 +294,10 @@ def poly_roots(p, tol=DEFAULTS):
     zero, the upper members stand for the pairs, and a pair whose imaginary
     part is within ``tol.cluster * max(1, |mu|)`` of the axis is a split
     double real root.  Roots within ``tol.cluster`` (relative) of each other
-    merge into one multiple root.
+    merge into one multiple root.  The companion is formed from ``p 2^-e``
+    (:func:`_unit_scaled`): the roots are those of ``p``, exactly in range,
+    and the root test's size is at least 1/2, so its bound cannot
+    underflow.
 
     Raises
     ------
@@ -297,9 +305,8 @@ def poly_roots(p, tol=DEFAULTS):
         If ``det p`` vanishes identically: ``C_q`` and ``p`` at every trial
         shift fail the root test (zero and singular constants included).
     """
-    if p.coeffs.ndim == 1:
-        p = PolyMatrix(p.coeffs[:, None, None])
-    raw = _finite_roots(p, tol).tolist()
+    coeffs = p.coeffs if p.coeffs.ndim == 3 else p.coeffs[:, None, None]
+    raw = _finite_roots(PolyMatrix(_unit_scaled(coeffs)[0]), tol).tolist()
     reals = [r.real for r in raw if r.imag == 0]
     pairs = []
     for mu in (r for r in raw if r.imag > 0):

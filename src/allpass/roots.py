@@ -81,19 +81,18 @@ class MirrorPlan:
 
     ``case`` selects the factor type.  ``alpha`` is the record's root after
     one Newton polish against ``p`` (see :func:`classify`), so it can differ
-    from the record's value in the last digits.  ``v`` is the unit kernel
-    vector of ``p(alpha)``; the orthonormal real columns ``Q1`` (``n x k``,
-    ``k`` the size of the step's factor ``V``) span the kernel directions:
-    the normalised real kernel for a real root or a degenerate pair, and for
-    a generic pair the Q1 of the QR factorisation ``(Re v, Im v) = Q1 R``,
-    with ``w = R (1, i)'`` expressing ``v`` in the Q1 coordinates: ``Q1 w =
-    v`` (so ``R`` is ``[Re w, Im w]``).  The step applies the all-pass ``I
-    + Q1 (V - I) Q1'``, with no orthogonal completion of ``Q1``.
+    from the record's value in the last digits.  The orthonormal real
+    columns ``Q1`` (``n x k``, ``k`` the size of the step's factor ``V``)
+    span the kernel of ``p(alpha)``: the normalised real kernel for a real
+    root or a degenerate pair, and for a generic pair the Q1 of the QR
+    factorisation ``(Re v, Im v) = Q1 R`` of the unit kernel vector ``v``,
+    with ``w = R (1, i)'``, so ``Q1 w = v`` (``R`` is ``[Re w, Im w]``).
+    The step applies the all-pass ``I + Q1 (V - I) Q1'``, with no
+    orthogonal completion of ``Q1``.
     """
 
     case: str
     alpha: complex
-    v: np.ndarray
     Q1: np.ndarray
     w: Optional[np.ndarray] = None
 
@@ -322,7 +321,7 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     if record.kind == KIND_REAL:
         vr = np.real(v)
         vr = vr / math.sqrt(vr @ vr)
-        return MirrorPlan(CASE_REAL, alpha, vr.astype(complex), vr[:, None])
+        return MirrorPlan(CASE_REAL, alpha, vr[:, None])
 
     # one QR of [Re v, Im v] = Q1 R; R has the singular values of
     # [Re v, Im v], and a single entry is always a complex multiple of a
@@ -339,13 +338,11 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
         u = U[:, 0]
         phase = complex(u @ v.real, u @ v.imag)
         phase = phase / abs(phase)
-        v_aligned = v * np.conj(phase)
-        vr = np.real(v_aligned)
+        vr = np.real(v * np.conj(phase))
         vr = vr / math.sqrt(vr @ vr)
         idx = int(abs(vr).argmax())
         if vr[idx] < 0:
             vr = -vr
-            v_aligned = -v_aligned
-        return MirrorPlan(CASE_DEGENERATE, alpha, v_aligned, vr[:, None])
+        return MirrorPlan(CASE_DEGENERATE, alpha, vr[:, None])
     w = np.array([complex(*r[0]), complex(0.0, r[1][1])])
-    return MirrorPlan(CASE_GENERIC, alpha, v, Q1, w)
+    return MirrorPlan(CASE_GENERIC, alpha, Q1, w)

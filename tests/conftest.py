@@ -75,7 +75,7 @@ def mirror_on_kernel(alpha, w, method):
     coeffs[:, 0, 0] = [abs(alpha) ** 2, -2.0 * alpha.real, 1.0]
     coeffs[:2, 1, 0] = [lw.real - c1 * alpha.real, c1]
     coeffs[0, 1, 1] = 1.0
-    plan = MirrorPlan(case=CASE_GENERIC, alpha=alpha, v=w, Q1=np.eye(2), w=w)
+    plan = MirrorPlan(case=CASE_GENERIC, alpha=alpha, Q1=np.eye(2), w=w)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(allpass.mirror, "classify", lambda p, record, tol: plan)
         return mirror_once(PolyMatrix(coeffs), RootRecord(alpha, 1, "inside"), method)

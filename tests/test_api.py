@@ -16,7 +16,6 @@ def test_public_names():
         "Tolerances",
         "AllPassError",
         "CholeskyNotPD",
-        "DeconvolutionResidueTooLarge",
         "DegenerateW",
         "NotARoot",
         "OnUnitCircle",

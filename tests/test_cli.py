@@ -13,10 +13,11 @@ import allpass.cli
 import allpass.mirror
 from allpass import (
     AllPassError,
-    DeconvolutionResidueTooLarge,
     PolyMatrix,
     b2_polynomial,
+    det_roots,
     jsonio,
+    mirror_once,
 )
 from allpass.cli import EXIT_CODES, main
 from conftest import origin_matrix, origin_scalar, patch_consecutive
@@ -336,18 +337,46 @@ def test_mirror_tiny_tol_breaches_but_writes(capsys, tmp_path, poly_file):
     assert (tmp_path / "m.report.json").exists()
 
 
-def test_refused_step_exits_5_writing_nothing(capsys, monkeypatch, tmp_path, poly_file):
-    # unlike the certificate's refusal, a step refused before the chain is
-    # complete leaves nothing
-    def refuse(alpha, w, tol):
-        raise DeconvolutionResidueTooLarge("synthetic", 1.0, tol.kernel)
+def test_refused_step_exits_5_writing_the_chain_before_it(capsys, monkeypatch, tmp_path):
+    # a division remainder as large as the dividend at step 2 refuses that
+    # step, and the certified chain before it, step 1, is written; a step
+    # refusal used to write nothing
+    p = PolyMatrix(np.random.default_rng(3).standard_normal((4, 3, 3)))
+    path = tmp_path / "p.json"
+    path.write_text(jsonio.dumps(jsonio.poly_to_json(p)))
+    first = next(r for r in det_roots(p) if r.location == "inside")
+    q, report = mirror_once(p, first)
+    divisions = []
+    original = allpass.mirror._divide_coeffs
 
-    monkeypatch.setattr(allpass.mirror, "b2_consecutive", refuse)
+    def divide(num, den):
+        quot, residual = original(num, den)
+        divisions.append(den)
+        return quot, float(np.abs(num).max()) if len(divisions) == 2 else residual
+
+    monkeypatch.setattr(allpass.mirror, "_divide_coeffs", divide)
     dest = tmp_path / "m.json"
-    code, out, err = run(capsys, "mirror", poly_file, "--out", str(dest))
-    assert (code, out, err) == (5, "", "error: synthetic\n")
-    assert not dest.exists()
-    assert not (tmp_path / "m.report.json").exists()
+    code, out, err = run(capsys, "mirror", str(path), "--out", str(dest))
+    assert (code, out) == (5, "")
+    assert err.startswith("error: mirror step 2 of ")
+    assert err.endswith(": residual_deconv 1.000e+00 exceeds 1.000e-08\n")
+    written = jsonio.poly_from_json(json.loads(dest.read_text()))
+    np.testing.assert_array_equal(written.coeffs, q.coeffs)
+    assert json.loads((tmp_path / "m.report.json").read_text()) == [
+        json.loads(jsonio.dumps(jsonio.report_to_json(report)))
+    ]
+
+
+@pytest.mark.parametrize("command", ["roots", "mirror"])
+def test_subnormal_input_exits_0(capsys, tmp_path, command):
+    # 2^-1025 times a Gaussian 3x3 of degree 4: the largest coefficient is
+    # subnormal, and both commands exited 1 with a LinAlgError traceback
+    c = np.ldexp(np.random.default_rng(5).standard_normal((5, 3, 3)), -1025)
+    path = tmp_path / "tiny.json"
+    path.write_text(jsonio.dumps(jsonio.poly_to_json(PolyMatrix(c))))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)
 
 
 def test_nan_report_exits_5_and_writes(capsys, monkeypatch, tmp_path, poly_file):

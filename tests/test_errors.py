@@ -67,7 +67,7 @@ def test_error_classes_share_one_constructor():
 
 def test_every_raise_passes_message_value_and_bound():
     sites = raise_sites()
-    assert len(sites) >= 9
+    assert len(sites) >= 8
     assert [s for s in sites if s[3] != 3] == []
 
 
@@ -75,7 +75,7 @@ def shifted_root():
     # the root test is relative to ||p||, which the 1e6 (z - 10) block
     # dominates, so it accepts 0.45 for the root 0.5 of (z - 0.5)(z - 3); one
     # Newton step leaves it 1e-3 off, and the division, relative to the
-    # coefficients it divides, leaves 4.3e-4 against tol.kernel = 1e-6
+    # coefficients it divides, leaves 4.3e-4 against tol.residual = 1e-8
     coeffs = np.zeros((3, 2, 2))
     coeffs[:, 0, 0] = [1.5, -3.5, 1.0]
     coeffs[:2, 1, 1] = [-1e7, 1e6]
@@ -120,12 +120,12 @@ SITES = {
                  lambda: solve_stein(np.diag([2.0, 0.5]), np.eye(2))),
     "resonant-lapack": ("statespace", errors.ResonantEigenvalues,
                         lambda: solve_stein(np.array([[-9999.0, 1.0], [-1e8, 10001.0]]), np.eye(2))),
-    "deconvolution": ("mirror", errors.DeconvolutionResidueTooLarge, shifted_root),
 }
 # callers that refuse through a site above: classify and mirror_set judge a
 # record's root by check_off_circle, build_b2 takes its Gram matrix's
-# Cholesky as b2_polynomial does, the mirror certificate refuses a step
-# with an imaginary residue or whose state-space factor is off the identity
+# Cholesky as b2_polynomial does, a mirror step judges its division
+# remainder as the certificate judges its numbers, the certificate refuses
+# a step with an imaginary residue or whose state-space factor is off the identity
 # (at |alpha| = 1e-3, and where
 # a Stein solution of condition 1.5e14 leaves the output 3.3e-4 off the
 # input spectrum), and on a w near the degenerate boundary b2_polynomial's
@@ -134,6 +134,7 @@ ROUTED = {
     "classify-circle": ("roots", errors.OnUnitCircle, lambda: classify(CIRCLE, ON_CIRCLE)),
     "selection-circle": ("roots", errors.OnUnitCircle,
                          lambda: mirror_set(CIRCLE, [ON_CIRCLE])),
+    "deconvolution": ("mirror", errors.ResidualTooLarge, shifted_root),
     "imaginary": ("mirror", errors.ResidualTooLarge, imaginary_residue),
     "gram-cholesky": ("blaschke", errors.CholeskyNotPD, lambda: build_b2(*small_pair(196))),
     "gram-blocks": ("mirror", errors.ResidualTooLarge,

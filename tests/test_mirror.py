@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from allpass import (
 )
 from allpass.errors import (
     AllPassError,
-    DeconvolutionResidueTooLarge,
     OnUnitCircle,
     ResidualTooLarge,
     ResonantEigenvalues,
@@ -170,6 +170,14 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _step_outputs(p, inputs, q):
+    """The output of each recorded ``_step`` call: the next call's input,
+    and for the last the output ``q`` on the steps' scale, ``2^-e`` times
+    that of the input ``p``."""
+    e = math.frexp(np.abs(p.coeffs).max())[1]
+    return inputs[1:] + [PolyMatrix(np.ldexp(q.coeffs, -e))]
+
+
 def test_mirror_chain_evaluates_each_polynomial_once(monkeypatch):
     # a k-step chain holds k + 1 polynomials, the input and each step's
     # output; all of them go through one circle evaluation, on the upper half
@@ -183,7 +191,7 @@ def test_mirror_chain_evaluates_each_polynomial_once(monkeypatch):
     q, reports = mirror_set(p, inside, method="consecutive")
     assert len(inputs) == len(reports) == steps
     assert [stack.shape for stack in kernel] == [(4, steps + 1, 3, 3)]
-    for step_in, step_out, rep in zip(inputs, inputs[1:] + [q], reports):
+    for step_in, step_out, rep in zip(inputs, _step_outputs(p, inputs, q), reports):
         assert list(vars(step_in)) == ["coeffs"]
         fresh = _spectral_deviation(
             circle_spectrum(step_out), circle_spectrum(step_in)
@@ -247,7 +255,7 @@ def test_chain_certificates_match_per_step_reference(monkeypatch, case, method):
     inputs = _count_calls(monkeypatch, "_step")
     q, reports = mirror_all_inside(p, method=method)
     assert len(reports) == len(inputs) >= 1
-    for step_in, step_out, rep in zip(inputs, inputs[1:] + [q], reports):
+    for step_in, step_out, rep in zip(inputs, _step_outputs(p, inputs, q), reports):
         dev, residual = _reference_certificate(step_in, step_out, rep)
         assert abs(rep.spectral_dev - dev) <= 1e-14
         assert abs(rep.new_root_residual - residual) <= 1e-14
@@ -265,7 +273,7 @@ def test_chain_certificates_match_reference_far_from_roundoff():
     ]
     # the certificate fills in every report before it refuses the first
     with pytest.raises(ResidualTooLarge, match="step 1 of 3: spectral_dev") as info:
-        _certify(chain, reports, DEFAULTS)
+        _certify(chain, reports, DEFAULTS, 3)
     for p, q, rep in zip(chain, chain[1:], reports):
         dev, residual = _reference_certificate(p, q, rep)
         assert dev > 0.1 and residual > 1e-3
@@ -275,7 +283,7 @@ def test_chain_certificates_match_reference_far_from_roundoff():
     assert (info.value.value, info.value.bound) == (reports[0].spectral_dev, DEFAULTS.residual)
     # past the spectral bounds, the relocation residual is judged by tol.kernel
     with pytest.raises(ResidualTooLarge, match="step 1 of 3: new_root_residual") as info:
-        _certify(chain, reports, Tolerances(residual=1e3))
+        _certify(chain, reports, Tolerances(residual=1e3), 3)
     assert (info.value.value, info.value.bound) == (reports[0].new_root_residual, DEFAULTS.kernel)
 
 
@@ -746,7 +754,9 @@ def test_chain_call_pattern(monkeypatch, method):
 
 def test_deconvolution_refusal_carries_residual_and_bound(monkeypatch):
     # a plan 0.1 off the root of z - 0.5: (z - 0.5)(1 - 0.6 z) = -0.5 +
-    # 1.3 z - 0.6 z^2 over z - 0.6 leaves 0.064, relative to 1.3
+    # 1.3 z - 0.6 z^2 over z - 0.6 leaves 0.064, relative to 1.3; the step
+    # refuses before it builds an output, and the refusal carries the chain
+    # before it, the input alone
     p = PolyMatrix(np.array([-0.5, 1.0]).reshape(2, 1, 1))
     original = allpass.mirror.classify
 
@@ -755,12 +765,14 @@ def test_deconvolution_refusal_carries_residual_and_bound(monkeypatch):
         return dataclasses.replace(plan, alpha=plan.alpha + 0.1)
 
     monkeypatch.setattr(allpass.mirror, "classify", shifted)
-    with pytest.raises(DeconvolutionResidueTooLarge) as info:
+    with pytest.raises(ResidualTooLarge, match="step 1 of 1: residual_deconv") as info:
         mirror_all_inside(p)
     assert info.value.value == pytest.approx(0.064 / 1.3, rel=1e-14)
-    assert info.value.bound == 1e-6
+    assert info.value.bound == DEFAULTS.residual
     assert f"{info.value.value:.3e}" in str(info.value)
-    bare = DeconvolutionResidueTooLarge("synthetic")
+    np.testing.assert_array_equal(info.value.p_tilde.coeffs, p.coeffs)
+    assert info.value.reports == []
+    bare = ResidualTooLarge("synthetic")
     assert bare.value is None and bare.bound is None
 
 
@@ -818,15 +830,27 @@ def test_graded_input_judged_by_its_output_returns():
 
 
 def test_refusal_carries_the_chain():
-    # a bound no step meets: the refusal holds the number that tripped it,
-    # the output and the reports the same selection returns at the defaults
+    # a bound no step meets: step 1 refuses its division remainder, and the
+    # refusal holds that number and the chain before the step, the input
+    # alone
     p = PolyMatrix(np.random.default_rng(41).standard_normal((4, 3, 3)))
     q, reports = mirror_all_inside(p)
     with pytest.raises(ResidualTooLarge) as info:
         mirror_all_inside(p, tol=Tolerances(residual=1e-300))
     refusal = info.value
-    assert refusal.bound == 1e-300 and refusal.value == reports[0].spectral_dev > 1e-300
-    assert str(refusal).startswith(f"mirror step 1 of {len(reports)}: spectral_dev")
+    assert refusal.bound == 1e-300 and refusal.value == reports[0].residual_deconv > 1e-300
+    assert str(refusal).startswith(f"mirror step 1 of {len(reports)}: residual_deconv")
+    np.testing.assert_array_equal(refusal.p_tilde.coeffs, p.coeffs)
+    assert refusal.reports == []
+    # a bound every remainder meets but the spectrum of step 2 does not: the
+    # certificate refuses the whole chain, and the refusal holds the output
+    # and the reports the same selection returns at the defaults
+    bound = max(r.residual_deconv for r in reports)
+    with pytest.raises(ResidualTooLarge) as info:
+        mirror_all_inside(p, tol=Tolerances(residual=bound))
+    refusal = info.value
+    assert refusal.value == reports[1].spectral_dev > bound
+    assert str(refusal).startswith(f"mirror step 2 of {len(reports)}: spectral_dev")
     np.testing.assert_array_equal(refusal.p_tilde.coeffs, q.coeffs)
     assert refusal.reports == reports
 
@@ -834,7 +858,7 @@ def test_refusal_carries_the_chain():
 def test_nan_factor_coefficient_is_refused(monkeypatch):
     # a NaN in a numerator left a NaN remainder, which passed the division
     # check, and the step's output then failed PolyMatrix's finite check
-    # with a ValueError
+    # with a ValueError; the step now refuses its remainder
     def poison(V):
         num = copy.copy(V.num)
         num.coeffs = np.where(np.arange(3)[:, None, None] == 1, np.nan, V.num.coeffs)
@@ -844,7 +868,8 @@ def test_nan_factor_coefficient_is_refused(monkeypatch):
     p = PolyMatrix(np.random.default_rng(5).standard_normal((5, 3, 3)))
     with pytest.raises(AllPassError) as info:
         mirror_all_inside(p)
-    assert np.isnan(info.value.value) and info.value.bound == DEFAULTS.kernel
+    assert np.isnan(info.value.value) and info.value.bound == DEFAULTS.residual
+    assert "residual_deconv nan" in str(info.value)
 
 
 def test_nan_residual_is_refused_with_the_chain(monkeypatch):
@@ -871,18 +896,40 @@ def test_max_imag_is_relative_to_the_factor(monkeypatch):
         assert rep.max_imag == V.max_imag_pre / max(1.0, np.abs(V.num.coeffs).max())
 
 
-@pytest.mark.parametrize("k", [-300, -256, 256, 300])
-def test_reports_are_scale_invariant(k):
+# (seed, n, degree, k): the seed-5 3x3 of degree 4 at the k that broke it,
+# and seeded negative k on a 4x4 of degree 3, where the remainder's old
+# max(1, ...) floor was active
+SCALES = [(5, 3, 4, k) for k in (-300, -256, 256, 300, -500, -480, 480, 500, -1025, -1040)]
+SCALES += [(11, 4, 3, int(k)) for k in np.random.default_rng(2201).integers(-500, 0, 4)]
+
+
+@pytest.mark.parametrize(
+    "seed, n, degree, k",
+    [pytest.param(*c, id=str(c[3]) if c[0] == 5 else f"4x4-{c[3]}") for c in SCALES],
+)
+def test_reports_are_scale_invariant(seed, n, degree, k):
     # the spectra square the coefficients: at |k| = 256 their squares
     # underflowed or overflowed and every spectral_dev read 0.0, at k = 300
-    # NaN.  The remainder is relative to max(1, largest dividend
-    # coefficient), so it is not compared
-    c = np.random.default_rng(5).standard_normal((5, 3, 3))
+    # NaN; the remainder was relative to max(1, largest dividend
+    # coefficient), and from |k| = 480 the outputs were not 2^k times the
+    # base.  At k = -1025 the largest coefficient is subnormal, and the root
+    # finder and the mirror raised LinAlgError
+    c = np.random.default_rng(seed).standard_normal((degree + 1, n, n))
+    p = PolyMatrix(np.ldexp(c, k))
     q0, base = mirror_all_inside(PolyMatrix(c))
-    q, reports = mirror_all_inside(PolyMatrix(np.ldexp(c, k)))
-    np.testing.assert_array_equal(q.coeffs, np.ldexp(q0.coeffs, k))
-    unscaled = [dataclasses.replace(r, residual_deconv=0.0) for r in reports]
-    assert unscaled == [dataclasses.replace(r, residual_deconv=0.0) for r in base]
+    q, reports = mirror_all_inside(p)
+    if np.array_equal(np.ldexp(p.coeffs, -k), c):
+        np.testing.assert_array_equal(q.coeffs, np.ldexp(q0.coeffs, k))
+        assert reports == base
+        return
+    # subnormal coefficients lose bits: the roots move by that roundoff
+    roots = [r.alpha for r in det_roots(p)]
+    assert len(roots) == 7
+    np.testing.assert_allclose(roots, [r.alpha for r in det_roots(PolyMatrix(c))], rtol=1e-10)
+    assert len(reports) == len(base)
+    for r in reports:
+        assert max(r.residual_deconv, r.max_imag, r.spectral_dev) <= DEFAULTS.residual
+        assert r.new_root_residual <= DEFAULTS.kernel
 
 
 def test_step_trims_with_the_callers_tolerance():

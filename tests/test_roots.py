@@ -230,14 +230,13 @@ def test_classify_is_bit_deterministic(worked_pair):
     a = classify(worked_pair, rec)
     b = classify(worked_pair, rec)
     assert a.case == b.case
-    np.testing.assert_array_equal(a.v, b.v)
     np.testing.assert_array_equal(a.Q1, b.Q1)
     np.testing.assert_array_equal(a.w, b.w)
 
 
 def test_generic_plan_reconstruction_identity():
-    # Q1 w must give back the kernel vector, and the R entries inherit the
-    # unit norm of v: a^2 + b^2 + c^2 = |v_r|^2 + |v_i|^2 = 1
+    # Q1 w must be a kernel vector of p(alpha), and the R entries inherit
+    # the unit norm of v = Q1 w: a^2 + b^2 + c^2 = |v_r|^2 + |v_i|^2 = 1
     rng = np.random.default_rng(47)
     hits = 0
     for _ in range(10):
@@ -246,7 +245,7 @@ def test_generic_plan_reconstruction_identity():
         if plan.case != CASE_GENERIC:
             continue
         hits += 1
-        np.testing.assert_allclose(plan.Q1 @ plan.w, plan.v, atol=1e-12)
+        assert np.linalg.norm(p(plan.alpha) @ plan.Q1 @ plan.w) < 1e-12 * p.norm()
         # [Re w, Im w] is the upper-triangular R with entries a, b, c
         assert plan.w.real[1] == 0.0
         sq = plan.w.real[0] ** 2 + plan.w.imag[0] ** 2 + plan.w.imag[1] ** 2
@@ -277,7 +276,7 @@ def test_generic_plan_takes_one_qr(monkeypatch):
         Q1 = plan.Q1
         assert Q1.shape == (dim, 2)
         np.testing.assert_allclose(Q1.T @ Q1, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(Q1 @ plan.w, plan.v, atol=1e-14)
+        assert np.linalg.norm(p(plan.alpha) @ Q1 @ plan.w) < 1e-12 * p.norm()
         assert plan.w.real[1] == 0.0
 
 
@@ -307,7 +306,7 @@ def test_classify_real_root():
     plan = classify(p, det_roots(p)[0])
     assert plan.case == CASE_REAL
     # the kernel of diag(1 - 0.5 z, 1) at z = 2 is e1
-    np.testing.assert_allclose(np.abs(plan.v), [1.0, 0.0], atol=1e-10)
+    np.testing.assert_allclose(np.abs(plan.Q1[:, 0]), [1.0, 0.0], atol=1e-10)
 
 
 def test_classify_degenerate_scalar(scalar_halfpair):
@@ -327,7 +326,7 @@ def test_classify_degenerate_rotated():
     rec = [r for r in det_roots(p) if r.kind == "complex_pair"][0]
     plan = classify(p, rec)
     assert plan.case == CASE_DEGENERATE
-    np.testing.assert_allclose(np.abs(plan.v), np.abs(U[:, 0]), atol=1e-8)
+    np.testing.assert_allclose(np.abs(plan.Q1[:, 0]), np.abs(U[:, 0]), atol=1e-8)
 
 
 def test_classify_rejects_non_root(worked_pair):
