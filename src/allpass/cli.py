@@ -12,7 +12,7 @@ circle (for ``verify``: the factor's denominator vanishes on the sample
 grid), 5 a residual exceeded its threshold.  ``mirror`` passes ``--tol`` to
 the library as ``Tolerances.residual``; when :func:`~allpass.mirror.mirror_set`
 refuses (``ResidualTooLarge``), the chain the refusal carries is written
-before it exits 5.
+before it exits 5; an output beyond the float range exits 5 writing nothing.
 """
 
 from __future__ import annotations
@@ -167,8 +167,10 @@ def cmd_mirror(args: argparse.Namespace) -> int:
             chosen = [records[k] for k in _parse_selection(args.select, len(records))]
             p_out, reports = mirror_set(p, chosen, args.method, tol)
     except errors.ResidualTooLarge as exc:
-        # a refused certificate still leaves its chain to inspect
-        _emit_mirror(exc.p_tilde, exc.reports, args.out)
+        # a refused certificate still leaves its chain to inspect, unless
+        # the output is beyond the float range
+        if exc.p_tilde is not None:
+            _emit_mirror(exc.p_tilde, exc.reports, args.out)
         raise
     _emit_mirror(p_out, reports, args.out)
     return EXIT_OK

@@ -19,8 +19,9 @@ class Tolerances:
         for folding a conjugate pair whose imaginary part is within it of
         the real axis into a double real root.
     trim
-        Relative floor under which trailing coefficients count as zero, and
-        under which a shifted companion's eigenvalue is an infinite root.
+        Relative floor under which a leading coefficient of a mirror step's
+        output, or a singular value of the balanced ``C_q`` in the root
+        finder, counts as zero; the latter are infinite roots, deflated.
     degenerate
         Relative second-singular-value bound deciding when (Re v, Im v)
         are dependent.

@@ -54,5 +54,7 @@ class CholeskyNotPD(AllPassError):
 class ResidualTooLarge(AllPassError):
     """A mirror failed its judgement: ``value`` is the first number over its
     bound (NaN included), ``bound`` is ``tol.residual``, or ``tol.kernel``
-    for a relocation residual.  ``p_tilde`` and ``reports`` hold the last
-    output of the chain that was judged and the report of each step."""
+    for a relocation residual; for an output beyond the float range,
+    ``value`` is its binary exponent and ``bound`` the largest one.
+    ``p_tilde`` and ``reports`` hold the last output of the chain that was
+    judged (``None`` beyond the float range) and the report of each step."""

@@ -52,6 +52,7 @@ __all__ = [
 METHODS = ("consecutive", "polynomial", "statespace")
 
 _TINY = np.finfo(float).tiny
+_MAX_EXP = np.finfo(float).maxexp
 
 
 @dataclasses.dataclass
@@ -276,7 +277,8 @@ def mirror_set(
     The steps run on ``p 2^-e`` (:func:`~allpass.polymat._unit_scaled`),
     and the output is multiplied back by ``2^e``: powers of two are exact,
     so ``2^k p`` gives ``2^k`` times the output of ``p`` wherever both are
-    normal, and the same reports.
+    normal, and the same reports.  An output that would reach ``2^1024``
+    raises ``ResidualTooLarge``: its binary exponent over 1024, no ``p_tilde``.
 
     The judgement is of the output, not of the factors.  Each step's
     ``residual_deconv`` (judged by the step, before it builds its output),
@@ -310,7 +312,12 @@ def mirror_set(
             _certify(chain, reports, tol, len(steps))
     except ResidualTooLarge as exc:
         refusal = exc
-    p_out = PolyMatrix(np.ldexp(chain[-1].coeffs, e))
+    # the output's binary exponent: its largest coefficient is below 2^top
+    top = e + int(np.frexp(abs(chain[-1].coeffs).max())[1])
+    p_out = PolyMatrix(np.ldexp(chain[-1].coeffs, e)) if top <= _MAX_EXP else None
+    if p_out is None and refusal is None:
+        message = f"mirror output: 2^{top - 1} or more is beyond the float range 2^{_MAX_EXP}"
+        refusal = ResidualTooLarge(message, top, _MAX_EXP)
     if refusal is not None:
         refusal.p_tilde, refusal.reports = p_out, reports
         raise refusal

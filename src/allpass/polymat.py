@@ -228,28 +228,35 @@ def _cluster(values, rtol):
     return [mean for mean, members in clusters for _ in members]
 
 
-# trial shifts s, real so that a real p keeps a real companion and irregular
-# to avoid hand-made roots; s = 0 (the reversed polynomial) needs no Taylor
-# shift, so the others serve only when C_q and C_0 both fail the root test
+# trial shifts s, real so that a real p keeps a real pencil and irregular to
+# avoid hand-made roots; s = 0 leads with C_0, so the others serve only when
+# C_q and C_0 both fail the root test
 _SHIFTS = np.array([0.0, 0.3719, -0.5413, 0.7906, -0.2187])
 
 
-def _scaled_size(p, z) -> float:
-    """``||p|| max(1, |z|)^q``, the size of ``p(z)`` in the root test
-    ``sigma_min(p(z)) <= tol.kernel * _scaled_size(p, z)``."""
-    return max(p.norm(), np.finfo(float).tiny) * max(1.0, abs(z)) ** p.degree
-
-
-def _finite_roots(p, tol):
-    """Finite roots of ``det p`` with multiplicity, from one monic block
-    companion led by whichever of ``C_q`` (ratio ``sigma_min / ||p||``) and
-    ``C_0`` is farther from the root test, or of ``C_q`` and every ``p(s)``
-    when both fail it; only then are the other shifts evaluated.  ``p(s)``
-    leads the companion of ``mu^q p(s + 1/mu)``: ``z = s + 1/mu``, and ``mu``
-    at most ``tol.trim`` times its largest entry are the infinite roots."""
-    coeffs, q, n = p.coeffs, p.degree, p.dim
+def _finite_roots(coeffs, tol):
+    """Finite roots of ``det p`` with multiplicity, for the stack ``coeffs``
+    of ``p`` on the unit scale, from one real pencil ``z B - A`` of ``p(gamma
+    z)``: ``B = diag(C_q, I, ..., I)`` and ``A`` the block companion.
+    ``gamma = (||C_0|| / ||C_q||)^(1/q)`` balances the variable (Fan, Lin and
+    Van Dooren, SIMAX 2004), unrounded, when ``log2 gamma`` rounds to a
+    nonzero integer.  The lead is whichever of ``C_q`` (ratio ``sigma_min /
+    ||p||``) and ``C_0`` is farther from the root test, or of ``C_q`` and
+    every ``p(s)`` when both fail it.  Led by ``C_q``, the roots are the
+    eigenvalues of ``B^-1 A``; led by ``p(s)``, ``z = s + 1/mu`` for those of
+    ``(A - s B)^-1 B``, once staircase rounds (Van Dooren, LAA 1979) have
+    deflated the infinite roots, the singular values of ``B`` at most
+    ``tol.trim ||p||``."""
+    q, n = coeffs.shape[0] - 1, coeffs.shape[1]
+    # squared Frobenius norms: a nonzero one is at least 2^-1074, so log2 gamma
+    # and gamma^k are finite
+    c0, cq = (c.ravel() @ c.ravel() for c in (coeffs[0], coeffs[-1]))
+    log_gamma = (math.log2(c0) - math.log2(cq)) / (2 * q) if q and c0 and cq else 0.0
+    gamma = 2.0 ** log_gamma if round(log_gamma) else 1.0
+    if gamma != 1.0:
+        coeffs = _unit_scaled(coeffs * gamma ** np.arange(q + 1)[:, None, None])[0]
     # every |s| < 1, so the root test's size ||p|| max(1, |s|)^q is ||p||
-    size = _scaled_size(p, 0.0)
+    size = max(math.sqrt(coeffs.ravel() @ coeffs.ravel()), np.finfo(float).tiny)
     ratios = np.linalg.svd(coeffs[[-1, 0]], compute_uv=False)[:, -1] / size
     best = int(np.argmax(ratios))
     if ratios[best] <= tol.kernel:
@@ -264,37 +271,41 @@ def _finite_roots(p, tol):
         )
     if q == 0:
         return np.zeros(0, dtype=complex)
-    # ascending coefficients of mu^q p(s + 1/mu): the stack reversed for C_q,
-    # the stack itself for s = 0, else the Taylor shift p(s + t) = sum_j T_j
-    # t^j with T_j = sum_k binom(k, j) s^(k-j) C_k
-    stack, s = (coeffs[::-1], 0.0) if best == 0 else (coeffs, _SHIFTS[best - 1])
-    if best > 1:
-        k = np.arange(q + 1)
-        binom = np.array([[math.comb(c, r) for c in k] for r in k], dtype=float)
-        taylor = binom * s ** np.maximum(k[None, :] - k[:, None], 0)
-        stack = (taylor @ coeffs.reshape(q + 1, -1)).reshape(coeffs.shape)
-    comp = np.eye(n * q, k=-n, dtype=stack.dtype)
-    comp[:n] = -np.linalg.solve(stack[0], np.concatenate(stack[1:], axis=1))
-    mu = np.linalg.eigvals(comp)
+    A = np.eye(n * q, k=-n)
+    A[:n] = -np.concatenate(coeffs[-2::-1], axis=1)
     if best == 0:
-        return mu
-    mu = mu[np.abs(mu) > tol.trim * np.max(np.abs(comp))]
+        A[:n] = np.linalg.solve(coeffs[-1], A[:n])
+        return gamma * np.linalg.eigvals(A)
+    B = np.eye(n * q)
+    B[:n, :n] = coeffs[-1]
+    # one staircase round: the null columns V2 of B have A V2 = Q1 R with R
+    # nonsingular (p is regular), so Q2' (z B - A) V1 is the pencil without
+    # those infinite roots; a Jordan chain at infinity takes one round a link
+    while ratios[0] <= tol.trim:
+        _, sv, vh = np.linalg.svd(B)
+        r = np.count_nonzero(sv <= tol.trim * size)
+        if r == 0:
+            break
+        Q2 = np.linalg.qr(A @ vh[-r:].T, mode="complete")[0][:, r:]
+        A, B = Q2.T @ A @ vh[:-r].T, Q2.T @ B @ vh[:-r].T
+    s = _SHIFTS[best - 1]
+    mu = np.linalg.eigvals(np.linalg.solve(A - s * B, B))
     # conj(mu) / |mu|^2 maps an exact conjugate pair to an exact pair
-    return s + np.conj(mu) / np.abs(mu) ** 2
+    return gamma * (s + np.conj(mu) / np.abs(mu) ** 2)
 
 
 def poly_roots(p, tol=DEFAULTS):
     """Finite roots of ``det p`` with multiplicity.
 
     ``p`` is a matrix polynomial or a :class:`ScalarPoly` (as 1x1); the
-    roots are the eigenvalues of one block companion (Mackey, Mackey, Mehl
-    and Mehrmann, SIMAX 2006; see :func:`_finite_roots`).  The companion is
+    roots are the eigenvalues of one block companion pencil (Mackey, Mackey,
+    Mehl and Mehrmann, SIMAX 2006; see :func:`_finite_roots`).  The pencil is
     real and LAPACK returns exact conjugates, so the list is exactly closed
     under conjugation: a root is real when its imaginary part is exactly
     zero, the upper members stand for the pairs, and a pair whose imaginary
     part is within ``tol.cluster * max(1, |mu|)`` of the axis is a split
     double real root.  Roots within ``tol.cluster`` (relative) of each other
-    merge into one multiple root.  The companion is formed from ``p 2^-e``
+    merge into one multiple root.  The pencil is formed from ``p 2^-e``
     (:func:`_unit_scaled`): the roots are those of ``p``, exactly in range,
     and the root test's size is at least 1/2, so its bound cannot
     underflow.
@@ -303,10 +314,11 @@ def poly_roots(p, tol=DEFAULTS):
     ------
     SingularPolynomialMatrix
         If ``det p`` vanishes identically: ``C_q`` and ``p`` at every trial
-        shift fail the root test (zero and singular constants included).
+        shift, after balancing, fail the root test (zero and singular
+        constants included).
     """
     coeffs = p.coeffs if p.coeffs.ndim == 3 else p.coeffs[:, None, None]
-    raw = _finite_roots(PolyMatrix(_unit_scaled(coeffs)[0]), tol).tolist()
+    raw = _finite_roots(_unit_scaled(coeffs)[0], tol).tolist()
     reals = [r.real for r in raw if r.imag == 0]
     pairs = []
     for mu in (r for r in raw if r.imag > 0):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DegenerateW, NotARoot, OnUnitCircle
-from .polymat import _scaled_size, poly_roots
+from .polymat import PolyMatrix, _unit_scaled, poly_roots
 from .polymat import det_poly  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 __all__ = [
@@ -283,21 +283,22 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
         through the smallest singular triplet of ``p(alpha)``; the step is
         kept when it lowers ``sigma_min`` and keeps a real root real and a
         pair member in the upper half plane.  The plan's ``alpha`` and
-        kernel come from the point kept.
+        kernel come from the point kept.  All of it runs on ``p 2^-e``
+        (:func:`~allpass.polymat._unit_scaled`), where nothing underflows.
 
     Raises
     ------
     OnUnitCircle
         If the record's root lies within ``tol.circle`` of the circle.
     NotARoot
-        If ``p(alpha)`` is far from singular.
+        If ``p(alpha)`` is far from singular, with the numbers of ``p 2^-e``.
     """
     alpha = check_off_circle(record.alpha, tol)
-    coeffs = p.coeffs
-    M, dp = _value_and_slope(coeffs, alpha)
+    p = PolyMatrix(_unit_scaled(p.coeffs)[0])
+    M, dp = _value_and_slope(p.coeffs, alpha)
     svd = np.linalg.svd(M)
     smin = svd[1][-1]
-    bound = tol.kernel * _scaled_size(p, alpha)
+    bound = tol.kernel * (p.norm() * max(1.0, abs(alpha)) ** p.degree)
     if smin > bound:
         raise NotARoot(
             f"sigma_min(p({alpha})) = {smin:.3e} exceeds "

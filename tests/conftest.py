@@ -154,6 +154,27 @@ def singular_leading_3x3(seed=5):
     return PolyMatrix(c)
 
 
+def rotated_diagonal(diagonal, seed):
+    """``Qa diag(d_1(z), ..., d_n(z)) Qb`` for scalar polynomials ``d_i``
+    given as ascending coefficient lists, with orthogonal ``Qa`` and ``Qb``
+    from the QR factors of Gaussians from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    n, m = len(diagonal), max(len(d) for d in diagonal)
+    Qa, Qb = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    D = np.zeros((m, n, n))
+    for i, d in enumerate(diagonal):
+        D[: len(d), i, i] = d
+    return PolyMatrix(Qa @ D @ Qb)
+
+
+def backward_error(p, a):
+    """Coefficientwise backward error of ``a`` as a root of ``det p``:
+    ``sigma_min(p(a)) / sum_k ||C_k|| |a|^k``."""
+    norms = np.linalg.norm(p.coeffs, 2, axis=(1, 2))
+    size = norms @ abs(a) ** np.arange(p.degree + 1)
+    return np.linalg.svd(p(a), compute_uv=False)[-1] / size
+
+
 def root_values(records):
     """Every root value the records stand for, with multiplicity."""
     out = []

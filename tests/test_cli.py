@@ -206,8 +206,8 @@ def test_verify_pole_on_circle_exit_code(capsys, tmp_path, factor_file, den):
 
 def test_mirror_domain_error_exit_code(capsys, tmp_path):
     # z I - A with the pair 1e-3 exp(+-i theta); the state-space factor for
-    # this kernel is off the identity on the circle by 1.9e-2, and the step's
-    # output is 1.3e-2 off the input spectrum: the certificate refuses it,
+    # this kernel is off the identity on the circle by 4.9e-3, and the step's
+    # output is 3.3e-3 off the input spectrum: the certificate refuses it,
     # and the refused chain is written
     rng = np.random.default_rng(0)
     lam = 1e-3 * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
@@ -217,10 +217,10 @@ def test_mirror_domain_error_exit_code(capsys, tmp_path):
     path.write_text(jsonio.dumps(jsonio.poly_to_json(PolyMatrix(np.stack([-A, np.eye(2)])))))
     code, out, err = run(capsys, "mirror", str(path), "--method", "statespace")
     assert code == 5
-    assert err.startswith("error: mirror step 1 of 1: spectral_dev 1.2")
+    assert err.startswith("error: mirror step 1 of 1: spectral_dev 3.2")
     assert err.count("\n") == 1
     (report,) = json.loads(out)["reports"]
-    assert report["spectral_dev"] == pytest.approx(1.26e-2, rel=0.01)
+    assert report["spectral_dev"] == pytest.approx(3.26e-3, rel=0.01)
 
 
 @pytest.mark.parametrize("make", [origin_scalar, origin_matrix])
@@ -377,6 +377,17 @@ def test_subnormal_input_exits_0(capsys, tmp_path, command):
     code, out, err = run(capsys, command, str(path))
     assert (code, err) == (0, "")
     assert json.loads(out)
+
+
+def test_output_beyond_the_float_range_exits_5(capsys, tmp_path):
+    # 2^1023 times the seed-5 3x3 of degree 4: its output overflows, and the
+    # command exited 1 with a ValueError traceback
+    c = np.ldexp(np.random.default_rng(5).standard_normal((5, 3, 3)), 1023)
+    path = tmp_path / "huge.json"
+    path.write_text(jsonio.dumps(jsonio.poly_to_json(PolyMatrix(c))))
+    code, out, err = run(capsys, "mirror", str(path))
+    assert (code, out) == (5, "")
+    assert err.startswith("error: mirror output") and err.count("\n") == 1
 
 
 def test_nan_report_exits_5_and_writes(capsys, monkeypatch, tmp_path, poly_file):

@@ -36,11 +36,13 @@ from allpass.roots import CASE_DEGENERATE, CASE_GENERIC, CASE_REAL, RootRecord
 from conftest import (
     CROSSING_ALPHA,
     CROSSING_W,
+    backward_error,
     mirror_on_kernel,
     origin_matrix,
     origin_scalar,
     patch_consecutive,
     polymatrix_with_inside_pair,
+    root_values,
 )
 from reference import circle_spectrum, deconvolve, dense_step, innovations, mul, trimmed
 
@@ -793,10 +795,10 @@ def graded(seed, n, q, g):
     return PolyMatrix(rng.standard_normal((q + 1, n, n)) * float(g) ** np.arange(q + 1)[:, None, None])
 
 
-def assert_mirrored(p, q):
-    """``q`` keeps the spectrum of ``p`` to 1e-8 on 256 points, and no root
-    of ``det q`` is left inside the circle."""
-    S_in, S_out = circle_spectrum(p, 256), circle_spectrum(q, 256)
+def assert_mirrored(p, q, n_samples=256):
+    """``q`` keeps the spectrum of ``p`` to 1e-8 on ``n_samples`` points, and
+    no root of ``det q`` is left inside the circle."""
+    S_in, S_out = circle_spectrum(p, n_samples), circle_spectrum(q, n_samples)
     dev = np.linalg.norm(S_out - S_in, axis=(1, 2)).max()
     assert dev <= 1e-8 * np.linalg.norm(S_in, axis=(1, 2)).max()
     assert all(r.location == "outside" for r in det_roots(q))
@@ -804,14 +806,14 @@ def assert_mirrored(p, q):
 
 def test_graded_input_refuses_or_keeps_the_spectrum():
     # 3x16 with C_k scaled by 100^k: the polynomial factor of step 3 leaves
-    # its output 3.9e-6 off its input's spectrum, and the certificate
+    # its output 3.5e-6 off its input's spectrum, and the certificate
     # refuses the run with the chain it judged; the consecutive route keeps
     # the spectrum
     p = graded(1000, 3, 16, 100)
     with pytest.raises(ResidualTooLarge, match="step 3 of 29: spectral_dev") as info:
         mirror_all_inside(p, method="polynomial")
     refusal = info.value
-    assert refusal.value == pytest.approx(3.9e-6, rel=0.02)
+    assert refusal.value == pytest.approx(3.54e-6, rel=0.02)
     assert refusal.bound == DEFAULTS.residual and len(refusal.reports) == 29
     assert isinstance(refusal.p_tilde, PolyMatrix)
     assert all(r.method in ("elementary", "squared", "polynomial") for r in refusal.reports)
@@ -829,6 +831,37 @@ def test_graded_input_judged_by_its_output_returns():
     assert_mirrored(p, q)
 
 
+@pytest.mark.parametrize("n, q", [(3, 40), (2, 60)])
+@pytest.mark.parametrize("g, seed", [(3, 1000), (10, 1001), (100, 1002)])
+def test_graded_input_past_degree_16_mirrors(n, q, g, seed):
+    # the companion of p itself gave roots with backward errors up to 0.8
+    # here, and the runs raised NotARoot or ResidualTooLarge; balanced, every
+    # root is found to roundoff.  The input is scaled by a power of two
+    # (exact, and the mirror is scale-equivariant) so that the test's
+    # spectra of coefficients up to 1e120 do not overflow
+    c = graded(seed, n, q, g).coeffs
+    p = PolyMatrix(np.ldexp(c, -math.frexp(abs(c).max())[1]))
+    values = root_values(det_roots(p))
+    assert len(values) == n * q
+    assert max(backward_error(p, a) for a in values) <= 1e-12
+    p_out, _ = mirror_all_inside(p)
+    assert_mirrored(p, p_out, 512)
+
+
+def test_output_beyond_the_float_range_is_refused():
+    # 2^1023 times the seed-5 3x3 of degree 4: its output's largest
+    # coefficient is 2.3 * 2^1023, and scaling it back raised a ValueError
+    # after an overflow; the refusal carries the exponent, the float range
+    # and the reports, which are those of the unscaled input
+    c = np.random.default_rng(5).standard_normal((5, 3, 3))
+    _, base = mirror_all_inside(PolyMatrix(c))
+    with pytest.raises(ResidualTooLarge, match="beyond the float range") as info:
+        mirror_all_inside(PolyMatrix(np.ldexp(c, 1023)))
+    refusal = info.value
+    assert (refusal.value, refusal.bound) == (1025, 1024)
+    assert refusal.p_tilde is None and refusal.reports == base
+
+
 def test_refusal_carries_the_chain():
     # a bound no step meets: step 1 refuses its division remainder, and the
     # refusal holds that number and the chain before the step, the input
@@ -842,15 +875,17 @@ def test_refusal_carries_the_chain():
     assert str(refusal).startswith(f"mirror step 1 of {len(reports)}: residual_deconv")
     np.testing.assert_array_equal(refusal.p_tilde.coeffs, p.coeffs)
     assert refusal.reports == []
-    # a bound every remainder meets but the spectrum of step 2 does not: the
-    # certificate refuses the whole chain, and the refusal holds the output
-    # and the reports the same selection returns at the defaults
+    # a bound every remainder meets but the spectrum of a step does not: the
+    # certificate refuses the whole chain at the first such step, and the
+    # refusal holds the output and the reports the same selection returns at
+    # the defaults
     bound = max(r.residual_deconv for r in reports)
+    step = next(i for i, r in enumerate(reports, 1) if r.spectral_dev > bound)
     with pytest.raises(ResidualTooLarge) as info:
         mirror_all_inside(p, tol=Tolerances(residual=bound))
     refusal = info.value
-    assert refusal.value == reports[1].spectral_dev > bound
-    assert str(refusal).startswith(f"mirror step 2 of {len(reports)}: spectral_dev")
+    assert refusal.value == reports[step - 1].spectral_dev > bound
+    assert str(refusal).startswith(f"mirror step {step} of {len(reports)}: spectral_dev")
     np.testing.assert_array_equal(refusal.p_tilde.coeffs, q.coeffs)
     assert refusal.reports == reports
 
@@ -933,11 +968,12 @@ def test_reports_are_scale_invariant(seed, n, degree, k):
 
 
 def test_step_trims_with_the_callers_tolerance():
-    # (z - 0.5)(1 + 1e-10 z): with trim = 1e-9 the far root is infinite, so
-    # det_roots finds one root and the output must keep degree 1
+    # (z - 0.5)(1 + 1e-10 z): after balancing, C_q is not small, so det_roots
+    # finds the far root -1e10 too; with trim = 1e-9 the output's leading
+    # coefficient is zero, so mirroring 0.5 must leave degree 1
     p = PolyMatrix(np.array([-0.5, 1.0 - 0.5e-10, 1e-10]).reshape(3, 1, 1))
     tol = Tolerances(trim=1e-9)
-    assert [r.alpha for r in det_roots(p, tol)] == [0.5]
+    assert [r.alpha for r in det_roots(p, tol)] == pytest.approx([0.5, -1e10], rel=1e-14)
     q, (report,) = mirror_all_inside(p, tol=tol)
     assert q.degree == report.degree_out == 1
     np.testing.assert_allclose(q.coeffs.ravel(), [1.0, -0.5], atol=1e-15)

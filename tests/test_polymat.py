@@ -182,7 +182,7 @@ def test_poly_roots_near_axis_pair_is_a_double_real_root(a):
     # cluster radius of the axis, so they come out as two equal reals
     e = 1e-9
     coeffs = np.array([a * a + e * e, -2 * a, 1.0])
-    raw = _finite_roots(PolyMatrix(coeffs[:, None, None]), DEFAULTS)
+    raw = _finite_roots(coeffs[:, None, None], DEFAULTS)
     assert 0 < abs(raw.imag).max() <= 2e-8
     roots = poly_roots(ScalarPoly(coeffs))
     assert len(roots) == 2 and roots[0] == roots[1]

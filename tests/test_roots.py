@@ -30,9 +30,11 @@ from allpass.roots import (
 )
 from conftest import (
     assert_roots_close,
+    backward_error,
     polymatrix_with_inside_pair,
     rand_alpha,
     root_values,
+    rotated_diagonal,
     singular_leading_3x3,
 )
 from reference import complete, kernel_vector
@@ -124,6 +126,38 @@ def test_det_roots_shifts_when_leading_and_constant_are_singular():
     records = det_roots(PolyMatrix(coeffs))
     assert [r.kind for r in records] == ["real", "real"]
     np.testing.assert_allclose([r.alpha.real for r in records], [0.0, 0.5], atol=1e-14)
+
+
+# diagonals whose constant entries each carry an infinite root with a Jordan
+# chain of length q: the shifted companion's magnitude cut left the chains
+# as spurious roots, up to 6e8, beside 0 and 0.5 (C_0 and C_q singular),
+# 0.3 and 0.5 (C_0 leading) and the three roots of z^3 - 0.7 z + 0.1
+JORDAN_FAMILIES = [
+    ([[0.0, -0.5, 1.0], [2.0]], [0.0, 0.5]),
+    ([[0.15, -0.8, 1.0], [2.0]], [0.3, 0.5]),
+    ([[0.1, -0.7, 0.0, 1.0], [1.0], [3.0]], np.sort(np.roots([1.0, 0.0, -0.7, 0.1]))),
+]
+
+
+@pytest.mark.parametrize("diagonal, roots", JORDAN_FAMILIES, ids=["zero", "c0", "cubic"])
+def test_infinite_jordan_chains_are_deflated(diagonal, roots):
+    for seed in range(20):
+        values = root_values(det_roots(rotated_diagonal(diagonal, seed)))
+        np.testing.assert_allclose(np.sort(np.real(values)), roots, atol=1e-14)
+        assert not np.any(np.imag(values))
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-9, 1e-11])
+def test_both_ends_nearly_singular_keeps_every_root(eps):
+    # diag(z - eps, 1 - eps z, z^2 - 0.5): C_0 and C_q both fail the root
+    # test, and after the two infinite roots are deflated a trial shift
+    # carries 1/eps, which the parent missed at eps = 1e-9 (a spurious pair
+    # near 9e7 in its place)
+    p = rotated_diagonal([[-eps, 1.0], [1.0, -eps], [-0.5, 0.0, 1.0]], 0)
+    values = root_values(det_roots(p))
+    expected = [eps, 0.5 ** 0.5, 0.5 ** 0.5, 1.0 / eps]
+    np.testing.assert_allclose(sorted(np.abs(values)), expected, rtol=1e-4)
+    assert max(backward_error(p, a) for a in values) <= 1e-14
 
 
 def test_singular_constant_matrix_raises_with_ratio():
@@ -369,6 +403,19 @@ def test_classify_tests_the_record_not_the_polished_root(worked_pair):
         classify(worked_pair, near)
 
 
+def test_classify_works_at_one_scale():
+    # 2^-1030 times the seed-5 3x3 of degree 4: the polish's sigma / slope
+    # overflowed and three of the seven records raised LinAlgError
+    c = np.random.default_rng(5).standard_normal((5, 3, 3))
+    tiny, base = PolyMatrix(np.ldexp(c, -1030)), PolyMatrix(c)
+    records = det_roots(tiny)
+    assert len(records) == 7
+    for rec, rec_base in zip(records, det_roots(base)):
+        plan, plan_base = classify(tiny, rec), classify(base, rec_base)
+        assert plan.case == plan_base.case
+        assert plan.alpha == pytest.approx(plan_base.alpha, rel=1e-10)
+
+
 def test_classify_rejects_circle_root():
     t = 0.73
     p = PolyMatrix(np.array([1.0, -2 * np.cos(t), 1.0]).reshape(3, 1, 1))
@@ -439,12 +486,14 @@ def test_non_finite_imaginary_part_is_refused():
 
 
 def test_not_a_root_carries_sigma_and_bound(worked_pair):
+    # the test runs on p 2^-e: the largest coefficient of worked_pair is 2,
+    # so both numbers are a quarter of those of p
     alpha = 5.0 + 5.0j
     fake = RootRecord(alpha, multiplicity=1, location="outside")
     with pytest.raises(NotARoot) as info:
         classify(worked_pair, fake)
-    sigma = np.linalg.svd(worked_pair(alpha), compute_uv=False)[-1]
-    bound = 1e-6 * worked_pair.norm() * abs(alpha) ** worked_pair.degree
+    sigma = np.linalg.svd(worked_pair(alpha), compute_uv=False)[-1] / 4
+    bound = 1e-6 * worked_pair.norm() / 4 * abs(alpha) ** worked_pair.degree
     assert info.value.value == pytest.approx(sigma, rel=1e-12)
     assert info.value.bound == pytest.approx(bound, rel=1e-15)
     assert info.value.value > info.value.bound
@@ -499,7 +548,8 @@ def test_on_circle_is_judged_by_the_calls_band():
 
 def test_finite_roots_takes_one_two_matrix_svd(monkeypatch):
     # the four trial shifts are evaluated, and their SVDs taken, only when
-    # C_q and C_0 both fail the root test
+    # C_q and C_0 both fail the root test; a singular C_q adds one SVD of B
+    # per deflation round and one of the deflated B, which is regular
     calls = []
     original = np.linalg.svd
 
@@ -513,9 +563,9 @@ def test_finite_roots_takes_one_two_matrix_svd(monkeypatch):
     singular = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3))
     for lead, const, expected in [
         (c[2], c[0], [(2, 3, 3)]),
-        (singular, c[0], [(2, 3, 3)]),
+        (singular, c[0], [(2, 3, 3), (6, 6), (5, 5)]),
         (c[2], singular, [(2, 3, 3)]),
-        (singular, singular, [(2, 3, 3), (6, 3, 3)]),
+        (singular, singular, [(2, 3, 3), (6, 3, 3), (6, 6), (5, 5)]),
     ]:
         calls.clear()
         det_roots(PolyMatrix(np.stack([const, c[1], lead])))
