@@ -7,12 +7,12 @@ all-pass identity on circle samples.  Machine-readable JSON goes to stdout
 (or to files named by ``--out``); diagnostics go to stderr.
 
 Exit codes: 0 success, 1 unexpected computation failure, 2 usage or input
-parse error, 3 identically singular input matrix, 4 a root sits on the unit
-circle (for ``verify``: the factor's denominator vanishes on the sample
-grid), 5 a residual exceeded its threshold.  ``mirror`` passes ``--tol`` to
-the library as ``Tolerances.residual``; when :func:`~allpass.mirror.mirror_set`
-refuses (``ResidualTooLarge``), the chain the refusal carries is written
-before it exits 5; an output beyond the float range exits 5 writing nothing.
+parse error, 3 identically singular input matrix (or ``verify`` denominator),
+4 a root sits on the unit circle (for ``verify``: a pole of the factor), 5 a
+residual exceeded its threshold.  ``mirror`` passes ``--tol`` to the library as
+``Tolerances.residual``; when :func:`~allpass.mirror.mirror_set` refuses
+(``ResidualTooLarge``), the chain the refusal carries is written before it
+exits 5; an output beyond the float range exits 5 writing nothing.
 """
 
 from __future__ import annotations
@@ -183,12 +183,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         V = jsonio.allpass_from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{args.input}: not a rational factor: {exc}")
-
-    try:
-        rep = verify_allpass(V, n_samples=args.samples, tol=tol)
-    except ZeroDivisionError as exc:
-        print(f"error: {exc}, a pole on the unit circle", file=sys.stderr)
-        return EXIT_ON_CIRCLE
+    rep = verify_allpass(V, n_samples=args.samples, tol=tol)
     _emit(dataclasses.asdict(rep), args.out)
     if not rep.ok:
         print(

@@ -26,7 +26,8 @@ class Tolerances:
         Relative second-singular-value bound deciding when (Re v, Im v)
         are dependent.
     circle
-        Half-width of the exclusion band around the unit circle.
+        Half-width of the exclusion band around the unit circle, for roots,
+        for poles, and for the eigenvalue products of a Stein equation near 1.
     kernel
         Relative bound on sigma_min(p(alpha)) for alpha to count as a root;
         p(s) failing it at every trial shift s makes p singular; and the
@@ -35,8 +36,8 @@ class Tolerances:
     residual
         Bound :func:`~allpass.mirror.mirror_set` enforces on each step's
         division remainder, imaginary residue and spectral deviation, and
-        on each output's drift from the input spectrum; the ``mirror``
-        command's ``--tol`` sets it.
+        on each output's drift from the input spectrum, and on the relative
+        asymmetry of a Stein equation's ``Q``; ``mirror --tol`` sets it.
     allpass
         Bound on ||V V^H - I|| on the circle for a factor to verify.
     """

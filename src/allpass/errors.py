@@ -41,8 +41,8 @@ class DegenerateW(AllPassError):
 
 class ResonantEigenvalues(AllPassError):
     """The Stein equation X = A'XA + Q is singular: ``value`` is the smallest
-    ``|lambda_i lambda_j - 1|``, or the condition number of the Kronecker
-    system when LAPACK finds it singular (then with no ``bound``)."""
+    ``|lambda_i lambda_j - 1|`` against ``tol.circle``, or, with no ``bound``,
+    the condition number of a Kronecker system that LAPACK finds singular."""
 
 
 class CholeskyNotPD(AllPassError):

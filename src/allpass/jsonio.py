@@ -18,8 +18,8 @@ import numpy as np
 
 from .blaschke import RationalAllPass
 from .mirror import MirrorReport
-from .polymat import PolyMatrix, ScalarPoly
-from .roots import RootRecord
+from .polymat import PolyMatrix, ScalarPoly, poly_roots
+from .roots import RootRecord, check_off_circle
 
 __all__ = [
     "poly_to_json",
@@ -117,13 +117,17 @@ def allpass_to_json(V: RationalAllPass) -> dict:
 
 
 def allpass_from_json(obj: dict) -> RationalAllPass:
+    """Refuses a pole in the circle band, as a root, and a zero ``den``."""
     re, im = obj["alpha"]
-    return RationalAllPass(
+    V = RationalAllPass(
         num=poly_from_json(obj["num"]),
         den=scalar_from_json(obj["den"]),
         alpha=complex(_finite(re), _finite(im)),
         method=str(obj["method"]),
     )
+    for pole in poly_roots(V.den):
+        check_off_circle(pole)
+    return V
 
 
 def report_to_json(rep: MirrorReport) -> dict:

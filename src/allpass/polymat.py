@@ -86,10 +86,10 @@ class PolyMatrix:
         return eval_poly(self, z)
 
     def norm(self) -> float:
-        """Frobenius norm of the stacked coefficient tensor, squared after
-        :func:`_unit_scaled`, so no square overflows."""
-        c, e = _unit_scaled(self.coeffs.ravel())
-        return float(np.ldexp(math.sqrt(c @ c), e))
+        """Frobenius norm of the stacked coefficient tensor, from
+        :func:`_square_norm`, so no square overflows."""
+        s, e = _square_norm(self.coeffs)
+        return float(np.ldexp(math.sqrt(s), e))
 
     def __repr__(self):
         return f"PolyMatrix(dim={self.dim}, degree={self.degree})"
@@ -100,6 +100,14 @@ def _unit_scaled(coeffs: np.ndarray):
     (``math.frexp``; ``e = 0`` for zeros): the package's one scale, exact."""
     e = math.frexp(abs(coeffs).max())[1]
     return np.ldexp(coeffs, -e), e
+
+
+def _square_norm(coeffs: np.ndarray):
+    """``(s, e)`` with ``||coeffs||_F^2 = s 4^e``: ``s`` is the squared
+    Frobenius norm of ``coeffs 2^-e`` (:func:`_unit_scaled`), at least 1/4
+    unless ``coeffs`` is zero, so it neither overflows nor underflows."""
+    c, e = _unit_scaled(coeffs.ravel())
+    return float(c @ c), e
 
 
 class ScalarPoly:
@@ -248,11 +256,12 @@ def _finite_roots(coeffs, tol):
     deflated the infinite roots, the singular values of ``B`` at most
     ``tol.trim ||p||``."""
     q, n = coeffs.shape[0] - 1, coeffs.shape[1]
-    # squared Frobenius norms: a nonzero one is at least 2^-1074, so log2 gamma
-    # and gamma^k are finite
-    c0, cq = (c.ravel() @ c.ravel() for c in (coeffs[0], coeffs[-1]))
-    log_gamma = (math.log2(c0) - math.log2(cq)) / (2 * q) if q and c0 and cq else 0.0
-    gamma = 2.0 ** log_gamma if round(log_gamma) else 1.0
+    # log2 of gamma^q = ||C_0|| / ||C_q||, the norms squared each on its own
+    # unit scale: an end however small is balanced while gamma^q is a float
+    (s0, e0), (sq, eq) = _square_norm(coeffs[0]), _square_norm(coeffs[-1])
+    log_ratio = (math.log2(s0) + 2 * e0 - math.log2(sq) - 2 * eq) / 2 if s0 and sq else 0.0
+    balance = q and round(log_ratio / q) and abs(log_ratio) < np.finfo(float).maxexp
+    gamma = 2.0 ** (log_ratio / q) if balance else 1.0
     if gamma != 1.0:
         coeffs = _unit_scaled(coeffs * gamma ** np.arange(q + 1)[:, None, None])[0]
     # every |s| < 1, so the root test's size ||p|| max(1, |s|)^q is ||p||

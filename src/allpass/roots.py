@@ -142,35 +142,21 @@ def check_off_circle(alpha, tol=DEFAULTS) -> complex:
     return alpha
 
 
-# LAPACK's dlamch('E'), the relative machine precision dlasv2 tests against
-_EPS = np.finfo(float).eps / 2
-
-
 def _triangular_ratio(f: float, g: float, h: float) -> float:
     """``sigma2/sigma1`` of the upper triangular ``[[f, g], [0, h]]``, zero
     for the zero matrix.
 
-    The singular values come from the formulas of LAPACK's ``dlasv2``
-    (Demmel and Kahan), accurate to a few ulps and exact on a diagonal
-    matrix; only their moduli are needed, so the signs are dropped.
+    From ``sigma1 sigma2 = fh`` and ``sigma1^2 + sigma2^2 = F = f^2 + g^2 +
+    h^2`` for ``f, h >= 0``, on entries scaled to the largest: ``2fh / (F +
+    sqrt(((f-h)^2 + g^2)((f+h)^2 + g^2)))``, to a few ulps; exact on a diagonal.
     """
-    fa, ga, ha = abs(f), abs(g), abs(h)
-    if ha > fa:
-        fa, ha = ha, fa
-    if ga == 0.0:
-        smin, smax = ha, fa
-    elif ga > fa and fa / ga < _EPS:
-        smin, smax = (fa / (ga / ha) if ha > 1.0 else fa / ga * ha), ga
-    else:
-        d = fa - ha
-        el = 1.0 if d == fa else d / fa
-        m = ga / fa
-        t = 2.0 - el
-        s = math.sqrt(t * t + m * m)
-        r = m if el == 0.0 else math.sqrt(el * el + m * m)
-        a = 0.5 * (s + r)
-        smin, smax = ha / a, fa * a
-    return smin / smax if smax > 0.0 else 0.0
+    f, g, h = abs(f), abs(g), abs(h)
+    if g == 0.0:
+        return min(f, h) / max(f, h) if f or h else 0.0
+    e = math.frexp(max(f, g, h))[1]
+    f, g, h = math.ldexp(f, -e), math.ldexp(g, -e), math.ldexp(h, -e)
+    root = math.sqrt(((f - h) ** 2 + g * g) * ((f + h) ** 2 + g * g))
+    return 2.0 * f * h / (f * f + g * g + h * h + root)
 
 
 def _w_ratio(w0: complex, w1: complex) -> float:

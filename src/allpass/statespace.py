@@ -15,6 +15,7 @@ import dataclasses
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import ResonantEigenvalues
 
 __all__ = [
@@ -51,13 +52,14 @@ class StateSpace:
             )
 
 
-def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def solve_stein(A: np.ndarray, Q: np.ndarray, tol=DEFAULTS) -> np.ndarray:
     """Solve the Stein equation ``X = A' X A + Q`` for symmetric X.
 
     Parameters
     ----------
-    A : (m, m) array
-    Q : (m, m) array, symmetric.
+    A : (m, m) array, m >= 1
+    Q : (m, m) array, symmetric to ``tol.residual`` times its largest entry.
+    tol : Tolerances
 
     Returns
     -------
@@ -67,8 +69,8 @@ def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     ------
     ResonantEigenvalues
         If some product of eigenvalues ``lambda_i * lambda_j`` of A is within
-        1e-10 of 1, where the equation is singular, or if the Kronecker
-        system turns out singular anyway.
+        ``tol.circle`` of 1, where the equation is singular, or if the
+        Kronecker system turns out singular anyway.
 
     Notes
     -----
@@ -80,24 +82,22 @@ def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     m = A.shape[0]
-    if A.shape != (m, m) or Q.shape != (m, m):
-        raise ValueError(f"need square A and Q of equal size, got {A.shape}, {Q.shape}")
-    sym_err = float(abs(Q - Q.T).max()) if m else 0.0
-    if sym_err > 1e-8 * max(1.0, float(abs(Q).max()) if m else 1.0):
+    if m == 0 or A.shape != (m, m) or Q.shape != (m, m):
+        raise ValueError(f"need nonempty square A and Q of equal size, got {A.shape}, {Q.shape}")
+    sym_err = float(abs(Q - Q.T).max())
+    if not sym_err <= tol.residual * float(abs(Q).max()):
         raise ValueError(f"Q is not symmetric (deviation {sym_err:.3e})")
-    if m == 0:
-        return np.zeros((0, 0))
     Q = 0.5 * (Q + Q.T)
 
     lam = np.linalg.eigvals(A)
     prods = lam[:, None] * lam[None, :]
-    bad = abs(prods - 1.0) < 1e-10
+    bad = abs(prods - 1.0) <= tol.circle
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ResonantEigenvalues(
             f"eigenvalue product lambda_{i} * lambda_{j} = {prods[i, j]:.12g} "
-            "is within 1e-10 of 1; the Stein equation is singular",
-            abs(prods - 1.0).min(), 1e-10,
+            f"is within {tol.circle:.1e} of 1; the Stein equation is singular",
+            abs(prods - 1.0).min(), tol.circle,
         )
 
     # kron(A', A') by broadcasting: entry (i m + k, j m + l) is A_ji A_lk
@@ -107,9 +107,9 @@ def solve_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     try:
         X = np.linalg.solve(K, Q.reshape(-1)).reshape(m, m)
     except np.linalg.LinAlgError as err:
-        # eigenvalues of a defective A carry errors far above 1e-10, so a
-        # product can equal 1 exactly although the test above let it pass;
-        # the refusal is LAPACK's exact-zero pivot, which has no bound
+        # eigenvalues of an ill-conditioned A carry errors far above the
+        # band, so a product can equal 1 exactly although the test above let
+        # it pass; the refusal is LAPACK's exact-zero pivot, with no bound
         cond = np.linalg.cond(K)
         raise ResonantEigenvalues(
             f"the Kronecker Stein system is singular (condition number "

@@ -45,6 +45,18 @@ CROSSING_W = np.array(
 )
 
 
+def crossing_stein():
+    """The Stein input ``(M, M'M)`` that ``b2_polynomial`` forms at the
+    crossing, ``M`` the inverse of its ``A = Wm rot Wm^-1``: the eigenvalue
+    products of ``M`` are 0.086 from 1, yet LAPACK finds the Kronecker
+    system exactly singular."""
+    Wm = np.column_stack([CROSSING_W.real, CROSSING_W.imag])
+    lam = 1.0 / CROSSING_ALPHA
+    A = Wm @ np.array([[lam.real, lam.imag], [-lam.imag, lam.real]]) @ np.linalg.inv(Wm)
+    M = np.linalg.inv(A)
+    return M, M.T @ M
+
+
 def small_pair(seed):
     """A pair member at ``|alpha| = 1e-3`` and a Gaussian kernel direction,
     where the state-space factor loses about ``|alpha|^-2``."""

@@ -191,17 +191,35 @@ def test_declared_dim_beyond_the_rows_is_usage_error(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("den", [[-1.0, 1.0], [0.0]])
 def test_verify_pole_on_circle_exit_code(capsys, tmp_path, factor_file, den):
-    # z - 1 vanishes at z = 1, a grid point, and 0 everywhere; verify_allpass
-    # raised ZeroDivisionError for both (exit 1 with a traceback)
+    # z - 1 has its root on the circle, so reading the factor refuses it
+    # (exit 4); 0 vanishes identically (exit 3).  verify_allpass raised
+    # ZeroDivisionError for both (exit 1 with a traceback)
+    code_expected, message = {2: (4, "|alpha| = 1 lies on the unit circle"),
+                              1: (3, "vanishes identically")}[len(den)]
     doc = json.loads(Path(factor_file).read_text())
     doc["den"] = {"degree": len(den) - 1, "coeffs": den}
     path = tmp_path / "pole.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", str(path))
-    assert code == 4
+    assert code == code_expected
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "z = (1+0j)" in err
+    assert message in err
+
+
+@pytest.mark.parametrize("samples", ["64", "100"])
+def test_verify_off_grid_pole_exit_code(capsys, tmp_path, factor_file, samples):
+    # poles at e^{+-0.05i}, between the points of either grid: the factor's
+    # residual on the grid (5.7e4 at 64 points) exited 5 as a breach
+    doc = json.loads(Path(factor_file).read_text())
+    doc["den"] = {"degree": 2, "coeffs": [1.0, -2.0 * np.cos(0.05), 1.0]}
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path), "--samples", samples)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: |alpha| = 1 lies on the unit circle")
+    assert err.count("\n") == 1
 
 
 def test_mirror_domain_error_exit_code(capsys, tmp_path):

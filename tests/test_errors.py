@@ -32,7 +32,14 @@ from allpass import (
 )
 from allpass.roots import RootRecord, check_off_circle, check_pair
 from allpass.statespace import solve_stein
-from conftest import CROSSING_ALPHA, CROSSING_W, mirror_on_kernel, patch_consecutive, small_pair
+from conftest import (
+    CROSSING_ALPHA,
+    CROSSING_W,
+    crossing_stein,
+    mirror_on_kernel,
+    patch_consecutive,
+    small_pair,
+)
 
 SRC = Path(allpass.__file__).parent
 DOMAIN = {
@@ -119,7 +126,7 @@ SITES = {
     "resonant": ("statespace", errors.ResonantEigenvalues,
                  lambda: solve_stein(np.diag([2.0, 0.5]), np.eye(2))),
     "resonant-lapack": ("statespace", errors.ResonantEigenvalues,
-                        lambda: solve_stein(np.array([[-9999.0, 1.0], [-1e8, 10001.0]]), np.eye(2))),
+                        lambda: solve_stein(*crossing_stein())),
 }
 # callers that refuse through a site above: classify and mirror_set judge a
 # record's root by check_off_circle, build_b2 takes its Gram matrix's
@@ -128,8 +135,9 @@ SITES = {
 # a step with an imaginary residue or whose state-space factor is off the identity
 # (at |alpha| = 1e-3, and where
 # a Stein solution of condition 1.5e14 leaves the output 3.3e-4 off the
-# input spectrum), and on a w near the degenerate boundary b2_polynomial's
-# Stein system comes out singular for LAPACK
+# input spectrum), on a w near the degenerate boundary b2_polynomial's
+# Stein system comes out singular for LAPACK, and a defective A whose
+# computed eigenvalue products sit 1.29e-9 from 1 meets the resonance bound
 ROUTED = {
     "classify-circle": ("roots", errors.OnUnitCircle, lambda: classify(CIRCLE, ON_CIRCLE)),
     "selection-circle": ("roots", errors.OnUnitCircle,
@@ -143,6 +151,8 @@ ROUTED = {
                    lambda: mirror_on_kernel(0.5 + 1e-10j, [1.0 + 0.5j, 1e-7j], "statespace")),
     "reciprocal-A": ("statespace", errors.ResonantEigenvalues,
                      lambda: b2_polynomial(CROSSING_ALPHA, CROSSING_W)),
+    "resonant-jordan": ("statespace", errors.ResonantEigenvalues,
+                        lambda: solve_stein(np.array([[-9999.0, 1.0], [-1e8, 10001.0]]), np.eye(2))),
 }
 INPUTS = {**SITES, **ROUTED}
 # the refusals of LAPACK's singular Kronecker system, which has no bound

@@ -160,6 +160,17 @@ def test_both_ends_nearly_singular_keeps_every_root(eps):
     assert max(backward_error(p, a) for a in values) <= 1e-14
 
 
+@pytest.mark.parametrize("t", [1e-165, 1e-200, 1e-300])
+def test_tiny_regular_leading_matrix_is_balanced(t):
+    # diag(-0.5, 2) + t I z, roots 0.5/t and -2/t: the squared norm of a C_q
+    # this small underflowed to zero, so it was not balanced and C_q was
+    # deflated as infinite, leaving no roots
+    p = PolyMatrix(np.array([np.diag([-0.5, 2.0]), t * np.eye(2)]))
+    values = sorted(root_values(det_roots(p)), key=abs)
+    np.testing.assert_allclose(values, [0.5 / t, -2.0 / t], rtol=1e-14)
+    assert all(v.imag == 0.0 for v in values)
+
+
 def test_singular_constant_matrix_raises_with_ratio():
     p = PolyMatrix(np.array([[[1.0, 2.0], [2.0, 4.0]]]))
     with pytest.raises(SingularPolynomialMatrix) as info:

@@ -2,7 +2,8 @@
 
 The reference expands ``det p`` by cofactors, multiplying the entry
 polynomials by convolution in ``mpmath`` at 50 digits, and solves the scalar
-polynomial with ``mpmath.polyroots``.
+polynomial with ``mpmath.polyroots``.  The 2x2 singular value ratio that
+decides a degenerate pair is checked at 50 digits too.
 """
 
 import mpmath
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from allpass import PolyMatrix, det_roots
+from allpass.roots import _triangular_ratio
 from conftest import assert_roots_close, root_values, singular_leading_3x3
 
 
@@ -66,3 +68,18 @@ def _double_pair():
 def test_records_match_mpmath_reference(make):
     p = make()
     assert_roots_close(root_values(det_roots(p)), _mp_roots(p), 1e-12)
+
+
+def test_triangular_ratio_matches_mpmath():
+    # sigma2/sigma1 of [[f, g], [0, h]] from mpmath's SVD at 50 digits, on
+    # entries spread over 1e+-20; the dlasv2 port reached 4.8 ulps here
+    rng = np.random.default_rng(72)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for _ in range(3000):
+            f, g, h = rng.standard_normal(3) * 10.0 ** rng.uniform(-20, 20, 3)
+            s = mpmath.svd_r(mpmath.matrix([[f, g], [0, h]]), compute_uv=False)
+            exact = min(s) / max(s)
+            ulps = abs(_triangular_ratio(f, g, h) - exact) / np.spacing(float(exact))
+            worst = max(worst, float(ulps))
+    assert worst <= 4.0

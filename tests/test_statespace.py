@@ -6,6 +6,7 @@ import pytest
 from allpass import (
     DEFAULTS,
     StateSpace,
+    Tolerances,
     build_b2,
     solve_stein,
     structural_blocks,
@@ -18,7 +19,7 @@ from allpass.errors import (
     ResidualTooLarge,
     ResonantEigenvalues,
 )
-from conftest import mirror_on_kernel, rand_alpha, rand_w, small_pair
+from conftest import crossing_stein, mirror_on_kernel, rand_alpha, rand_w, small_pair
 from reference import ss_eval, ss_product, ss_star, state_transform
 
 
@@ -171,19 +172,57 @@ def test_solve_stein_rejects_resonance():
 
 
 def test_solve_stein_singular_system_is_typed():
+    # the system b2_polynomial solves at the band crossing: its computed
+    # eigenvalue products are 0.086 from 1, far outside tol.circle, and
+    # LAPACK finds the Kronecker system exactly singular
+    M, Q = crossing_stein()
+    lam = np.linalg.eigvals(M)
+    assert np.all(np.abs(lam[:, None] * lam[None, :] - 1.0) > 0.08)
+    with pytest.raises(ResonantEigenvalues, match="condition number") as info:
+        solve_stein(M, Q)
+    assert info.value.bound is None
     # S J S^-1 for the Jordan block J of eigenvalue 1 and S = [[1, 0], [1e4, 1]]:
-    # integer entries, so the vectorized system is exactly singular, while the
-    # computed eigenvalues 1 +- 3.6e-5i pass the 1e-10 resonance test
+    # its computed eigenvalue products sit 1.29e-9 from 1, inside tol.circle,
+    # so the resonance test refuses it with its bound
     A = np.array([[-9999.0, 1.0], [-1e8, 10001.0]])
-    lam = np.linalg.eigvals(A)
-    assert np.all(np.abs(lam[:, None] * lam[None, :] - 1.0) >= 1e-10)
-    with pytest.raises(ResonantEigenvalues, match="condition number"):
+    with pytest.raises(ResonantEigenvalues, match="within 1.0e-08 of 1") as info:
         solve_stein(A, np.eye(2))
+    assert info.value.value == pytest.approx(1.29e-9, rel=0.01)
+    assert info.value.bound == DEFAULTS.circle
+
+
+def test_solve_stein_judges_with_the_callers_tolerances():
+    # eigenvalues 0.5 and 2 (1 + 1e-9): their product is 1e-9 from 1, inside
+    # the default circle band and outside a band of 1e-10
+    A = np.diag([0.5, 2.0 * (1.0 + 1e-9)])
+    with pytest.raises(ResonantEigenvalues):
+        solve_stein(A, np.eye(2))
+    X = solve_stein(A, np.eye(2), Tolerances(circle=1e-10))
+    assert np.linalg.norm(X - A.T @ X @ A - np.eye(2)) <= 1e-6 * np.linalg.norm(X)
+    # symmetry is judged relative to the size of Q, however small Q is
+    Q = 1e-12 * np.array([[1.0, 1e-6], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        solve_stein(0.5 * np.eye(2), Q)
+    solve_stein(0.5 * np.eye(2), Q, Tolerances(residual=1e-5))
+    with pytest.raises(ValueError, match="not symmetric"):
+        solve_stein(0.5 * np.eye(2), np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="nonempty"):
+        solve_stein(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 def test_solve_stein_rejects_asymmetric_q():
     with pytest.raises(ValueError):
         solve_stein(0.5 * np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("radius", [1.0 + 3e-11, 1.0 - 3e-11])
+@pytest.mark.parametrize("theta", [0.7, 2.0])
+def test_build_b2_takes_the_callers_circle_band(radius, theta):
+    # alpha 3e-11 off the circle passes check_pair with circle = 1e-12; the
+    # Stein solver's own 1e-10 resonance bound refused it (6e-11 < 1e-10)
+    tol = Tolerances(circle=1e-12)
+    _, V = build_b2(radius * np.exp(1j * theta), np.array([0.8, 0.3 + 0.5j]), tol)
+    assert verify_allpass(V, n_samples=64).max_residual <= 1e-13
 
 
 def test_build_b2_worked_example():
