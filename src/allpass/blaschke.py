@@ -187,7 +187,7 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     normalizes the product to the identity at ``z = 1``.  Those two
     conditions pin the factor to a real-coefficient representative, so the
     imaginary residue before projection is pure roundoff; it is recorded in
-    ``max_imag_pre``, and the mirror certificate bounds it relative to the
+    ``max_imag_pre``, and the mirror report gives it relative to the
     largest coefficient modulus (:attr:`~allpass.mirror.MirrorReport.max_imag`).
     Everything is 2x2, so it runs on Python scalars:
     a Givens rotation for the QR and ``diag(B_+-, 1)`` times the

@@ -26,7 +26,7 @@ import numpy as np
 from .blaschke import b2_consecutive, b2_polynomial, build_b2, elementary, squared
 from .config import DEFAULTS
 from .errors import ResidualTooLarge
-from .polymat import PolyMatrix, _conv_coeffs, _divide_coeffs, _on_circle
+from .polymat import PolyMatrix, _conv_coeffs, _divide_coeffs
 from .polymat import _trimmed_length, _unit_scaled
 
 # not called here, but the benchmark's tracer (perfbench/tracer.py) looks up
@@ -76,12 +76,14 @@ class MirrorReport:
         real coefficients (``max_imag_pre`` of
         :func:`~allpass.blaschke.b2_consecutive`), over ``max(1, largest
         |coefficient|)`` of the numerator; zero for the real-arithmetic
-        constructions.
+        constructions.  Reported, not judged: it describes the factor.
     spectral_dev
-        Largest deviation of the boundary product from that of the step's
-        input, normalized by the largest boundary product magnitude of the
-        step's input, over the 64th roots of unity (both are real, so the
-        upper half, ``z_0 .. z_32``, attains both maxima).
+        Deviation of the boundary spectrum ``S = sum_d R_d z^d`` from that of
+        the step's input, from their Laurent coefficients, ``|d| <= q`` the
+        larger degree: ``sum_d ||R_d^new - R_d^old||_F`` over ``sqrt(sum_d
+        ||R_d^old||_F^2)``, the root mean square of ``||S_old||_F``.  It
+        bounds ``max ||S_new - S_old||_F / max ||S_old||_F`` over the circle
+        and exceeds it by a factor of at most ``2q + 1``.
     new_root_residual
         ``sigma_min(p_tilde(1/alpha))`` normalized by ``||p_tilde|| *
         max(1, |1/alpha|)^degree_in`` (the natural size of an evaluation
@@ -100,17 +102,6 @@ class MirrorReport:
     degree_out: int
 
 
-def _spectral_deviation(s_new, s_old):
-    """Relative deviation of boundary spectra, point axis first, batch axes
-    kept: the largest Frobenius norm over the points, taken as the square
-    root of the largest sum of squared moduli."""
-    def peak(x):
-        squares = np.add.reduce((x.conj() * x).real, axis=(-2, -1))
-        return np.sqrt(np.max(squares, axis=0))
-
-    return peak(s_new - s_old) / np.maximum(peak(s_old), _TINY)
-
-
 def _judge(step, name, value, bound) -> None:
     """Refuse ``value`` of step ``step = (i, n)`` unless it is at most
     ``bound``; NaN refuses too."""
@@ -119,47 +110,63 @@ def _judge(step, name, value, bound) -> None:
         raise ResidualTooLarge(message, value, bound)
 
 
+def _squares(x):
+    """Squared Frobenius norms over the last two axes."""
+    return np.add.reduce(x * x, axis=(-2, -1))
+
+
+def _laurent(X):
+    """The Laurent coefficients ``R_d = sum_k C_(k+d) C_k'``, ``d = 0 .. m -
+    1``, of the spectrum ``p(z) p(1/z)' = sum_d R_d z^d`` (``R_-d = R_d'``) of
+    each real polynomial of a stack ``X[i, :, k] = C_k`` of shape ``(batch,
+    n, m, n)``: one batched product per lag, on each ``[C_0 | C_1 | ...]``."""
+    batch, n, m = X.shape[:3]
+    X = X.reshape(batch, n, m * n)
+    R = np.empty((m, batch, n, n))
+    for d in range(m):
+        np.matmul(X[..., d * n :], X[..., : (m - d) * n].swapaxes(-1, -2), out=R[d])
+    return R
+
+
 def _certify(chain, reports, tol, n) -> None:
     """Fill in ``spectral_dev`` and ``new_root_residual`` of every report from
-    ``chain``, the input and each step's output: one product of their real
-    coefficient stacks, zero-padded to one length, on the upper half of the
-    64-point grid, and one batched evaluation and SVD at the moved roots.
-    Then raise at the first number the certificate of :func:`mirror_set`
-    refuses, as step ``i`` of ``n``.  No square of a spectrum overflows on
-    the chain's scale, which :func:`mirror_set` sets."""
+    ``chain``, the input and each step's output: the Laurent coefficients of
+    their spectra (:func:`_laurent`), zero-padded to one length, and one
+    batched evaluation and SVD at the moved roots.  Then raise at the first
+    number the certificate of :func:`mirror_set` refuses, as step ``i`` of
+    ``n``.  No square of a spectrum overflows on the chain's scale, which
+    :func:`mirror_set` sets."""
     m = max(p.degree for p in chain) + 1
-    stack = np.zeros((m, len(chain)) + chain[0].coeffs.shape[1:])
+    X = np.zeros((len(chain), chain[0].dim, m, chain[0].dim))
     for i, p in enumerate(chain):
-        stack[: p.degree + 1, i] = p.coeffs
-    _, P = _on_circle(stack, 64)
-    S = P @ np.conj(P).swapaxes(-1, -2)
-    devs = _spectral_deviation(S[:, 1:], S[:, :-1])
-    drifts = _spectral_deviation(S[:, 1:], S[:, :1])
+        X[i, :, : p.degree + 1] = p.coeffs.transpose(1, 0, 2)
+    R = _laurent(X)
+    # every lag d > 0 counts twice, for R_d and R_-d
+    twice = np.full(m, 2.0)
+    twice[0] = 1.0
+    rms = np.sqrt(twice @ _squares(R))
+    devs = twice @ np.sqrt(_squares(R[:, 1:] - R[:, :-1])) / np.maximum(rms[:-1], _TINY)
+    drifts = twice @ np.sqrt(_squares(R[:, 1:] - R[:, :1])) / max(rms[0], _TINY)
+    # ||p||_F^2 = trace R_0
+    norms = np.sqrt(np.trace(R[0, 1:], axis1=-2, axis2=-1))
 
-    # each output as a polynomial of degree d = degree_in: at beta = 1/alpha
-    # if |beta| <= 1, else its reversal z^d p_tilde(1/z) at alpha
-    points = []
-    graded = np.zeros((len(reports), m, stack[0, 0].size))
-    for i, rep in enumerate(reports):
-        alpha, d = rep.mirrored_roots[0], rep.degree_in
-        out = stack[: d + 1, i + 1].reshape(d + 1, -1)
-        if abs(alpha) < 1.0:
-            points.append(alpha)
-            graded[i, : d + 1] = out[::-1]
-        else:
-            points.append(1.0 / alpha)
-            graded[i, : d + 1] = out
-    powers = np.array(points)[:, None, None] ** np.arange(m)
-    values = (powers @ graded).reshape((len(reports),) + stack.shape[2:])
-    sigma = np.linalg.svd(values, compute_uv=False)[:, -1].tolist()
-    for rep, p_new, dev, sig in zip(reports, chain[1:], devs.tolist(), sigma):
-        rep.spectral_dev = dev
-        rep.new_root_residual = sig / max(p_new.norm(), _TINY)
+    # each output at beta = 1/alpha if |beta| <= 1, else its reversal z^d
+    # p_tilde(1/z) at alpha (d = degree_in): powers beta^k, or alpha^|d - k|,
+    # where k > d meets a zero coefficient
+    point = np.array([rep.mirrored_roots[0] for rep in reports], dtype=complex)
+    inside = abs(point) < 1.0
+    np.divide(1.0, point, out=point, where=~inside)
+    d = np.array([rep.degree_in for rep in reports]) * inside
+    powers = point[:, None] ** abs(d[:, None] - np.arange(m))
+    values = (powers[:, None, None] @ X[1:])[:, :, 0]
+    sigma = np.linalg.svd(values, compute_uv=False)[:, -1]
+    residuals = sigma / np.maximum(norms, _TINY)
+    for rep, dev, residual in zip(reports, devs.tolist(), residuals.tolist()):
+        rep.spectral_dev, rep.new_root_residual = dev, residual
 
     for i, (rep, drift) in enumerate(zip(reports, drifts.tolist()), 1):
         for name, value, bound in (
             ("spectral_dev", rep.spectral_dev, tol.residual),
-            ("max_imag", rep.max_imag, tol.residual),
             ("drift from the input spectrum", drift, tol.residual),
             ("new_root_residual", rep.new_root_residual, tol.kernel),
         ):
@@ -281,15 +288,20 @@ def mirror_set(
     raises ``ResidualTooLarge``: its binary exponent over 1024, no ``p_tilde``.
 
     The judgement is of the output, not of the factors.  Each step's
-    ``residual_deconv`` (judged by the step, before it builds its output),
-    ``spectral_dev`` and ``max_imag``, and each output's drift from the
-    input spectrum, must be at most ``tol.residual``, and its
-    ``new_root_residual`` at most ``tol.kernel``; else
+    ``residual_deconv`` (judged by the step, before it builds its output)
+    and ``spectral_dev``, and each output's drift from the input spectrum
+    (the same number against the input), must be at most ``tol.residual``,
+    and its ``new_root_residual`` at most ``tol.kernel``; else
     :class:`~allpass.errors.ResidualTooLarge` is raised at the first, NaN
     included, after the chain before a refused step is certified.  It
     carries that chain's last output and reports as ``p_tilde`` and
     ``reports``.  A step also refuses as :func:`classify` and the factor
     constructions do.
+
+    A pass proves, at every degree, that over the whole circle each
+    output's spectrum deviates from its input's, and from the chain
+    input's, by at most ``tol.residual`` times the latter's largest norm;
+    the numbers overstate that ratio by at most ``2q + 1``.
 
     Returns the final polynomial and the reports of every step.
     """

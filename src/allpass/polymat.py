@@ -181,8 +181,8 @@ def _circle_powers(n_samples: int, m: int):
     """The roots of unity ``z_k = exp(2 pi i k / n_samples)``, ``k <=
     n_samples // 2``, and their powers ``z_k^j``, ``j < m``, as read-only
     arrays; the powers come from the grid itself, ``z_k^j = z_(kj mod
-    n_samples)``.  Cached: every pair factor's certificate and every chain
-    certification evaluates on the same grid."""
+    n_samples)``.  Cached: every :func:`~allpass.blaschke.verify_allpass` of
+    one sample count evaluates on the same grid."""
     grid = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
     k = np.arange(n_samples // 2 + 1)
     zs, powers = grid[k], grid[np.outer(k, np.arange(m)) % n_samples]

@@ -57,6 +57,30 @@ def crossing_stein():
     return M, M.T @ M
 
 
+def past_the_grid():
+    """``(p_old, p_new) = ([[z^32, 0], [1, 1]], [[1, 0], [z^32, 1]])``: their
+    spectra differ by ``z^-32 - z^32`` off the diagonal, which is zero on
+    the 64th roots of unity and reaches ``2 sqrt 2`` elsewhere, against a
+    spectrum of constant norm ``sqrt 7``."""
+    old, new = np.zeros((2, 33, 2, 2))
+    old[32, 0, 0] = old[0, 1, 0] = old[0, 1, 1] = 1.0
+    new[0, 0, 0] = new[32, 1, 0] = new[0, 1, 1] = 1.0
+    return PolyMatrix(old), PolyMatrix(new)
+
+
+def poison_laurent(patch, member):
+    """Make the certificate's lag products of chain member ``member`` NaN
+    (``patch`` is a ``pytest.MonkeyPatch``)."""
+    laurent = allpass.mirror._laurent
+
+    def poisoned(stack):
+        R = laurent(stack)
+        R[:, member] = np.nan
+        return R
+
+    patch.setattr(allpass.mirror, "_laurent", poisoned)
+
+
 def small_pair(seed):
     """A pair member at ``|alpha| = 1e-3`` and a Gaussian kernel direction,
     where the state-space factor loses about ``|alpha|^-2``."""

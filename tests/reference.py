@@ -1,14 +1,14 @@
 """Reference algebra the tests compare the pipeline against.
 
 Polynomial products, division and trimming, the boundary spectrum on the
-full grid of roots of unity, the plain kernel vector, the orthogonal
-completion and the dense mirror step ``p Q blockdiag(V, I)``, the
-innovations form, and the state-space product, adjoint and coordinate
-change.  The package itself works on fused kernels (``_conv_coeffs``,
-``_divide_coeffs``, ``_anchored_kernel``, the rank-k step, the closed-form
-``structural_blocks``) and on the upper half of the circle grid; these are
-the textbook forms, kept here so tests can build inputs and check results
-with them.
+full grid of roots of unity and its Laurent coefficients, the plain kernel
+vector, the orthogonal completion and the dense mirror step ``p Q
+blockdiag(V, I)``, the innovations form, and the state-space product,
+adjoint and coordinate change.  The package itself works on fused kernels
+(``_conv_coeffs``, ``_divide_coeffs``, ``_anchored_kernel``, the rank-k
+step, the closed-form ``structural_blocks``), on the upper half of the
+circle grid and on batched lag products; these are the textbook forms,
+kept here so tests can build inputs and check results with them.
 """
 
 import numpy as np
@@ -89,6 +89,37 @@ def circle_spectrum(p, n_samples: int = 64) -> np.ndarray:
     of unity, shape ``(n_samples, n, n)``: :func:`spectral_eval` on the
     grid, where ``1/conj(z) = z``."""
     return spectral_eval(p, np.exp(2j * np.pi * np.arange(n_samples) / n_samples))
+
+
+def laurent_coeffs(p, q: int) -> np.ndarray:
+    """The Laurent coefficients ``R_d = sum_k C_(k+d) C_k'``, ``d = 0 .. q``,
+    of the boundary spectrum ``p(z) p(1/z)' = sum_(|d| <= q) R_d z^d``, with
+    ``R_-d = R_d'``, one coefficient product at a time; the lags past the
+    degree of ``p`` are zero."""
+    C = p.coeffs
+    R = np.zeros((q + 1,) + C.shape[1:])
+    for d in range(q + 1):
+        for k in range(p.degree + 1 - d):
+            R[d] += C[k + d] @ C[k].T
+    return R
+
+
+def laurent_deviation(p_new, p_old) -> float:
+    """The mirror certificate's spectral number: ``sum_(|d| <= q) ||R_d^new -
+    R_d^old||_F`` over ``sqrt(sum_(|d| <= q) ||R_d^old||_F^2)``, ``q`` the
+    larger degree, lag by lag.  It is at least the largest ``||S_new -
+    S_old||_F`` over the circle relative to the largest ``||S_old||_F``, and
+    at most ``2q + 1`` times that."""
+    q = max(p_new.degree, p_old.degree)
+    new, old = laurent_coeffs(p_new, q), laurent_coeffs(p_old, q)
+    dev = square = 0.0
+    for d in range(-q, q + 1):
+        a, b = new[abs(d)], old[abs(d)]
+        if d < 0:
+            a, b = a.T, b.T
+        dev += np.linalg.norm(a - b)
+        square += np.linalg.norm(b) ** 2
+    return dev / np.sqrt(square)
 
 
 def kernel_vector(M: np.ndarray) -> np.ndarray:

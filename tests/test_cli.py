@@ -1,6 +1,5 @@
 """Command line contract: exit codes, JSON output, file writing."""
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -20,7 +19,7 @@ from allpass import (
     mirror_once,
 )
 from allpass.cli import EXIT_CODES, main
-from conftest import origin_matrix, origin_scalar, patch_consecutive
+from conftest import origin_matrix, origin_scalar, poison_laurent
 
 
 @pytest.fixture
@@ -410,14 +409,14 @@ def test_output_beyond_the_float_range_exits_5(capsys, tmp_path):
 
 def test_nan_report_exits_5_and_writes(capsys, monkeypatch, tmp_path, poly_file):
     # "spectral_dev > tol" is false for NaN, so a NaN report exited 0
-    patch_consecutive(monkeypatch, lambda V: dataclasses.replace(V, max_imag_pre=np.nan))
+    poison_laurent(monkeypatch, 1)
     dest = tmp_path / "m.json"
     code, out, err = run(capsys, "mirror", poly_file, "--out", str(dest))
     assert (code, out) == (5, "")
-    assert err == "error: mirror step 1 of 1: max_imag nan exceeds 1.000e-08\n"
+    assert err == "error: mirror step 1 of 1: spectral_dev nan exceeds 1.000e-08\n"
     assert jsonio.poly_from_json(json.loads(dest.read_text())).dim == 2
     (report,) = json.loads((tmp_path / "m.report.json").read_text())
-    assert np.isnan(report["max_imag"])
+    assert np.isnan(report["spectral_dev"])
 
 
 def test_verify_ok(capsys, factor_file):

@@ -11,7 +11,6 @@ output.
 
 import ast
 import collections
-import dataclasses
 import inspect
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from allpass import (
     mirror_once,
     mirror_set,
 )
+from allpass.mirror import MirrorReport, _certify
 from allpass.roots import RootRecord, check_off_circle, check_pair
 from allpass.statespace import solve_stein
 from conftest import (
@@ -37,7 +37,7 @@ from conftest import (
     CROSSING_W,
     crossing_stein,
     mirror_on_kernel,
-    patch_consecutive,
+    past_the_grid,
     small_pair,
 )
 
@@ -90,14 +90,10 @@ def shifted_root():
     mirror_once(PolyMatrix(coeffs), rec)
 
 
-def imaginary_residue():
-    # a consecutive factor whose residue is 2e-8 of its largest coefficient
-    def residue(V):
-        return dataclasses.replace(V, max_imag_pre=2e-8 * np.abs(V.num.coeffs).max())
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch_consecutive(patch, residue)
-        mirror_on_kernel(0.1 + 0.2j, [0.8, 0.3 + 0.5j], "consecutive")
+def degree_32_change():
+    # a change of degree 32, which no 64-point grid sees
+    report = MirrorReport([0.5], "elementary", 0.0, 0.0, np.nan, np.nan, 32, 32)
+    _certify(list(past_the_grid()), [report], Tolerances(), 1)
 
 
 CIRCLE = PolyMatrix(np.array([1.0, -2 * np.cos(0.7), 1.0]).reshape(3, 1, 1))
@@ -132,9 +128,9 @@ SITES = {
 # record's root by check_off_circle, build_b2 takes its Gram matrix's
 # Cholesky as b2_polynomial does, a mirror step judges its division
 # remainder as the certificate judges its numbers, the certificate refuses
-# a step with an imaginary residue or whose state-space factor is off the identity
+# a change of degree 32 or a step whose state-space factor is off the identity
 # (at |alpha| = 1e-3, and where
-# a Stein solution of condition 1.5e14 leaves the output 3.3e-4 off the
+# a Stein solution of condition 1.5e14 leaves the output 5.2e-4 off the
 # input spectrum), on a w near the degenerate boundary b2_polynomial's
 # Stein system comes out singular for LAPACK, and a defective A whose
 # computed eigenvalue products sit 1.29e-9 from 1 meets the resonance bound
@@ -143,7 +139,7 @@ ROUTED = {
     "selection-circle": ("roots", errors.OnUnitCircle,
                          lambda: mirror_set(CIRCLE, [ON_CIRCLE])),
     "deconvolution": ("mirror", errors.ResidualTooLarge, shifted_root),
-    "imaginary": ("mirror", errors.ResidualTooLarge, imaginary_residue),
+    "degree-32": ("mirror", errors.ResidualTooLarge, degree_32_change),
     "gram-cholesky": ("blaschke", errors.CholeskyNotPD, lambda: build_b2(*small_pair(196))),
     "gram-blocks": ("mirror", errors.ResidualTooLarge,
                     lambda: mirror_on_kernel(*small_pair(0), "statespace")),

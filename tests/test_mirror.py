@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import allpass.mirror
 from allpass import (
@@ -31,7 +33,7 @@ from allpass.errors import (
     ResidualTooLarge,
     ResonantEigenvalues,
 )
-from allpass.mirror import MirrorReport, _certify, _spectral_deviation
+from allpass.mirror import MirrorReport, _certify
 from allpass.roots import CASE_DEGENERATE, CASE_GENERIC, CASE_REAL, RootRecord
 from conftest import (
     CROSSING_ALPHA,
@@ -40,11 +42,21 @@ from conftest import (
     mirror_on_kernel,
     origin_matrix,
     origin_scalar,
+    past_the_grid,
     patch_consecutive,
+    poison_laurent,
     polymatrix_with_inside_pair,
     root_values,
 )
-from reference import circle_spectrum, deconvolve, dense_step, innovations, mul, trimmed
+from reference import (
+    circle_spectrum,
+    deconvolve,
+    dense_step,
+    innovations,
+    laurent_deviation,
+    mul,
+    trimmed,
+)
 
 
 def spectral_gap(p, q, n=64):
@@ -127,7 +139,9 @@ def test_method_agreement(worked_pair):
 
 
 def _spectral_deviation_pointwise(p_new, p_old, n_samples=64):
-    """Reference: one Horner evaluation per polynomial, point and side."""
+    """One Horner evaluation per polynomial, point and side: the largest
+    deviation on the grid over the largest spectrum, a lower bound of the
+    certificate's number."""
     dev = 0.0
     scale = 0.0
     for z in np.exp(2j * np.pi * np.arange(n_samples) / n_samples):
@@ -139,6 +153,18 @@ def _spectral_deviation_pointwise(p_new, p_old, n_samples=64):
     return dev / scale
 
 
+def _certified_deviation(p_new, p_old):
+    """``spectral_dev`` of the one-step chain ``p_old -> p_new``, read from
+    the report whether or not the certificate refuses it."""
+    degrees = p_old.degree, p_new.degree
+    report = MirrorReport([2.0], "elementary", 0.0, 0.0, np.nan, np.nan, *degrees)
+    try:
+        _certify([p_old, p_new], [report], DEFAULTS, 1)
+    except ResidualTooLarge:
+        pass
+    return report.spectral_dev
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_spectral_deviation_matches_pointwise_reference(method):
     rng = np.random.default_rng(77)
@@ -147,15 +173,60 @@ def test_spectral_deviation_matches_pointwise_reference(method):
         inside = [r for r in records if r.location == "inside"]
         for rec in [pairs[0]] + [r for r in inside if r.kind == "real"][:1]:
             q, rep = mirror_once(p, rec, method=method)
-            ref = _spectral_deviation_pointwise(q, p)
-            dev = _spectral_deviation(circle_spectrum(q), circle_spectrum(p))
-            assert abs(dev - ref) <= 1e-15
+            ref = laurent_deviation(q, p)
+            assert abs(_certified_deviation(q, p) - ref) <= 1e-15
             assert abs(rep.spectral_dev - ref) <= 1e-15
-            # a visibly wrong step, so the normalisation is checked too
+            # a visibly wrong step, so the normalisation is checked too; the
+            # grid's value is a lower bound
             noisy = PolyMatrix(q.coeffs + 1e-3 * rng.standard_normal(q.coeffs.shape))
-            ref = _spectral_deviation_pointwise(noisy, p)
-            dev = _spectral_deviation(circle_spectrum(noisy), circle_spectrum(p))
-            assert abs(dev - ref) <= 1e-15
+            ref = laurent_deviation(noisy, p)
+            assert abs(_certified_deviation(noisy, p) - ref) <= 1e-15
+            assert _spectral_deviation_pointwise(noisy, p) <= ref
+
+
+def test_certificate_sees_past_degree_31():
+    # the spectra of this degree-32 pair agree on the 64th roots of unity,
+    # where the certificate used to sample them, and differ by 1.069 of the
+    # input's over the circle: the lag-32 coefficients carry that
+    p_old, p_new = past_the_grid()
+    assert _spectral_deviation_pointwise(p_new, p_old) <= 1e-13
+    assert _spectral_deviation_pointwise(p_new, p_old, 128) == pytest.approx(2 * math.sqrt(2 / 7))
+    report = MirrorReport([0.5], "elementary", 0.0, 0.0, np.nan, np.nan, 32, 32)
+    with pytest.raises(ResidualTooLarge, match="step 1 of 1: spectral_dev") as info:
+        _certify([p_old, p_new], [report], DEFAULTS, 1)
+    assert info.value.value == pytest.approx(2 * math.sqrt(2 / 7), rel=1e-14)
+    assert info.value.bound == DEFAULTS.residual
+
+
+def _grid_deviation(p_new, p_old, n_samples=4096):
+    """Largest ``||S_new - S_old||_F`` over the largest ``||S_old||_F`` on the
+    ``n_samples``-th roots of unity."""
+    S_new, S_old = circle_spectrum(p_new, n_samples), circle_spectrum(p_old, n_samples)
+    dev = np.linalg.norm(S_new - S_old, axis=(1, 2)).max()
+    return dev / np.linalg.norm(S_old, axis=(1, 2)).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    degrees=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    size=st.floats(-6.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certificate_bounds_the_sup_with_slack_at_most_2q_plus_1(n, degrees, size, seed):
+    # far from roundoff the certificate's number lies between the largest
+    # deviation over the circle (read on 4096 points, dense for q <= 6) and
+    # 2q + 1 times it, with 1% for the grid's own error
+    rng = np.random.default_rng(seed)
+    q_old, q_new = degrees
+    p_old = PolyMatrix(rng.standard_normal((q_old + 1, n, n)))
+    change = 10.0**size * rng.standard_normal((q_new + 1, n, n))
+    change[: q_old + 1] += p_old.coeffs[: q_new + 1]
+    p_new = PolyMatrix(change)
+    bound = _certified_deviation(p_new, p_old)
+    sup = _grid_deviation(p_new, p_old)
+    assert sup <= 1.01 * bound
+    assert bound <= 1.01 * (2 * max(degrees) + 1) * sup
 
 
 def _count_calls(monkeypatch, name):
@@ -182,29 +253,27 @@ def _step_outputs(p, inputs, q):
 
 def test_mirror_chain_evaluates_each_polynomial_once(monkeypatch):
     # a k-step chain holds k + 1 polynomials, the input and each step's
-    # output; all of them go through one circle evaluation, on the upper half
-    # of the 64-point grid, and nothing is stored on any of them
+    # output; all of them go through one Laurent product, lag by lag, and
+    # nothing is stored on any of them
     p = PolyMatrix(np.random.default_rng(3).standard_normal((4, 3, 3)))
     inside = [r for r in det_roots(p) if r.location == "inside"]
     steps = sum(r.multiplicity for r in inside)
     assert steps >= 3
-    kernel = _count_calls(monkeypatch, "_on_circle")
+    kernel = _count_calls(monkeypatch, "_laurent")
     inputs = _count_calls(monkeypatch, "_step")
     q, reports = mirror_set(p, inside, method="consecutive")
     assert len(inputs) == len(reports) == steps
-    assert [stack.shape for stack in kernel] == [(4, steps + 1, 3, 3)]
+    assert [stack.shape for stack in kernel] == [(steps + 1, 3, 4, 3)]
     for step_in, step_out, rep in zip(inputs, _step_outputs(p, inputs, q), reports):
         assert list(vars(step_in)) == ["coeffs"]
-        fresh = _spectral_deviation(
-            circle_spectrum(step_out), circle_spectrum(step_in)
-        )
+        fresh = laurent_deviation(step_out, step_in)
         assert abs(rep.spectral_dev - fresh) <= 1e-15
     assert list(vars(q)) == ["coeffs"]
 
 
 def test_mirror_all_inside_stores_nothing_on_its_input(monkeypatch):
     p = PolyMatrix(np.random.default_rng(3).standard_normal((4, 3, 3)))
-    kernel = _count_calls(monkeypatch, "_on_circle")
+    kernel = _count_calls(monkeypatch, "_laurent")
     q1, reps1 = mirror_all_inside(p)
     q2, reps2 = mirror_all_inside(p)
     assert len(kernel) == 2 and len(reps1) >= 3
@@ -225,11 +294,11 @@ def test_mirror_all_inside_root_at_origin(make, method):
 
 
 def _reference_certificate(p_in, p_out, rep):
-    """``spectral_dev`` from both full 64-point spectra and
-    ``new_root_residual`` from one SVD at ``beta = 1/alpha``, graded by the
+    """``spectral_dev`` from both spectra's Laurent coefficients, lag by lag,
+    and ``new_root_residual`` from one SVD at ``beta = 1/alpha``, graded by the
     step's input degree ``d``; at ``alpha = 0`` (``beta`` infinite) it is
     the coefficient of ``z^d`` in the output."""
-    dev = _spectral_deviation(circle_spectrum(p_out), circle_spectrum(p_in))
+    dev = laurent_deviation(p_out, p_in)
     alpha, d = rep.mirrored_roots[0], rep.degree_in
     if alpha == 0:
         top = p_out.degree == d
@@ -265,7 +334,7 @@ def test_chain_certificates_match_per_step_reference(monkeypatch, case, method):
 
 def test_chain_certificates_match_reference_far_from_roundoff():
     # unrelated polynomials and points that are no roots: deviations and
-    # residuals of order one, so the half grid and the graded evaluation
+    # residuals of order one, so the lag products and the graded evaluation
     # are checked beyond roundoff; 0.4 and 0.3+0.6i take the reversal
     rng = np.random.default_rng(5)
     chain = [PolyMatrix(rng.standard_normal((q + 1, 3, 3))) for q in (3, 3, 2, 1)]
@@ -611,9 +680,7 @@ def _rebuild_step(p, record, method):
     delta[: quot.degree + 1] += quot.coeffs[:, :, :k]
     q = trimmed(PolyMatrix(p.coeffs + delta @ Q1.T))
 
-    S_in, S_out = circle_spectrum(p), circle_spectrum(q)
-    dev = np.linalg.norm(S_out - S_in, axis=(1, 2)).max()
-    dev /= np.linalg.norm(S_in, axis=(1, 2)).max()
+    dev = laurent_deviation(q, p)
     alpha, deg = moved[0], p.degree
     beta = 1.0 / alpha
     sigma = np.linalg.svd(q(beta), compute_uv=False)[-1]
@@ -631,7 +698,7 @@ def _rebuild_step(p, record, method):
 @pytest.mark.parametrize("n,degree,seed", [(3, 2, 308), (4, 4, 404), (6, 4, 604)])
 def test_chain_matches_its_public_parts(n, degree, seed, method):
     # every step of mirror_all_inside rebuilt from classify, the factor,
-    # mul/deconvolve and circle_spectrum, on the polynomial the previous
+    # mul/deconvolve and laurent_deviation, on the polynomial the previous
     # rebuilt step returned; each chain has real and generic pair steps
     p = PolyMatrix(np.random.default_rng(seed).standard_normal((degree + 1, n, n)))
     q, reports = mirror_all_inside(p, method=method)
@@ -908,19 +975,20 @@ def test_nan_factor_coefficient_is_refused(monkeypatch):
 
 
 def test_nan_residual_is_refused_with_the_chain(monkeypatch):
-    # a NaN report compares false against any bound and must still refuse
-    patch_consecutive(monkeypatch, lambda V: dataclasses.replace(V, max_imag_pre=np.nan))
+    # a NaN report compares false against any bound and must still refuse;
+    # step 2's output enters the numbers of steps 2 and 3
+    poison_laurent(monkeypatch, 2)
     p = PolyMatrix(np.random.default_rng(5).standard_normal((5, 3, 3)))
-    with pytest.raises(ResidualTooLarge, match="max_imag nan") as info:
+    with pytest.raises(ResidualTooLarge, match="step 2 of 4: spectral_dev nan") as info:
         mirror_all_inside(p)
     assert np.isnan(info.value.value) and info.value.bound == DEFAULTS.residual
-    assert [np.isnan(r.max_imag) for r in info.value.reports] == [False, True, False, True]
+    assert [np.isnan(r.spectral_dev) for r in info.value.reports] == [False, True, True, False]
 
 
 def test_max_imag_is_relative_to_the_factor(monkeypatch):
     # the imaginary residue grows with the coefficients, like |alpha|^2, so
     # the report divides it by the largest of them, and by one when none
-    # exceeds one (see test_blaschke for the refusal)
+    # exceeds one; it is reported, not judged (see test_blaschke)
     factors = []
     patch_consecutive(monkeypatch, lambda V: factors.append(V) or V)
     p = PolyMatrix(np.random.default_rng(5).standard_normal((5, 3, 3)))

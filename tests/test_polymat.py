@@ -297,7 +297,8 @@ def test_spectral_eval_batch_matches_pointwise(kind):
 )
 def test_circle_spectrum_matches_spectral_eval(kind, shape):
     # the spectrum P P^H from one evaluation of p on the circle kernel's
-    # half grid, z_0 .. z_32 of the 64th roots of unity, as _certify forms it
+    # half grid, z_0 .. z_32 of the 64th roots of unity, on which
+    # verify_allpass evaluates a factor
     rng = np.random.default_rng(44)
     p = PolyMatrix(rng.standard_normal(shape))
     zs, P = _on_circle(p.coeffs, 64)

@@ -324,7 +324,8 @@ def test_build_b2_ill_conditioned_stein_solution_verifies():
 def test_build_b2_singular_stein_solution_is_typed():
     # inside the circle near the real axis, X is numerically singular too,
     # and there the factor built from it is off the identity: the mirror
-    # certificate refuses the step's output, 3.3e-4 off the input spectrum
+    # certificate refuses the step's output, whose spectrum it bounds 5.2e-4
+    # off the input's
     alpha, w = 0.5 + 1e-10j, np.array([1.0 + 0.5j, 1e-7j])
     lam = 1.0 / alpha
     A = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
@@ -334,7 +335,7 @@ def test_build_b2_singular_stein_solution_is_typed():
     with pytest.raises(ResidualTooLarge) as exc:
         mirror_on_kernel(alpha, w, "statespace")
     assert exc.value.bound == DEFAULTS.residual
-    assert exc.value.value == pytest.approx(3.3e-4, rel=0.05)
+    assert exc.value.value == pytest.approx(5.2e-4, rel=0.05)
 
 
 def composed_blocks(ss, X):
