@@ -244,20 +244,14 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
 b2_consecutive_from_w = b2_consecutive
 
 
-def _solve_identity(A, inside: bool, tol=DEFAULTS):
+def _solve_identity(A, tol=DEFAULTS):
     """``(B, T, Gamma0)`` making ``(I - Az)^-1 (I - Bz) T^-1`` all-pass for a
-    2x2 ``A``: a Stein solution ``Gamma0``, ``B = Gamma0^-1 A^-T Gamma0`` and
-    ``T'T = +-(B' Gamma0 B - Gamma0)``, ``+`` if ``A``'s eigenvalues lie inside."""
-    if inside:
-        Gamma0 = solve_stein(A, np.eye(2), tol)
-    else:
-        M = np.linalg.inv(A)
-        Gamma0 = solve_stein(M, M.T @ M, tol)
+    2x2 ``A``: ``Gamma0 = A' Gamma0 A + I``, ``B = Gamma0^-1 A^-T Gamma0``
+    and ``T'T = B' Gamma0 B - Gamma0``, on either side of the circle
+    (``Gamma0`` is negative definite when ``A``'s eigenvalues lie outside)."""
+    Gamma0 = solve_stein(A, np.eye(2), tol)
     B = np.linalg.solve(Gamma0, np.linalg.solve(A.T, Gamma0))
-    TtT = B.T @ Gamma0 @ B - Gamma0
-    if not inside:
-        TtT = -TtT
-    return B, _cholesky(TtT, "T'T").T, Gamma0
+    return B, _cholesky(B.T @ Gamma0 @ B - Gamma0, "T'T").T, Gamma0
 
 
 def _cholesky(M: np.ndarray, name: str) -> np.ndarray:
@@ -291,7 +285,7 @@ def b2_polynomial(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     lam = 1.0 / alpha
     rot = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
     A = Wm @ rot @ np.linalg.inv(Wm)
-    B, T, _ = _solve_identity(A, abs(alpha) >= 1.0, tol)
+    B, T, _ = _solve_identity(A, tol)
     Tinv = np.linalg.inv(T)
     At = A - np.trace(A) * np.eye(2)
     scale = abs(alpha) ** 2
@@ -326,21 +320,28 @@ def build_b2(alpha, w, tol=DEFAULTS):
     ResonantEigenvalues
         From :func:`~allpass.statespace.solve_stein`.
     CholeskyNotPD
-        If the Gram matrix fails its Cholesky.
+        If the Stein solution or the Gram matrix fails its Cholesky.
     """
     alpha, w = check_pair(alpha, w, tol)
     lam = 1.0 / alpha
     A = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
     C = np.column_stack([w.imag, -w.real]) / np.linalg.norm(w)
     X = solve_stein(A, C.T @ C, tol)
+    # X is definite with the sign of |alpha| - 1: its Cholesky factor gives
+    # X^-1, or refuses where rounding has left X singular
+    sign = 1.0 if abs(alpha) > 1.0 else -1.0
+    Linv = np.linalg.inv(_cholesky(sign * X, "Stein solution X"))
+    Xinv = sign * (Linv.T @ Linv)
     Ainv = np.linalg.inv(A)
-    Xinv = np.linalg.inv(X)
-    G = np.eye(2) + C @ Ainv @ Xinv @ Ainv.T @ C.T
-
-    # G is positive definite in exact arithmetic on both sides of the
-    # circle: X >= 0 gives G >= I for |alpha| > 1, and for |alpha| < 1,
-    # Y = -X > 0 gives G = (I + C Y^-1 C')^-1
-    D = np.linalg.inv(_cholesky(G, "Gram matrix G")).T
+    # D is upper triangular with D D' = G^-1 for the Gram matrix G > 0: G =
+    # I + C A^-1 X^-1 A^-T C' >= I for |alpha| > 1; for |alpha| < 1, where
+    # that sum cancels, the Cholesky of G^-1 = I - C X^-1 C' >= I reversed
+    if abs(alpha) < 1.0:
+        H = np.eye(2) - C @ Xinv @ C.T
+        D = _cholesky(H[::-1, ::-1], "Gram matrix G^-1")[::-1, ::-1]
+    else:
+        G = np.eye(2) + C @ Ainv @ Xinv @ Ainv.T @ C.T
+        D = np.linalg.inv(_cholesky(G, "Gram matrix G")).T
     B = -Xinv @ Ainv.T @ C.T @ D
     ss = StateSpace(A, B, C, D)
 

@@ -224,8 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_mirror.add_argument("--tol", type=_positive_float, default=None,
                           help="the mirror's bound (Tolerances.residual) on each "
-                          "step's division remainder, imaginary residue, spectral "
-                          f"deviation and drift (default {DEFAULTS.residual:g})")
+                          "step's division remainder, spectral deviation and "
+                          f"drift (default {DEFAULTS.residual:g})")
     p_mirror.add_argument("--out", default=None,
                           help="write the transformed matrix here and the "
                           "reports next to it as <stem>.report.json")

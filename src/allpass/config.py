@@ -35,9 +35,9 @@ class Tolerances:
         :func:`~allpass.mirror.mirror_set`.
     residual
         Bound :func:`~allpass.mirror.mirror_set` enforces on each step's
-        division remainder, imaginary residue and spectral deviation, and
-        on each output's drift from the input spectrum, and on the relative
-        asymmetry of a Stein equation's ``Q``; ``mirror --tol`` sets it.
+        division remainder and spectral deviation, and on each output's
+        drift from the input spectrum, and on the relative asymmetry of a
+        Stein equation's ``Q``; ``mirror --tol`` sets it.
     allpass
         Bound on ||V V^H - I|| on the circle for a factor to verify.
     """

@@ -40,9 +40,10 @@ class DegenerateW(AllPassError):
 
 
 class ResonantEigenvalues(AllPassError):
-    """The Stein equation X = A'XA + Q is singular: ``value`` is the smallest
-    ``|lambda_i lambda_j - 1|`` against ``tol.circle``, or, with no ``bound``,
-    the condition number of a Kronecker system that LAPACK finds singular."""
+    """The 2x2 Stein equation X = A'XA + Q is singular: ``value`` is the
+    smallest ``|1 - lambda_i lambda_j|`` over the eigenvalues of ``A``, as
+    :func:`~allpass.statespace.solve_stein` reads it from ``tr A`` and ``det
+    A``, and ``bound`` is ``tol.circle``."""
 
 
 class CholeskyNotPD(AllPassError):

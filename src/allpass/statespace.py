@@ -2,9 +2,9 @@
 
 The transfer variable enters through its reciprocal, so eigenvalues of ``A``
 inside the unit circle correspond to poles of ``k`` outside it.  The module
-holds the realization algebra only: the Stein (discrete Lyapunov) solver the
-real-arithmetic pair factors are built from, and :func:`structural_blocks`,
-which reads off why the state-space pair factor
+holds the realization algebra only: the closed-form 2x2 Stein (discrete
+Lyapunov) solver both real-arithmetic pair factors are built from, and
+:func:`structural_blocks`, which reads off why the state-space pair factor
 (:func:`allpass.blaschke.build_b2`) is all-pass: the blocks of its product
 with its adjoint that the Stein solution cancels.
 """
@@ -12,6 +12,7 @@ with its adjoint that the Stein solution cancels.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -53,69 +54,44 @@ class StateSpace:
 
 
 def solve_stein(A: np.ndarray, Q: np.ndarray, tol=DEFAULTS) -> np.ndarray:
-    """Solve the Stein equation ``X = A' X A + Q`` for symmetric X.
+    """Solve the Stein equation ``X = A' X A + Q`` for 2x2 ``A`` and ``Q``.
 
-    Parameters
-    ----------
-    A : (m, m) array, m >= 1
-    Q : (m, m) array, symmetric to ``tol.residual`` times its largest entry.
-    tol : Tolerances
-
-    Returns
-    -------
-    X : (m, m) symmetric array.
-
-    Raises
-    ------
-    ResonantEigenvalues
-        If some product of eigenvalues ``lambda_i * lambda_j`` of A is within
-        ``tol.circle`` of 1, where the equation is singular, or if the
-        Kronecker system turns out singular anyway.
-
-    Notes
-    -----
-    The equation is solved in Kronecker form, ``(I - kron(A', A')) vec X =
-    vec Q``, as one dense linear system, and the solution is symmetrized; no
-    series summation is involved, so convergence does not depend on the
-    spectral radius of A.
+    ``Q`` must be symmetric to ``tol.residual`` times its largest entry, and
+    ``X`` is symmetric; other sizes raise ``ValueError``.  On symmetric 2x2
+    matrices ``M: X -> A' X A`` has the eigenvalues ``lambda_i lambda_j``,
+    and, with ``t = tr A`` and ``d = det A``, the characteristic polynomial
+    ``p(m) = (m - d) (m^2 - (t^2 - 2d) m + d^2)``.  By Cayley-Hamilton ``X =
+    s(M) Q / p(1)`` for ``s(m) = (p(m) - p(1)) / (m - 1)``: two products,
+    ``A' Q A`` and ``A' (A' Q A) A``, on either side of the circle, and the
+    same again on the residual, one step of refinement.  ``p(1) = (1 - d)
+    ((1 + d)^2 - t^2)``: :class:`~allpass.errors.ResonantEigenvalues` is
+    raised when ``min(|1 - d|, sqrt|(1 + d)^2 - t^2|)``, that is ``|1 -
+    lambda_1 lambda_2|`` and, for a complex pair, ``|1 - lambda^2|``, is at
+    most ``tol.circle``.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
-    m = A.shape[0]
-    if m == 0 or A.shape != (m, m) or Q.shape != (m, m):
-        raise ValueError(f"need nonempty square A and Q of equal size, got {A.shape}, {Q.shape}")
+    A = np.asarray(A, dtype=np.float64)
+    Q = np.asarray(Q, dtype=np.float64)
+    if A.shape != (2, 2) or Q.shape != (2, 2):
+        raise ValueError(f"need 2x2 A and Q, got {A.shape}, {Q.shape}")
     sym_err = float(abs(Q - Q.T).max())
     if not sym_err <= tol.residual * float(abs(Q).max()):
         raise ValueError(f"Q is not symmetric (deviation {sym_err:.3e})")
     Q = 0.5 * (Q + Q.T)
 
-    lam = np.linalg.eigvals(A)
-    prods = lam[:, None] * lam[None, :]
-    bad = abs(prods - 1.0) <= tol.circle
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ResonantEigenvalues(
-            f"eigenvalue product lambda_{i} * lambda_{j} = {prods[i, j]:.12g} "
-            f"is within {tol.circle:.1e} of 1; the Stein equation is singular",
-            abs(prods - 1.0).min(), tol.circle,
-        )
-
-    # kron(A', A') by broadcasting: entry (i m + k, j m + l) is A_ji A_lk
-    At = A.T
-    kron = (At[:, None, :, None] * At[None, :, None, :]).reshape(m * m, m * m)
-    K = np.eye(m * m) - kron
-    try:
-        X = np.linalg.solve(K, Q.reshape(-1)).reshape(m, m)
-    except np.linalg.LinAlgError as err:
-        # eigenvalues of an ill-conditioned A carry errors far above the
-        # band, so a product can equal 1 exactly although the test above let
-        # it pass; the refusal is LAPACK's exact-zero pivot, with no bound
-        cond = np.linalg.cond(K)
-        raise ResonantEigenvalues(
-            f"the Kronecker Stein system is singular (condition number "
-            f"{cond:.3e}); some eigenvalue product of A is 1",
-            cond, None,
-        ) from err
+    (a, b), (c, e) = A.tolist()
+    t, d = a + e, a * e - b * c
+    pair = (1.0 + d) ** 2 - t * t
+    gap = min(abs(1.0 - d), math.sqrt(abs(pair)))
+    if not gap > tol.circle:
+        message = f"an eigenvalue product of A is {gap:.3e} from 1, within {tol.circle:.1e}"
+        raise ResonantEigenvalues(message, gap, tol.circle)
+    # s(m) = m^2 + u m + (1 - d) u + d with u = 1 + d - t^2
+    u = 1.0 + d - t * t
+    X = np.zeros((2, 2))
+    for _ in range(2):
+        R = Q - X + A.T @ X @ A
+        MR = A.T @ R @ A
+        X = X + (A.T @ MR @ A + u * MR + ((1.0 - d) * u + d) * R) / ((1.0 - d) * pair)
     return 0.5 * (X + X.T)
 
 

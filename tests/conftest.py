@@ -1,5 +1,7 @@
 """Shared fixtures and random-instance generators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,16 +47,13 @@ CROSSING_W = np.array(
 )
 
 
-def crossing_stein():
-    """The Stein input ``(M, M'M)`` that ``b2_polynomial`` forms at the
-    crossing, ``M`` the inverse of its ``A = Wm rot Wm^-1``: the eigenvalue
-    products of ``M`` are 0.086 from 1, yet LAPACK finds the Kronecker
-    system exactly singular."""
-    Wm = np.column_stack([CROSSING_W.real, CROSSING_W.imag])
-    lam = 1.0 / CROSSING_ALPHA
-    A = Wm @ np.array([[lam.real, lam.imag], [-lam.imag, lam.real]]) @ np.linalg.inv(Wm)
-    M = np.linalg.inv(A)
-    return M, M.T @ M
+# a pair whose polynomial factor builds but is off the identity on the
+# circle: sigma2/sigma1 of [Re w, Im w] is 2.2e-4, and the mirror
+# certificate refuses the step's output
+RECIPROCAL_B = (
+    0.08699955019985547 + 0.13102763523972255j,
+    [-0.8998896073571936 + 0.33529317243434625j, 0.2612541489970938 - 0.09758843190767374j],
+)
 
 
 def past_the_grid():
@@ -83,7 +82,7 @@ def poison_laurent(patch, member):
 
 def small_pair(seed):
     """A pair member at ``|alpha| = 1e-3`` and a Gaussian kernel direction,
-    where the state-space factor loses about ``|alpha|^-2``."""
+    where the state-space factor is off the identity on the circle."""
     rng = np.random.default_rng(seed)
     alpha = 1e-3 * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
     return alpha, rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -94,6 +93,13 @@ def patch_consecutive(patch, change):
     (``patch`` is a ``pytest.MonkeyPatch``)."""
     build = allpass.mirror.b2_consecutive
     patch.setattr(allpass.mirror, "b2_consecutive", lambda alpha, w, tol: change(build(alpha, w, tol)))
+
+
+def inflate_consecutive(patch):
+    """Scale the numerator of every consecutive factor the pipeline builds by
+    1e100, so that a step's output is far above the chain's scale and its
+    spectrum's squares overflow (``patch`` is a ``pytest.MonkeyPatch``)."""
+    patch_consecutive(patch, lambda V: dataclasses.replace(V, num=PolyMatrix(1e100 * V.num.coeffs)))
 
 
 def mirror_on_kernel(alpha, w, method):

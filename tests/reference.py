@@ -3,12 +3,13 @@
 Polynomial products, division and trimming, the boundary spectrum on the
 full grid of roots of unity and its Laurent coefficients, the plain kernel
 vector, the orthogonal completion and the dense mirror step ``p Q
-blockdiag(V, I)``, the innovations form, and the state-space product,
-adjoint and coordinate change.  The package itself works on fused kernels
-(``_conv_coeffs``, ``_divide_coeffs``, ``_anchored_kernel``, the rank-k
-step, the closed-form ``structural_blocks``), on the upper half of the
-circle grid and on batched lag products; these are the textbook forms,
-kept here so tests can build inputs and check results with them.
+blockdiag(V, I)``, the innovations form, the Kronecker Stein solver, and the
+state-space product, adjoint and coordinate change.  The package itself
+works on fused kernels (``_conv_coeffs``, ``_divide_coeffs``,
+``_anchored_kernel``, the rank-k step, the closed-form ``structural_blocks``
+and ``solve_stein``), on the upper half of the circle grid and on batched
+lag products; these are the textbook forms, kept here so tests can build
+inputs and check results with them.
 """
 
 import numpy as np
@@ -176,6 +177,16 @@ def innovations(p) -> PolyMatrix:
     nonsingular, have the same innovations form."""
     U, _ = _positive_qr(p.coeffs[0].T)
     return PolyMatrix(p.coeffs @ U)
+
+
+def kron_stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The Stein solution of ``X = A' X A + Q`` for any square size, from
+    the Kronecker system ``(I - kron(A', A')) vec X = vec Q``, one dense
+    solve, symmetrized."""
+    m = A.shape[0]
+    K = np.eye(m * m) - np.kron(A.T, A.T)
+    X = np.linalg.solve(K, Q.reshape(-1)).reshape(m, m)
+    return 0.5 * (X + X.T)
 
 
 def ss_eval(ss: StateSpace, z) -> np.ndarray:

@@ -166,13 +166,14 @@ def test_06_scalar_sanity():
 
 def test_07_gram_closed_forms():
     """Hand-derived solutions of the all-pass polynomial identity for
-    scaled identity matrices, to 1e-12."""
-    B, T, G = _solve_identity(0.5 * np.eye(2), inside=True)
+    scaled identity matrices, to 1e-12; one Stein set-up on both sides of
+    the circle, negative definite outside."""
+    B, T, G = _solve_identity(0.5 * np.eye(2))
     np.testing.assert_allclose(G, (4.0 / 3.0) * np.eye(2), atol=1e-12)
     np.testing.assert_allclose(B, 2.0 * np.eye(2), atol=1e-12)
     np.testing.assert_allclose(T, 2.0 * np.eye(2), atol=1e-12)
-    B, T, G = _solve_identity(2.0 * np.eye(2), inside=False)
-    np.testing.assert_allclose(G, np.eye(2) / 3.0, atol=1e-12)
+    B, T, G = _solve_identity(2.0 * np.eye(2))
+    np.testing.assert_allclose(G, -np.eye(2) / 3.0, atol=1e-12)
     np.testing.assert_allclose(B, 0.5 * np.eye(2), atol=1e-12)
     np.testing.assert_allclose(T, 0.5 * np.eye(2), atol=1e-12)
 

@@ -19,7 +19,7 @@ from allpass import (
     mirror_once,
 )
 from allpass.cli import EXIT_CODES, main
-from conftest import origin_matrix, origin_scalar, poison_laurent
+from conftest import inflate_consecutive, origin_matrix, origin_scalar, poison_laurent
 
 
 @pytest.fixture
@@ -223,9 +223,9 @@ def test_verify_off_grid_pole_exit_code(capsys, tmp_path, factor_file, samples):
 
 def test_mirror_domain_error_exit_code(capsys, tmp_path):
     # z I - A with the pair 1e-3 exp(+-i theta); the state-space factor for
-    # this kernel is off the identity on the circle by 4.9e-3, and the step's
-    # output is 3.3e-3 off the input spectrum: the certificate refuses it,
-    # and the refused chain is written
+    # this kernel is off the identity on the circle, and the step's output
+    # is 2.1e-7 off the input spectrum: the certificate refuses it, and the
+    # refused chain is written
     rng = np.random.default_rng(0)
     lam = 1e-3 * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
     S = rng.standard_normal((2, 2))
@@ -234,10 +234,10 @@ def test_mirror_domain_error_exit_code(capsys, tmp_path):
     path.write_text(jsonio.dumps(jsonio.poly_to_json(PolyMatrix(np.stack([-A, np.eye(2)])))))
     code, out, err = run(capsys, "mirror", str(path), "--method", "statespace")
     assert code == 5
-    assert err.startswith("error: mirror step 1 of 1: spectral_dev 3.2")
+    assert err.startswith("error: mirror step 1 of 1: spectral_dev 2.0")
     assert err.count("\n") == 1
     (report,) = json.loads(out)["reports"]
-    assert report["spectral_dev"] == pytest.approx(3.26e-3, rel=0.01)
+    assert report["spectral_dev"] == pytest.approx(2.07e-7, rel=0.01)
 
 
 @pytest.mark.parametrize("make", [origin_scalar, origin_matrix])
@@ -405,6 +405,19 @@ def test_output_beyond_the_float_range_exits_5(capsys, tmp_path):
     code, out, err = run(capsys, "mirror", str(path))
     assert (code, out) == (5, "")
     assert err.startswith("error: mirror output") and err.count("\n") == 1
+
+
+def test_overflowing_certificate_prints_one_error_line(capsys, monkeypatch, tmp_path):
+    # every consecutive numerator times 1e100: the certificate's squares of
+    # a step's output overflow, and numpy's overflow warning was printed
+    # beside the error line (raised, under this suite's filterwarnings)
+    inflate_consecutive(monkeypatch)
+    path = tmp_path / "p.json"
+    p = PolyMatrix(np.random.default_rng(5).standard_normal((5, 3, 3)))
+    path.write_text(jsonio.dumps(jsonio.poly_to_json(p)))
+    code, _, err = run(capsys, "mirror", str(path))
+    assert code == 5
+    assert err.count("\n") == 1 and err.startswith("error: mirror step 2 of 4: spectral_dev inf")
 
 
 def test_nan_report_exits_5_and_writes(capsys, monkeypatch, tmp_path, poly_file):

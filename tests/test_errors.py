@@ -35,7 +35,7 @@ from allpass.statespace import solve_stein
 from conftest import (
     CROSSING_ALPHA,
     CROSSING_W,
-    crossing_stein,
+    RECIPROCAL_B,
     mirror_on_kernel,
     past_the_grid,
     small_pair,
@@ -74,7 +74,7 @@ def test_error_classes_share_one_constructor():
 
 def test_every_raise_passes_message_value_and_bound():
     sites = raise_sites()
-    assert len(sites) >= 8
+    assert len(sites) >= 7
     assert [s for s in sites if s[3] != 3] == []
 
 
@@ -99,8 +99,7 @@ def degree_32_change():
 CIRCLE = PolyMatrix(np.array([1.0, -2 * np.cos(0.7), 1.0]).reshape(3, 1, 1))
 ON_CIRCLE = RootRecord(np.exp(0.7j), 1, "on_circle")
 
-# (module, class, input) for every raise site; the LAPACK site of solve_stein
-# has no bound of its own
+# (module, class, input) for every raise site
 SITES = {
     "singular": ("polymat", errors.SingularPolynomialMatrix,
                  lambda: det_roots(PolyMatrix(np.array([[[1.0, 2.0], [2.0, 4.0]]])))),
@@ -111,38 +110,35 @@ SITES = {
     "not-a-root": ("roots", errors.NotARoot,
                    lambda: classify(CIRCLE, RootRecord(3.0, 1, "outside"))),
     "cholesky": ("blaschke", errors.CholeskyNotPD, lambda: b2_polynomial(
-        0.8437477363070668 + 1.0493977280145141j,
-        [-0.8316891902400994 - 0.5528105504093846j, -0.043221993909552316 - 0.02873056626808511j],
-    )),
-    "reciprocal-B": ("mirror", errors.ResidualTooLarge, lambda: mirror_on_kernel(
         0.5655611953367762 + 0.20035102777185076j,
         [0.03480844806410672 + 0.28485272861234023j, -0.11622856730779756 - 0.950861827547541j],
-        "polynomial",
     )),
+    "reciprocal-B": ("mirror", errors.ResidualTooLarge,
+                     lambda: mirror_on_kernel(*RECIPROCAL_B, "polynomial")),
     "resonant": ("statespace", errors.ResonantEigenvalues,
                  lambda: solve_stein(np.diag([2.0, 0.5]), np.eye(2))),
-    "resonant-lapack": ("statespace", errors.ResonantEigenvalues,
-                        lambda: solve_stein(*crossing_stein())),
 }
 # callers that refuse through a site above: classify and mirror_set judge a
 # record's root by check_off_circle, build_b2 takes its Gram matrix's
 # Cholesky as b2_polynomial does, a mirror step judges its division
 # remainder as the certificate judges its numbers, the certificate refuses
 # a change of degree 32 or a step whose state-space factor is off the identity
-# (at |alpha| = 1e-3, and where
-# a Stein solution of condition 1.5e14 leaves the output 5.2e-4 off the
-# input spectrum), on a w near the degenerate boundary b2_polynomial's
-# Stein system comes out singular for LAPACK, and a defective A whose
-# computed eigenvalue products sit 1.29e-9 from 1 meets the resonance bound
+# (at |alpha| = 1e-3, and where a Stein solution of condition 1.5e14 leaves
+# the output 1.4e-2 off the input spectrum), on a w near the degenerate
+# boundary the A that b2_polynomial forms has determinant 1 to rounding, and
+# a defective A with trace 2 and determinant 1 meets the resonance bound
 ROUTED = {
     "classify-circle": ("roots", errors.OnUnitCircle, lambda: classify(CIRCLE, ON_CIRCLE)),
     "selection-circle": ("roots", errors.OnUnitCircle,
                          lambda: mirror_set(CIRCLE, [ON_CIRCLE])),
     "deconvolution": ("mirror", errors.ResidualTooLarge, shifted_root),
     "degree-32": ("mirror", errors.ResidualTooLarge, degree_32_change),
-    "gram-cholesky": ("blaschke", errors.CholeskyNotPD, lambda: build_b2(*small_pair(196))),
+    "gram-cholesky": ("blaschke", errors.CholeskyNotPD, lambda: build_b2(
+        -7369.524344523711 + 1087.3723034507145j,
+        [0.27243435677770883 + 0.6670369902467501j, 0.26217976147852295 + 0.6419524496413068j],
+    )),
     "gram-blocks": ("mirror", errors.ResidualTooLarge,
-                    lambda: mirror_on_kernel(*small_pair(0), "statespace")),
+                    lambda: mirror_on_kernel(*small_pair(196), "statespace")),
     "stein-cond": ("mirror", errors.ResidualTooLarge,
                    lambda: mirror_on_kernel(0.5 + 1e-10j, [1.0 + 0.5j, 1e-7j], "statespace")),
     "reciprocal-A": ("statespace", errors.ResonantEigenvalues,
@@ -151,8 +147,6 @@ ROUTED = {
                         lambda: solve_stein(np.array([[-9999.0, 1.0], [-1e8, 10001.0]]), np.eye(2))),
 }
 INPUTS = {**SITES, **ROUTED}
-# the refusals of LAPACK's singular Kronecker system, which has no bound
-UNBOUNDED = {"resonant-lapack", "reciprocal-A"}
 
 
 def raised_at(info):
@@ -171,10 +165,7 @@ def test_raise_site_carries_value_and_bound(site):
     assert type(info.value) is cls
     assert raised_at(info)[0] == module
     assert isinstance(info.value.value, float)
-    if site in UNBOUNDED:
-        assert info.value.bound is None
-    else:
-        assert isinstance(info.value.bound, float)
+    assert isinstance(info.value.bound, float)
 
 
 def test_every_raise_site_is_reached():

@@ -39,6 +39,7 @@ from conftest import (
     CROSSING_ALPHA,
     CROSSING_W,
     backward_error,
+    inflate_consecutive,
     mirror_on_kernel,
     origin_matrix,
     origin_scalar,
@@ -846,10 +847,11 @@ def test_deconvolution_refusal_carries_residual_and_bound(monkeypatch):
 
 
 def test_polynomial_band_crossing_is_typed_through_mirror_once():
-    # no triangular w was seen to cross, so the step runs on the crossing w
-    with pytest.raises(ResonantEigenvalues, match="Kronecker") as info:
+    # no triangular w was seen to cross, so the step runs on the crossing w,
+    # where det A rounds to 1 and the resonance test refuses with its bound
+    with pytest.raises(ResonantEigenvalues, match="within 1.0e-08") as info:
         mirror_on_kernel(CROSSING_ALPHA, CROSSING_W, "polynomial")
-    assert info.value.value is not None and info.value.bound is None
+    assert (info.value.value, info.value.bound) == (0.0, DEFAULTS.circle)
     # the consecutive route mirrors the pair on the same plan
     q, report = mirror_on_kernel(CROSSING_ALPHA, CROSSING_W, "consecutive")
     assert report.spectral_dev <= 1e-12
@@ -872,19 +874,35 @@ def assert_mirrored(p, q, n_samples=256):
 
 
 def test_graded_input_refuses_or_keeps_the_spectrum():
-    # 3x16 with C_k scaled by 100^k: the polynomial factor of step 3 leaves
-    # its output 3.5e-6 off its input's spectrum, and the certificate
-    # refuses the run with the chain it judged; the consecutive route keeps
-    # the spectrum
+    # 3x16 with C_k scaled by 100^k: the state-space factor of step 3 leaves
+    # its output 4.5e-8 off its input's spectrum, and the certificate
+    # refuses the run with the chain it judged; the polynomial route (3.5e-6
+    # off at step 3 with the Kronecker Stein solve) and the consecutive
+    # route keep the spectrum
     p = graded(1000, 3, 16, 100)
     with pytest.raises(ResidualTooLarge, match="step 3 of 29: spectral_dev") as info:
-        mirror_all_inside(p, method="polynomial")
+        mirror_all_inside(p, method="statespace")
     refusal = info.value
-    assert refusal.value == pytest.approx(3.54e-6, rel=0.02)
+    assert refusal.value == pytest.approx(4.5e-8, rel=0.05)
     assert refusal.bound == DEFAULTS.residual and len(refusal.reports) == 29
     assert isinstance(refusal.p_tilde, PolyMatrix)
-    assert all(r.method in ("elementary", "squared", "polynomial") for r in refusal.reports)
-    q, _ = mirror_all_inside(p, method="consecutive")
+    assert all(r.method in ("elementary", "squared", "statespace") for r in refusal.reports)
+    for method in ("polynomial", "consecutive"):
+        q, _ = mirror_all_inside(p, method=method)
+        assert_mirrored(p, q)
+
+
+@pytest.mark.parametrize("method", ["polynomial", "statespace"])
+def test_graded_3x40_mirrors_on_the_stein_routes(method):
+    # 3x40 with C_k scaled by 30^k: both Stein routes were refused here, at
+    # step 3 with 1.5e-8 (polynomial) and 1.4e-7 (state space), while the
+    # polynomial route inverted A inside the circle and the state-space
+    # Gram matrix cancelled; the input is scaled by a power of two so that
+    # the test's spectra do not overflow
+    c = graded(1000, 3, 40, 30).coeffs
+    p = PolyMatrix(np.ldexp(c, -math.frexp(abs(c).max())[1]))
+    q, reports = mirror_all_inside(p, method=method)
+    assert method in {r.method for r in reports}
     assert_mirrored(p, q)
 
 
@@ -972,6 +990,17 @@ def test_nan_factor_coefficient_is_refused(monkeypatch):
         mirror_all_inside(p)
     assert np.isnan(info.value.value) and info.value.bound == DEFAULTS.residual
     assert "residual_deconv nan" in str(info.value)
+
+
+def test_output_far_above_the_chain_scale_is_refused(monkeypatch):
+    # every consecutive numerator times 1e100: a step's output squares to
+    # inf in the certificate, whose overflow warning escaped (as an error
+    # under this suite's filterwarnings) before ResidualTooLarge was raised
+    inflate_consecutive(monkeypatch)
+    p = PolyMatrix(np.random.default_rng(5).standard_normal((5, 3, 3)))
+    with pytest.raises(ResidualTooLarge, match="spectral_dev inf") as info:
+        mirror_all_inside(p)
+    assert info.value.bound == DEFAULTS.residual
 
 
 def test_nan_residual_is_refused_with_the_chain(monkeypatch):
