@@ -88,8 +88,8 @@ class RationalAllPass:
 class VerifyReport:
     """Residuals of the defining all-pass identity on circle samples.
 
-    ``ok`` is ``max_residual <= tol`` for the ``tol`` the report was made
-    with.
+    ``ok`` is ``max_residual <= tol.allpass`` for the ``tol`` the report
+    was made with.
     """
 
     max_residual: float
@@ -248,9 +248,16 @@ def _solve_identity(A, tol=DEFAULTS):
     """``(B, T, Gamma0)`` making ``(I - Az)^-1 (I - Bz) T^-1`` all-pass for a
     2x2 ``A``: ``Gamma0 = A' Gamma0 A + I``, ``B = Gamma0^-1 A^-T Gamma0``
     and ``T'T = B' Gamma0 B - Gamma0``, on either side of the circle
-    (``Gamma0`` is negative definite when ``A``'s eigenvalues lie outside)."""
+    (``Gamma0`` is negative definite when ``A``'s eigenvalues lie outside);
+    a ``Gamma0`` that rounds singular is refused as :class:`CholeskyNotPD`."""
     Gamma0 = solve_stein(A, np.eye(2), tol)
-    B = np.linalg.solve(Gamma0, np.linalg.solve(A.T, Gamma0))
+    AtG = np.linalg.solve(A.T, Gamma0)
+    try:
+        B = np.linalg.solve(Gamma0, AtG)
+    except np.linalg.LinAlgError:
+        # the spectrum of the positive definite one of +-Gamma0: + when det A < 1
+        spectrum = np.linalg.eigvalsh(Gamma0 if np.linalg.det(A) < 1.0 else -Gamma0)
+        raise CholeskyNotPD(f"Gamma0 is singular (eigs {spectrum})", spectrum[0], 0.0) from None
     return B, _cholesky(B.T @ Gamma0 @ B - Gamma0, "T'T").T, Gamma0
 
 
@@ -356,14 +363,12 @@ def build_b2(alpha, w, tol=DEFAULTS):
     return ss, RationalAllPass(num, _pair_denominator(alpha), alpha, "statespace")
 
 
-def verify_allpass(
-    V: RationalAllPass, n_samples: int = 32, tol: float = DEFAULTS.allpass
-) -> VerifyReport:
+def verify_allpass(V: RationalAllPass, n_samples: int = 32, tol=DEFAULTS) -> VerifyReport:
     """Check the defining identity at the ``n_samples``-th roots of unity.
 
     Reports the worst Frobenius deviation of ``V(z) V(z)^H`` from the
     identity, the worst deviation of ``|det V(z)|`` from 1, and whether the
-    worst deviation is at most ``tol``.  The coefficients are real, so
+    worst deviation is at most ``tol.allpass``.  The coefficients are real, so
     ``V(conj z) = conj V(z)`` and both maxima are attained on the upper half
     of the grid, ``z_0 .. z_(n_samples // 2)``: ``num`` and ``den`` are each
     evaluated once there.  Poles are not judged here: one on the grid that
@@ -381,5 +386,5 @@ def verify_allpass(
         max_residual=worst,
         det_modulus_dev=det_dev,
         n_samples=n_samples,
-        ok=bool(worst <= tol),
+        ok=bool(worst <= tol.allpass),
     )

@@ -10,9 +10,10 @@ Exit codes: 0 success, 1 unexpected computation failure, 2 usage or input
 parse error, 3 identically singular input matrix (or ``verify`` denominator),
 4 a root sits on the unit circle (for ``verify``: a pole of the factor), 5 a
 residual exceeded its threshold.  ``mirror`` passes ``--tol`` to the library as
-``Tolerances.residual``; when :func:`~allpass.mirror.mirror_set` refuses
-(``ResidualTooLarge``), the chain the refusal carries is written before it
-exits 5; an output beyond the float range exits 5 writing nothing.
+``Tolerances.residual``, and ``verify`` as ``Tolerances.allpass``; when
+:func:`~allpass.mirror.mirror_set` refuses (``ResidualTooLarge``), the chain
+the refusal carries is written before it exits 5; an output beyond the float
+range exits 5 writing nothing.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def cmd_mirror(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args.tol, default=DEFAULTS.allpass)
+    tol = dataclasses.replace(DEFAULTS, allpass=_resolve_tol(args.tol, DEFAULTS.allpass))
     obj = _load_json(args.input)
     try:
         V = jsonio.allpass_from_json(obj)
@@ -187,7 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _emit(dataclasses.asdict(rep), args.out)
     if not rep.ok:
         print(
-            f"verify: residual {rep.max_residual:.3e} exceeds {tol:.3e}",
+            f"verify: residual {rep.max_residual:.3e} exceeds {tol.allpass:.3e}",
             file=sys.stderr,
         )
         return EXIT_BREACH
@@ -236,7 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=_samples, default=64,
                           help="circle sample count, at least 8 (default 64)")
     p_verify.add_argument("--tol", type=_positive_float, default=None,
-                          help=f"residual threshold (default {DEFAULTS.allpass:g})")
+                          help="the all-pass bound (Tolerances.allpass) on "
+                          f"||V V^H - I|| (default {DEFAULTS.allpass:g})")
     p_verify.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -29,10 +29,11 @@ class Tolerances:
         Half-width of the exclusion band around the unit circle, for roots,
         for poles, and for the eigenvalue products of a Stein equation near 1.
     kernel
-        Relative bound on sigma_min(p(alpha)) for alpha to count as a root;
+        Bound on sigma_min of the coefficient stack at alpha, reversed
+        outside the circle, over its norm, for alpha to count as a root;
         p(s) failing it at every trial shift s makes p singular; and the
-        bound on a mirror step's relocation residual in the certificate of
-        :func:`~allpass.mirror.mirror_set`.
+        bound on a mirror step's relocation residual, the same number at
+        1/alpha, in the certificate of :func:`~allpass.mirror.mirror_set`.
     residual
         Bound :func:`~allpass.mirror.mirror_set` enforces on each step's
         division remainder and spectral deviation, and on each output's

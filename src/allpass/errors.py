@@ -22,11 +22,12 @@ class AllPassError(Exception):
 
 class SingularPolynomialMatrix(AllPassError):
     """det p(z) vanishes identically: ``value`` is the best ``sigma_min(p(s))
-    / (||p|| max(1, |s|)^q)`` over the trial shifts ``s``."""
+    / ||p||`` over the trial shifts ``s``, all inside the circle."""
 
 
 class NotARoot(AllPassError):
-    """alpha is not a determinantal root: ``value`` is ``sigma_min(p(alpha))``."""
+    """alpha is not a determinantal root: ``value`` is ``sigma_min`` of the
+    stack at alpha, reversed outside the circle, ``bound`` ``tol.kernel ||p||``."""
 
 
 class OnUnitCircle(AllPassError):
@@ -48,8 +49,9 @@ class ResonantEigenvalues(AllPassError):
 
 class CholeskyNotPD(AllPassError):
     """A Gram matrix that must be positive definite failed its Cholesky
-    (``T'T`` of the polynomial identity, or ``G`` of the state-space
-    factor): ``value`` is its smallest eigenvalue, ``bound`` is 0."""
+    (``T'T`` of the polynomial identity, or ``G`` of the state-space factor),
+    or the identity's definite ``Gamma0`` rounded singular: ``value`` is the
+    smallest eigenvalue of the matrix (of ``+-Gamma0``), ``bound`` is 0."""
 
 
 class ResidualTooLarge(AllPassError):

@@ -85,11 +85,9 @@ class MirrorReport:
         bounds ``max ||S_new - S_old||_F / max ||S_old||_F`` over the circle
         and exceeds it by a factor of at most ``2q + 1``.
     new_root_residual
-        ``sigma_min(p_tilde(1/alpha))`` normalized by ``||p_tilde|| *
-        max(1, |1/alpha|)^degree_in`` (the natural size of an evaluation
-        there); small means the root really relocated.  For ``|alpha| < 1``
-        it is ``sigma_min(z^d p_tilde(1/z))`` at ``alpha`` over ``||p_tilde||``
-        (``d = degree_in``): the same number, finite at ``alpha = 0``.
+        ``sigma_min`` of the output's stack at ``1/alpha``, reversed outside
+        the circle (``z^d p_tilde(1/z)`` at ``alpha``, ``d = degree_in``),
+        over ``||p_tilde||``; small means the root really relocated.
     """
 
     mirrored_roots: list

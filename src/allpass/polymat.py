@@ -264,7 +264,7 @@ def _finite_roots(coeffs, tol):
     gamma = 2.0 ** (log_ratio / q) if balance else 1.0
     if gamma != 1.0:
         coeffs = _unit_scaled(coeffs * gamma ** np.arange(q + 1)[:, None, None])[0]
-    # every |s| < 1, so the root test's size ||p|| max(1, |s|)^q is ||p||
+    # every |s| < 1, so the root test's size is ||p||
     size = max(math.sqrt(coeffs.ravel() @ coeffs.ravel()), np.finfo(float).tiny)
     ratios = np.linalg.svd(coeffs[[-1, 0]], compute_uv=False)[:, -1] / size
     best = int(np.argmax(ratios))
@@ -275,7 +275,7 @@ def _finite_roots(coeffs, tol):
     if ratios[best] <= tol.kernel:
         raise SingularPolynomialMatrix(
             "det p(z) vanishes identically: max over trial shifts s of sigma_min"
-            f"(p(s)) / (||p|| max(1, |s|)^q) = {ratios[best]:.3e} <= {tol.kernel:.1e}",
+            f"(p(s)) / ||p|| = {ratios[best]:.3e} <= {tol.kernel:.1e}",
             ratios[best], tol.kernel,
         )
     if q == 0:

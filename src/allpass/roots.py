@@ -255,60 +255,64 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     tol : Tolerances
         ``||alpha| - 1| > tol.circle`` is required, as
         :func:`check_off_circle` judges it, whatever band located the
-        record.  ``sigma_min(p(alpha)) <= tol.kernel * ||p|| * max(1,
-        |alpha|)^q`` (``q`` the degree of ``p``, the natural size of an
-        evaluation at ``alpha``) is required for alpha to be accepted as a
-        root.  A pair whose ``sigma2/sigma1`` of ``(Re v, Im v)`` is at most
-        ``tol.degenerate`` counts as degenerate (kernel direction is a
-        complex multiple of a real vector).
+        record.  Alpha is accepted as a root when ``sigma_min`` of the
+        stack at alpha, reversed outside the circle, is at most
+        ``tol.kernel * ||p||``.  A pair whose ``sigma2/sigma1`` of ``(Re v,
+        Im v)`` is at most ``tol.degenerate`` counts as degenerate (kernel
+        direction is a complex multiple of a real vector).
 
     Returns
     -------
     MirrorPlan
-        After the root test, the record's ``alpha`` takes one Newton step
-        through the smallest singular triplet of ``p(alpha)``; the step is
-        kept when it lowers ``sigma_min`` and keeps a real root real and a
-        pair member in the upper half plane.  The plan's ``alpha`` and
-        kernel come from the point kept.  All of it runs on ``p 2^-e``
-        (:func:`~allpass.polymat._unit_scaled`), where nothing underflows.
+        Everything runs on ``p 2^-e`` (:func:`~allpass.polymat._unit_scaled`)
+        at ``a = alpha``, or outside the circle on its reversal ``z^q p(1/z)``
+        at ``a = 1/alpha``: ``a^q p(alpha)``, the same kernel, no power of
+        ``|alpha|``.  After the root test, ``a`` takes one Newton step; it is
+        kept when ``sigma_min`` of ``p`` falls and a real root stays real, a
+        pair member in its half plane, and ``a`` nonzero and on its side of
+        the circle.  The plan's ``alpha`` and kernel come from the point kept.
 
     Raises
     ------
     OnUnitCircle
         If the record's root lies within ``tol.circle`` of the circle.
     NotARoot
-        If ``p(alpha)`` is far from singular, with the numbers of ``p 2^-e``.
+        If ``p(alpha)`` is far from singular, with the numbers of the root test.
     """
     alpha = check_off_circle(record.alpha, tol)
-    p = PolyMatrix(_unit_scaled(p.coeffs)[0])
-    M, dp = _value_and_slope(p.coeffs, alpha)
+    outside = abs(alpha) > 1.0
+    p = PolyMatrix(_unit_scaled(p.coeffs)[0][:: -1 if outside else 1])
+    a = 1.0 / alpha if outside else alpha
+    M, dp = _value_and_slope(p.coeffs, a)
     svd = np.linalg.svd(M)
     smin = svd[1][-1]
-    bound = tol.kernel * (p.norm() * max(1.0, abs(alpha)) ** p.degree)
+    bound = tol.kernel * p.norm()
     if smin > bound:
-        raise NotARoot(
-            f"sigma_min(p({alpha})) = {smin:.3e} exceeds "
-            f"{tol.kernel:.1e} * ||p|| * max(1, |alpha|)^{p.degree} = {bound:.3e}",
-            smin, bound,
-        )
+        message = f"sigma_min at {alpha} = {smin:.3e} exceeds {tol.kernel:.1e} * ||p||"
+        raise NotARoot(f"{message} = {bound:.3e}", smin, bound)
     # one Newton step on det p (Tisseur, LAA 2000): with the smallest singular
-    # triplet p(alpha) v = sigma u, u^H p(z) v is sigma at alpha with slope
-    # u^H p'(alpha) v, so the step is alpha - sigma / slope
+    # triplet p(a) v = sigma u, u^H p(z) v is sigma at a with slope u^H p'(a)
+    # v, so the step is a - sigma / slope
     slope = complex(np.conj(svd[0][:, -1]) @ dp @ np.conj(svd[2][-1]))
-    step = alpha - smin / slope if slope != 0 else alpha
+    step = a - smin / slope if slope != 0 else a
     if record.kind == KIND_REAL:
         step = complex(step.real)
-    if step != alpha and (record.kind == KIND_REAL or step.imag > 0):
+    moves = step != a and abs(step) < 1.0  # never across the circle
+    if moves and (record.kind == KIND_REAL or step.imag * a.imag > 0):
         M_step = p(step)
         svd_step = np.linalg.svd(M_step)
-        if svd_step[1][-1] < smin:
-            alpha, M, svd = step, M_step, svd_step
+        # p's own sigma_min must fall: the reversal at a is a^q p(1/a)
+        with np.errstate(over="ignore"):
+            fall = np.float64(abs(step) / abs(a)) ** p.degree if outside else 1.0
+        if svd_step[1][-1] < smin * fall:
+            a, M, svd = step, M_step, svd_step
+    alpha = 1.0 / a if outside else a
     v = _anchored_kernel(M, svd[2])
 
     if record.kind == KIND_REAL:
         vr = np.real(v)
         vr = vr / math.sqrt(vr @ vr)
-        return MirrorPlan(CASE_REAL, alpha, vr[:, None])
+        return MirrorPlan(CASE_REAL, complex(alpha.real), vr[:, None])
 
     # one QR of [Re v, Im v] = Q1 R; R has the singular values of
     # [Re v, Im v], and a single entry is always a complex multiple of a

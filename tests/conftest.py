@@ -196,6 +196,23 @@ def singular_leading_3x3(seed=5):
     return PolyMatrix(c)
 
 
+def far_root_poly(q, r, pair):
+    """``inner(z) (I - z A)`` of degree ``q``, with one root at ``|alpha| =
+    r`` (a pair at ``r e^{+-0.7i}``, or a real one at ``r``) whose power
+    ``r^q`` is past the float range for the sizes used: ``A`` is the
+    rotation-scaling block of ``e^{-0.7i} / r``, or ``diag(1/r, 0)``;
+    ``inner`` is ``I`` plus ``1e-3`` times Gaussian coefficients of degree
+    ``q - 1`` from ``default_rng(0)``."""
+    inner = 1e-3 * np.random.default_rng(0).standard_normal((q, 2, 2))
+    inner[0] += np.eye(2)
+    lam = np.exp(-0.7j) / r
+    A = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]]) if pair else np.diag([1 / r, 0.0])
+    c = np.zeros((q + 1, 2, 2))
+    c[:q] += inner
+    c[1:] -= inner @ A
+    return PolyMatrix(c)
+
+
 def rotated_diagonal(diagonal, seed):
     """``Qa diag(d_1(z), ..., d_n(z)) Qb`` for scalar polynomials ``d_i``
     given as ascending coefficient lists, with orthogonal ``Qa`` and ``Qb``

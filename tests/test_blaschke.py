@@ -474,8 +474,8 @@ def test_verify_allpass_ok_honours_tol():
     V = b2_polynomial(0.5 + 0.5j, W_GENERIC)
     worst = verify_allpass(V).max_residual
     assert worst > 0.0
-    assert verify_allpass(V, tol=worst).ok
-    assert not verify_allpass(V, tol=0.5 * worst).ok
+    assert verify_allpass(V, tol=Tolerances(allpass=worst)).ok
+    assert not verify_allpass(V, tol=Tolerances(allpass=0.5 * worst)).ok
 
 
 @settings(max_examples=200, deadline=None)

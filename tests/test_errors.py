@@ -113,6 +113,11 @@ SITES = {
         0.5655611953367762 + 0.20035102777185076j,
         [0.03480844806410672 + 0.28485272861234023j, -0.11622856730779756 - 0.950861827547541j],
     )),
+    # Gamma0 of the polynomial identity rounds singular at |alpha| = 3.5e-5
+    "gamma0-singular": ("blaschke", errors.CholeskyNotPD, lambda: b2_polynomial(
+        3.50952845661853e-05 + 5.26467372086942e-06j,
+        [-0.3048769706863106 + 0.006703523160712611j, 0.9523917433205408 - 0.020928406306573364j],
+    )),
     "reciprocal-B": ("mirror", errors.ResidualTooLarge,
                      lambda: mirror_on_kernel(*RECIPROCAL_B, "polynomial")),
     "resonant": ("statespace", errors.ResonantEigenvalues,

@@ -39,6 +39,7 @@ from conftest import (
     CROSSING_ALPHA,
     CROSSING_W,
     backward_error,
+    far_root_poly,
     inflate_consecutive,
     mirror_on_kernel,
     origin_matrix,
@@ -601,6 +602,29 @@ def test_mirror_set_far_outside_root(seed, n_small, shrink, kind, method):
     after = [r.alpha for r in det_roots(q)]
     assert any(abs(a - 1 / np.conj(rec.alpha)) < 1e-9 for a in after)
     assert not any(abs(a - rec.alpha) < 1e-6 * abs(rec.alpha) for a in after)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("q, r, pair", [(40, 1e8, False), (40, 1e8, True), (60, 1e6, True)])
+def test_mirror_set_root_past_the_float_power(q, r, pair, method):
+    # |alpha|^q is past the float range: classify's root test scaled by it
+    # and its powers of alpha overflowed, and the SVD did not converge; on
+    # the reversal at 1/alpha the record mirrors, to the root it stands for
+    p = far_root_poly(q, r, pair)
+    rec = det_roots(p)[-1]
+    assert rec.location == "outside" and q * math.log2(abs(rec.alpha)) > 1024
+    p_out, (report,) = mirror_set(p, [rec], method=method)
+    alpha = r * np.exp(0.7j) if pair else r
+    assert report.mirrored_roots[0] == pytest.approx(alpha, rel=1e-14)
+    assert report.new_root_residual < 1e-14 and report.spectral_dev < 1e-14
+    assert spectral_gap(p, p_out, 256) < 1e-14
+    # the far root, and only it, moved inside, next to 0 (det_roots folds the
+    # pair at |1/alpha| = 1e-8 into a double real root, so no closer check)
+    after = root_values(det_roots(p_out))
+    assert len(after) == len(root_values(det_roots(p)))
+    inside = [abs(a) for a in after if abs(a) < 1]
+    assert len(inside) == 1 + pair and max(inside) < 2 / r
+    assert max(abs(a) for a in after) < r / 10
 
 
 def test_mirror_once_rejects_circle_record(worked_pair):

@@ -31,6 +31,7 @@ from allpass.roots import (
 from conftest import (
     assert_roots_close,
     backward_error,
+    far_root_poly,
     polymatrix_with_inside_pair,
     rand_alpha,
     root_values,
@@ -497,14 +498,16 @@ def test_non_finite_imaginary_part_is_refused():
 
 
 def test_not_a_root_carries_sigma_and_bound(worked_pair):
-    # the test runs on p 2^-e: the largest coefficient of worked_pair is 2,
-    # so both numbers are a quarter of those of p
+    # the test runs on p 2^-e, reversed outside the circle: the largest
+    # coefficient of worked_pair is 2, so both numbers are a quarter of those
+    # of p, and sigma_min is that of alpha^-q p(alpha)
     alpha = 5.0 + 5.0j
     fake = RootRecord(alpha, multiplicity=1, location="outside")
     with pytest.raises(NotARoot) as info:
         classify(worked_pair, fake)
     sigma = np.linalg.svd(worked_pair(alpha), compute_uv=False)[-1] / 4
-    bound = 1e-6 * worked_pair.norm() / 4 * abs(alpha) ** worked_pair.degree
+    sigma /= abs(alpha) ** worked_pair.degree
+    bound = 1e-6 * worked_pair.norm() / 4
     assert info.value.value == pytest.approx(sigma, rel=1e-12)
     assert info.value.bound == pytest.approx(bound, rel=1e-15)
     assert info.value.value > info.value.bound
@@ -512,6 +515,31 @@ def test_not_a_root_carries_sigma_and_bound(worked_pair):
     # a message alone still makes one, with no numbers
     bare = NotARoot("synthetic")
     assert str(bare) == "synthetic" and bare.value is None and bare.bound is None
+
+
+def test_not_a_root_past_the_float_power():
+    # |alpha|^40 = 1e360: the root test's bound and the powers of alpha
+    # overflowed; on the reversal at 1/alpha both numbers are finite
+    p = PolyMatrix(np.random.default_rng(0).standard_normal((41, 2, 2)))
+    with pytest.raises(NotARoot) as info:
+        classify(p, RootRecord(1e9, 1, "outside"))
+    assert np.isfinite(info.value.value) and np.isfinite(info.value.bound)
+    assert info.value.value > info.value.bound > 0.0
+    # a true root that far is accepted and polished to its value
+    p = far_root_poly(40, 1e8, pair=False)
+    assert classify(p, det_roots(p)[-1]).alpha == 1e8
+
+
+def test_classify_polish_stays_in_range_far_outside():
+    # records far out that pass the root test, since C_q is small: the step
+    # to the root near -1e10 meets (|a_step| / |a|)^2 = 1e380, and a step
+    # out of the unit disc of a = 1/alpha, to -1e33, would evaluate the
+    # reversal past the float range and is not taken
+    p = PolyMatrix(np.array([1.0, 1.0, 1e-10]).reshape(3, 1, 1))
+    assert classify(p, RootRecord(1e200, 1, "outside")).alpha == pytest.approx(-1e10, rel=1e-9)
+    c = np.zeros((41, 1, 1))
+    c[0], c[39], c[40] = 1.0, 1e-40, 1e-7
+    assert classify(PolyMatrix(c), RootRecord(1e200, 1, "outside")).alpha == 1e200
 
 
 def test_on_unit_circle_carries_modulus_and_band():
