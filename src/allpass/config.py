@@ -29,11 +29,14 @@ class Tolerances:
         Half-width of the exclusion band around the unit circle, for roots,
         for poles, and for the eigenvalue products of a Stein equation near 1.
     kernel
-        Bound on sigma_min of the coefficient stack at alpha, reversed
-        outside the circle, over its norm, for alpha to count as a root;
-        p(s) failing it at every trial shift s makes p singular; and the
-        bound on a mirror step's relocation residual, the same number at
-        1/alpha, in the certificate of :func:`~allpass.mirror.mirror_set`.
+        Bound on the coefficientwise backward error of alpha,
+        sigma_min(p(alpha)) / sum_k |alpha|^k ||C_k||_F, for alpha to count
+        as a root; on sigma_min(p(s)) / ||p||, which failing at every trial
+        shift s makes p singular; and on a mirror step's relocation residual
+        in the certificate of :func:`~allpass.mirror.mirror_set`, which is
+        normwise (sigma_min at 1/alpha over ||p_tilde||, reversed outside
+        the circle), so it can pass an image that the root test would
+        refuse.
     residual
         Bound :func:`~allpass.mirror.mirror_set` enforces on each step's
         division remainder and spectral deviation, and on each output's

@@ -26,8 +26,9 @@ class SingularPolynomialMatrix(AllPassError):
 
 
 class NotARoot(AllPassError):
-    """alpha is not a determinantal root: ``value`` is ``sigma_min`` of the
-    stack at alpha, reversed outside the circle, ``bound`` ``tol.kernel ||p||``."""
+    """alpha is not a determinantal root: ``value`` is its coefficientwise
+    backward error ``sigma_min(p(alpha)) / sum_k |alpha|^k ||C_k||_F``,
+    ``bound`` is ``tol.kernel``."""
 
 
 class OnUnitCircle(AllPassError):

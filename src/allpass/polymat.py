@@ -8,7 +8,6 @@ arrays are marked read-only), so they can be shared freely.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -84,12 +83,6 @@ class PolyMatrix:
 
     def __call__(self, z):
         return eval_poly(self, z)
-
-    def norm(self) -> float:
-        """Frobenius norm of the stacked coefficient tensor, from
-        :func:`_square_norm`, so no square overflows."""
-        s, e = _square_norm(self.coeffs)
-        return float(np.ldexp(math.sqrt(s), e))
 
     def __repr__(self):
         return f"PolyMatrix(dim={self.dim}, degree={self.degree})"
@@ -176,28 +169,16 @@ def spectral_eval(p, z):
     return out.reshape(zs.shape + out.shape[1:])
 
 
-@functools.lru_cache(maxsize=64)
-def _circle_powers(n_samples: int, m: int):
+def _on_circle(coeffs: np.ndarray, n_samples: int):
     """The roots of unity ``z_k = exp(2 pi i k / n_samples)``, ``k <=
-    n_samples // 2``, and their powers ``z_k^j``, ``j < m``, as read-only
-    arrays; the powers come from the grid itself, ``z_k^j = z_(kj mod
-    n_samples)``.  Cached: every :func:`~allpass.blaschke.verify_allpass` of
-    one sample count evaluates on the same grid."""
+    n_samples // 2``, and a coefficient stack, coefficient axis first, at
+    them; the powers come from the grid itself, ``z_k^j = z_(kj mod
+    n_samples)``."""
+    m = coeffs.shape[0]
     grid = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
     k = np.arange(n_samples // 2 + 1)
-    zs, powers = grid[k], grid[np.outer(k, np.arange(m)) % n_samples]
-    zs.setflags(write=False)
-    powers.setflags(write=False)
-    return zs, powers
-
-
-def _on_circle(coeffs: np.ndarray, n_samples: int):
-    """The half grid of :func:`_circle_powers` and a coefficient stack,
-    coefficient axis first, at it."""
-    m = coeffs.shape[0]
-    zs, powers = _circle_powers(n_samples, m)
-    values = powers @ coeffs.reshape(m, -1)
-    return zs, values.reshape(zs.shape + coeffs.shape[1:])
+    values = grid[np.outer(k, np.arange(m)) % n_samples] @ coeffs.reshape(m, -1)
+    return grid[k], values.reshape(k.shape + coeffs.shape[1:])
 
 
 def _trimmed_length(coeffs: np.ndarray, rtol: float) -> int:
@@ -238,7 +219,7 @@ def _cluster(values, rtol):
 
 # trial shifts s, real so that a real p keeps a real pencil and irregular to
 # avoid hand-made roots; s = 0 leads with C_0, so the others serve only when
-# C_q and C_0 both fail the root test
+# C_q and C_0 both fail the singularity test
 _SHIFTS = np.array([0.0, 0.3719, -0.5413, 0.7906, -0.2187])
 
 
@@ -248,9 +229,9 @@ def _finite_roots(coeffs, tol):
     z)``: ``B = diag(C_q, I, ..., I)`` and ``A`` the block companion.
     ``gamma = (||C_0|| / ||C_q||)^(1/q)`` balances the variable (Fan, Lin and
     Van Dooren, SIMAX 2004), unrounded, when ``log2 gamma`` rounds to a
-    nonzero integer.  The lead is whichever of ``C_q`` (ratio ``sigma_min /
-    ||p||``) and ``C_0`` is farther from the root test, or of ``C_q`` and
-    every ``p(s)`` when both fail it.  Led by ``C_q``, the roots are the
+    nonzero integer.  The lead is whichever of ``C_q`` and ``C_0`` is farther
+    from the singularity test (``sigma_min / ||p||`` at most ``tol.kernel``),
+    or of ``C_q`` and every ``p(s)`` when both fail it.  Led by ``C_q``, the roots are the
     eigenvalues of ``B^-1 A``; led by ``p(s)``, ``z = s + 1/mu`` for those of
     ``(A - s B)^-1 B``, once staircase rounds (Van Dooren, LAA 1979) have
     deflated the infinite roots, the singular values of ``B`` at most
@@ -264,7 +245,7 @@ def _finite_roots(coeffs, tol):
     gamma = 2.0 ** (log_ratio / q) if balance else 1.0
     if gamma != 1.0:
         coeffs = _unit_scaled(coeffs * gamma ** np.arange(q + 1)[:, None, None])[0]
-    # every |s| < 1, so the root test's size is ||p||
+    # the singularity test's size: ||p|| for every lead and every |s| < 1
     size = max(math.sqrt(coeffs.ravel() @ coeffs.ravel()), np.finfo(float).tiny)
     ratios = np.linalg.svd(coeffs[[-1, 0]], compute_uv=False)[:, -1] / size
     best = int(np.argmax(ratios))
@@ -316,14 +297,14 @@ def poly_roots(p, tol=DEFAULTS):
     double real root.  Roots within ``tol.cluster`` (relative) of each other
     merge into one multiple root.  The pencil is formed from ``p 2^-e``
     (:func:`_unit_scaled`): the roots are those of ``p``, exactly in range,
-    and the root test's size is at least 1/2, so its bound cannot
+    and the singularity test's size is at least 1/2, so its bound cannot
     underflow.
 
     Raises
     ------
     SingularPolynomialMatrix
         If ``det p`` vanishes identically: ``C_q`` and ``p`` at every trial
-        shift, after balancing, fail the root test (zero and singular
+        shift, after balancing, fail the singularity test (zero and singular
         constants included).
     """
     coeffs = p.coeffs if p.coeffs.ndim == 3 else p.coeffs[:, None, None]

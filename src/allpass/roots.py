@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DegenerateW, NotARoot, OnUnitCircle
-from .polymat import PolyMatrix, _unit_scaled, poly_roots
+from .polymat import _eval_many, _unit_scaled, poly_roots
 from .polymat import det_poly  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 __all__ = [
@@ -232,15 +232,18 @@ def _anchored_kernel(M: np.ndarray, vh: np.ndarray) -> np.ndarray:
     return v
 
 
-def _value_and_slope(coeffs: np.ndarray, z: complex) -> np.ndarray:
-    """``p(z)`` and ``p'(z)``, stacked, for a real coefficient stack: one
-    product with the powers of ``z``, real at a real ``z``."""
+def _value_and_slope(coeffs: np.ndarray, z: complex):
+    """``p(z)``, ``p'(z)`` and ``sum_k |z|^k ||C_k||_F`` for a real
+    coefficient stack: one product with the powers of ``z``, real at a real
+    ``z``."""
     m = coeffs.shape[0]
     k = np.arange(m)
     powers = (z.real if z.imag == 0.0 else z) ** k
     weights = np.zeros((2, m), powers.dtype)
     weights[0], weights[1, 1:] = powers, k[1:] * powers[:-1]
-    return (weights @ coeffs.reshape(m, -1)).reshape((2,) + coeffs.shape[1:])
+    flat = coeffs.reshape(m, -1)
+    M, dp = (weights @ flat).reshape((2,) + coeffs.shape[1:])
+    return M, dp, abs(powers) @ np.linalg.norm(flat, axis=1)
 
 
 def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
@@ -255,41 +258,48 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     tol : Tolerances
         ``||alpha| - 1| > tol.circle`` is required, as
         :func:`check_off_circle` judges it, whatever band located the
-        record.  Alpha is accepted as a root when ``sigma_min`` of the
-        stack at alpha, reversed outside the circle, is at most
-        ``tol.kernel * ||p||``.  A pair whose ``sigma2/sigma1`` of ``(Re v,
-        Im v)`` is at most ``tol.degenerate`` counts as degenerate (kernel
+        record.  Alpha is accepted as a root when its coefficientwise
+        backward error (Tisseur, LAA 2000) is at most ``tol.kernel``:
+        ``sigma_min(p(a)) <= tol.kernel * sum_k |a|^k ||C_k||_F`` on the
+        stack below, compared without dividing, so a zero stack at the
+        origin passes.  The number is the same for ``p`` at ``alpha`` and
+        for its reversal at ``1/alpha``, so the test means one thing on both
+        sides of the circle.  A pair whose ``sigma2/sigma1`` of ``(Re v, Im
+        v)`` is at most ``tol.degenerate`` counts as degenerate (kernel
         direction is a complex multiple of a real vector).
 
     Returns
     -------
     MirrorPlan
-        Everything runs on ``p 2^-e`` (:func:`~allpass.polymat._unit_scaled`)
-        at ``a = alpha``, or outside the circle on its reversal ``z^q p(1/z)``
-        at ``a = 1/alpha``: ``a^q p(alpha)``, the same kernel, no power of
-        ``|alpha|``.  After the root test, ``a`` takes one Newton step; it is
-        kept when ``sigma_min`` of ``p`` falls and a real root stays real, a
-        pair member in its half plane, and ``a`` nonzero and on its side of
-        the circle.  The plan's ``alpha`` and kernel come from the point kept.
+        Everything runs on one stack: ``p 2^-e``
+        (:func:`~allpass.polymat._unit_scaled`) at ``a = alpha``, or outside
+        the circle its reversal ``z^q p(1/z)`` at ``a = 1/alpha``: ``a^q
+        p(alpha)``, the same kernel, no power of ``|alpha|``.  After the root
+        test, ``a`` takes one Newton step; it is kept when ``sigma_min`` of
+        ``p`` falls and a real root stays real, a pair member in its half
+        plane, and ``a`` nonzero and on its side of the circle.  The plan's
+        ``alpha`` and kernel come from the point kept.
 
     Raises
     ------
     OnUnitCircle
         If the record's root lies within ``tol.circle`` of the circle.
     NotARoot
-        If ``p(alpha)`` is far from singular, with the numbers of the root test.
+        If the backward error of ``alpha`` exceeds ``tol.kernel``.
     """
     alpha = check_off_circle(record.alpha, tol)
     outside = abs(alpha) > 1.0
-    p = PolyMatrix(_unit_scaled(p.coeffs)[0][:: -1 if outside else 1])
+    c = _unit_scaled(p.coeffs)[0]
+    if outside:
+        c = np.ascontiguousarray(c[::-1])
     a = 1.0 / alpha if outside else alpha
-    M, dp = _value_and_slope(p.coeffs, a)
+    M, dp, size = _value_and_slope(c, a)
     svd = np.linalg.svd(M)
     smin = svd[1][-1]
-    bound = tol.kernel * p.norm()
-    if smin > bound:
-        message = f"sigma_min at {alpha} = {smin:.3e} exceeds {tol.kernel:.1e} * ||p||"
-        raise NotARoot(f"{message} = {bound:.3e}", smin, bound)
+    if smin > tol.kernel * size:
+        eta = smin / max(size, np.finfo(float).tiny)
+        message = f"backward error of {alpha} as a root = {eta:.3e} exceeds {tol.kernel:.1e}"
+        raise NotARoot(message, eta, tol.kernel)
     # one Newton step on det p (Tisseur, LAA 2000): with the smallest singular
     # triplet p(a) v = sigma u, u^H p(z) v is sigma at a with slope u^H p'(a)
     # v, so the step is a - sigma / slope
@@ -299,11 +309,13 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
         step = complex(step.real)
     moves = step != a and abs(step) < 1.0  # never across the circle
     if moves and (record.kind == KIND_REAL or step.imag * a.imag > 0):
-        M_step = p(step)
+        M_step = _eval_many(c, np.array([step.real if step.imag == 0.0 else step]))[0]
         svd_step = np.linalg.svd(M_step)
         # p's own sigma_min must fall: the reversal at a is a^q p(1/a)
-        with np.errstate(over="ignore"):
-            fall = np.float64(abs(step) / abs(a)) ** p.degree if outside else 1.0
+        fall = 1.0
+        if outside:
+            with np.errstate(over="ignore"):
+                fall = np.float64(abs(step) / abs(a)) ** (c.shape[0] - 1)
         if svd_step[1][-1] < smin * fall:
             a, M, svd = step, M_step, svd_step
     alpha = 1.0 / a if outside else a

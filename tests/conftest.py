@@ -226,10 +226,12 @@ def rotated_diagonal(diagonal, seed):
     return PolyMatrix(Qa @ D @ Qb)
 
 
-def backward_error(p, a):
+def backward_error(p, a, ord=2):
     """Coefficientwise backward error of ``a`` as a root of ``det p``:
-    ``sigma_min(p(a)) / sum_k ||C_k|| |a|^k``."""
-    norms = np.linalg.norm(p.coeffs, 2, axis=(1, 2))
+    ``sigma_min(p(a)) / sum_k ||C_k|| |a|^k``, each ``||C_k||`` the matrix
+    norm ``ord``; with ``ord="fro"`` it is the number ``classify`` judges and
+    ``NotARoot`` carries, evaluated at ``a`` itself."""
+    norms = np.linalg.norm(p.coeffs, ord, axis=(1, 2))
     size = norms @ abs(a) ** np.arange(p.degree + 1)
     return np.linalg.svd(p(a), compute_uv=False)[-1] / size
 

@@ -1,7 +1,8 @@
 """Reference algebra the tests compare the pipeline against.
 
-Polynomial products, division and trimming, the boundary spectrum on the
-full grid of roots of unity and its Laurent coefficients, the plain kernel
+The Frobenius norm of a polynomial, the graded inputs, polynomial products,
+division and trimming, the boundary spectrum on the full grid of roots of
+unity, its deviation there and its Laurent coefficients, the plain kernel
 vector, the orthogonal completion and the dense mirror step ``p Q
 blockdiag(V, I)``, the innovations form, the Kronecker Stein solver, and the
 state-space product, adjoint and coordinate change.  The package itself
@@ -12,6 +13,8 @@ lag products; these are the textbook forms, kept here so tests can build
 inputs and check results with them.
 """
 
+import math
+
 import numpy as np
 
 from allpass.config import DEFAULTS
@@ -20,11 +23,25 @@ from allpass.polymat import (
     ScalarPoly,
     _conv_coeffs,
     _divide_coeffs,
+    _square_norm,
     _trimmed_length,
     spectral_eval,
 )
 from allpass.roots import _anchored_kernel, _positive_qr
 from allpass.statespace import StateSpace
+
+
+def norm(p) -> float:
+    """Frobenius norm of the stacked coefficient tensor of ``p``, from
+    ``_square_norm``, so no square overflows."""
+    s, e = _square_norm(p.coeffs)
+    return float(np.ldexp(math.sqrt(s), e))
+
+
+def graded(seed, n, q, g) -> PolyMatrix:
+    """The graded input ``C_k g^k``, ``C_k`` Gaussian from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    return PolyMatrix(rng.standard_normal((q + 1, n, n)) * float(g) ** np.arange(q + 1)[:, None, None])
 
 
 def constant(matrix) -> PolyMatrix:
@@ -90,6 +107,14 @@ def circle_spectrum(p, n_samples: int = 64) -> np.ndarray:
     of unity, shape ``(n_samples, n, n)``: :func:`spectral_eval` on the
     grid, where ``1/conj(z) = z``."""
     return spectral_eval(p, np.exp(2j * np.pi * np.arange(n_samples) / n_samples))
+
+
+def grid_deviation(p_new, p_old, n_samples: int) -> float:
+    """Largest ``||S_new - S_old||_F`` over the largest ``||S_old||_F`` on the
+    ``n_samples``-th roots of unity."""
+    S_new, S_old = circle_spectrum(p_new, n_samples), circle_spectrum(p_old, n_samples)
+    dev = np.linalg.norm(S_new - S_old, axis=(1, 2)).max()
+    return dev / np.linalg.norm(S_old, axis=(1, 2)).max()
 
 
 def laurent_coeffs(p, q: int) -> np.ndarray:

@@ -54,9 +54,12 @@ from reference import (
     circle_spectrum,
     deconvolve,
     dense_step,
+    graded,
+    grid_deviation,
     innovations,
     laurent_deviation,
     mul,
+    norm,
     trimmed,
 )
 
@@ -119,7 +122,7 @@ def test_mirror_removes_original_root():
         if rec.multiplicity != 1:
             continue
         q, rep = mirror_once(p, rec, method="polynomial")
-        scale = q.norm()
+        scale = norm(q)
         moved = np.linalg.svd(q(1 / rec.alpha), compute_uv=False)[-1]
         stayed = np.linalg.svd(q(rec.alpha), compute_uv=False)[-1]
         assert moved < 1e-6 * scale
@@ -200,14 +203,6 @@ def test_certificate_sees_past_degree_31():
     assert info.value.bound == DEFAULTS.residual
 
 
-def _grid_deviation(p_new, p_old, n_samples=4096):
-    """Largest ``||S_new - S_old||_F`` over the largest ``||S_old||_F`` on the
-    ``n_samples``-th roots of unity."""
-    S_new, S_old = circle_spectrum(p_new, n_samples), circle_spectrum(p_old, n_samples)
-    dev = np.linalg.norm(S_new - S_old, axis=(1, 2)).max()
-    return dev / np.linalg.norm(S_old, axis=(1, 2)).max()
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 3),
@@ -226,7 +221,7 @@ def test_certificate_bounds_the_sup_with_slack_at_most_2q_plus_1(n, degrees, siz
     change[: q_old + 1] += p_old.coeffs[: q_new + 1]
     p_new = PolyMatrix(change)
     bound = _certified_deviation(p_new, p_old)
-    sup = _grid_deviation(p_new, p_old)
+    sup = grid_deviation(p_new, p_old, 4096)
     assert sup <= 1.01 * bound
     assert bound <= 1.01 * (2 * max(degrees) + 1) * sup
 
@@ -305,10 +300,10 @@ def _reference_certificate(p_in, p_out, rep):
     if alpha == 0:
         top = p_out.degree == d
         M = p_out.coeffs[d] if top else np.zeros(p_out.coeffs.shape[1:])
-        size = p_out.norm()
+        size = norm(p_out)
     else:
         M = p_out(1 / alpha)
-        size = p_out.norm() * max(1.0, abs(1 / alpha)) ** d
+        size = norm(p_out) * max(1.0, abs(1 / alpha)) ** d
     return dev, np.linalg.svd(M, compute_uv=False)[-1] / size
 
 
@@ -591,10 +586,10 @@ def test_mirror_set_far_outside_root(seed, n_small, shrink, kind, method):
     rec = [r for r in det_roots(p) if abs(r.alpha) > 200][-1]
     assert rec.kind == kind
     sigma = np.linalg.svd(p(rec.alpha), compute_uv=False)[-1]
-    assert sigma <= 1e-14 * p.norm() * abs(rec.alpha) ** p.degree
+    assert sigma <= 1e-14 * norm(p) * abs(rec.alpha) ** p.degree
     if kind == "real":
         # far above 1e-6 * ||p||: an unscaled root test would reject it
-        assert sigma > 1e-6 * p.norm()
+        assert sigma > 1e-6 * norm(p)
     q, reports = mirror_set(p, [rec], method=method)
     assert len(reports) == 1
     assert reports[0].new_root_residual < 1e-12
@@ -709,7 +704,7 @@ def _rebuild_step(p, record, method):
     alpha, deg = moved[0], p.degree
     beta = 1.0 / alpha
     sigma = np.linalg.svd(q(beta), compute_uv=False)[-1]
-    size = q.norm() * max(1.0, abs(beta)) ** deg
+    size = norm(q) * max(1.0, abs(beta)) ** deg
     fields = dict(
         mirrored_roots=moved, method=V.method, residual_deconv=residual,
         max_imag=V.max_imag_pre / max(1.0, np.abs(V.num.coeffs).max()),
@@ -882,18 +877,10 @@ def test_polynomial_band_crossing_is_typed_through_mirror_once():
     assert report.new_root_residual <= 1e-12
 
 
-def graded(seed, n, q, g):
-    """The graded input ``C_k g^k``, ``C_k`` Gaussian from ``default_rng(seed)``."""
-    rng = np.random.default_rng(seed)
-    return PolyMatrix(rng.standard_normal((q + 1, n, n)) * float(g) ** np.arange(q + 1)[:, None, None])
-
-
 def assert_mirrored(p, q, n_samples=256):
     """``q`` keeps the spectrum of ``p`` to 1e-8 on ``n_samples`` points, and
     no root of ``det q`` is left inside the circle."""
-    S_in, S_out = circle_spectrum(p, n_samples), circle_spectrum(q, n_samples)
-    dev = np.linalg.norm(S_out - S_in, axis=(1, 2)).max()
-    assert dev <= 1e-8 * np.linalg.norm(S_in, axis=(1, 2)).max()
+    assert grid_deviation(q, p, n_samples) <= 1e-8
     assert all(r.location == "outside" for r in det_roots(q))
 
 

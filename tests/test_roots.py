@@ -38,7 +38,7 @@ from conftest import (
     rotated_diagonal,
     singular_leading_3x3,
 )
-from reference import complete, kernel_vector
+from reference import complete, kernel_vector, norm
 
 
 def test_det_roots_worked_pair(worked_pair):
@@ -291,7 +291,7 @@ def test_generic_plan_reconstruction_identity():
         if plan.case != CASE_GENERIC:
             continue
         hits += 1
-        assert np.linalg.norm(p(plan.alpha) @ plan.Q1 @ plan.w) < 1e-12 * p.norm()
+        assert np.linalg.norm(p(plan.alpha) @ plan.Q1 @ plan.w) < 1e-12 * norm(p)
         # [Re w, Im w] is the upper-triangular R with entries a, b, c
         assert plan.w.real[1] == 0.0
         sq = plan.w.real[0] ** 2 + plan.w.imag[0] ** 2 + plan.w.imag[1] ** 2
@@ -322,7 +322,7 @@ def test_generic_plan_takes_one_qr(monkeypatch):
         Q1 = plan.Q1
         assert Q1.shape == (dim, 2)
         np.testing.assert_allclose(Q1.T @ Q1, np.eye(2), atol=1e-14)
-        assert np.linalg.norm(p(plan.alpha) @ Q1 @ plan.w) < 1e-12 * p.norm()
+        assert np.linalg.norm(p(plan.alpha) @ Q1 @ plan.w) < 1e-12 * norm(p)
         assert plan.w.real[1] == 0.0
 
 
@@ -498,23 +498,66 @@ def test_non_finite_imaginary_part_is_refused():
 
 
 def test_not_a_root_carries_sigma_and_bound(worked_pair):
-    # the test runs on p 2^-e, reversed outside the circle: the largest
-    # coefficient of worked_pair is 2, so both numbers are a quarter of those
-    # of p, and sigma_min is that of alpha^-q p(alpha)
+    # the refusal carries the coefficientwise backward error of alpha against
+    # tol.kernel; outside the circle it is read on the reversal at 1/alpha
+    # and on p 2^-e, where it is the same number
     alpha = 5.0 + 5.0j
     fake = RootRecord(alpha, multiplicity=1, location="outside")
     with pytest.raises(NotARoot) as info:
         classify(worked_pair, fake)
-    sigma = np.linalg.svd(worked_pair(alpha), compute_uv=False)[-1] / 4
-    sigma /= abs(alpha) ** worked_pair.degree
-    bound = 1e-6 * worked_pair.norm() / 4
-    assert info.value.value == pytest.approx(sigma, rel=1e-12)
-    assert info.value.bound == pytest.approx(bound, rel=1e-15)
+    assert info.value.value == pytest.approx(backward_error(worked_pair, alpha, "fro"), rel=1e-12)
+    assert info.value.bound == Tolerances().kernel
     assert info.value.value > info.value.bound
     assert f"{info.value.value:.3e}" in str(info.value)
+    # at the origin the size is ||C_0||, which squares to zero here: the
+    # refusal still carries a finite number, with no division warning
+    with pytest.raises(NotARoot) as info:
+        classify(PolyMatrix(np.array([1e-200, 1.0]).reshape(2, 1, 1)), RootRecord(0.0, 1, "inside"))
+    assert np.isfinite(info.value.value) and info.value.value > info.value.bound
     # a message alone still makes one, with no numbers
     bare = NotARoot("synthetic")
     assert str(bare) == "synthetic" and bare.value is None and bare.bound is None
+
+
+def test_far_non_root_is_refused():
+    # a record at -1e9 on p with its one far root at 1e8: the normwise test
+    # on the reversal, sigma_min <= tol.kernel ||p||, passed it because C_q
+    # is small beside ||p||, and mirror_set moved the true root to 1.029e8
+    # with every certificate number passing
+    p = far_root_poly(40, 1e8, pair=False)
+    fake = RootRecord(-1e9, 1, "outside")
+    for refuse in (lambda: classify(p, fake), lambda: mirror_set(p, [fake])):
+        with pytest.raises(NotARoot) as info:
+            refuse()
+        assert info.value.value == pytest.approx(0.046, rel=0.01)
+        assert info.value.bound == Tolerances().kernel
+    # the root that is there still mirrors, to 1e-8
+    q, (report,) = mirror_set(p, [det_roots(p)[-1]])
+    assert report.mirrored_roots == [1e8]
+    assert det_roots(q)[0].alpha == pytest.approx(1e-8, rel=1e-12)
+
+
+def test_root_test_is_one_number_on_both_sides():
+    # the refusal's value is the backward error of z as a root of det p,
+    # read at z itself, and the same number as that of 1/z as a root of det
+    # of the reversal z^q p(1/z); normwise on the reversal, it read
+    # |z|^-q sigma_min(p(z)) / ||p|| outside the circle
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n, q = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        p = PolyMatrix(rng.standard_normal((q + 1, n, n)))
+        r = 10.0 ** rng.uniform(-2, 2)
+        z = r * np.exp(1j * rng.choice([0.0, rng.uniform(0.1, np.pi - 0.1)]))
+        if abs(r - 1.0) < 0.1 or backward_error(p, z, "fro") < 1e-3:
+            continue
+        values = []
+        for poly, point in ((p, z), (PolyMatrix(p.coeffs[::-1]), 1 / np.conj(z))):
+            side = "inside" if abs(point) < 1.0 else "outside"
+            with pytest.raises(NotARoot) as info:
+                classify(poly, RootRecord(point, 1, side))
+            values.append(info.value.value)
+        assert values[0] == pytest.approx(values[1], rel=1e-12)
+        assert values[0] == pytest.approx(backward_error(p, z, "fro"), rel=1e-10)
 
 
 def test_not_a_root_past_the_float_power():
@@ -531,15 +574,27 @@ def test_not_a_root_past_the_float_power():
 
 
 def test_classify_polish_stays_in_range_far_outside():
-    # records far out that pass the root test, since C_q is small: the step
-    # to the root near -1e10 meets (|a_step| / |a|)^2 = 1e380, and a step
-    # out of the unit disc of a = 1/alpha, to -1e33, would evaluate the
-    # reversal past the float range and is not taken
-    p = PolyMatrix(np.array([1.0, 1.0, 1e-10]).reshape(3, 1, 1))
-    assert classify(p, RootRecord(1e200, 1, "outside")).alpha == pytest.approx(-1e10, rel=1e-9)
+    # 1e-7 + (z - 0.5)^2 at the real record 0.5 + 1e-9: its backward error
+    # is about 1e-7, so it passes the root test, and its Newton step, to
+    # about -49.5, would leave the unit disc and is not taken
+    p = PolyMatrix(np.array([0.25 + 1e-7, -1.0, 1.0]).reshape(3, 1, 1))
+    assert classify(p, RootRecord(0.5 + 1e-9, 1, "inside")).alpha == 0.5 + 1e-9
+    # outside, on the reversal: z^38 ((x0^2 + h) z^2 - 2 x0 z + 1) at the
+    # real record 1/(x0 + h), x0 = 1e-9 and h ten ulps of it, passes the
+    # root test (about 5e-7) and steps from a = x0 + h to about -0.5, so
+    # p's own sigma_min falls by (|a_step| / |a|)^40, past the float range:
+    # no overflow warning.  That step reaches no root (backward error 1),
+    # and mirror_set refuses its division remainder
+    x0 = 1e-9
+    h = 10 * np.spacing(x0)
     c = np.zeros((41, 1, 1))
-    c[0], c[39], c[40] = 1.0, 1e-40, 1e-7
-    assert classify(PolyMatrix(c), RootRecord(1e200, 1, "outside")).alpha == 1e200
+    c[38:, 0, 0] = [1.0, -2.0 * x0, x0 * x0 + h]
+    assert classify(PolyMatrix(c), RootRecord(1 / (x0 + h), 1, "outside")).case == CASE_REAL
+    # the records far out that a small C_q let through are no roots
+    for c in (np.array([1.0, 1.0, 1e-10]), np.array([1.0] + [0.0] * 38 + [1e-40, 1e-7])):
+        with pytest.raises(NotARoot) as info:
+            classify(PolyMatrix(c.reshape(-1, 1, 1)), RootRecord(1e200, 1, "outside"))
+        assert info.value.value == pytest.approx(1.0)
 
 
 def test_on_unit_circle_carries_modulus_and_band():
