@@ -8,6 +8,7 @@ arrays are marked read-only), so they can be shared freely.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -169,16 +170,28 @@ def spectral_eval(p, z):
     return out.reshape(zs.shape + out.shape[1:])
 
 
-def _on_circle(coeffs: np.ndarray, n_samples: int):
+@functools.lru_cache(maxsize=64)
+def _circle_powers(n_samples: int, m: int):
     """The roots of unity ``z_k = exp(2 pi i k / n_samples)``, ``k <=
-    n_samples // 2``, and a coefficient stack, coefficient axis first, at
-    them; the powers come from the grid itself, ``z_k^j = z_(kj mod
-    n_samples)``."""
-    m = coeffs.shape[0]
+    n_samples // 2``, and their powers ``z_k^j``, ``j < m``, as read-only
+    arrays; the powers come from the grid itself, ``z_k^j = z_(kj mod
+    n_samples)``.  Cached: every :func:`~allpass.blaschke.verify_allpass` of
+    one sample count evaluates on the same grid."""
     grid = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
     k = np.arange(n_samples // 2 + 1)
-    values = grid[np.outer(k, np.arange(m)) % n_samples] @ coeffs.reshape(m, -1)
-    return grid[k], values.reshape(k.shape + coeffs.shape[1:])
+    zs, powers = grid[k], grid[np.outer(k, np.arange(m)) % n_samples]
+    zs.setflags(write=False)
+    powers.setflags(write=False)
+    return zs, powers
+
+
+def _on_circle(coeffs: np.ndarray, n_samples: int):
+    """The half grid of :func:`_circle_powers` and a coefficient stack,
+    coefficient axis first, at it."""
+    m = coeffs.shape[0]
+    zs, powers = _circle_powers(n_samples, m)
+    values = powers @ coeffs.reshape(m, -1)
+    return zs, values.reshape(zs.shape + coeffs.shape[1:])
 
 
 def _trimmed_length(coeffs: np.ndarray, rtol: float) -> int:

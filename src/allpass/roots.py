@@ -235,7 +235,8 @@ def _anchored_kernel(M: np.ndarray, vh: np.ndarray) -> np.ndarray:
 def _value_and_slope(coeffs: np.ndarray, z: complex):
     """``p(z)``, ``p'(z)`` and ``sum_k |z|^k ||C_k||_F`` for a real
     coefficient stack: one product with the powers of ``z``, real at a real
-    ``z``."""
+    ``z``.  Each ``||C_k||_F`` is taken on its own power-of-two scale, so no
+    square underflows."""
     m = coeffs.shape[0]
     k = np.arange(m)
     powers = (z.real if z.imag == 0.0 else z) ** k
@@ -243,7 +244,9 @@ def _value_and_slope(coeffs: np.ndarray, z: complex):
     weights[0], weights[1, 1:] = powers, k[1:] * powers[:-1]
     flat = coeffs.reshape(m, -1)
     M, dp = (weights @ flat).reshape((2,) + coeffs.shape[1:])
-    return M, dp, abs(powers) @ np.linalg.norm(flat, axis=1)
+    e = np.frexp(abs(flat).max(axis=1))[1]
+    norms = np.ldexp(np.linalg.norm(np.ldexp(flat, -e[:, None]), axis=1), e)
+    return M, dp, abs(powers) @ norms
 
 
 def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
@@ -271,14 +274,13 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     Returns
     -------
     MirrorPlan
-        Everything runs on one stack: ``p 2^-e``
-        (:func:`~allpass.polymat._unit_scaled`) at ``a = alpha``, or outside
-        the circle its reversal ``z^q p(1/z)`` at ``a = 1/alpha``: ``a^q
-        p(alpha)``, the same kernel, no power of ``|alpha|``.  After the root
-        test, ``a`` takes one Newton step; it is kept when ``sigma_min`` of
-        ``p`` falls and a real root stays real, a pair member in its half
-        plane, and ``a`` nonzero and on its side of the circle.  The plan's
-        ``alpha`` and kernel come from the point kept.
+        Everything runs on ``p 2^-e`` (:func:`~allpass.polymat._unit_scaled`)
+        at ``a = alpha``, or outside the circle on its reversal ``z^q p(1/z)``
+        at ``a = 1/alpha``: ``a^q p(alpha)``, the same kernel, no power of
+        ``|alpha|``.  After the root test, ``a`` takes one Newton step; it is
+        kept when ``sigma_min`` of ``p`` falls and a real root stays real, a
+        pair member in its half plane, and ``a`` nonzero and on its side of
+        the circle.  The plan's ``alpha`` and kernel come from the point kept.
 
     Raises
     ------
@@ -289,9 +291,7 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     """
     alpha = check_off_circle(record.alpha, tol)
     outside = abs(alpha) > 1.0
-    c = _unit_scaled(p.coeffs)[0]
-    if outside:
-        c = np.ascontiguousarray(c[::-1])
+    c = np.ascontiguousarray(_unit_scaled(p.coeffs)[0][:: -1 if outside else 1])
     a = 1.0 / alpha if outside else alpha
     M, dp, size = _value_and_slope(c, a)
     svd = np.linalg.svd(M)

@@ -509,11 +509,11 @@ def test_not_a_root_carries_sigma_and_bound(worked_pair):
     assert info.value.bound == Tolerances().kernel
     assert info.value.value > info.value.bound
     assert f"{info.value.value:.3e}" in str(info.value)
-    # at the origin the size is ||C_0||, which squares to zero here: the
-    # refusal still carries a finite number, with no division warning
+    # at the origin the size is ||C_0||, whose square underflows here: it is
+    # taken on its own scale, so the refusal carries the backward error 1
     with pytest.raises(NotARoot) as info:
         classify(PolyMatrix(np.array([1e-200, 1.0]).reshape(2, 1, 1)), RootRecord(0.0, 1, "inside"))
-    assert np.isfinite(info.value.value) and info.value.value > info.value.bound
+    assert info.value.value == pytest.approx(1.0, rel=1e-15)
     # a message alone still makes one, with no numbers
     bare = NotARoot("synthetic")
     assert str(bare) == "synthetic" and bare.value is None and bare.bound is None
