@@ -32,7 +32,7 @@ from .config import DEFAULTS
 from .errors import CholeskyNotPD
 from .polymat import PolyMatrix, ScalarPoly, _on_circle, eval_poly
 from .roots import check_off_circle, check_pair
-from .statespace import StateSpace, solve_stein
+from .statespace import StateSpace, _cholesky, _congruence, _mm, _solve2, _t, solve_stein
 
 __all__ = [
     "RationalAllPass",
@@ -138,16 +138,6 @@ def squared(alpha, tol=DEFAULTS) -> RationalAllPass:
     return RationalAllPass(num=num, den=den, alpha=alpha, method="squared")
 
 
-def _mm(x, y):
-    """Product of two 2x2 matrices held row-major as 4-tuples of scalars."""
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
-
-
 def _lift(coeffs, a):
     """Coefficients of ``P(z) diag(1 - conj(a) z, z - a)`` from those of
     ``P(z)`` (4-tuples, ascending): two diagonal column scalings."""
@@ -244,35 +234,28 @@ def b2_consecutive(alpha, w, tol=DEFAULTS) -> RationalAllPass:
 b2_consecutive_from_w = b2_consecutive
 
 
+_EYE = (1.0, 0.0, 0.0, 1.0)
+
+
 def _solve_identity(A, tol=DEFAULTS):
     """``(B, T, Gamma0)`` making ``(I - Az)^-1 (I - Bz) T^-1`` all-pass for a
     2x2 ``A``: ``Gamma0 = A' Gamma0 A + I``, ``B = Gamma0^-1 A^-T Gamma0``
     and ``T'T = B' Gamma0 B - Gamma0``, on either side of the circle
-    (``Gamma0`` is negative definite when ``A``'s eigenvalues lie outside);
-    a ``Gamma0`` that rounds singular is refused as :class:`CholeskyNotPD`."""
-    Gamma0 = solve_stein(A, np.eye(2), tol)
-    AtG = np.linalg.solve(A.T, Gamma0)
+    (``Gamma0`` is negative definite when ``A``'s eigenvalues lie outside).
+    Arrays in and out, 4-tuples within; a ``Gamma0`` that rounds singular and
+    a ``T'T`` that rounds indefinite are refused as :class:`CholeskyNotPD`."""
+    a = tuple(np.ravel(A).tolist())
+    g = tuple(solve_stein(A, np.eye(2), tol).ravel().tolist())
+    atg = _solve2(_t(a), g)
     try:
-        B = np.linalg.solve(Gamma0, AtG)
-    except np.linalg.LinAlgError:
+        b = _solve2(g, atg)
+    except ZeroDivisionError:
         # the spectrum of the positive definite one of +-Gamma0: + when det A < 1
-        spectrum = np.linalg.eigvalsh(Gamma0 if np.linalg.det(A) < 1.0 else -Gamma0)
+        sign = 1.0 if a[0] * a[3] - a[1] * a[2] < 1.0 else -1.0
+        spectrum = np.linalg.eigvalsh(sign * np.reshape(g, (2, 2)))
         raise CholeskyNotPD(f"Gamma0 is singular (eigs {spectrum})", spectrum[0], 0.0) from None
-    return B, _cholesky(B.T @ Gamma0 @ B - Gamma0, "T'T").T, Gamma0
-
-
-def _cholesky(M: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor of ``M``, positive definite in exact arithmetic.
-
-    Raises :class:`~allpass.errors.CholeskyNotPD` with the smallest
-    eigenvalue of ``M`` when rounding has made it indefinite.
-    """
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        spectrum = np.linalg.eigvalsh(M)
-        msg = f"{name} is not positive definite (eigs {spectrum})"
-        raise CholeskyNotPD(msg, spectrum[0], 0.0) from None
+    tt = [x - y for x, y in zip(_congruence(b, g), g)]
+    return tuple(np.array([b, _t(_cholesky(tt, "T'T")), g]).reshape(3, 2, 2))
 
 
 def b2_polynomial(alpha, w, tol=DEFAULTS) -> RationalAllPass:
@@ -288,20 +271,26 @@ def b2_polynomial(alpha, w, tol=DEFAULTS) -> RationalAllPass:
     :func:`~allpass.roots.check_pair`; the factor is not certified here.
     """
     alpha, w = check_pair(alpha, w, tol)
-    Wm = np.column_stack([w.real, w.imag])
+    w0, w1 = w.tolist()
+    wm = (w0.real, w0.imag, w1.real, w1.imag)
     lam = 1.0 / alpha
-    rot = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
-    A = Wm @ rot @ np.linalg.inv(Wm)
-    B, T, _ = _solve_identity(A, tol)
-    Tinv = np.linalg.inv(T)
-    At = A - np.trace(A) * np.eye(2)
-    scale = abs(alpha) ** 2
-    coeffs = scale * np.array([Tinv, (At - B) @ Tinv, -At @ B @ Tinv])
+    A = _mm(_mm(wm, (lam.real, lam.imag, -lam.imag, lam.real)), _solve2(wm, _EYE))
+    B, T, _ = _solve_identity(np.array(A).reshape(2, 2), tol)
+    b, tinv = tuple(B.ravel().tolist()), _solve2(tuple(T.ravel().tolist()), _EYE)
+    at = (-A[3], A[1], A[2], -A[0])  # A - tr(A) I
+    c1 = _mm([x - y for x, y in zip(at, b)], tinv)
+    c2 = [-x for x in _mm(_mm(at, b), tinv)]
+    coeffs = abs(alpha) ** 2 * np.array([tinv, c1, c2]).reshape(3, 2, 2)
     return RationalAllPass(PolyMatrix(coeffs), _pair_denominator(alpha), alpha, "polynomial")
 
 
 def build_b2(alpha, w, tol=DEFAULTS):
     """All-pass factor for a conjugate root pair, built in state space.
+
+    ``A`` realizes multiplication by ``1/alpha`` and ``A^-1`` is formed
+    from ``alpha`` itself; the algebra runs on 4-tuples (the kit of
+    :mod:`allpass.statespace`), and only the realization and the numerator
+    become arrays.
 
     Parameters
     ----------
@@ -331,35 +320,35 @@ def build_b2(alpha, w, tol=DEFAULTS):
     """
     alpha, w = check_pair(alpha, w, tol)
     lam = 1.0 / alpha
-    A = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
-    C = np.column_stack([w.imag, -w.real]) / np.linalg.norm(w)
-    X = solve_stein(A, C.T @ C, tol)
+    A = (lam.real, lam.imag, -lam.imag, lam.real)
+    Ainv = (alpha.real, alpha.imag, -alpha.imag, alpha.real)
+    w0, w1 = w.tolist()
+    nw = math.hypot(w0.real, w0.imag, w1.real, w1.imag)
+    C = (w0.imag / nw, -w0.real / nw, w1.imag / nw, -w1.real / nw)
+    X = solve_stein(*np.array([A, _mm(_t(C), C)]).reshape(2, 2, 2), tol=tol)
     # X is definite with the sign of |alpha| - 1: its Cholesky factor gives
     # X^-1, or refuses where rounding has left X singular
     sign = 1.0 if abs(alpha) > 1.0 else -1.0
-    Linv = np.linalg.inv(_cholesky(sign * X, "Stein solution X"))
-    Xinv = sign * (Linv.T @ Linv)
-    Ainv = np.linalg.inv(A)
+    Linv = _solve2(_cholesky((sign * X).ravel().tolist(), "Stein solution X"), _EYE)
+    Xinv = tuple(sign * x for x in _mm(_t(Linv), Linv))
     # D is upper triangular with D D' = G^-1 for the Gram matrix G > 0: G =
     # I + C A^-1 X^-1 A^-T C' >= I for |alpha| > 1; for |alpha| < 1, where
     # that sum cancels, the Cholesky of G^-1 = I - C X^-1 C' >= I reversed
     if abs(alpha) < 1.0:
-        H = np.eye(2) - C @ Xinv @ C.T
-        D = _cholesky(H[::-1, ::-1], "Gram matrix G^-1")[::-1, ::-1]
+        H = [e - x for e, x in zip(_EYE, _congruence(_t(C), Xinv))]
+        D = _cholesky(H[::-1], "Gram matrix G^-1")[::-1]
     else:
-        G = np.eye(2) + C @ Ainv @ Xinv @ Ainv.T @ C.T
-        D = np.linalg.inv(_cholesky(G, "Gram matrix G")).T
-    B = -Xinv @ Ainv.T @ C.T @ D
-    ss = StateSpace(A, B, C, D)
+        G = [e + x for e, x in zip(_EYE, _congruence(_t(_mm(C, Ainv)), Xinv))]
+        D = _t(_solve2(_cholesky(G, "Gram matrix G"), _EYE))
+    B = tuple(-x for x in _mm(_mm(_mm(Xinv, _t(Ainv)), _t(C)), D))
 
     # rational form over the monic denominator (z - alpha)(z - conj alpha)
     tr = 2.0 * lam.real
-    det = abs(lam) ** 2
-    scale = abs(alpha) ** 2
-    c0 = ss.D
-    c1 = ss.C @ ss.B - tr * ss.D
-    c2 = ss.C @ (A - tr * np.eye(2)) @ ss.B + det * ss.D
-    num = PolyMatrix(scale * np.array([c0, c1, c2]))
+    c1 = [x - tr * y for x, y in zip(_mm(C, B), D)]
+    c2 = _mm(_mm(C, (A[0] - tr, A[1], A[2], A[3] - tr)), B)
+    c2 = [x + abs(lam) ** 2 * y for x, y in zip(c2, D)]
+    num = PolyMatrix(abs(alpha) ** 2 * np.array([D, c1, c2]).reshape(3, 2, 2))
+    ss = StateSpace(*np.array([A, B, C, D]).reshape(4, 2, 2))
     return ss, RationalAllPass(num, _pair_denominator(alpha), alpha, "statespace")
 
 

@@ -306,8 +306,8 @@ def poly_roots(p, tol=DEFAULTS):
     real and LAPACK returns exact conjugates, so the list is exactly closed
     under conjugation: a root is real when its imaginary part is exactly
     zero, the upper members stand for the pairs, and a pair whose imaginary
-    part is within ``tol.cluster * max(1, |mu|)`` of the axis is a split
-    double real root.  Roots within ``tol.cluster`` (relative) of each other
+    part is within ``tol.cluster * |mu|`` of the axis, relative at every
+    modulus, is a split double real root.  Roots within ``tol.cluster`` (relative) of each other
     merge into one multiple root.  The pencil is formed from ``p 2^-e``
     (:func:`_unit_scaled`): the roots are those of ``p``, exactly in range,
     and the singularity test's size is at least 1/2, so its bound cannot
@@ -325,7 +325,7 @@ def poly_roots(p, tol=DEFAULTS):
     reals = [r.real for r in raw if r.imag == 0]
     pairs = []
     for mu in (r for r in raw if r.imag > 0):
-        if mu.imag <= tol.cluster * max(1.0, abs(mu)):
+        if mu.imag <= tol.cluster * abs(mu):
             reals.extend([mu.real] * 2)
         else:
             pairs.append(mu)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DegenerateW, NotARoot, OnUnitCircle
-from .polymat import _eval_many, _unit_scaled, poly_roots
+from .polymat import _unit_scaled, poly_roots
 from .polymat import det_poly  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 __all__ = [
@@ -79,13 +79,13 @@ class RootRecord:
 class MirrorPlan:
     """Everything one mirroring step needs about a single root.
 
-    ``case`` selects the factor type.  ``alpha`` is the record's root after
-    one Newton polish against ``p`` (see :func:`classify`), so it can differ
-    from the record's value in the last digits.  The orthonormal real
-    columns ``Q1`` (``n x k``, ``k`` the size of the step's factor ``V``)
-    span the kernel of ``p(alpha)``: the normalised real kernel for a real
-    root or a degenerate pair, and for a generic pair the Q1 of the QR
-    factorisation ``(Re v, Im v) = Q1 R`` of the unit kernel vector ``v``,
+    ``case`` selects the factor type.  ``alpha`` is the record's own root,
+    or its Newton polish against ``p`` when that lowers its backward error
+    (see :func:`classify`), then within roundoff of the record.  The
+    orthonormal real columns ``Q1`` (``n x k``, ``k`` the size of the step's
+    factor ``V``) span the kernel of ``p(alpha)``: the normalised real kernel
+    for a real root or a degenerate pair, and for a generic pair the Q1 of
+    the QR split ``(Re v, Im v) = Q1 R`` of the unit kernel vector ``v``,
     with ``w = R (1, i)'``, so ``Q1 w = v`` (``R`` is ``[Re w, Im w]``).
     The step applies the all-pass ``I + Q1 (V - I) Q1'``, with no
     orthogonal completion of ``Q1``.
@@ -207,13 +207,6 @@ def check_pair(alpha, w=None, tol=DEFAULTS):
     return alpha, w
 
 
-def _positive_qr(B: np.ndarray):
-    """QR factorisation ``B = Q1 R`` with the diagonal of ``R`` nonnegative."""
-    Q1, R = np.linalg.qr(B)
-    signs = np.where(R.diagonal() < 0, -1.0, 1.0)
-    return Q1 * signs, R * signs[:, None]
-
-
 def _anchored_kernel(M: np.ndarray, vh: np.ndarray) -> np.ndarray:
     """Unit right-kernel direction of ``M`` from its right singular vectors
     ``vh``: the smallest one, with a deterministic phase (the largest-modulus
@@ -232,21 +225,15 @@ def _anchored_kernel(M: np.ndarray, vh: np.ndarray) -> np.ndarray:
     return v
 
 
-def _value_and_slope(coeffs: np.ndarray, z: complex):
-    """``p(z)``, ``p'(z)`` and ``sum_k |z|^k ||C_k||_F`` for a real
-    coefficient stack: one product with the powers of ``z``, real at a real
-    ``z``.  Each ``||C_k||_F`` is taken on its own power-of-two scale, so no
-    square underflows."""
-    m = coeffs.shape[0]
-    k = np.arange(m)
-    powers = (z.real if z.imag == 0.0 else z) ** k
-    weights = np.zeros((2, m), powers.dtype)
-    weights[0], weights[1, 1:] = powers, k[1:] * powers[:-1]
-    flat = coeffs.reshape(m, -1)
-    M, dp = (weights @ flat).reshape((2,) + coeffs.shape[1:])
-    e = np.frexp(abs(flat).max(axis=1))[1]
-    norms = np.ldexp(np.linalg.norm(np.ldexp(flat, -e[:, None]), axis=1), e)
-    return M, dp, abs(powers) @ norms
+def _value(flat: np.ndarray, z: complex, norms):
+    """``p(z)`` from the real stack ``flat`` (one row per coefficient), the
+    powers ``z^k`` as Python scalars (real at a real ``z``), and the size
+    ``sum_k |z|^k ||C_k||_F`` of the backward error from the norms."""
+    x = z.real if z.imag == 0.0 else z
+    powers = [1.0]
+    for _ in norms[1:]:
+        powers.append(powers[-1] * x)
+    return np.dot(powers, flat), powers, sum(abs(w) * s for w, s in zip(powers, norms))
 
 
 def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
@@ -277,10 +264,16 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
         Everything runs on ``p 2^-e`` (:func:`~allpass.polymat._unit_scaled`)
         at ``a = alpha``, or outside the circle on its reversal ``z^q p(1/z)``
         at ``a = 1/alpha``: ``a^q p(alpha)``, the same kernel, no power of
-        ``|alpha|``.  After the root test, ``a`` takes one Newton step; it is
-        kept when ``sigma_min`` of ``p`` falls and a real root stays real, a
-        pair member in its half plane, and ``a`` nonzero and on its side of
-        the circle.  The plan's ``alpha`` and kernel come from the point kept.
+        ``|alpha|``.  Each ``||C_k||_F`` is one ``hypot`` reduction, free of
+        underflow.  Unless the record's backward error is already at most
+        ``eps``, the roundoff of the SVD that measures it, ``a`` takes one
+        Newton step; the step is kept when its backward error is lower,
+        ``sigma_step * size < sigma * size_step``, and a real root stays
+        real, a pair member in its half plane, and ``a`` on its side of the
+        circle, nonzero outside it.  The plan's ``alpha`` and kernel come
+        from the point kept: the record's own ``alpha`` when no step is.
+        The kernel ``v`` is split into ``(Re v, Im v) = Q1 R`` by a
+        two-column Gram-Schmidt, reorthogonalised once.
 
     Raises
     ------
@@ -291,34 +284,36 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
     """
     alpha = check_off_circle(record.alpha, tol)
     outside = abs(alpha) > 1.0
-    c = np.ascontiguousarray(_unit_scaled(p.coeffs)[0][:: -1 if outside else 1])
+    c = _unit_scaled(p.coeffs)[0]
+    flat = c.reshape(c.shape[0], -1)[:: -1 if outside else 1]
+    norms = np.hypot.reduce(flat, axis=1).tolist()
     a = 1.0 / alpha if outside else alpha
-    M, dp, size = _value_and_slope(c, a)
+    M, powers, size = _value(flat, a, norms)
+    M = M.reshape(c.shape[1:])
     svd = np.linalg.svd(M)
     smin = svd[1][-1]
     if smin > tol.kernel * size:
         eta = smin / max(size, np.finfo(float).tiny)
         message = f"backward error of {alpha} as a root = {eta:.3e} exceeds {tol.kernel:.1e}"
         raise NotARoot(message, eta, tol.kernel)
-    # one Newton step on det p (Tisseur, LAA 2000): with the smallest singular
-    # triplet p(a) v = sigma u, u^H p(z) v is sigma at a with slope u^H p'(a)
-    # v, so the step is a - sigma / slope
-    slope = complex(np.conj(svd[0][:, -1]) @ dp @ np.conj(svd[2][-1]))
-    step = a - smin / slope if slope != 0 else a
-    if record.kind == KIND_REAL:
-        step = complex(step.real)
-    moves = step != a and abs(step) < 1.0  # never across the circle
-    if moves and (record.kind == KIND_REAL or step.imag * a.imag > 0):
-        M_step = _eval_many(c, np.array([step.real if step.imag == 0.0 else step]))[0]
-        svd_step = np.linalg.svd(M_step)
-        # p's own sigma_min must fall: the reversal at a is a^q p(1/a)
-        fall = 1.0
-        if outside:
-            with np.errstate(over="ignore"):
-                fall = np.float64(abs(step) / abs(a)) ** (c.shape[0] - 1)
-        if svd_step[1][-1] < smin * fall:
-            a, M, svd = step, M_step, svd_step
-    alpha = 1.0 / a if outside else a
+    if smin > np.finfo(float).eps * size:
+        # one Newton step on det p (Tisseur, LAA 2000): with the smallest
+        # singular triplet p(a) v = sigma u, u^H p(z) v is sigma at a with
+        # slope u^H p'(a) v, so the step is a - sigma / slope
+        dp = np.dot([k * x for k, x in enumerate(powers[:-1], 1)], flat[1:])
+        slope = complex(np.conj(svd[0][:, -1]) @ dp.reshape(M.shape) @ np.conj(svd[2][-1]))
+        step = a - smin / slope if slope != 0 else a
+        if record.kind == KIND_REAL:
+            step = complex(step.real)
+        # never across the circle, nor to infinity
+        moves = step != a and abs(step) < 1.0 and (step != 0 or not outside)
+        if moves and (record.kind == KIND_REAL or step.imag * a.imag > 0):
+            M_step, _, size_step = _value(flat, step, norms)
+            M_step = M_step.reshape(M.shape)
+            svd_step = np.linalg.svd(M_step)
+            if svd_step[1][-1] * size < smin * size_step:
+                M, svd = M_step, svd_step
+                alpha = 1.0 / step if outside else step
     v = _anchored_kernel(M, svd[2])
 
     if record.kind == KIND_REAL:
@@ -326,17 +321,21 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
         vr = vr / math.sqrt(vr @ vr)
         return MirrorPlan(CASE_REAL, complex(alpha.real), vr[:, None])
 
-    # one QR of [Re v, Im v] = Q1 R; R has the singular values of
-    # [Re v, Im v], and a single entry is always a complex multiple of a
-    # real one
-    n = v.shape[0]
-    B = np.empty((n, 2))
-    B[:, 0], B[:, 1] = v.real, v.imag
-    if n > 1:
-        Q1, R = _positive_qr(B)
-        r = R.tolist()
-    if n == 1 or _triangular_ratio(r[0][0], r[0][1], r[1][1]) <= tol.degenerate:
+    # (Re v, Im v) = Q1 R by Gram-Schmidt with one reorthogonalisation; R
+    # has the singular values of [Re v, Im v], and its r11 is zero when v is
+    # a complex multiple of a real vector (always for a single entry)
+    x, y = v.real.tolist(), v.imag.tolist()
+    r00 = math.hypot(*x)
+    q0 = [t / r00 for t in x]
+    r01 = 0.0
+    for _ in range(2):
+        h = sum(s * t for s, t in zip(q0, y))
+        r01 += h
+        y = [t - h * s for s, t in zip(q0, y)]
+    r11 = math.hypot(*y)
+    if r11 == 0.0 or _triangular_ratio(r00, r01, r11) <= tol.degenerate:
         # kernel direction is e^{i phi} times a real vector: re-phase onto it
+        B = np.column_stack([v.real, v.imag])
         U, _, _ = np.linalg.svd(B)
         u = U[:, 0]
         phase = complex(u @ v.real, u @ v.imag)
@@ -347,5 +346,5 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
         if vr[idx] < 0:
             vr = -vr
         return MirrorPlan(CASE_DEGENERATE, alpha, vr[:, None])
-    w = np.array([complex(*r[0]), complex(0.0, r[1][1])])
-    return MirrorPlan(CASE_GENERIC, alpha, Q1, w)
+    Q1 = np.array([q0, [t / r11 for t in y]]).T
+    return MirrorPlan(CASE_GENERIC, alpha, Q1, np.array([complex(r00, r01), complex(0.0, r11)]))

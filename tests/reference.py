@@ -27,7 +27,7 @@ from allpass.polymat import (
     _trimmed_length,
     spectral_eval,
 )
-from allpass.roots import _anchored_kernel, _positive_qr
+from allpass.roots import _anchored_kernel
 from allpass.statespace import StateSpace
 
 
@@ -160,6 +160,13 @@ def kernel_vector(M: np.ndarray) -> np.ndarray:
         raise ValueError(f"need a square matrix, got shape {M.shape}")
     _, _, vh = np.linalg.svd(M)
     return _anchored_kernel(M, vh)
+
+
+def _positive_qr(B: np.ndarray):
+    """QR factorisation ``B = Q1 R`` with the diagonal of ``R`` nonnegative."""
+    Q1, R = np.linalg.qr(B)
+    signs = np.where(R.diagonal() < 0, -1.0, 1.0)
+    return Q1 * signs, R * signs[:, None]
 
 
 def complete(V1: np.ndarray) -> np.ndarray:

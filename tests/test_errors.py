@@ -4,7 +4,7 @@ Every ``raise`` of an ``AllPassError`` subclass in the package passes the
 message, ``value`` and ``bound``, no subclass has a constructor of its own,
 and each raise site is reached by one input below, which asserts both
 numbers.  The pair factors of the polynomial and state-space routes share
-one raise site, the Cholesky of their Gram matrix; a factor that is not
+one raise site, the 2x2 Cholesky of ``allpass.statespace``; a factor that is not
 all-pass is refused by the mirror certificate, through its effect on the
 output.
 """
@@ -109,14 +109,15 @@ SITES = {
                    lambda: check_pair(0.5 + 0.5j, [1.0, 2e-4j], Tolerances(degenerate=1e-3))),
     "not-a-root": ("roots", errors.NotARoot,
                    lambda: classify(CIRCLE, RootRecord(3.0, 1, "outside"))),
-    "cholesky": ("blaschke", errors.CholeskyNotPD, lambda: b2_polynomial(
+    "cholesky": ("statespace", errors.CholeskyNotPD, lambda: b2_polynomial(
         0.5655611953367762 + 0.20035102777185076j,
         [0.03480844806410672 + 0.28485272861234023j, -0.11622856730779756 - 0.950861827547541j],
     )),
-    # Gamma0 of the polynomial identity rounds singular at |alpha| = 3.5e-5
+    # Gamma0 of the polynomial identity rounds singular at |alpha| = 3.4e-5
+    # (sigma2/sigma1 of [Re w, Im w] 1.8e-6): a zero pivot of its solve
     "gamma0-singular": ("blaschke", errors.CholeskyNotPD, lambda: b2_polynomial(
-        3.50952845661853e-05 + 5.26467372086942e-06j,
-        [-0.3048769706863106 + 0.006703523160712611j, 0.9523917433205408 - 0.020928406306573364j],
+        1.500837171025899e-05 + 3.0139840440181083e-05j,
+        [-0.9002965942858059 + 0.4323530185215566j, 0.045402741118264804 - 0.021805980638937673j],
     )),
     "reciprocal-B": ("mirror", errors.ResidualTooLarge,
                      lambda: mirror_on_kernel(*RECIPROCAL_B, "polynomial")),
@@ -129,7 +130,7 @@ SITES = {
 # remainder as the certificate judges its numbers, the certificate refuses
 # a change of degree 32 or a step whose state-space factor is off the identity
 # (at |alpha| = 1e-3, and where a Stein solution of condition 1.5e14 leaves
-# the output 1.4e-2 off the input spectrum), on a w near the degenerate
+# the output 2.3e-2 off the input spectrum), on a w near the degenerate
 # boundary the A that b2_polynomial forms has determinant 1 to rounding, and
 # a defective A with trace 2 and determinant 1 meets the resonance bound
 ROUTED = {
@@ -138,9 +139,9 @@ ROUTED = {
                          lambda: mirror_set(CIRCLE, [ON_CIRCLE])),
     "deconvolution": ("mirror", errors.ResidualTooLarge, shifted_root),
     "degree-32": ("mirror", errors.ResidualTooLarge, degree_32_change),
-    "gram-cholesky": ("blaschke", errors.CholeskyNotPD, lambda: build_b2(
-        -7369.524344523711 + 1087.3723034507145j,
-        [0.27243435677770883 + 0.6670369902467501j, 0.26217976147852295 + 0.6419524496413068j],
+    "gram-cholesky": ("statespace", errors.CholeskyNotPD, lambda: build_b2(
+        94027.77850096005 + 9922.051812894088j,
+        [-0.18344275440055968 + 0.32734478260571964j, -0.45314786849223615 + 0.8086106346318316j],
     )),
     "gram-blocks": ("mirror", errors.ResidualTooLarge,
                     lambda: mirror_on_kernel(*small_pair(196), "statespace")),

@@ -177,10 +177,11 @@ def test_poly_roots_double_real_root_collapses():
 
 @pytest.mark.parametrize("a", [1e-3, 0.05, 0.999, -1.2])
 def test_poly_roots_near_axis_pair_is_a_double_real_root(a):
-    # (z - a)^2 + e^2 with e = 1e-9: the companion's eigenvalues are a pair
-    # with 0 < Im <= 2e-8 (below 1e-8 for the two small a), well inside the
-    # cluster radius of the axis, so they come out as two equal reals
-    e = 1e-9
+    # (z - a)^2 + e^2 with e = 1e-9, or 2e-8 |a| for the smallest a: the
+    # companion's eigenvalues are a pair with 0 < Im <= 2e-8 |mu| (below
+    # 1e-8 for the two small a), well inside the relative cluster radius of
+    # the axis, so they come out as two equal reals
+    e = 1e-9 * min(1.0, 20.0 * abs(a))
     coeffs = np.array([a * a + e * e, -2 * a, 1.0])
     raw = _finite_roots(coeffs[:, None, None], DEFAULTS)
     assert 0 < abs(raw.imag).max() <= 2e-8
@@ -188,6 +189,18 @@ def test_poly_roots_near_axis_pair_is_a_double_real_root(a):
     assert len(roots) == 2 and roots[0] == roots[1]
     assert roots[0].imag == 0
     assert roots[0].real == pytest.approx(a, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, e", [(1e-3, 1e-9), (7.648421813264045e-09, 6.442176872345281e-09)])
+def test_poly_roots_small_pair_is_judged_on_its_own_scale(a, e):
+    # the fold is relative at every modulus: Im mu at 1e-6 and 0.84 of |mu|
+    # is a pair, however close to 0; the second is the pair 1e-8 e^{+-0.7i}
+    # that mirroring the far pair of far_root_poly(40, 1e8, True) leaves,
+    # which the absolute floor 1e-7 folded into a double real root
+    roots = poly_roots(ScalarPoly(np.array([a * a + e * e, -2 * a, 1.0])))
+    assert len(roots) == 2 and roots[0] == np.conj(roots[1])
+    assert abs(roots[0].imag) == pytest.approx(e, rel=1e-6)
+    assert roots[0].real == pytest.approx(a, rel=1e-6)
 
 
 @pytest.mark.parametrize("a", [0.999, -1.2, 1.001])

@@ -38,7 +38,7 @@ from conftest import (
     rotated_diagonal,
     singular_leading_3x3,
 )
-from reference import complete, kernel_vector, norm
+from reference import _positive_qr, complete, kernel_vector, norm
 
 
 def test_det_roots_worked_pair(worked_pair):
@@ -300,16 +300,18 @@ def test_generic_plan_reconstruction_identity():
 
 
 def test_generic_plan_takes_one_qr(monkeypatch):
-    # Q1 and R both come from the QR of the n x 2 [Re v, Im v]; no
-    # orthogonal completion is formed
+    # Q1 and R both come from one split of the n x 2 [Re v, Im v], by
+    # Gram-Schmidt on floats with no LAPACK QR, and agree with the
+    # Householder QR with a positive diagonal to roundoff; no orthogonal
+    # completion is formed
     calls = []
-    original = allpass.roots._positive_qr
+    original = np.linalg.qr
 
-    def counted(B):
-        calls.append(B.shape)
-        return original(B)
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(allpass.roots, "_positive_qr", counted)
+    monkeypatch.setattr(np.linalg, "qr", counted)
     rng = np.random.default_rng(48)
     for dim in (2, 3, 5):
         while True:
@@ -318,12 +320,16 @@ def test_generic_plan_takes_one_qr(monkeypatch):
             plan = classify(p, pairs[0])
             if plan.case == CASE_GENERIC:
                 break
-        assert calls == [(dim, 2)]
+        assert calls == []
         Q1 = plan.Q1
         assert Q1.shape == (dim, 2)
         np.testing.assert_allclose(Q1.T @ Q1, np.eye(2), atol=1e-14)
         assert np.linalg.norm(p(plan.alpha) @ Q1 @ plan.w) < 1e-12 * norm(p)
         assert plan.w.real[1] == 0.0
+        R = np.array([[plan.w[0].real, plan.w[0].imag], [0.0, plan.w[1].imag]])
+        Q_ref, R_ref = _positive_qr(Q1 @ R)
+        np.testing.assert_allclose(Q1, Q_ref, atol=1e-14)
+        np.testing.assert_allclose(R, R_ref, atol=1e-14)
 
 
 def test_complex_coefficients_are_refused():
@@ -405,6 +411,48 @@ def test_classify_polish_never_worse_and_keeps_kind():
                 assert abs(plan.alpha - rec.alpha) < 1e-6 * max(1.0, abs(rec.alpha))
             # the knocked-off start must actually move back towards the root
             assert _sigma_min(p, plan.alpha) < 1e-3 * _sigma_min(p, alpha)
+
+
+def test_classify_takes_one_svd_at_roundoff(monkeypatch):
+    # a record whose backward error is already at most eps is not polished:
+    # one SVD, no slope, no second evaluation, and the plan keeps the
+    # record's own alpha; a record knocked 1e-9 off takes the Newton step.
+    # The backward error is classify's, on the reversal outside the circle
+    def eta(p, alpha):
+        if abs(alpha) < 1.0:
+            return backward_error(p, alpha, "fro")
+        return backward_error(PolyMatrix(p.coeffs[::-1]), 1.0 / alpha, "fro")
+
+    cases = []
+    for seed in (62, 63, 64):
+        p = PolyMatrix(np.random.default_rng(seed).standard_normal((4, 3, 3)))
+        cases += [(p, r, eta(p, r.alpha)) for r in det_roots(p) if r.location != "on_circle"]
+    calls = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    at_roundoff = 0
+    for p, rec, eta_rec in cases:
+        calls.clear()
+        plan = classify(p, rec)
+        if eta_rec <= 0.5 * np.finfo(float).eps:
+            at_roundoff += 1
+            assert calls == [(3, 3)]
+            assert plan.alpha == rec.alpha
+        nudge = 1e-9 * abs(rec.alpha) * (1.0 if rec.kind == "real" else 1j)
+        calls.clear()
+        classify(p, RootRecord(rec.alpha + nudge, 1, rec.location))
+        assert calls == [(3, 3), (3, 3)]
+    assert at_roundoff >= 2
+    # an exact root: sigma_min is 0
+    exact = PolyMatrix(np.array([[[-0.5, 0.0], [0.0, 2.0]], [[1.0, 0.0], [0.0, 0.0]]]))
+    calls.clear()
+    assert classify(exact, RootRecord(0.5, 1, "inside")).alpha == 0.5
+    assert calls == [(2, 2)]
 
 
 def test_classify_tests_the_record_not_the_polished_root(worked_pair):
@@ -581,15 +629,22 @@ def test_classify_polish_stays_in_range_far_outside():
     assert classify(p, RootRecord(0.5 + 1e-9, 1, "inside")).alpha == 0.5 + 1e-9
     # outside, on the reversal: z^38 ((x0^2 + h) z^2 - 2 x0 z + 1) at the
     # real record 1/(x0 + h), x0 = 1e-9 and h ten ulps of it, passes the
-    # root test (about 5e-7) and steps from a = x0 + h to about -0.5, so
-    # p's own sigma_min falls by (|a_step| / |a|)^40, past the float range:
-    # no overflow warning.  That step reaches no root (backward error 1),
-    # and mirror_set refuses its division remainder
+    # root test (about 5e-7); its Newton step, from a = x0 + h to about
+    # -0.5, reaches no root (backward error 1), so the plan keeps the
+    # record.  A fall factor (|a_step| / |a|)^40 past the float range
+    # accepted that step, and mirror_set refused its division remainder
+    # (0.19); the step's own backward error refuses it, and the record
+    # mirrors with residuals at roundoff
     x0 = 1e-9
     h = 10 * np.spacing(x0)
     c = np.zeros((41, 1, 1))
     c[38:, 0, 0] = [1.0, -2.0 * x0, x0 * x0 + h]
-    assert classify(PolyMatrix(c), RootRecord(1 / (x0 + h), 1, "outside")).case == CASE_REAL
+    record = RootRecord(1 / (x0 + h), 1, "outside")
+    plan = classify(PolyMatrix(c), record)
+    assert plan.case == CASE_REAL and plan.alpha == record.alpha
+    _, (report,) = mirror_set(PolyMatrix(c), [record])
+    assert report.residual_deconv <= 1e-20
+    assert report.spectral_dev <= 1e-15 and report.new_root_residual <= 1e-15
     # the records far out that a small C_q let through are no roots
     for c in (np.array([1.0, 1.0, 1e-10]), np.array([1.0] + [0.0] * 38 + [1e-40, 1e-7])):
         with pytest.raises(NotARoot) as info:
