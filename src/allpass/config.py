@@ -19,9 +19,10 @@ class Tolerances:
         for folding a conjugate pair whose imaginary part is within it of
         the real axis into a double real root.
     trim
-        Relative floor under which a leading coefficient of a mirror step's
-        output, or a singular value of the balanced ``C_q`` in the root
-        finder, counts as zero; the latter are infinite roots, deflated.
+        Relative floor, over ``||p||``, under which a singular value of the
+        balanced ``C_q`` counts as zero in the root finder: an infinite
+        root, deflated.  A mirror step does not read it: its output keeps
+        every leading coefficient above the step's own roundoff.
     degenerate
         Relative second-singular-value bound deciding when (Re v, Im v)
         are dependent.
@@ -33,10 +34,11 @@ class Tolerances:
         sigma_min(p(alpha)) / sum_k |alpha|^k ||C_k||_F, for alpha to count
         as a root; on sigma_min(p(s)) / ||p||, which failing at every trial
         shift s makes p singular; and on a mirror step's relocation residual
-        in the certificate of :func:`~allpass.mirror.mirror_set`, which is
-        normwise (sigma_min at 1/alpha over ||p_tilde||, reversed outside
-        the circle), so it can pass an image that the root test would
-        refuse.
+        in the certificate of :func:`~allpass.mirror.mirror_set`: normwise
+        (sigma_min at 1/alpha over ||p_tilde||, reversed outside the
+        circle), so it can pass an image the root test would refuse, and
+        also one that leaves with the degree its step drops (a root at
+        2.2e-16, image 4.5e15), whose coefficientwise number reads 0.447.
     residual
         Bound :func:`~allpass.mirror.mirror_set` enforces on each step's
         division remainder and spectral deviation, and on each output's

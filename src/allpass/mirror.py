@@ -27,7 +27,7 @@ from .blaschke import b2_consecutive, b2_polynomial, build_b2, elementary, squar
 from .config import DEFAULTS
 from .errors import ResidualTooLarge
 from .polymat import PolyMatrix, _conv_coeffs, _divide_coeffs
-from .polymat import _trimmed_length, _unit_scaled
+from .polymat import _unit_scaled
 
 # not called here, but the benchmark's tracer (perfbench/tracer.py) looks up
 # ``allpass.mirror.spectral_eval``, so the name must stay
@@ -53,6 +53,7 @@ METHODS = ("consecutive", "polynomial", "statespace")
 
 _TINY = np.finfo(float).tiny
 _MAX_EXP = np.finfo(float).maxexp
+_ROUNDOFF = 8 * np.finfo(float).eps
 
 
 @dataclasses.dataclass
@@ -201,12 +202,17 @@ def _step(p: PolyMatrix, record: RootRecord, method: str, tol, step):
     resid = resid_abs / max(float(abs(raw).max()), _TINY)
     _judge(step, "residual_deconv", resid, tol.residual)
 
-    # p + (p Q1 V - p Q1) Q1'; the factor for alpha = 0 is 1/z, with a
+    # p - (p Q1 - p Q1 V) Q1'; the factor for alpha = 0 is 1/z, with a
     # constant numerator: its quotient is one coefficient short of the input
-    pq1 = -pq1
-    pq1[: quot.shape[0]] += quot
-    out = p.coeffs + pq1 @ Q1.T
-    p_new = PolyMatrix(out[: _trimmed_length(out, tol.trim)])
+    pq1[: quot.shape[0]] -= quot
+    delta = pq1 @ Q1.T
+    out = p.coeffs - delta
+    # drop a leading coefficient only at roundoff of the two terms summed into
+    # it (the origin's root leaves 0.78 eps), not a graded output's small ones
+    k = out.shape[0] - 1
+    while k and abs(out[k]).max() <= _ROUNDOFF * (abs(p.coeffs[k]).max() + abs(delta[k]).max()):
+        k -= 1
+    p_new = PolyMatrix(out[: k + 1])
     return p_new, MirrorReport(
         mirrored_roots=[complex(x) for x in mirrored],
         method=V.method,

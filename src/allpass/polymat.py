@@ -96,14 +96,6 @@ def _unit_scaled(coeffs: np.ndarray):
     return np.ldexp(coeffs, -e), e
 
 
-def _square_norm(coeffs: np.ndarray):
-    """``(s, e)`` with ``||coeffs||_F^2 = s 4^e``: ``s`` is the squared
-    Frobenius norm of ``coeffs 2^-e`` (:func:`_unit_scaled`), at least 1/4
-    unless ``coeffs`` is zero, so it neither overflows nor underflows."""
-    c, e = _unit_scaled(coeffs.ravel())
-    return float(c @ c), e
-
-
 class ScalarPoly:
     """Scalar polynomial with real coefficients in ascending order; refuses
     the same coefficients :class:`PolyMatrix` does."""
@@ -194,14 +186,6 @@ def _on_circle(coeffs: np.ndarray, n_samples: int):
     return zs, values.reshape(zs.shape + coeffs.shape[1:])
 
 
-def _trimmed_length(coeffs: np.ndarray, rtol: float) -> int:
-    """Number of leading coefficients a stack keeps when trimmed: up to the
-    last whose magnitude exceeds ``rtol`` times the largest, at least one."""
-    mags = abs(coeffs.reshape(coeffs.shape[0], -1)).max(axis=1).tolist()
-    floor = rtol * max(mags)
-    return 1 + max((k for k, m in enumerate(mags) if m > floor), default=0)
-
-
 def det_poly(p) -> ScalarPoly:
     """Determinant of a matrix polynomial as a scalar polynomial.
 
@@ -211,8 +195,11 @@ def det_poly(p) -> ScalarPoly:
     m = p.dim * p.degree + 1
     zs = 1.5 * np.exp(2j * np.pi * np.arange(m) / m)
     coeff = np.fft.fft(np.linalg.det(_eval_many(p.coeffs, zs))) / m / 1.5 ** np.arange(m)
-    # conjugate-symmetric samples: the imaginary part is FFT noise
-    return ScalarPoly(coeff.real[: _trimmed_length(coeff.real, DEFAULTS.trim)])
+    # conjugate-symmetric samples: the imaginary part is FFT noise, and so are
+    # the leading coefficients at most DEFAULTS.trim times the largest
+    coeff = coeff.real
+    keep = np.flatnonzero(abs(coeff) > DEFAULTS.trim * abs(coeff).max())
+    return ScalarPoly(coeff[: 1 + np.max(keep, initial=0)])
 
 
 def _cluster(values, rtol):
@@ -242,22 +229,29 @@ def _finite_roots(coeffs, tol):
     z)``: ``B = diag(C_q, I, ..., I)`` and ``A`` the block companion.
     ``gamma = (||C_0|| / ||C_q||)^(1/q)`` balances the variable (Fan, Lin and
     Van Dooren, SIMAX 2004), unrounded, when ``log2 gamma`` rounds to a
-    nonzero integer.  The lead is whichever of ``C_q`` and ``C_0`` is farther
-    from the singularity test (``sigma_min / ||p||`` at most ``tol.kernel``),
-    or of ``C_q`` and every ``p(s)`` when both fail it.  Led by ``C_q``, the roots are the
+    nonzero integer ``e`` and ``gamma`` is a float, ``gamma^q`` or not.  The
+    lead is whichever of ``C_q`` and ``C_0`` is farther from the singularity
+    test (``sigma_min / ||p||`` at most ``tol.kernel``), or of ``C_q`` and
+    every ``p(s)`` when both fail it.  Led by ``C_q``, the roots are the
     eigenvalues of ``B^-1 A``; led by ``p(s)``, ``z = s + 1/mu`` for those of
     ``(A - s B)^-1 B``, once staircase rounds (Van Dooren, LAA 1979) have
     deflated the infinite roots, the singular values of ``B`` at most
     ``tol.trim ||p||``."""
     q, n = coeffs.shape[0] - 1, coeffs.shape[1]
-    # log2 of gamma^q = ||C_0|| / ||C_q||, the norms squared each on its own
-    # unit scale: an end however small is balanced while gamma^q is a float
-    (s0, e0), (sq, eq) = _square_norm(coeffs[0]), _square_norm(coeffs[-1])
+    # log2 of gamma^q = ||C_0|| / ||C_q||, each end squared on its own unit
+    # scale 2^-e (_unit_scaled), so an end however small is balanced
+    (c0, e0), (cq, eq) = _unit_scaled(coeffs[0].ravel()), _unit_scaled(coeffs[-1].ravel())
+    s0, sq = c0 @ c0, cq @ cq
     log_ratio = (math.log2(s0) + 2 * e0 - math.log2(sq) - 2 * eq) / 2 if s0 and sq else 0.0
-    balance = q and round(log_ratio / q) and abs(log_ratio) < np.finfo(float).maxexp
-    gamma = 2.0 ** (log_ratio / q) if balance else 1.0
+    e = round(log_ratio / q) if q else 0
+    gamma = 2.0 ** (log_ratio / q) if e and abs(e) < np.finfo(float).maxexp else 1.0
     if gamma != 1.0:
-        coeffs = _unit_scaled(coeffs * gamma ** np.arange(q + 1)[:, None, None])[0]
+        # gamma^k C_k as 2^(ke - top) C_k (gamma 2^-e)^k: the exact power of two
+        # first, so a subnormal C_q is not rounded; top keeps 2^(ke) C_k below 1
+        k = np.arange(q + 1)
+        peaks = abs(coeffs).max(axis=(1, 2))
+        top = (np.frexp(peaks)[1] + k * e)[peaks > 0].max()
+        coeffs = _unit_scaled((np.ldexp(coeffs.T, k * e - top) * math.ldexp(gamma, -e) ** k).T)[0]
     # the singularity test's size: ||p|| for every lead and every |s| < 1
     size = max(math.sqrt(coeffs.ravel() @ coeffs.ravel()), np.finfo(float).tiny)
     ratios = np.linalg.svd(coeffs[[-1, 0]], compute_uv=False)[:, -1] / size
@@ -307,11 +301,13 @@ def poly_roots(p, tol=DEFAULTS):
     under conjugation: a root is real when its imaginary part is exactly
     zero, the upper members stand for the pairs, and a pair whose imaginary
     part is within ``tol.cluster * |mu|`` of the axis, relative at every
-    modulus, is a split double real root.  Roots within ``tol.cluster`` (relative) of each other
-    merge into one multiple root.  The pencil is formed from ``p 2^-e``
-    (:func:`_unit_scaled`): the roots are those of ``p``, exactly in range,
-    and the singularity test's size is at least 1/2, so its bound cannot
-    underflow.
+    modulus, is a split double real root.  Roots within ``tol.cluster``
+    (relative) of each other merge into one multiple root.  The pencil is
+    formed from ``p 2^-e`` (:func:`_unit_scaled`): the roots are those of
+    ``p``, exactly in range, and the singularity test's size is at least
+    1/2, so its bound cannot underflow.  When the balancing ``gamma`` is
+    itself past the float range, ``C_q`` deflates as infinite and the large
+    roots go with it: ``diag(-0.5, 2) + t I z`` with ``t = 10^-310`` has none.
 
     Raises
     ------

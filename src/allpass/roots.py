@@ -83,10 +83,11 @@ class MirrorPlan:
     or its Newton polish against ``p`` when that lowers its backward error
     (see :func:`classify`), then within roundoff of the record.  The
     orthonormal real columns ``Q1`` (``n x k``, ``k`` the size of the step's
-    factor ``V``) span the kernel of ``p(alpha)``: the normalised real kernel
-    for a real root or a degenerate pair, and for a generic pair the Q1 of
-    the QR split ``(Re v, Im v) = Q1 R`` of the unit kernel vector ``v``,
-    with ``w = R (1, i)'``, so ``Q1 w = v`` (``R`` is ``[Re w, Im w]``).
+    factor ``V``) span the kernel of ``p(alpha)`` from its unit vector
+    ``v``: ``Re v`` normalised for a real root; for a pair, from the QR split
+    ``(Re v, Im v) = Q1 R``, ``[Re v, Im v] (r00, r01)'`` normalised for a
+    degenerate one (its largest entry positive), and for a generic one that
+    Q1, with ``w = R (1, i)'``, so ``Q1 w = v`` (``R`` is ``[Re w, Im w]``).
     The step applies the all-pass ``I + Q1 (V - I) Q1'``, with no
     orthogonal completion of ``Q1``.
     """
@@ -273,7 +274,8 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
         circle, nonzero outside it.  The plan's ``alpha`` and kernel come
         from the point kept: the record's own ``alpha`` when no step is.
         The kernel ``v`` is split into ``(Re v, Im v) = Q1 R`` by a
-        two-column Gram-Schmidt, reorthogonalised once.
+        two-column Gram-Schmidt, reorthogonalised once; a degenerate pair
+        takes ``r00 Re v + r01 Im v`` normalised, no SVD of its own.
 
     Raises
     ------
@@ -334,17 +336,11 @@ def classify(p, record: RootRecord, tol=DEFAULTS) -> MirrorPlan:
         y = [t - h * s for s, t in zip(q0, y)]
     r11 = math.hypot(*y)
     if r11 == 0.0 or _triangular_ratio(r00, r01, r11) <= tol.degenerate:
-        # kernel direction is e^{i phi} times a real vector: re-phase onto it
-        B = np.column_stack([v.real, v.imag])
-        U, _, _ = np.linalg.svd(B)
-        u = U[:, 0]
-        phase = complex(u @ v.real, u @ v.imag)
-        phase = phase / abs(phase)
-        vr = np.real(v * np.conj(phase))
+        # kernel direction is e^{i phi} times a real vector: [Re v, Im v]
+        # (r00, r01)' is its leading left singular vector, up to scale and
+        # r11; the anchor entry is real and positive, so it stays positive
+        vr = r00 * v.real + r01 * v.imag
         vr = vr / math.sqrt(vr @ vr)
-        idx = int(abs(vr).argmax())
-        if vr[idx] < 0:
-            vr = -vr
         return MirrorPlan(CASE_DEGENERATE, alpha, vr[:, None])
     Q1 = np.array([q0, [t / r11 for t in y]]).T
     return MirrorPlan(CASE_GENERIC, alpha, Q1, np.array([complex(r00, r01), complex(0.0, r11)]))

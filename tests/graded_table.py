@@ -9,10 +9,12 @@ method.  A returned output is right when its spectrum stays within 1e-8 of
 the input's on 256 points and ``det_roots`` finds no root of it inside the
 circle.  For each method the table prints the right, wrong and refused
 counts (refusals by error class), the worst 256-point deviation of a returned
-output, and the worst backward error (``conftest.backward_error``) of a
-moved root's image ``1/conj(alpha)`` as a root of the output.  It judges
-nothing: it exits 0 unless a run raises something other than an
-``AllPassError``.
+output, the worst lag-by-lag spectral deviation of a returned output from
+the input (``reference.lag_deviation``: each Laurent coefficient judged on
+its own rounding scale), and the worst backward error
+(``conftest.backward_error``) of a moved root's image ``1/conj(alpha)`` as a
+root of the output.  It judges nothing: it exits 0 unless a run raises
+something other than an ``AllPassError``.
 """
 
 import collections
@@ -22,7 +24,7 @@ import numpy as np
 
 from allpass import METHODS, AllPassError, PolyMatrix, det_roots, mirror_all_inside
 from conftest import backward_error
-from reference import graded, grid_deviation
+from reference import graded, grid_deviation, lag_deviation
 
 SMALL = [(3, 4), (6, 4), (4, 8), (6, 8), (3, 16)]
 TALL = [(3, 40), (2, 60)]
@@ -38,7 +40,7 @@ def inputs():
 
 
 def row(method):
-    counts, worst_dev, worst_eta = collections.Counter(), 0.0, 0.0
+    counts, worst_dev, worst_lag, worst_eta = collections.Counter(), 0.0, 0.0, 0.0
     for p in inputs():
         try:
             q, reports = mirror_all_inside(p, method=method)
@@ -49,17 +51,19 @@ def row(method):
         right = dev <= 1e-8 and all(r.location == "outside" for r in det_roots(q))
         counts["right" if right else "wrong"] += 1
         worst_dev = max(worst_dev, dev)
+        worst_lag = max(worst_lag, lag_deviation(q, p))
         for rep in reports:
             for alpha in rep.mirrored_roots:
                 worst_eta = max(worst_eta, backward_error(q, 1 / np.conj(alpha)))
     refused = ", ".join(f"{name} {k}" for name, k in sorted(counts.items()) if name not in ("right", "wrong"))
     return (
         f"{method:<12} {counts['right']:>5} {counts['wrong']:>5}  {worst_dev:>9.2e}  "
-        f"{worst_eta:>9.2e}  {refused or '-'}"
+        f"{worst_lag:>9.2e}  {worst_eta:>9.2e}  {refused or '-'}"
     )
 
 
 if __name__ == "__main__":
-    print(f"{'method':<12} {'right':>5} {'wrong':>5}  {'worst dev':>9}  {'worst eta':>9}  refused")
+    header = f"{'method':<12} {'right':>5} {'wrong':>5}  {'worst dev':>9}  {'worst lag':>9}  {'worst eta':>9}"
+    print(f"{header}  refused")
     for method in METHODS:
         print(row(method), flush=True)

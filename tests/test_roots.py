@@ -38,7 +38,7 @@ from conftest import (
     rotated_diagonal,
     singular_leading_3x3,
 )
-from reference import _positive_qr, complete, kernel_vector, norm
+from reference import _positive_qr, complete, degenerate_direction, kernel_vector, norm
 
 
 def test_det_roots_worked_pair(worked_pair):
@@ -170,6 +170,30 @@ def test_tiny_regular_leading_matrix_is_balanced(t):
     values = sorted(root_values(det_roots(p)), key=abs)
     np.testing.assert_allclose(values, [0.5 / t, -2.0 / t], rtol=1e-14)
     assert all(v.imag == 0.0 for v in values)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_subnormal_leading_matrix_is_balanced_past_the_range(q):
+    # diag(-0.5, 2) + t I z^q with t = 2^-1062, subnormal: z^q = 0.5/t and
+    # -2/t.  gamma^q = 2^1062 or so is past the float range while gamma is
+    # not; balancing stopped there, and C_q was deflated as infinite, leaving
+    # no records.  Unit scaling is exact for a power of two, so the roots
+    # are those of this input to roundoff
+    t = 2.0 ** -1062
+    c = np.zeros((q + 1, 2, 2))
+    c[0], c[q] = np.diag([-0.5, 2.0]), t * np.eye(2)
+    values = sorted(root_values(det_roots(PolyMatrix(c))), key=abs)
+    # |z| = (0.5/t)^(1/q) = 2^(1061/q) and (2/t)^(1/q) = 2^(1063/q), each
+    # formed as 2^(b // q) 2^((b % q)/q) so that the exponent is not rounded
+    expected = [np.ldexp(2.0 ** (b % q / q), b // q) for b in (1061, 1063) for _ in range(q)]
+    np.testing.assert_allclose(np.abs(values), expected, rtol=1e-14)
+
+
+def test_roots_past_the_float_range_are_not_returned():
+    # diag(-0.5, 2) + t I z with t = 1e-310: the roots 5e309 and -2e310 and
+    # gamma itself are past the float range, so no finite root is returned
+    p = PolyMatrix(np.array([np.diag([-0.5, 2.0]), 1e-310 * np.eye(2)]))
+    assert det_roots(p) == []
 
 
 def test_singular_constant_matrix_raises_with_ratio():
@@ -379,6 +403,30 @@ def test_classify_degenerate_rotated():
     plan = classify(p, rec)
     assert plan.case == CASE_DEGENERATE
     np.testing.assert_allclose(np.abs(plan.Q1[:, 0]), np.abs(U[:, 0]), atol=1e-8)
+
+
+def test_degenerate_direction_agrees_with_the_svd_rephase(monkeypatch):
+    # Qa diag((z - alpha)(z - conj alpha), 1, ..., 1) Qb has the kernel Qb' e1
+    # at the pair, real up to a phase; classify takes its real direction from
+    # the Gram-Schmidt R, the reference re-phases the same kernel by an SVD
+    kernels = []
+    anchored = allpass.roots._anchored_kernel
+    monkeypatch.setattr(
+        allpass.roots, "_anchored_kernel", lambda M, vh: kernels.append(anchored(M, vh)) or kernels[-1]
+    )
+    for n in range(1, 41):
+        rng = np.random.default_rng(n)
+        side = "inside" if n % 2 else "outside"
+        alpha = rand_alpha(rng, side)
+        Qa, Qb = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        D = np.zeros((3, n, n))
+        D[0] = np.eye(n)
+        D[:, 0, 0] = [abs(alpha) ** 2, -2 * alpha.real, 1.0]
+        plan = classify(PolyMatrix(Qa @ D @ Qb), RootRecord(alpha, 1, side))
+        assert plan.case == CASE_DEGENERATE
+        vr = plan.Q1[:, 0]
+        assert abs(vr - degenerate_direction(kernels[-1])).max() <= 4 * np.finfo(float).eps
+        assert vr[abs(vr).argmax()] > 0
 
 
 def test_classify_rejects_non_root(worked_pair):
